@@ -9,7 +9,7 @@
 //! ```
 //!
 //! Subcommands: `fig4a` `fig4b` `fig4c` `fig4d` `table5` `depth` `spans`
-//! `lint` `par` `incr` `solve` `serve` `trace` `plan` `shard` `all`.
+//! `lint` `par` `incr` `serve` `trace` `plan` `shard` `all`.
 //! `--large` additionally runs the large-network fix (minutes, matching the
 //! paper's ~10-minute ceiling for check+fix).
 //! `par` accepts `--small` (restrict to the small WAN; the CI smoke step)
@@ -17,13 +17,6 @@
 //! `incr` replays the perturbation as a per-slot edit stream through a
 //! [`jinjing_core::incr::CheckSession`] against per-step cold checks and
 //! honours the same flags (`--bench-out` writes `BENCH_incr.json`).
-//! `solve` is the warm-solver microbench: the perturbation's distinct ACL
-//! chains × rule-derived packet classes, asked cold (fresh
-//! encode-and-solve per query, the pre-warm-layer regime) and warm
-//! (one [`jinjing_core::warm::ScopeSolver`], assumption-scoped re-queries),
-//! with per-stage encode-vs-solve splits and fix's minimal-change search
-//! contrasted Ascend vs Descend (`--bench-out` writes `BENCH_solve.json`;
-//! `--small` restricts to the small WAN, the default is medium).
 //! `serve` stands a loopback `jinjing-serve` daemon up and fires
 //! concurrent `/v1/check` load at it, asserting every response
 //! byte-identical to the CLI rendering (`--bench-out` writes
@@ -38,19 +31,15 @@
 //! baseline — zero duplicated queries at any width (`--bench-out` writes
 //! `BENCH_shard.json`).
 
-use jinjing_acl::{Acl, MatchSpec, PacketSet};
+use jinjing_acl::Acl;
 use jinjing_bench::{checkfix_scenario, control_open_task, migration_task, wan, PERTURBATIONS};
 use jinjing_core::check::{check, check_configs, CheckConfig, CheckReport};
 use jinjing_core::engine::{run as engine_run, EngineConfig};
-use jinjing_core::fix::{fix, FixConfig, MinimizeSearch};
+use jinjing_core::fix::{fix, FixConfig};
 use jinjing_core::generate::{generate, GenerateConfig};
 use jinjing_core::incr::{CheckSession, Delta, IncrConfig};
 use jinjing_core::qcache::QueryCache;
-use jinjing_core::warm::{ScopeSolver, WarmStats};
 use jinjing_core::Encoding;
-use jinjing_solver::aclenc::encode;
-use jinjing_solver::cdcl::SolveResult;
-use jinjing_solver::{CircuitBuilder, HeaderVars};
 use jinjing_lai::printer::statement_count;
 use jinjing_lai::Command;
 use jinjing_wan::scenarios;
@@ -574,7 +563,7 @@ fn par(include_large: bool, small_only: bool, bench_out: Option<&str>) {
                 let cache = Arc::new(QueryCache::new());
                 let cfg = CheckConfig {
                     threads,
-                    cache: Some(Arc::clone(&cache)),
+                    cache: Arc::clone(&cache),
                     ..CheckConfig::default()
                 };
                 let r = check(&net.net, &sc.task, &cfg).expect("check");
@@ -594,7 +583,7 @@ fn par(include_large: bool, small_only: bool, bench_out: Option<&str>) {
             let (t_warm, r_warm) = timed(|| {
                 let cfg = CheckConfig {
                     threads,
-                    cache: Some(Arc::clone(&cache)),
+                    cache: Arc::clone(&cache),
                     ..CheckConfig::default()
                 };
                 let r = check(&net.net, &sc.task, &cfg).expect("check");
@@ -859,349 +848,6 @@ fn incr(small_only: bool, bench_out: Option<&str>) {
                 println!("\n(wrote {path})");
             }
         }
-    }
-    if small_only {
-        println!("\n(medium omitted — drop --small)");
-    }
-}
-
-/// One fix run under a [`MinimizeSearch`] strategy.
-struct SearchRun {
-    builders: u64,
-    solves: u64,
-    wall: Duration,
-}
-
-/// Aggregates of the warm-solver microbench.
-struct SolveRun {
-    queries: usize,
-    chains: usize,
-    cold_encode: Duration,
-    cold_solve: Duration,
-    warm_first: Duration,
-    warm_steady: Duration,
-    warm: WarmStats,
-    ascend: SearchRun,
-    descend: SearchRun,
-}
-
-/// Serialize the warm-solver microbench as `BENCH_solve.json` (sorted
-/// keys, strict JSON, byte-stable shape — see [`bench_json`]).
-fn solve_json(network: &str, r: &SolveRun) -> String {
-    let mut w = jinjing_obs::json::JsonWriter::new();
-    let wall = |d: Duration| (d.as_secs_f64() * 1e6).round() / 1e3; // µs-rounded ms
-    let cold = r.cold_encode + r.cold_solve;
-    w.begin_object();
-    w.key("benchmark");
-    w.string("solve");
-    w.key("chains");
-    w.u64(r.chains as u64);
-    w.key("cold");
-    w.begin_object();
-    w.key("encode_ms");
-    w.f64(wall(r.cold_encode));
-    w.key("solve_ms");
-    w.f64(wall(r.cold_solve));
-    w.key("wall_ms");
-    w.f64(wall(cold));
-    w.end_object();
-    w.key("fix");
-    w.begin_object();
-    let search = |w: &mut jinjing_obs::json::JsonWriter, s: &SearchRun| {
-        w.begin_object();
-        w.key("builders");
-        w.u64(s.builders);
-        w.key("solves");
-        w.u64(s.solves);
-        w.key("wall_ms");
-        w.f64(wall(s.wall));
-        w.end_object();
-    };
-    w.key("ascend");
-    search(&mut w, &r.ascend);
-    // A per-bound cold loop constructs one solver per probed k: the
-    // ascending search's solve count is exactly that construction count,
-    // which both warm searches beat with one builder per neighborhood.
-    w.key("cold_loop_builders");
-    w.u64(r.ascend.solves);
-    w.key("descend");
-    search(&mut w, &r.descend);
-    w.end_object();
-    w.key("network");
-    w.string(network);
-    w.key("perturbation");
-    w.f64(0.03);
-    w.key("queries");
-    w.u64(r.queries as u64);
-    w.key("speedup");
-    w.f64((cold.as_secs_f64() / r.warm_steady.as_secs_f64().max(1e-9) * 100.0).round() / 100.0);
-    w.key("warm");
-    w.begin_object();
-    w.key("builds");
-    w.u64(r.warm.builds);
-    w.key("pin_encodes");
-    w.u64(r.warm.pin_encodes);
-    w.key("pin_reuses");
-    w.u64(r.warm.pin_reuses);
-    w.key("replays");
-    w.u64(r.warm.replays);
-    w.end_object();
-    w.key("warm_first_wall_ms");
-    w.f64(wall(r.warm_first));
-    w.key("warm_wall_ms");
-    w.f64(wall(r.warm_steady));
-    w.end_object();
-    let mut json = w.finish();
-    json.push('\n');
-    json
-}
-
-/// One cold class-pinned Eq. 3 query, timed per stage: a fresh builder,
-/// the full chain re-encoded, the class asserted at the root, one solve —
-/// exactly the pre-warm-layer regime (and byte-for-byte the cold path's
-/// construction order). Returns (encode wall, solve wall, verdict).
-fn cold_query(
-    chain: &[(&Acl, &Acl)],
-    class: &PacketSet,
-    encoding: Encoding,
-) -> (Duration, Duration, SolveResult) {
-    let t0 = Instant::now();
-    let mut builder = CircuitBuilder::new();
-    let h = HeaderVars::new(&mut builder);
-    let mut c_before = Vec::with_capacity(chain.len());
-    let mut c_after = Vec::with_capacity(chain.len());
-    for (b, a) in chain {
-        c_before.push(encode(&mut builder, &h, b, encoding));
-        c_after.push(encode(&mut builder, &h, a, encoding));
-    }
-    let cp = builder.and(&c_before);
-    let cp2 = builder.and(&c_after);
-    let eq = builder.iff(cp, cp2);
-    builder.assert(!eq);
-    let in_class = h.in_set(&mut builder, class);
-    builder.assert(in_class);
-    let t_encode = t0.elapsed();
-    let t1 = Instant::now();
-    let result = builder.solve();
-    (t_encode, t1.elapsed(), result)
-}
-
-/// Up to `cap` distinct non-trivial packet classes from an ACL's own rule
-/// regions — the natural "does the disagreement fall in here?" questions.
-fn rule_classes(acl: &Acl, cap: usize) -> Vec<PacketSet> {
-    let mut out: Vec<PacketSet> = Vec::new();
-    for r in acl.rules() {
-        if r.matches == MatchSpec::any() {
-            continue; // default-action tail: the base query already asks it
-        }
-        let set = PacketSet::from_cube(r.matches.cube());
-        if out.iter().any(|s| *s == set) {
-            continue;
-        }
-        out.push(set);
-        if out.len() == cap {
-            break;
-        }
-    }
-    out
-}
-
-/// Warm-solver microbench: cold rebuild-per-query vs one persistent
-/// [`ScopeSolver`] answering the same stream by assumption-scoped
-/// re-queries, plus fix's minimal-change search Ascend vs Descend on one
-/// warm solver vs the per-bound cold loop. Verdicts are cross-checked
-/// query by query; `--bench-out` writes `BENCH_solve.json`.
-fn solve_bench(small_only: bool, bench_out: Option<&str>) {
-    const MAX_CHAINS: usize = 24;
-    let size = if small_only {
-        NetSize::Small
-    } else {
-        NetSize::Medium
-    };
-    let encoding = CheckConfig::default().encoding;
-    println!("\n## Warm solver — cold rebuild vs assumption re-query, 3% perturbation\n");
-    let net = wan(size);
-    let sc = checkfix_scenario(&net, 0.03, Command::Check);
-
-    // The perturbation's distinct edited (before, after) ACL pairs…
-    let mut slots = sc.task.before.slots();
-    slots.extend(sc.task.after.slots());
-    slots.sort();
-    slots.dedup();
-    let mut pairs: Vec<(Acl, Acl)> = Vec::new();
-    let mut distinct = 0usize;
-    for slot in slots {
-        if let (Some(b), Some(a)) = (sc.task.before.get(slot), sc.task.after.get(slot)) {
-            if b != a && !pairs.iter().any(|(pb, pa)| pb == b && pa == a) {
-                distinct += 1;
-                if pairs.len() < MAX_CHAINS {
-                    pairs.push((b.clone(), a.clone()));
-                }
-            }
-        }
-    }
-    if distinct > pairs.len() {
-        println!("(workload capped at {} of {distinct} distinct edited pairs)\n", pairs.len());
-    }
-    assert!(!pairs.is_empty(), "the perturbation must edit at least one ACL");
-    // …as single-hop chains plus two-hop combinations (paths traverse
-    // several slots), each crossed with classes drawn from the pair's own
-    // rule regions.
-    let mut chains: Vec<Vec<(Acl, Acl)>> = pairs.iter().map(|p| vec![p.clone()]).collect();
-    for w2 in pairs.chunks(2) {
-        if let [x, y] = w2 {
-            chains.push(vec![x.clone(), y.clone()]);
-        }
-    }
-    let mut queries: Vec<(usize, PacketSet)> = Vec::new();
-    for (ci, chain) in chains.iter().enumerate() {
-        let (b0, a0) = &chain[0];
-        let mut classes = rule_classes(a0, 2);
-        for c in rule_classes(b0, 2) {
-            if !classes.contains(&c) {
-                classes.push(c);
-            }
-        }
-        if classes.is_empty() {
-            classes.push(PacketSet::full());
-        }
-        for c in classes {
-            queries.push((ci, c));
-        }
-    }
-
-    // Cold pass: every query pays a fresh construction (encode) + solve.
-    let chain_refs = |ci: usize| -> Vec<(&Acl, &Acl)> {
-        chains[ci].iter().map(|(b, a)| (b, a)).collect()
-    };
-    let mut cold_encode = Duration::ZERO;
-    let mut cold_solve = Duration::ZERO;
-    let mut verdicts = Vec::with_capacity(queries.len());
-    for (ci, class) in &queries {
-        let (te, ts, v) = cold_query(&chain_refs(*ci), class, encoding);
-        cold_encode += te;
-        cold_solve += ts;
-        verdicts.push(v);
-    }
-
-    // Warm passes on one ScopeSolver: the first pass builds each family
-    // once and encodes each class pin; the measured steady-state pass is
-    // all selector reuse + `solve_with`, no encoding at all.
-    let ws = ScopeSolver::new();
-    let t = Instant::now();
-    for (ci, class) in &queries {
-        ws.query_in_class(&chain_refs(*ci), None, encoding, None, class);
-    }
-    let warm_first = t.elapsed();
-    let t = Instant::now();
-    for (i, (ci, class)) in queries.iter().enumerate() {
-        let got = ws.query_in_class(&chain_refs(*ci), None, encoding, None, class);
-        assert_eq!(
-            got.result, verdicts[i],
-            "warm re-query diverged from the cold verdict on query {i}"
-        );
-        if let Some(m) = &got.model {
-            assert!(class.contains(m), "warm witness escaped its class on query {i}");
-        }
-    }
-    let warm_steady = t.elapsed();
-    let warm = ws.stats();
-    assert_eq!(warm.builds as usize, chains.len(), "one family per chain");
-    assert!(
-        warm.pin_reuses as usize >= queries.len(),
-        "the steady pass must reuse every selector"
-    );
-
-    // Fix's minimal-change search: both strategies on one warm placement
-    // solver, against the per-bound cold loop they replace (one solver
-    // construction per probed k — the ascending search's solve count).
-    let fsc = checkfix_scenario(&net, 0.03, Command::Fix);
-    let search = |strategy: MinimizeSearch| -> (SearchRun, usize) {
-        let cfg = FixConfig {
-            minimize_search: strategy,
-            ..FixConfig::default()
-        };
-        let t = Instant::now();
-        let plan = fix(&net.net, &fsc.task, &cfg).expect("fix");
-        let wall = t.elapsed();
-        let snap = cfg.check.obs.snapshot();
-        (
-            SearchRun {
-                builders: snap.counter("fix.place_builders"),
-                solves: snap.counter("fix.place_solves"),
-                wall,
-            },
-            plan.added_rules.len(),
-        )
-    };
-    let (ascend, a_rules) = search(MinimizeSearch::Ascend);
-    let (descend, d_rules) = search(MinimizeSearch::Descend);
-    assert_eq!(a_rules, d_rules, "both searches must be equally minimal");
-    assert_eq!(ascend.builders, descend.builders, "one builder per neighborhood");
-    assert!(
-        descend.solves <= ascend.solves,
-        "descend ({}) must not out-solve ascend ({})",
-        descend.solves,
-        ascend.solves
-    );
-    assert!(
-        ascend.builders < ascend.solves,
-        "warm search must construct strictly fewer solvers ({}) than the \
-         per-bound cold loop ({})",
-        ascend.builders,
-        ascend.solves
-    );
-
-    let run = SolveRun {
-        queries: queries.len(),
-        chains: chains.len(),
-        cold_encode,
-        cold_solve,
-        warm_first,
-        warm_steady,
-        warm,
-        ascend,
-        descend,
-    };
-    let cold = run.cold_encode + run.cold_solve;
-    let speedup = cold.as_secs_f64() / run.warm_steady.as_secs_f64().max(1e-9);
-    println!("| network | queries | chains | cold encode ms | cold solve ms | cold ms | warm-up ms | warm ms | speedup |");
-    println!("|---------|---------|--------|----------------|---------------|---------|------------|---------|---------|");
-    println!(
-        "| {} | {:>7} | {:>6} | {:>14} | {:>13} | {:>7} | {:>10} | {:>7} | {:>6.2}x |",
-        size.label(),
-        run.queries,
-        run.chains,
-        ms(run.cold_encode),
-        ms(run.cold_solve),
-        ms(cold),
-        ms(run.warm_first),
-        ms(run.warm_steady),
-        speedup,
-    );
-    println!("\n## Fix minimal-change search — one warm solver vs the per-bound cold loop\n");
-    println!("| search | placement builders | solves | per-k cold builders | wall ms |");
-    println!("|--------|--------------------|--------|---------------------|---------|");
-    for (label, s) in [("ascend", &run.ascend), ("descend", &run.descend)] {
-        println!(
-            "| {label} | {:>18} | {:>6} | {:>19} | {:>7} |",
-            s.builders,
-            s.solves,
-            run.ascend.solves,
-            ms(s.wall),
-        );
-    }
-    if !small_only {
-        assert!(
-            speedup >= 2.0,
-            "warm re-queries must be at least 2x faster than cold rebuilds \
-             on the medium WAN (got {speedup:.2}x)"
-        );
-    }
-    if let Some(path) = bench_out {
-        let json = solve_json(size.label(), &run);
-        std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("\n(wrote {path})");
     }
     if small_only {
         println!("\n(medium omitted — drop --small)");
@@ -1911,7 +1557,7 @@ fn main() {
         .map(|i| args.get(i + 1).cloned().expect("--bench-out needs a path"));
     let wants = |name: &str| args.iter().any(|a| a == name) || args.iter().any(|a| a == "all");
     if args.is_empty() {
-        eprintln!("usage: figures [fig4a] [fig4b] [fig4c] [fig4d] [table5] [depth] [spans] [lint] [par] [incr] [solve] [serve] [trace] [plan] [shard] [all] [--large] [--small] [--bench-out <path>] [--trace-out <path>]");
+        eprintln!("usage: figures [fig4a] [fig4b] [fig4c] [fig4d] [table5] [depth] [spans] [lint] [par] [incr] [serve] [trace] [plan] [shard] [all] [--large] [--small] [--bench-out <path>] [--trace-out <path>]");
         std::process::exit(2);
     }
     println!("# Jinjing evaluation — regenerated tables");
@@ -1944,9 +1590,6 @@ fn main() {
     }
     if wants("incr") {
         incr(small_only, bench_out.as_deref());
-    }
-    if wants("solve") {
-        solve_bench(small_only, bench_out.as_deref());
     }
     if wants("serve") {
         serve_bench(bench_out.as_deref());
@@ -2022,54 +1665,6 @@ mod tests {
         assert!((v["runs"][0]["stages"]["preprocess_ms"].as_f64().unwrap() - 2.0).abs() < 1e-9);
         assert_eq!(v["fec_count"].as_u64().unwrap(), r.fec_count as u64);
         assert_eq!(json, bench_json("small", &r, &runs), "byte-stable");
-    }
-
-    /// Same contract for `BENCH_solve.json`: strict JSON, sorted keys,
-    /// byte-stable, and the derived numbers (speedup, the per-bound cold
-    /// loop's construction count) are what CI's probe assumes.
-    #[test]
-    fn solve_json_is_strict_and_stable() {
-        let run = SolveRun {
-            queries: 60,
-            chains: 20,
-            cold_encode: Duration::from_millis(80),
-            cold_solve: Duration::from_millis(20),
-            warm_first: Duration::from_millis(90),
-            warm_steady: Duration::from_millis(10),
-            warm: WarmStats {
-                families: 20,
-                builds: 20,
-                replays: 0,
-                pin_encodes: 60,
-                pin_reuses: 60,
-                retracted_families: 0,
-                retracted_pins: 0,
-            },
-            ascend: SearchRun {
-                builders: 3,
-                solves: 9,
-                wall: Duration::from_millis(40),
-            },
-            descend: SearchRun {
-                builders: 3,
-                solves: 5,
-                wall: Duration::from_millis(30),
-            },
-        };
-        let json = solve_json("medium", &run);
-        let v: serde_json::Value = serde_json::from_str(&json).expect("strict JSON");
-        assert_eq!(v["benchmark"], "solve");
-        assert_eq!(v["network"], "medium");
-        assert_eq!(v["queries"].as_u64().unwrap(), 60);
-        assert!((v["cold"]["wall_ms"].as_f64().unwrap() - 100.0).abs() < 1e-9);
-        assert!((v["speedup"].as_f64().unwrap() - 10.0).abs() < 1e-9);
-        assert_eq!(v["fix"]["cold_loop_builders"].as_u64().unwrap(), 9);
-        assert!(
-            v["fix"]["descend"]["solves"].as_u64().unwrap()
-                <= v["fix"]["ascend"]["solves"].as_u64().unwrap()
-        );
-        assert_eq!(v["warm"]["pin_reuses"].as_u64().unwrap(), 60);
-        assert_eq!(json, solve_json("medium", &run), "byte-stable");
     }
 
     /// Same contract for `BENCH_incr.json`: strict JSON, sorted keys,

@@ -30,7 +30,7 @@
 //! stage 2 (only when stage 1's model misses the class) pins the witness
 //! inside the class. Results fold in class-major order, stopping at the
 //! first violation, so reports are byte-identical across thread counts
-//! and cache settings.
+//! and whatever the query store already holds.
 //!
 //! [`check_exact`] is the set-algebra reference oracle: slower but purely
 //! exact, used to cross-validate the solver path in tests.
@@ -73,21 +73,12 @@ pub struct CheckConfig {
     /// exact historical code path). Reports are byte-identical for every
     /// value (see `jinjing-par`'s determinism contract).
     pub threads: usize,
-    /// Cross-query solver cache: identical decision-model comparisons
-    /// across paths/FECs (and across engine phases, when shared) are
-    /// solved once. `None` disables caching; replaying a hit is
-    /// observationally identical to re-solving, so reports do not depend
-    /// on this setting.
-    pub cache: Option<Arc<QueryCache>>,
-    /// Warm solver layer: persistent per-scope solver families
-    /// ([`crate::warm::ScopeSolver`]) absorb the stage-1 circuit
-    /// constructions — each distinct ACL chain is encoded once and its
-    /// canonical first solve memoized, so repeat queries (across paths,
-    /// FECs, engine phases and session re-checks) replay instead of
-    /// rebuilding. `None` disables the layer; a warm answer is
-    /// byte-identical to a cold one by construction, so reports do not
-    /// depend on this setting either.
-    pub warm: Option<Arc<crate::warm::ScopeSolver>>,
+    /// The per-scope query store: identical decision-model comparisons
+    /// across paths/FECs (and across engine phases and session re-checks,
+    /// when shared) are solved once. Replaying a hit is observationally
+    /// identical to re-solving, so reports do not depend on what the
+    /// store already holds.
+    pub cache: Arc<QueryCache>,
     /// Observability sink: phase spans, solver histograms, events. A fresh
     /// (private) collector by default; the engine shares one per run.
     pub obs: jinjing_obs::Collector,
@@ -113,8 +104,7 @@ impl Default for CheckConfig {
             encoding: Encoding::Tree,
             refine_limits: RefineLimits::default(),
             threads: 0,
-            cache: Some(Arc::new(QueryCache::new())),
-            warm: Some(Arc::new(crate::warm::ScopeSolver::new())),
+            cache: Arc::new(QueryCache::new()),
             obs: jinjing_obs::Collector::new(),
             shard: None,
             delegate: None,
@@ -678,7 +668,7 @@ pub(crate) fn check_inner(
         // class constraint is deliberately absent so the query is shared
         // verbatim by every FEC routed through the same ACL chain.
         let s1_span = tr.span_with(tid, "solver.query", &[("stage", 1)]);
-        let stage1 = cached_query(cfg, &chain, job.verb, region, None);
+        let stage1 = cached_query(cfg, &chain, job.verb, region);
         stage1.stats.trace_query(s1_span, stage1.vars, stage1.clauses);
         let witness = match stage1.result {
             SolveResult::Unsat => {
@@ -692,8 +682,8 @@ pub(crate) fn check_inner(
                 queries.push(stage1);
                 if job.class_set.contains(&m) {
                     // The shared model already lies in this class: it is a
-                    // witness outright. (Deterministic across cache
-                    // on/off because the model itself is cached.)
+                    // witness outright. (Deterministic on replay because
+                    // the model itself is stored.)
                     Some(m)
                 } else {
                     // Stage 2: re-ask with the witness pinned inside the
@@ -872,52 +862,30 @@ struct PairResult {
     witness: Option<Packet>,
 }
 
-/// Run one decision-model comparison through the cache (when enabled),
-/// bumping the `check.cache_hit` / `check.cache_miss` counters. A cache
-/// miss lands on the warm solver layer (when enabled): the family for
-/// this chain is built once, canonically, and every later miss on the
-/// same key replays its memoized first solve instead of rebuilding the
-/// circuit (`check.warm_hit` / `check.warm_miss`). Because the cache and
-/// the warm layer key by the same dimension-free [`crate::qcache::QueryKey`]
-/// material, the answer is identical wherever it came from.
+/// Run one class-free decision-model comparison through the query store,
+/// bumping the `check.cache_hit` / `check.cache_miss` counters; a miss
+/// builds and solves the circuit ([`run_query`]) and remembers the result.
+/// Class-pinned questions are not part of the key, so they never come
+/// through here (stage 2 calls [`run_query`] directly).
 fn cached_query(
     cfg: &CheckConfig,
     chain: &[(&Acl, &Acl)],
     verb: Option<ControlVerb>,
     region: Option<&PacketSet>,
-    class_set: Option<&PacketSet>,
 ) -> CachedSolve {
-    let solve = || match (&cfg.warm, class_set) {
-        (Some(warm), None) => {
-            let (v, warmed) = warm.query(chain, verb, cfg.encoding, region);
-            cfg.obs.counter_add(
-                if warmed {
-                    "check.warm_hit"
-                } else {
-                    "check.warm_miss"
-                },
-                1,
-            );
-            v
-        }
-        _ => run_query(chain, verb, cfg.encoding, region, class_set),
-    };
-    match &cfg.cache {
-        Some(cache) => {
-            let key = cache.key(chain, verb, cfg.encoding, region);
-            let (v, hit) = cache.get_or_solve(key, solve);
-            cfg.obs.counter_add(
-                if hit {
-                    "check.cache_hit"
-                } else {
-                    "check.cache_miss"
-                },
-                1,
-            );
-            v
-        }
-        None => solve(),
-    }
+    let key = cfg.cache.key(chain, verb, cfg.encoding, region);
+    let (v, hit) = cfg
+        .cache
+        .get_or_solve(key, || run_query(chain, verb, cfg.encoding, region, None));
+    cfg.obs.counter_add(
+        if hit {
+            "check.cache_hit"
+        } else {
+            "check.cache_miss"
+        },
+        1,
+    );
+    v
 }
 
 /// Build and solve one Eq. 3 query: does the desired decision of the
@@ -1045,7 +1013,7 @@ pub fn check_per_acl(before: &AclConfig, after: &AclConfig, cfg: &CheckConfig) -
         let tid = 1 + jinjing_par::current_worker().unwrap_or(0) as u64;
         let q_span = tr.span_with(tid, "solver.query", &[("slot", i as u64)]);
         let chain = [(&pair.before, &pair.after)];
-        let solved = cached_query(cfg, &chain, None, region, None);
+        let solved = cached_query(cfg, &chain, None, region);
         solved.stats.trace_query(q_span, solved.vars, solved.clauses);
         if solved.result == SolveResult::Sat {
             cancel.cut(i);
@@ -1427,18 +1395,82 @@ mod per_acl_tests {
         Acl::new(rules, jinjing_acl::Action::Permit)
     }
 
-    /// Fuzz the cache against ground truth: for random before/after config
-    /// pairs, `check_per_acl` with a shared cache (reused across cases, so
-    /// cross-case hits happen), with a *degenerate* fingerprint (every key
-    /// hashes alike — the collision path must fall back to full structural
-    /// equality), and with no cache at all must produce identical reports.
+    /// Every field of a [`CachedSolve`], for field-for-field comparison.
+    fn fields(v: &CachedSolve) -> (SolveResult, Option<Packet>, SolverStats, usize, usize) {
+        (v.result, v.model, v.stats, v.vars, v.clauses)
+    }
+
+    /// The store against its reference: over random ACL chains × verbs ×
+    /// regions, `cached_query` — first call (a miss) and replay (a hit),
+    /// with the real and with a *degenerate* fingerprint (every key hashes
+    /// alike, so lookups fall back to full structural equality) — returns
+    /// field for field what a direct `run_query` returns. The stores are
+    /// shared across cases, so a wrong replay of an earlier case's entry
+    /// would show.
     #[test]
-    fn fuzz_cached_and_uncached_per_acl_agree() {
+    fn store_returns_what_run_query_returns() {
+        let mut rng = XorShift(0x0123_4567_89AB_CDEF);
+        let stores = [
+            Arc::new(QueryCache::new()),
+            Arc::new(QueryCache::with_fingerprint(|_| 0)),
+        ];
+        let verbs = [
+            None,
+            Some(ControlVerb::Maintain),
+            Some(ControlVerb::Isolate),
+            Some(ControlVerb::Open),
+        ];
+        for case in 0..60 {
+            let acls: Vec<(Acl, Acl)> = (0..1 + rng.below(3))
+                .map(|_| (random_acl(&mut rng), random_acl(&mut rng)))
+                .collect();
+            let chain: Vec<(&Acl, &Acl)> = acls.iter().map(|(b, a)| (b, a)).collect();
+            let verb = verbs[rng.below(4) as usize];
+            let encoding = [Encoding::Sequential, Encoding::Tree][rng.below(2) as usize];
+            let cover = PacketSet::from_cube(
+                jinjing_acl::MatchSpec::dst(jinjing_acl::IpPrefix::new(
+                    (rng.next() as u32) & 0xFC00_0000,
+                    6,
+                ))
+                .cube(),
+            );
+            let region = [None, Some(&cover)][rng.below(2) as usize];
+            let direct = fields(&run_query(&chain, verb, encoding, region, None));
+            for store in &stores {
+                let cfg = CheckConfig {
+                    cache: Arc::clone(store),
+                    encoding,
+                    ..CheckConfig::default()
+                };
+                let known = store
+                    .get(&store.key(&chain, verb, encoding, region))
+                    .is_some();
+                for call in 0..2 {
+                    let got = cached_query(&cfg, &chain, verb, region);
+                    assert_eq!(fields(&got), direct, "case {case} call {call}");
+                }
+                let misses = cfg.obs.counter_get("check.cache_miss");
+                assert_eq!(misses, u64::from(!known), "case {case}: one solve per key");
+                assert_eq!(cfg.obs.counter_get("check.cache_hit"), 2 - misses);
+            }
+        }
+        assert!(stores
+            .iter()
+            .all(|s| s.len() == stores[0].len() && !s.is_empty()));
+    }
+
+    /// Fuzz the store at report level: for random before/after config
+    /// pairs, `check_per_acl` with a private store per run (every query
+    /// solved), with one store shared across cases (so cross-case replays
+    /// happen) and with a shared *degenerate*-fingerprint store must
+    /// produce identical reports.
+    #[test]
+    fn fuzz_private_and_shared_store_per_acl_agree() {
         let f = Figure1::new();
         let slots: Vec<jinjing_net::Slot> = f.config.slots();
         let mut rng = XorShift(0x9E37_79B9_7F4A_7C15);
-        let shared = std::sync::Arc::new(QueryCache::new());
-        let colliding = std::sync::Arc::new(QueryCache::with_fingerprint(|_| 0));
+        let shared = Arc::new(QueryCache::new());
+        let colliding = Arc::new(QueryCache::with_fingerprint(|_| 0));
         for case in 0..40 {
             let mut before = AclConfig::new();
             let mut after = AclConfig::new();
@@ -1450,41 +1482,41 @@ mod per_acl_tests {
                     after.set(slot, random_acl(&mut rng));
                 }
             }
-            let run = |cache: Option<std::sync::Arc<QueryCache>>| {
+            let run = |cache: Arc<QueryCache>| {
                 let cfg = CheckConfig {
                     cache,
                     ..CheckConfig::default()
                 };
                 canon(&check_per_acl(&before, &after, &cfg))
             };
-            let uncached = run(None);
+            let private = run(Arc::new(QueryCache::new()));
             assert_eq!(
-                uncached,
-                run(Some(std::sync::Arc::clone(&shared))),
-                "case {case}: shared cache diverged"
+                private,
+                run(Arc::clone(&shared)),
+                "case {case}: shared store diverged"
             );
             assert_eq!(
-                uncached,
-                run(Some(std::sync::Arc::clone(&colliding))),
-                "case {case}: colliding-fingerprint cache diverged"
+                private,
+                run(Arc::clone(&colliding)),
+                "case {case}: colliding-fingerprint store diverged"
             );
         }
         assert!(
             !shared.is_empty(),
-            "the fuzz must actually populate the shared cache"
+            "the fuzz must actually populate the shared store"
         );
     }
 
     /// Same fuzz for the full path-sensitive checker on Figure 1: random
-    /// updates to the running-example network, cached (shared + colliding)
-    /// vs uncached, across serial and parallel execution.
+    /// updates to the running-example network, private store vs shared and
+    /// colliding stores, across serial and parallel execution.
     #[test]
-    fn fuzz_cached_and_uncached_check_agree() {
+    fn fuzz_private_and_shared_store_check_agree() {
         let f = Figure1::new();
         let slots: Vec<jinjing_net::Slot> = f.config.slots();
         let mut rng = XorShift(0xDEAD_BEEF_CAFE_F00D);
-        let shared = std::sync::Arc::new(QueryCache::new());
-        let colliding = std::sync::Arc::new(QueryCache::with_fingerprint(|_| 0));
+        let shared = Arc::new(QueryCache::new());
+        let colliding = Arc::new(QueryCache::with_fingerprint(|_| 0));
         for case in 0..12 {
             let mut after = f.config.clone();
             for &slot in &slots {
@@ -1501,7 +1533,7 @@ mod per_acl_tests {
                 controls: Vec::new(),
                 command: jinjing_lai::Command::Check,
             };
-            let run = |cache: Option<std::sync::Arc<QueryCache>>, threads: usize| {
+            let run = |cache: Arc<QueryCache>, threads: usize| {
                 let cfg = CheckConfig {
                     cache,
                     threads,
@@ -1509,16 +1541,16 @@ mod per_acl_tests {
                 };
                 canon(&check(&f.net, &task, &cfg).expect("figure 1 never explodes"))
             };
-            let uncached = run(None, 1);
+            let private = run(Arc::new(QueryCache::new()), 1);
             assert_eq!(
-                uncached,
-                run(Some(std::sync::Arc::clone(&shared)), 2),
-                "case {case}: shared cache (parallel) diverged"
+                private,
+                run(Arc::clone(&shared), 2),
+                "case {case}: shared store (parallel) diverged"
             );
             assert_eq!(
-                uncached,
-                run(Some(std::sync::Arc::clone(&colliding)), 1),
-                "case {case}: colliding-fingerprint cache diverged"
+                private,
+                run(Arc::clone(&colliding), 1),
+                "case {case}: colliding-fingerprint store diverged"
             );
         }
         assert!(!shared.is_empty());

@@ -175,13 +175,10 @@ pub fn run(net: &Network, task: &Task, cfg: &EngineConfig) -> Result<Report, Eng
         cfg.fix.check.threads = cfg.threads;
         cfg.generate.threads = cfg.threads;
     }
-    // One solver-query cache per run: the counterexample search inside fix
-    // and its final certification check hit the same decision-model
-    // comparisons, so they share the engine-level cache — and the warm
-    // solver layer, for the same reason (its families are keyed by the
-    // same dimension-free query material).
+    // One query store per run: the counterexample search inside fix and
+    // its final certification check hit the same decision-model
+    // comparisons, so they share the engine-level store.
     cfg.fix.check.cache = cfg.check.cache.clone();
-    cfg.fix.check.warm = cfg.check.warm.clone();
     obs.event(
         jinjing_obs::Level::Info,
         "engine.start",
@@ -240,9 +237,9 @@ pub fn open_session<'n>(
 ///
 /// The same configuration pushdown as [`run`] applies: the engine's
 /// collector and run-level thread override land in the planner's check
-/// configuration, and its solver-query cache + warm families back every
-/// prefix-state probe. The target usually comes from the task's own
-/// update (`task.after`) or from a delta script applied on top of it.
+/// configuration, and its query store backs every prefix-state probe.
+/// The target usually comes from the task's own update (`task.after`) or
+/// from a delta script applied on top of it.
 pub fn plan(
     net: &Network,
     task: &Task,

@@ -42,7 +42,6 @@ use jinjing_net::{AclConfig, Network, Path, Slot};
 use jinjing_par::Pool;
 use jinjing_solver::card::{at_most_assumption, counter_outputs};
 use jinjing_solver::cdcl::SolveResult;
-use jinjing_solver::totaliser;
 use jinjing_solver::lit::Lit;
 use jinjing_solver::CircuitBuilder;
 use std::collections::HashMap;
@@ -64,37 +63,11 @@ pub enum FixStrategy {
     ExactBatch,
 }
 
-/// How the minimal-change cardinality bound is searched.
-///
-/// Both searches run on **one** solver instance and reach the same
-/// minimal change count; where several equally minimal placements exist
-/// they may surface different ones, so the default is the search the
-/// committed fix goldens were produced with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MinimizeSearch {
-    /// Ascend k = 0, 1, 2, … over sequential-counter outputs until the
-    /// first `Sat` — the historical loop: up to `changeable + 1` solves,
-    /// most of them `Unsat` proofs at hopeless bounds. Default (pinned by
-    /// the fix goldens).
-    #[default]
-    Ascend,
-    /// Solve once unbounded, read the model's change count `c`, then
-    /// tighten the totaliser `at_most(c − 1)` bound **by assumption** on
-    /// the same warm solver until `Unsat` proves minimality. Every
-    /// learned clause survives each tightening (assumptions only narrow
-    /// the query), and the solve count is bounded by the distance from
-    /// the first model's change count to the minimum — typically far
-    /// fewer solves than the ascent when changeable slots abound.
-    Descend,
-}
-
 /// Tunables for fix.
 #[derive(Debug, Clone)]
 pub struct FixConfig {
     /// Violation-hunting strategy.
     pub strategy: FixStrategy,
-    /// Minimal-change bound search (see [`MinimizeSearch`]).
-    pub minimize_search: MinimizeSearch,
     /// Check configuration used for counterexample search. Its `threads`
     /// setting also sizes the batch engine's placement fan-out, and its
     /// `cache` is shared with the final certification check.
@@ -113,7 +86,6 @@ impl Default for FixConfig {
     fn default() -> FixConfig {
         FixConfig {
             strategy: FixStrategy::default(),
-            minimize_search: MinimizeSearch::default(),
             check: CheckConfig::default(),
             minimize_changes: true,
             simplify: true,
@@ -529,56 +501,23 @@ fn solve_placement(
             builder.xor(v, now_lit)
         })
         .collect();
-    // One placement problem = one solver construction; the obs ledger
-    // lets `figures solve` contrast this against a per-bound cold loop.
-    cfg.check.obs.counter_add("fix.place_builders", 1);
     let mut solves = 0u64;
     let sat = if cfg.minimize_changes {
-        match cfg.minimize_search {
-            MinimizeSearch::Ascend => {
-                let outputs = counter_outputs(&mut builder, &indicators);
-                let mut found = false;
-                for k in 0..=indicators.len() {
-                    let assumptions: Vec<Lit> =
-                        at_most_assumption(&outputs, k).into_iter().collect();
-                    solves += 1;
-                    if builder.solve_with(&assumptions) == SolveResult::Sat {
-                        found = true;
-                        break;
-                    }
-                }
-                found
-            }
-            MinimizeSearch::Descend => {
-                let outputs = totaliser::totaliser_outputs(&mut builder, &indicators);
-                solves += 1;
-                if builder.solve() == SolveResult::Sat {
-                    // Tighten `at_most` by assumption on the same warm
-                    // solver until Unsat proves the current count minimal.
-                    // The model snapshot survives a failed tightening, so
-                    // the last Sat model is still readable at emission.
-                    loop {
-                        let c = indicators
-                            .iter()
-                            .filter(|&&l| builder.model_value(l))
-                            .count();
-                        if c == 0 {
-                            break; // zero changes: trivially minimal
-                        }
-                        let Some(a) = totaliser::at_most_assumption(&outputs, c - 1) else {
-                            break;
-                        };
-                        solves += 1;
-                        if builder.solve_with(&[a]) == SolveResult::Unsat {
-                            break;
-                        }
-                    }
-                    true
-                } else {
-                    false
-                }
+        // Ascend k = 0, 1, 2, … over sequential-counter outputs, by
+        // assumption on the one solver instance (learned clauses survive
+        // each bound), until the first `Sat`: that k is minimal. The fix
+        // goldens pin the placement this search surfaces.
+        let outputs = counter_outputs(&mut builder, &indicators);
+        let mut found = false;
+        for k in 0..=indicators.len() {
+            let assumptions: Vec<Lit> = at_most_assumption(&outputs, k).into_iter().collect();
+            solves += 1;
+            if builder.solve_with(&assumptions) == SolveResult::Sat {
+                found = true;
+                break;
             }
         }
+        found
     } else {
         solves += 1;
         builder.solve() == SolveResult::Sat
@@ -996,43 +935,6 @@ mod tests {
             plan.added_rules.len() <= 3,
             "expected minimal plan, got {:?}",
             plan.added_rules
-        );
-    }
-
-    #[test]
-    fn descend_search_is_equally_minimal_with_fewer_solves() {
-        let (f, task) = fig1_task();
-        let ascend_cfg = FixConfig::default();
-        let ascend = fix(&f.net, &task, &ascend_cfg).unwrap();
-        let descend_cfg = FixConfig {
-            minimize_search: MinimizeSearch::Descend,
-            ..FixConfig::default()
-        };
-        let descend = fix(&f.net, &task, &descend_cfg).unwrap();
-        // Same repair quality: consistent, same neighborhoods, same
-        // (minimal) number of added rules — possibly a different but
-        // equally minimal placement.
-        for plan in [&ascend, &descend] {
-            assert!(
-                check_exact(&f.net, &task.scope, &task.before, &plan.fixed, &[]).is_consistent()
-            );
-        }
-        assert_eq!(ascend.neighborhoods.len(), descend.neighborhoods.len());
-        assert_eq!(ascend.added_rules.len(), descend.added_rules.len());
-        // Same builder count, and the descent never solves more than the
-        // ascent's bound-by-bound probe on this workload.
-        let a = ascend_cfg.check.obs.snapshot();
-        let d = descend_cfg.check.obs.snapshot();
-        assert_eq!(
-            a.counter("fix.place_builders"),
-            d.counter("fix.place_builders"),
-            "one builder per neighborhood under both searches"
-        );
-        assert!(
-            d.counter("fix.place_solves") <= a.counter("fix.place_solves"),
-            "descend ({}) must not out-solve ascend ({})",
-            d.counter("fix.place_solves"),
-            a.counter("fix.place_solves")
         );
     }
 

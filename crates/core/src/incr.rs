@@ -34,7 +34,7 @@
 //! and the obs stream additionally carries the `check.incr_dirty` /
 //! `check.incr_clean` / `check.incr_dirty_pairs` counters.
 //! `tests/incr_oracle.rs` pins the contract over random 50-step edit
-//! sequences across thread counts and cache settings.
+//! sequences across thread counts, with a private and a shared store.
 //!
 //! Topology or routing changes invalidate the memoized partition: drop
 //! the session and build a new one (the query cache can be shared across
@@ -156,7 +156,7 @@ pub struct RecheckReport {
     /// The incremental ledger: dirty/clean class split and dispatched
     /// pair count for this delta.
     pub incr: IncrStats,
-    /// The cache generation this step ran under (0 when caching is off).
+    /// The query-store generation this step ran under.
     pub generation: u64,
     /// Stale cache entries evicted after this step.
     pub evicted: usize,
@@ -286,16 +286,7 @@ impl<'n> CheckSession<'n> {
     /// so the next `recheck` is measured against it.
     pub fn recheck(&mut self, delta: &Delta) -> Result<RecheckReport, crate::check::CheckError> {
         let after = delta.applied_to(&self.base);
-        let generation = match &self.cfg.cache {
-            Some(c) => c.advance_generation(),
-            None => 0,
-        };
-        // The warm solver layer ticks in lockstep with the cache: its
-        // families (and class pins) are stamped per re-check, so stale
-        // chains can be retracted below on the same window.
-        if let Some(w) = &self.cfg.warm {
-            w.advance_generation();
-        }
+        let generation = self.cfg.cache.advance_generation();
         let (report, incr) = check_inner(
             self.net,
             &self.scope,
@@ -305,24 +296,7 @@ impl<'n> CheckSession<'n> {
             &self.cfg,
             Some(&self.memo),
         )?;
-        let evicted = match &self.cfg.cache {
-            Some(c) => c.evict_stale(self.incr.keep_generations),
-            None => 0,
-        };
-        // Retract warm families whose chains no recent delta queried
-        // (dropping their solvers) and flip the selectors of stale class
-        // pins, bounding resident solver state exactly like the cache's
-        // eviction bounds entries. Retraction only ever costs a rebuild —
-        // the canonical construction is deterministic — never an answer.
-        if let Some(w) = &self.cfg.warm {
-            let (fams, pins) = w.retract_stale(self.incr.keep_generations);
-            self.cfg
-                .obs
-                .counter_add("incr.warm_retracted_families", fams as u64);
-            self.cfg
-                .obs
-                .counter_add("incr.warm_retracted_pins", pins as u64);
-        }
+        let evicted = self.cfg.cache.evict_stale(self.incr.keep_generations);
         let applied = report.outcome.is_consistent() || self.incr.apply_inconsistent;
         if applied {
             self.base = after;
@@ -358,7 +332,7 @@ impl<'n> CheckSession<'n> {
 
     /// Check the session base against an arbitrary candidate configuration
     /// **without advancing the session**: the base is never folded, the
-    /// step counter and cache/warm generations stay put, and nothing is
+    /// step counter and store generation stay put, and nothing is
     /// evicted. The report is byte-identical to a cold
     /// `check_configs(net, scope, base, after, controls, cfg)` — the same
     /// shared body runs, merely replaying the session memo — which is the
@@ -367,9 +341,8 @@ impl<'n> CheckSession<'n> {
     /// base, not against a previously probed candidate.
     ///
     /// Sound to interleave freely with [`CheckSession::recheck`]: the query
-    /// cache and warm solver families key on ACL-chain *content*, so
-    /// entries recorded under one candidate configuration can never answer
-    /// for a different one.
+    /// store keys on ACL-chain *content*, so entries recorded under one
+    /// candidate configuration can never answer for a different one.
     pub fn probe(&self, after: &AclConfig) -> Result<(CheckReport, IncrStats), crate::check::CheckError> {
         check_inner(
             self.net,
@@ -382,14 +355,9 @@ impl<'n> CheckSession<'n> {
         )
     }
 
-    /// Handle to the persistent query cache, when caching is enabled.
-    pub fn cache(&self) -> Option<&std::sync::Arc<QueryCache>> {
-        self.cfg.cache.as_ref()
-    }
-
-    /// Handle to the persistent warm solver layer, when enabled.
-    pub fn warm(&self) -> Option<&std::sync::Arc<crate::warm::ScopeSolver>> {
-        self.cfg.warm.as_ref()
+    /// Handle to the persistent query store.
+    pub fn cache(&self) -> &std::sync::Arc<QueryCache> {
+        &self.cfg.cache
     }
 }
 
@@ -649,7 +617,7 @@ mod tests {
     fn generations_advance_and_stale_entries_evict() {
         let f = Figure1::new();
         let cfg = CheckConfig::default();
-        let cache = Arc::clone(cfg.cache.as_ref().unwrap());
+        let cache = Arc::clone(&cfg.cache);
         let mut session = CheckSession::with_configs(
             &f.net,
             f.scope(),

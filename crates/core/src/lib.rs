@@ -21,17 +21,12 @@
 //!   and the §5.5 optimizations.
 //! - [`control`] — desired-reachability transformation of path decision
 //!   models for `isolate` / `open` / `maintain` intents (§6).
-//! - [`mod@qcache`] — the cross-query solver cache: identical
+//! - [`mod@qcache`] — the per-scope query store: identical
 //!   decision-model comparisons (same ordered slot ACLs, encoding, verb
-//!   and packet region) across paths, FECs and engine phases are solved
-//!   once; collision-safe keys (full structural `Eq`, fingerprint-routed
-//!   `Hash`) behind a sharded mutex map.
-//! - [`mod@warm`] — the warm solver layer: persistent per-scope CDCL
-//!   families ([`warm::ScopeSolver`]) that encode each distinct ACL chain
-//!   once (keyed by the same dimension-free query keys as the cache,
-//!   guarded by fresh selector literals) and answer repeat/class-pinned
-//!   queries via memo replay and assumption-scoped `solve_with` instead
-//!   of rebuilding — byte-identical to the cold path by construction.
+//!   and packet region) across paths, FECs, engine phases and session
+//!   re-checks are solved once and replayed; collision-safe keys (full
+//!   structural `Eq`, fingerprint-routed `Hash`) behind a sharded mutex
+//!   map, generation-tagged for session eviction.
 //! - [`mod@incr`] — the incremental re-check engine: a
 //!   [`CheckSession`](incr::CheckSession) keeps the FEC partition,
 //!   per-class paths and a generation-tagged query cache alive across a
@@ -66,14 +61,13 @@ pub mod qcache;
 pub mod query;
 pub mod resolve;
 pub mod task;
-pub mod warm;
 
 pub use crate::check::{
     check, check_per_acl, CheckConfig, CheckOutcome, CheckReport, IncrStats, Violation,
 };
 pub use crate::control::ResolvedControl;
 pub use crate::engine::{open_session, run, EngineConfig, Report, ReportKind};
-pub use crate::fix::{fix, FixConfig, FixError, FixPhases, FixPlan, FixStrategy, MinimizeSearch};
+pub use crate::fix::{fix, FixConfig, FixError, FixPhases, FixPlan, FixStrategy};
 pub use crate::generate::{generate, GenerateConfig, GenerateError, GenerateReport};
 pub use crate::incr::{CheckSession, Delta, DeltaEdit, IncrConfig, RecheckReport};
 pub use crate::plan::{
@@ -87,5 +81,4 @@ pub use crate::query::{
 };
 pub use crate::resolve::{resolve, ResolveError};
 pub use crate::task::Task;
-pub use crate::warm::{ScopeSolver, WarmStats};
 pub use jinjing_solver::aclenc::Encoding;

@@ -1,4 +1,4 @@
-//! Cross-query solver cache for the check/fix/generate hot loops.
+//! The per-scope query store for the check/fix/generate hot loops.
 //!
 //! Every Eq. 3 consistency query compares a *path decision model* — the
 //! conjunction of per-slot ACL circuits — before and after the update,
@@ -23,7 +23,8 @@
 //! the per-query [`SolverStats`] delta and the instance size. Replaying a
 //! hit is therefore observationally identical to re-solving (the CDCL
 //! solver is deterministic), which is what keeps `CheckReport`s
-//! byte-identical with the cache on or off.
+//! byte-identical whatever the store already holds — private to one run
+//! or shared across runs, phases and session re-checks.
 //!
 //! **Sharding.** The map is split into [`SHARDS`] shards, each behind its
 //! own [`Mutex`], selected by key fingerprint. Lookups never hold a shard
@@ -63,7 +64,7 @@ fn fnv_mix(h: &mut u64, v: u64) {
     }
 }
 
-pub(crate) fn region_fingerprint(set: &PacketSet) -> u64 {
+fn region_fingerprint(set: &PacketSet) -> u64 {
     let mut h = FNV_OFFSET;
     fnv_mix(&mut h, set.cubes().len() as u64);
     for cube in set.cubes() {
@@ -102,74 +103,6 @@ impl QueryKey {
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         self.hash
-    }
-
-    /// Build a key with the default ACL fingerprint ([`acl_fingerprint`]).
-    ///
-    /// Key material is *dimension-free* with respect to execution
-    /// strategy: warm/cold solver layer, thread count and cache settings
-    /// never enter the key — only the structural query inputs do — so a
-    /// hit stored by any execution path replays byte-identically on every
-    /// other. The warm layer ([`crate::warm::ScopeSolver`]) keys its
-    /// solver families with exactly these keys for the same reason.
-    #[must_use]
-    pub fn build(
-        chain: &[(&Acl, &Acl)],
-        verb: Option<ControlVerb>,
-        encoding: Encoding,
-        region: Option<&PacketSet>,
-    ) -> QueryKey {
-        make_key(acl_fingerprint, chain, verb, encoding, region)
-    }
-}
-
-/// Shared key constructor: fingerprint every structural component with
-/// `fingerprint`, then store the full structure for collision-safe `Eq`.
-fn make_key(
-    fingerprint: fn(&Acl) -> u64,
-    chain: &[(&Acl, &Acl)],
-    verb: Option<ControlVerb>,
-    encoding: Encoding,
-    region: Option<&PacketSet>,
-) -> QueryKey {
-    let mut h = FNV_OFFSET;
-    fnv_mix(&mut h, chain.len() as u64);
-    for (b, a) in chain {
-        fnv_mix(&mut h, fingerprint(b));
-        fnv_mix(&mut h, fingerprint(a));
-    }
-    fnv_mix(
-        &mut h,
-        match verb {
-            None => 0,
-            Some(ControlVerb::Maintain) => 1,
-            Some(ControlVerb::Isolate) => 2,
-            Some(ControlVerb::Open) => 3,
-        },
-    );
-    fnv_mix(
-        &mut h,
-        match encoding {
-            Encoding::Sequential => 0,
-            Encoding::Tree => 1,
-        },
-    );
-    match region {
-        None => fnv_mix(&mut h, 0),
-        Some(set) => {
-            fnv_mix(&mut h, 1);
-            fnv_mix(&mut h, region_fingerprint(set));
-        }
-    }
-    QueryKey {
-        hash: h,
-        chain: chain
-            .iter()
-            .map(|(b, a)| ((*b).clone(), (*a).clone()))
-            .collect(),
-        verb,
-        encoding,
-        region: region.cloned(),
     }
 }
 
@@ -286,7 +219,45 @@ impl QueryCache {
         encoding: Encoding,
         region: Option<&PacketSet>,
     ) -> QueryKey {
-        make_key(self.fingerprint, chain, verb, encoding, region)
+        let mut h = FNV_OFFSET;
+        fnv_mix(&mut h, chain.len() as u64);
+        for (b, a) in chain {
+            fnv_mix(&mut h, (self.fingerprint)(b));
+            fnv_mix(&mut h, (self.fingerprint)(a));
+        }
+        fnv_mix(
+            &mut h,
+            match verb {
+                None => 0,
+                Some(ControlVerb::Maintain) => 1,
+                Some(ControlVerb::Isolate) => 2,
+                Some(ControlVerb::Open) => 3,
+            },
+        );
+        fnv_mix(
+            &mut h,
+            match encoding {
+                Encoding::Sequential => 0,
+                Encoding::Tree => 1,
+            },
+        );
+        match region {
+            None => fnv_mix(&mut h, 0),
+            Some(set) => {
+                fnv_mix(&mut h, 1);
+                fnv_mix(&mut h, region_fingerprint(set));
+            }
+        }
+        QueryKey {
+            hash: h,
+            chain: chain
+                .iter()
+                .map(|(b, a)| ((*b).clone(), (*a).clone()))
+                .collect(),
+            verb,
+            encoding,
+            region: region.cloned(),
+        }
     }
 
     fn shard(&self, key: &QueryKey) -> &Mutex<HashMap<QueryKey, Entry>> {
@@ -358,15 +329,6 @@ impl QueryCache {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drop every entry (used between unrelated workloads in benches).
-    pub fn clear(&self) {
-        for s in &self.shards {
-            s.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .clear();
-        }
     }
 }
 
@@ -466,28 +428,6 @@ mod tests {
         cache.insert(key.clone(), dummy(SolveResult::Sat));
         cache.insert(key.clone(), dummy(SolveResult::Unsat));
         assert_eq!(cache.get(&key).unwrap().result, SolveResult::Sat);
-    }
-
-    #[test]
-    fn clear_empties_every_shard() {
-        let cache = QueryCache::new();
-        let a = acl_a();
-        let b = acl_b();
-        for (i, chain) in [(&a, &b), (&b, &a), (&a, &a), (&b, &b)].iter().enumerate() {
-            let key = cache.key(&[*chain], None, Encoding::Tree, None);
-            cache.insert(
-                key,
-                dummy(if i % 2 == 0 {
-                    SolveResult::Sat
-                } else {
-                    SolveResult::Unsat
-                }),
-            );
-        }
-        assert_eq!(cache.len(), 4);
-        assert!(!cache.is_empty());
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     #[test]

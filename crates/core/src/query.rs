@@ -13,7 +13,7 @@
 //! Canonical JSON means: strict JSON through
 //! [`jinjing_obs::json::JsonWriter`], keys in sorted order, no
 //! wall-clock, trailing newline — byte-stable across runs, thread counts
-//! and cache settings, so golden tests can pin every byte.
+//! and query-store contents, so golden tests can pin every byte.
 //!
 //! The session half ([`open_intent_session`], [`recheck_steps`],
 //! [`WatchOutput::from_steps`]) is the serving hook: a daemon keeps a
@@ -72,7 +72,7 @@ impl PlanDocument {
     /// Canonical JSON rendering (the `run --format json` output and the
     /// `POST /v1/check|fix|generate` response body): strict JSON, keys in
     /// sorted order, no timings — byte-stable across runs, thread counts
-    /// and cache settings, so golden tests can pin it.
+    /// and query-store contents, so golden tests can pin it.
     pub fn to_canonical_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
@@ -225,7 +225,7 @@ pub struct PlanRunOutput {
 
 /// Render a [`RolloutPlan`](crate::plan::RolloutPlan) as canonical JSON:
 /// strict JSON, keys in sorted order, no wall-clock — byte-stable across
-/// runs, thread counts, cache settings and warm solvers.
+/// runs, thread counts and query-store contents.
 pub fn render_rollout_json(net: &Network, rollout: &crate::plan::RolloutPlan) -> String {
     use crate::plan::PlanOutcome;
     let topo = net.topology();
@@ -432,7 +432,7 @@ pub struct WatchStep {
     pub fec_count: usize,
     /// Pairs folded into the report.
     pub paths_checked: usize,
-    /// Cache generation the step ran under.
+    /// Query-store generation the step ran under.
     pub generation: u64,
     /// Stale cache entries evicted after the step.
     pub evicted: usize,

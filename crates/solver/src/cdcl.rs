@@ -7,7 +7,7 @@
 //! between solves, solving under assumptions, and glucose-style learned
 //! clause-database reduction (LBD-tagged learned clauses, periodic
 //! deletion of high-LBD/stale clauses with watched-literal compaction)
-//! so long-lived warm solvers stay healthy across thousands of queries.
+//! so long-lived instances stay healthy across thousands of queries.
 //!
 //! The solver exposes [`SolverStats`] — decisions, propagations, conflicts
 //! and the maximum decision depth reached — because the paper's §9 argues
@@ -310,9 +310,8 @@ impl Solver {
 
     /// Override the clause-DB reduction trigger: reduce after `first`
     /// learned clauses, then every `first + i·step`. The defaults (2000,
-    /// +500) never fire on the small per-query instances of the cold
-    /// check path; tests and long-lived warm solvers lower them to
-    /// exercise (or accelerate) reduction.
+    /// +500) never fire on the small per-query instances of the check
+    /// path; tests lower them to exercise reduction.
     pub fn set_reduce_interval(&mut self, first: u64, step: u64) {
         self.reduce_interval = first;
         self.reduce_step = step;

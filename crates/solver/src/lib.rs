@@ -24,9 +24,6 @@
 //!   depth).
 //! - [`card`] — sequential-counter cardinality outputs used for the fix
 //!   primitive's "minimize the number of interfaces changed" objective.
-//! - [`totaliser`] — the generalised totaliser cardinality encoding whose
-//!   `at_most(k)` bound is a single assumption literal, letting fix's
-//!   minimal-change search tighten k incrementally on one warm solver.
 //!
 //! The solver is deliberately simple in places — blocking-literal tricks
 //! and preprocessing are omitted — but it keeps long-lived instances
@@ -41,7 +38,6 @@ pub mod cdcl;
 pub mod circuit;
 pub mod header;
 pub mod lit;
-pub mod totaliser;
 
 pub use crate::aclenc::acl_fingerprint;
 pub use crate::cdcl::{SolveResult, Solver, SolverStats};

@@ -355,30 +355,6 @@ else
     echo "ci.sh: python3 not installed — skipping BENCH_shard.json probe" >&2
 fi
 
-echo "==> warm-solver smoke (medium WAN) — regenerates BENCH_solve.json"
-# The microbench itself asserts warm verdicts identical to cold rebuilds
-# and the fix search's solver constructions strictly below the per-k cold
-# loop; the smoke step verifies the artifact's shape and the headline
-# ≥2x warm-over-cold claim. Medium (the default size) on purpose: the
-# committed baseline is medium, unlike the small check/incr artifacts.
-cargo run --release -p jinjing-bench --bin figures -- solve \
-    --bench-out BENCH_solve.json >/dev/null
-if command -v python3 >/dev/null 2>&1; then
-    python3 - <<'EOF'
-import json
-d = json.load(open("BENCH_solve.json"))
-assert d["benchmark"] == "solve" and d["network"] == "medium", d
-assert d["speedup"] >= 2.0, f"warm speedup below 2x: {d['speedup']}"
-assert d["fix"]["ascend"]["builders"] < d["fix"]["cold_loop_builders"], \
-    f"fix no longer beats the per-k cold loop: {d['fix']}"
-print(f"BENCH_solve.json: {d['queries']} queries over {d['chains']} chains, "
-      f"warm speedup {d['speedup']}x, fix builders "
-      f"{d['fix']['ascend']['builders']} vs cold loop {d['fix']['cold_loop_builders']}")
-EOF
-else
-    echo "ci.sh: python3 not installed — skipping BENCH_solve.json probe" >&2
-fi
-
 echo "==> perf regression gate (vs committed BENCH_*.json)"
 # Compare this run's regenerated bench artifacts against the committed
 # baselines (read back out of git — the working-tree copies were just

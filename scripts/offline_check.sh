@@ -20,15 +20,14 @@
 #           tests/serve_integration.rs (+ a JINJING_THREADS=4 re-run),
 #           tests/shard_integration.rs (+ a JINJING_THREADS=4 re-run),
 #           tests/trace_export.rs,
-#           tests/warm_solver.rs (+ a JINJING_THREADS=4 re-run),
+#           tests/solver_incremental.rs (+ a JINJING_THREADS=4 re-run),
 #           tests/plan_oracle.rs (+ a JINJING_THREADS=4 re-run)
 #   bench:  the `figures` binary's `incr --small` replay, regenerating
 #           BENCH_incr.json into $OUT and sanity-probing its shape, plus a
 #           `figures serve` loopback daemon smoke writing BENCH_serve.json,
-#           a `figures solve --small` warm-solver smoke writing
-#           BENCH_solve.json, a `figures plan` rollout-synthesis smoke
-#           writing BENCH_plan.json, and a `figures shard` partition smoke
-#           writing BENCH_shard.json
+#           a `figures plan` rollout-synthesis smoke writing
+#           BENCH_plan.json, and a `figures shard` partition smoke writing
+#           BENCH_shard.json
 #
 # serde-dependent code (spec JSON, CLI loaders, serde_json round-trips) is
 # compiled out under `--cfg jinjing_offline`; `rand` is satisfied by the
@@ -194,20 +193,19 @@ tbin shard_integration tests/shard_integration.rs $O \
     --extern jinjing_shard="$OUT/libjinjing_shard.rlib"
 tbin trace_export tests/trace_export.rs --cfg jinjing_offline $O \
     --extern jinjing_core="$OUT/libjinjing_core.rlib"
-tbin warm_solver tests/warm_solver.rs \
-    --extern jinjing_core="$OUT/libjinjing_core.rlib" \
+tbin solver_incremental tests/solver_incremental.rs \
     --extern jinjing_solver="$OUT/libjinjing_solver.rlib"
 
 # The determinism half of the incremental contract: the oracle suites and
 # the golden files must hold verbatim under a 4-worker default too — and
 # the daemon must render the same bytes when the engine runs 4-wide.
-echo "==> re-run incr_oracle + plan_oracle + cli_golden + serve_integration + shard_integration + warm_solver + lint_multi with JINJING_THREADS=4"
+echo "==> re-run incr_oracle + plan_oracle + cli_golden + serve_integration + shard_integration + solver_incremental + lint_multi with JINJING_THREADS=4"
 JINJING_THREADS=4 "$OUT/incr_oracle" -q
 JINJING_THREADS=4 "$OUT/plan_oracle" -q
 JINJING_THREADS=4 "$OUT/cli_golden" -q
 JINJING_THREADS=4 "$OUT/serve_integration" -q
 JINJING_THREADS=4 "$OUT/shard_integration" -q
-JINJING_THREADS=4 "$OUT/warm_solver" -q
+JINJING_THREADS=4 "$OUT/solver_incremental" -q
 # The cross-tenant gate equivalent of ci.sh's two-tenant CLI step: the
 # committed example pair runs through engine::lint_multi inside this
 # suite (the real `jinjing lint --intent tenant=FILE` binary needs the
@@ -302,32 +300,6 @@ print(f"trace_smoke.json: {len(evs)} events over {len(last_ts)} track(s), "
 EOF
 else
     echo "offline_check.sh: python3 not installed — skipping trace probe" >&2
-fi
-
-# Warm-solver smoke: `figures solve --small` replays the differential
-# query workload cold (fresh encode + solve per query) and warm (one
-# persistent family per chain, assumption-scoped class pins), asserting
-# verdict equality internally; the probe checks the headline claims —
-# warm re-queries beat cold rebuilds, and the fix minimal-change search
-# constructs strictly fewer solvers than the per-k cold loop would.
-echo "==> figures solve --small (warm-solver microbench smoke, BENCH_solve.json)"
-"$OUT/figures" solve --small --bench-out "$OUT/BENCH_solve.json" >/dev/null
-grep -q '"benchmark":"solve"' "$OUT/BENCH_solve.json"
-if command -v python3 >/dev/null 2>&1; then
-    python3 - "$OUT/BENCH_solve.json" <<'EOF'
-import json, sys
-d = json.load(open(sys.argv[1]))
-assert d["benchmark"] == "solve" and d["network"] == "small", d
-assert d["speedup"] > 0, d
-assert d["warm"]["builds"] == d["chains"], d
-assert d["fix"]["ascend"]["builders"] < d["fix"]["cold_loop_builders"], \
-    f"fix no longer beats the per-k cold loop: {d['fix']}"
-print(f"BENCH_solve.json: {d['queries']} queries over {d['chains']} chains, "
-      f"warm speedup {d['speedup']}x, fix builders "
-      f"{d['fix']['ascend']['builders']} vs cold loop {d['fix']['cold_loop_builders']}")
-EOF
-else
-    echo "offline_check.sh: python3 not installed — skipping BENCH_solve.json probe" >&2
 fi
 
 # Rollout-synthesis smoke: `figures plan` synthesizes certified plans for

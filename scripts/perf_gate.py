@@ -2,17 +2,15 @@
 """Performance regression gate over the committed BENCH_*.json baselines.
 
 The CI pipeline regenerates BENCH_check.json / BENCH_incr.json /
-BENCH_serve.json / BENCH_solve.json / BENCH_plan.json /
-BENCH_shard.json in the working tree (scripts/ci.sh),
-which means the files on disk are *this run's* numbers. The honest
-baseline is whatever the repository last committed, so this gate reads
-the old numbers out of git (`git show <ref>:BENCH_x.json`, default ref
-HEAD) and compares:
+BENCH_serve.json / BENCH_plan.json / BENCH_shard.json in the working
+tree (scripts/ci.sh), which means the files on disk are *this run's*
+numbers. The honest baseline is whatever the repository last committed,
+so this gate reads the old numbers out of git
+(`git show <ref>:BENCH_x.json`, default ref HEAD) and compares:
 
     check  -> fastest cold wall_ms across the thread sweep
     incr   -> incr_wall_ms (the session replay)
     serve  -> p99_us (untraced request latency)
-    solve  -> warm_wall_ms (steady-state warm re-query pass)
     plan   -> plan_wall_ms (rollout synthesis over all campaigns)
     shard  -> shard_wall_ms (the 4-shard critical path: slowest slice)
 
@@ -44,8 +42,6 @@ GATES = [
      lambda d: d["incr_wall_ms"], 1.0),
     ("BENCH_serve.json", "serve p99_us",
      lambda d: d["p99_us"], 1000.0),
-    ("BENCH_solve.json", "solve warm_wall_ms",
-     lambda d: d["warm_wall_ms"], 1.0),
     ("BENCH_plan.json", "plan plan_wall_ms",
      lambda d: d["plan_wall_ms"], 1.0),
     ("BENCH_shard.json", "shard shard_wall_ms (4-shard critical path)",

@@ -8,8 +8,9 @@
 //!    50-step random edit sequences and assert every
 //!    [`CheckSession::recheck`] report is *byte-identical* (modulo
 //!    wall-clock) to a cold [`check_configs`] of the same before/after
-//!    pair — across threads {1, 4} × query-cache {on, off}, all four
-//!    variants fed the same delta stream.
+//!    pair — across threads {1, 4} × query store {private to the
+//!    session, one shared by two sessions}, all four variants fed the
+//!    same delta stream.
 //! 2. **Witness certification.** Every inconsistent verdict's witness is
 //!    replayed concretely: the packet really does flip its decision on
 //!    the reported path.
@@ -234,15 +235,21 @@ fn random_edit_sequences_match_cold_checks() {
         let scope = Scope::whole(sc.net.topology());
         let base0 = random_config(&mut rng, &sc);
 
-        // threads {1, 4} × cache {on, off}: the same delta stream drives
-        // all four sessions.
+        // threads {1, 4} × store {private, shared}: the same delta stream
+        // drives all four sessions. The two `shared` sessions replay each
+        // other's entries and tick (and evict on) one generation counter.
+        let store = Arc::new(QueryCache::new());
         let mut sessions = Vec::new();
         let mut labels = Vec::new();
         for threads in [1usize, 4] {
-            for cache_on in [true, false] {
+            for shared in [false, true] {
                 let cfg = CheckConfig {
                     threads,
-                    cache: cache_on.then(|| Arc::new(QueryCache::new())),
+                    cache: if shared {
+                        Arc::clone(&store)
+                    } else {
+                        Arc::new(QueryCache::new())
+                    },
                     ..CheckConfig::default()
                 };
                 sessions.push(
@@ -256,7 +263,7 @@ fn random_edit_sequences_match_cold_checks() {
                     )
                     .expect("session opens"),
                 );
-                labels.push(format!("threads={threads} cache={cache_on}"));
+                labels.push(format!("threads={threads} shared={shared}"));
             }
         }
 
@@ -266,7 +273,7 @@ fn random_edit_sequences_match_cold_checks() {
             let delta = random_delta(&mut rng, &sc);
             let after = delta.applied_to(&base);
             // The definition of "cold": a fresh default config (fresh
-            // cache) with no session state at all.
+            // store) with no session state at all.
             let want = check_configs(&sc.net, &scope, &base, &after, &[], &CheckConfig::default())
                 .expect("cold check");
             certify_witness(&want, &base, &after);

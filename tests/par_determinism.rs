@@ -1,14 +1,15 @@
 //! Determinism regression suite for the parallel query engine.
 //!
 //! `jinjing-par`'s contract is that every fan-out folds its results in a
-//! deterministic order, and `jinjing-core`'s query cache replays hits
+//! deterministic order, and `jinjing-core`'s query store replays hits
 //! observationally identically to re-solving. Together they promise:
-//! **reports are byte-identical for every thread count and for cache
-//! on/off** — including the *choice* of counterexample, the order of
-//! emitted fixing rules, and the aggregated solver statistics. This suite
-//! pins that promise on the paper's running example for all three
-//! primitives, comparing canonical renderings that include everything
-//! except wall-clock durations (the one field that legitimately varies).
+//! **reports are byte-identical for every thread count, whether each run
+//! owns a private (empty) store or all runs share one** — including the
+//! *choice* of counterexample, the order of emitted fixing rules, and the
+//! aggregated solver statistics. This suite pins that promise on the
+//! paper's running example for all three primitives, comparing canonical
+//! renderings that include everything except wall-clock durations (the
+//! one field that legitimately varies).
 
 use jinjing_core::check::{check, check_per_acl, CheckConfig, CheckReport};
 use jinjing_core::figure1::Figure1;
@@ -23,14 +24,13 @@ use std::sync::Arc;
 /// The thread counts the contract is pinned on (serial, small, oversubscribed).
 const THREADS: [usize; 3] = [1, 2, 8];
 
-fn check_cfg(threads: usize, cache: bool) -> CheckConfig {
+/// A check configuration on `shared` when given (runs after the first
+/// replay what earlier runs stored), on a private empty store otherwise
+/// (every query is solved).
+fn check_cfg(threads: usize, shared: Option<&Arc<QueryCache>>) -> CheckConfig {
     CheckConfig {
         threads,
-        cache: if cache {
-            Some(Arc::new(QueryCache::new()))
-        } else {
-            None
-        },
+        cache: shared.map_or_else(|| Arc::new(QueryCache::new()), Arc::clone),
         ..CheckConfig::default()
     }
 }
@@ -111,15 +111,16 @@ fn migration_task(f: &Figure1) -> Task {
 }
 
 #[test]
-fn check_reports_are_identical_across_threads_and_cache() {
+fn check_reports_are_identical_across_threads_and_stores() {
     let f = Figure1::new();
     let task = fix_task(&f); // inconsistent update: exercises the witness path
+    let store = Arc::new(QueryCache::new());
     let mut renderings = Vec::new();
-    for cache in [true, false] {
+    for shared in [None, Some(&store)] {
         for threads in THREADS {
-            let cfg = check_cfg(threads, cache);
+            let cfg = check_cfg(threads, shared);
             let r = check(&f.net, &task, &cfg).expect("figure 1 never explodes");
-            renderings.push((threads, cache, canon_check(&r)));
+            renderings.push((threads, shared.is_some(), canon_check(&r)));
         }
     }
     let (_, _, baseline) = &renderings[0];
@@ -127,45 +128,52 @@ fn check_reports_are_identical_across_threads_and_cache() {
         baseline.contains("Inconsistent"),
         "the bad update must be caught: {baseline}"
     );
-    for (threads, cache, rendering) in &renderings {
+    for (threads, shared, rendering) in &renderings {
         assert_eq!(
             rendering, baseline,
-            "check diverged at threads={threads} cache={cache}"
+            "check diverged at threads={threads} shared={shared}"
         );
     }
 }
 
 #[test]
-fn consistent_check_is_identical_across_threads_and_cache() {
+fn consistent_check_is_identical_across_threads_and_stores() {
     let f = Figure1::new();
     let mut task = fix_task(&f);
     task.after = task.before.clone();
+    let store = Arc::new(QueryCache::new());
     let mut baseline: Option<String> = None;
-    for cache in [true, false] {
+    for shared in [None, Some(&store)] {
         for threads in THREADS {
-            let cfg = check_cfg(threads, cache);
+            let cfg = check_cfg(threads, shared);
             let r = check(&f.net, &task, &cfg).unwrap();
             let rendering = canon_check(&r);
             assert!(rendering.contains("Consistent"), "{rendering}");
             match &baseline {
                 None => baseline = Some(rendering),
-                Some(b) => assert_eq!(&rendering, b, "threads={threads} cache={cache}"),
+                Some(b) => assert_eq!(
+                    &rendering,
+                    b,
+                    "threads={threads} shared={}",
+                    shared.is_some()
+                ),
             }
         }
     }
 }
 
 #[test]
-fn fix_plans_are_identical_across_threads_cache_and_both_strategies() {
+fn fix_plans_are_identical_across_threads_stores_and_both_strategies() {
     let f = Figure1::new();
     let task = fix_task(&f);
     for strategy in [FixStrategy::IterativeCegis, FixStrategy::ExactBatch] {
+        let store = Arc::new(QueryCache::new());
         let mut baseline: Option<String> = None;
-        for cache in [true, false] {
+        for shared in [None, Some(&store)] {
             for threads in THREADS {
                 let cfg = FixConfig {
                     strategy,
-                    check: check_cfg(threads, cache),
+                    check: check_cfg(threads, shared),
                     ..FixConfig::default()
                 };
                 let plan = fix(&f.net, &task, &cfg).expect("figure 1 is fixable");
@@ -173,8 +181,10 @@ fn fix_plans_are_identical_across_threads_cache_and_both_strategies() {
                 match &baseline {
                     None => baseline = Some(rendering),
                     Some(b) => assert_eq!(
-                        &rendering, b,
-                        "{strategy:?} diverged at threads={threads} cache={cache}"
+                        &rendering,
+                        b,
+                        "{strategy:?} diverged at threads={threads} shared={}",
+                        shared.is_some()
                     ),
                 }
             }
@@ -208,19 +218,25 @@ fn generate_reports_are_identical_across_threads() {
 }
 
 #[test]
-fn per_acl_check_is_identical_across_threads_and_cache() {
+fn per_acl_check_is_identical_across_threads_and_stores() {
     let f = Figure1::new();
     let before = f.config.clone();
     let after = f.bad_update();
+    let store = Arc::new(QueryCache::new());
     let mut baseline: Option<String> = None;
-    for cache in [true, false] {
+    for shared in [None, Some(&store)] {
         for threads in THREADS {
-            let cfg = check_cfg(threads, cache);
+            let cfg = check_cfg(threads, shared);
             let r = check_per_acl(&before, &after, &cfg);
             let rendering = canon_check(&r);
             match &baseline {
                 None => baseline = Some(rendering),
-                Some(b) => assert_eq!(&rendering, b, "threads={threads} cache={cache}"),
+                Some(b) => assert_eq!(
+                    &rendering,
+                    b,
+                    "threads={threads} shared={}",
+                    shared.is_some()
+                ),
             }
         }
     }
@@ -230,12 +246,16 @@ fn per_acl_check_is_identical_across_threads_and_cache() {
 fn shared_cache_across_repeated_checks_changes_nothing_and_hits() {
     // One cache reused for the same query load twice: the second run is
     // served from the cache (hit counters grow) yet reports stay identical.
+    // Serial on purpose: which pairs past the first violation a parallel
+    // run speculates on is schedule-dependent, so only the serial schedule
+    // asks exactly the same queries twice (the threads × shared-store
+    // tests above cover parallel replays).
     let f = Figure1::new();
     let task = fix_task(&f);
     let cache = Arc::new(QueryCache::new());
     let cfg = CheckConfig {
-        threads: 2,
-        cache: Some(Arc::clone(&cache)),
+        threads: 1,
+        cache: Arc::clone(&cache),
         ..CheckConfig::default()
     };
     let first = check(&f.net, &task, &cfg).unwrap();
@@ -256,8 +276,8 @@ fn shared_cache_across_repeated_checks_changes_nothing_and_hits() {
 fn oversubscription_beyond_job_count_is_safe() {
     let f = Figure1::new();
     let task = fix_task(&f);
-    let serial = check(&f.net, &task, &check_cfg(1, true)).unwrap();
-    let wide = check(&f.net, &task, &check_cfg(64, true)).unwrap();
+    let serial = check(&f.net, &task, &check_cfg(1, None)).unwrap();
+    let wide = check(&f.net, &task, &check_cfg(64, None)).unwrap();
     assert_eq!(canon_check(&serial), canon_check(&wide));
     // And jinjing-par's own primitive agrees on ordering.
     let pool = jinjing_par::Pool::new(64);

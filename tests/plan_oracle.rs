@@ -21,8 +21,9 @@
 //!    the reported core admits none on its own, and dropping any single
 //!    core member admits one (deletion-minimality).
 //! 4. **Variant agreement.** Each instance is synthesized under threads
-//!    {1, 4} × warm-solver {on, off}; all four plans (waves, certificates,
-//!    cores, search stats) must be identical.
+//!    {1, 4} × query store {private, one shared across every instance};
+//!    all four plans (waves, certificates, cores, search stats) must be
+//!    identical.
 //!
 //! The whole file is std-only (hand-rolled xorshift, no proptest/serde)
 //! so `scripts/offline_check.sh` runs it with bare rustc.
@@ -32,7 +33,7 @@ use jinjing_core::check::{check_configs, CheckConfig, CheckReport};
 use jinjing_core::plan::{
     apply_steps, decompose, synthesize, PlanConfig, PlanOutcome, PlanStep, RolloutPlan,
 };
-use jinjing_core::{CheckSession, IncrConfig, ScopeSolver};
+use jinjing_core::{CheckSession, IncrConfig, QueryCache};
 use jinjing_net::fib::{pfx, prefix_set};
 use jinjing_net::{AclConfig, Network, Scope, Slot, TopologyBuilder};
 use std::collections::{HashMap, HashSet};
@@ -334,6 +335,7 @@ fn random_campaigns_replay_cold_and_verify_exhaustively() {
     let mut feasible_nontrivial = 0usize;
     let mut infeasible_seen = 0usize;
     let mut multi_wave_seen = 0usize;
+    let store = Arc::new(QueryCache::new());
 
     for seed in [1u64, 7, 42] {
         let mut rng = Rng::new(seed);
@@ -353,14 +355,18 @@ fn random_campaigns_replay_cold_and_verify_exhaustively() {
             );
             let tag = format!("seed {seed} trial {trial}");
 
-            // Variant agreement: threads {1, 4} × warm {on, off} must
-            // produce the identical plan artifact.
+            // Variant agreement: threads {1, 4} × store {private, shared}
+            // must produce the identical plan artifact.
             let mut plans: Vec<(String, RolloutPlan)> = Vec::new();
             for threads in [1usize, 4] {
-                for warm_on in [true, false] {
+                for shared in [false, true] {
                     let cfg = CheckConfig {
                         threads,
-                        warm: warm_on.then(|| Arc::new(ScopeSolver::new())),
+                        cache: if shared {
+                            Arc::clone(&store)
+                        } else {
+                            Arc::new(QueryCache::new())
+                        },
                         ..CheckConfig::default()
                     };
                     let plan = synthesize(
@@ -373,7 +379,7 @@ fn random_campaigns_replay_cold_and_verify_exhaustively() {
                         &PlanConfig::default(),
                     )
                     .expect("synthesize");
-                    plans.push((format!("threads={threads} warm={warm_on}"), plan));
+                    plans.push((format!("threads={threads} shared={shared}"), plan));
                 }
             }
             let want_canon = canon_plan(&plans[0].1);
