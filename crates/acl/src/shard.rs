@@ -16,7 +16,7 @@
 //! Ownership is **total and disjoint**: every key has exactly one owner,
 //! so for any shard count the per-shard candidate subsets partition the
 //! global candidate list. That is the property the byte-identity merge
-//! contract (and the `BENCH_shard.json` zero-duplicate table) rests on.
+//! contract (and the ruler's `shard.duplication_ratio` of 1) rests on.
 
 use crate::set::PacketSet;
 

@@ -3,10 +3,12 @@
 
 //! # jinjing-bench
 //!
-//! The evaluation harness: Criterion benches for every figure of the
-//! paper's §8, plus the [`figures`](../src/bin/figures.rs) binary that
-//! regenerates the tables/series themselves (`cargo run --release -p
-//! jinjing-bench --bin figures -- all`).
+//! The paper's evaluation: Criterion benches for every figure of §8, plus
+//! the [`figures`](../src/bin/figures.rs) binary that regenerates the
+//! tables/series themselves (`cargo run --release -p jinjing-bench --bin
+//! figures -- all`). Everything the paper does not measure — sessions, the
+//! daemon, shards, thread scaling, tracing cost — belongs to the
+//! repository's ruler, `benchmark/run.sh`, not to this crate.
 //!
 //! Mapping to the paper:
 //!
@@ -18,7 +20,9 @@
 //! | `fig4d_control`      | Fig. 4d — control-open generate, k ∈ {1,2,4}   |
 //! | `encoding_ablation`  | §9 — solver search-effort reduction            |
 //! | `substrates`         | micro-benchmarks of the set algebra / CDCL     |
+//! | `figures fig4a`–`4d` | the same four figures as markdown tables       |
 //! | `figures table5`     | Table 5 — LAI program sizes                    |
+//! | `figures depth`      | §9 — solver effort per encoding                |
 //!
 //! This module hosts the workload constructors shared by all of them, so a
 //! bench never pays WAN construction inside the measured closure.

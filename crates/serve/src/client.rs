@@ -1,5 +1,5 @@
 //! The matching HTTP/1.1 client: `jinjing call`, the shard
-//! coordinator, the integration tests and the `figures serve` load
+//! coordinator, the integration tests and the `benchmark/` load
 //! generator all speak to the daemon through this module, so the wire
 //! framing assumptions live in exactly two places — here and in
 //! [`crate::http`].

@@ -1629,9 +1629,9 @@ check
             jinjing_obs::json::parse(r.body_text().trim()).unwrap()
         };
 
-        // Consistent workload: the full pair space is scanned, so two
-        // shards' dirty pairs and solver queries sum *exactly* to the
-        // unsharded run — the pair space is partitioned, never duplicated.
+        // Consistent workload: the full pair space is scanned, so at every
+        // width the shards' dirty pairs and solver queries sum *exactly* to
+        // the unsharded run — the pair space is partitioned, never duplicated.
         let whole = wire(CONSISTENT_INTENT, None);
         assert_eq!(whole.get("status").unwrap().as_str(), Some("ok"));
         assert!(whole.get("pair").unwrap().as_str().is_none()); // null
@@ -1639,18 +1639,20 @@ check
         let whole_queries = whole.get("queries").unwrap().as_u64().unwrap();
         assert!(whole_pairs > 0);
         assert!(whole_queries > 0);
-        let mut pair_sum = 0;
-        let mut query_sum = 0;
-        for i in 0..2 {
-            let doc = wire(CONSISTENT_INTENT, Some((i, 2)));
-            let shard = doc.get("shard").unwrap();
-            assert_eq!(shard.get("index").unwrap().as_u64(), Some(i));
-            assert_eq!(shard.get("count").unwrap().as_u64(), Some(2));
-            pair_sum += doc.get("dirty_pairs").unwrap().as_u64().unwrap();
-            query_sum += doc.get("queries").unwrap().as_u64().unwrap();
+        for n in [1, 2, 4, 8] {
+            let mut pair_sum = 0;
+            let mut query_sum = 0;
+            for i in 0..n {
+                let doc = wire(CONSISTENT_INTENT, Some((i, n)));
+                let shard = doc.get("shard").unwrap();
+                assert_eq!(shard.get("index").unwrap().as_u64(), Some(i));
+                assert_eq!(shard.get("count").unwrap().as_u64(), Some(n));
+                pair_sum += doc.get("dirty_pairs").unwrap().as_u64().unwrap();
+                query_sum += doc.get("queries").unwrap().as_u64().unwrap();
+            }
+            assert_eq!(pair_sum, whole_pairs, "{n} shards must partition the pairs");
+            assert_eq!(query_sum, whole_queries, "{n} shards duplicated queries");
         }
-        assert_eq!(pair_sum, whole_pairs, "shards must partition the pairs");
-        assert_eq!(query_sum, whole_queries, "no duplicated solver queries");
 
         // Inconsistent workload: the minimum pair over the shards is the
         // global minimum the unsharded run reports. (Pair *counts* differ

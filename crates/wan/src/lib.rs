@@ -40,14 +40,12 @@
 //!   swap that must yield an infeasibility core).
 
 pub mod build;
-pub mod multi;
 pub mod params;
 pub mod perturb;
 pub mod rollout;
 pub mod scenarios;
 
 pub use crate::build::{build_wan, build_wan_observed, Wan};
-pub use crate::multi::multi_tenant_intents;
 pub use crate::params::{NetSize, WanParams};
 pub use crate::perturb::{perturb, Perturbation};
 pub use crate::rollout::{rollout_scenario, RolloutKind, RolloutScenario};

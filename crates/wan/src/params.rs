@@ -4,8 +4,7 @@
 use serde::{Deserialize, Serialize};
 
 /// The three evaluation network sizes of §8 (8% / 30% / 80% WAN slices,
-/// scaled to a single-machine reproduction), plus the production-scale
-/// `Xlarge` used by the sharded-verification benchmarks.
+/// scaled to a single-machine reproduction).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum NetSize {
@@ -15,17 +14,10 @@ pub enum NetSize {
     Medium,
     /// The "large" testbed.
     Large,
-    /// The full-WAN scale target of the paper's deployment story: 10k+
-    /// devices across multi-region cells carrying ~1M generated rules.
-    /// Deliberately *not* in [`NetSize::ALL`] — building it takes real
-    /// time and memory, so only the shard benchmarks and explicitly
-    /// opted-in tests ask for it.
-    Xlarge,
 }
 
 impl NetSize {
-    /// The per-figure sweep sizes, smallest first. `Xlarge` is excluded:
-    /// the standard figures replay must stay cheap enough for CI.
+    /// The per-figure sweep sizes, smallest first.
     pub const ALL: [NetSize; 3] = [NetSize::Small, NetSize::Medium, NetSize::Large];
 
     /// Display label used by the figures harness.
@@ -34,7 +26,6 @@ impl NetSize {
             NetSize::Small => "small",
             NetSize::Medium => "medium",
             NetSize::Large => "large",
-            NetSize::Xlarge => "xlarge",
         }
     }
 }
@@ -95,18 +86,6 @@ impl WanParams {
                 rules_per_slot: 80,
                 seed: 0x5eed_0003,
             },
-            // 8 + 40·(50+200) = 10,008 devices; 40·50·8 = 16,000 ACL
-            // slots × 63 rules = 1,008,000 rules.
-            NetSize::Xlarge => WanParams {
-                cores: 8,
-                cells: 40,
-                aggs_per_cell: 50,
-                edges_per_cell: 200,
-                prefixes_per_edge: 4,
-                external_per_uplink: 4,
-                rules_per_slot: 63,
-                seed: 0x5eed_0004,
-            },
         }
     }
 
@@ -146,25 +125,7 @@ mod tests {
     #[test]
     fn labels() {
         assert_eq!(NetSize::Small.label(), "small");
-        assert_eq!(NetSize::Xlarge.label(), "xlarge");
+        assert_eq!(NetSize::Large.label(), "large");
         assert_eq!(NetSize::ALL.len(), 3);
-        assert!(
-            !NetSize::ALL.contains(&NetSize::Xlarge),
-            "xlarge must stay out of the standard sweep"
-        );
-    }
-
-    #[test]
-    fn xlarge_reaches_production_scale_on_paper() {
-        // Arithmetic only — actually building the xlarge WAN is the shard
-        // benchmark's job, not the unit suite's.
-        let xl = WanParams::preset(NetSize::Xlarge);
-        assert!(xl.device_count() > 10_000, "{}", xl.device_count());
-        assert_eq!(xl.device_count(), 10_008);
-        assert_eq!(xl.acl_slot_count(), 16_000);
-        assert!(xl.total_rules() >= 1_000_000, "{}", xl.total_rules());
-        assert_eq!(xl.total_rules(), 1_008_000);
-        let l = WanParams::preset(NetSize::Large);
-        assert!(l.total_rules() < xl.total_rules());
     }
 }

@@ -60,47 +60,6 @@ if [ "$rc" -ne 4 ]; then
     exit 1
 fi
 
-echo "==> parallel-scaling smoke (small WAN) — regenerates BENCH_check.json"
-# The scaling harness itself asserts byte-identical check reports across
-# 1/2/4/8 threads and cold/warm caches; the smoke step additionally
-# verifies the emitted artifact is strict JSON with a non-zero warm cache
-# hit rate.
-cargo run --release -p jinjing-bench --bin figures -- par --small \
-    --bench-out BENCH_check.json >/dev/null
-if command -v python3 >/dev/null 2>&1; then
-    python3 - <<'EOF'
-import json
-d = json.load(open("BENCH_check.json"))
-assert d["benchmark"] == "check" and d["network"] == "small", d
-assert any(r["warm"]["cache_hit_rate"] > 0 for r in d["runs"]), "no cache hits"
-print(f"BENCH_check.json: {len(d['runs'])} runs, warm hit rate "
-      f"{max(r['warm']['cache_hit_rate'] for r in d['runs']):.2f}")
-EOF
-else
-    echo "ci.sh: python3 not installed — skipping BENCH_check.json probe" >&2
-fi
-
-echo "==> incremental-replay smoke (small WAN) — regenerates BENCH_incr.json"
-# The replay itself asserts every session re-check byte-identical to a cold
-# per-step check; the smoke step additionally verifies the artifact is
-# strict JSON and that the headline claim holds: the session solved far
-# fewer (class, path) pairs than the cold per-step ceiling.
-cargo run --release -p jinjing-bench --bin figures -- incr --small \
-    --bench-out BENCH_incr.json >/dev/null
-if command -v python3 >/dev/null 2>&1; then
-    python3 - <<'EOF'
-import json
-d = json.load(open("BENCH_incr.json"))
-assert d["benchmark"] == "incr" and d["network"] == "small", d
-assert d["dirty_pairs_total"] * 2 < d["pairs_ceiling_total"], \
-    f"incremental pruning regressed: {d['dirty_pairs_total']} dirty vs ceiling {d['pairs_ceiling_total']}"
-print(f"BENCH_incr.json: {d['steps']} steps, {d['dirty_pairs_total']} dirty pairs "
-      f"vs ceiling {d['pairs_ceiling_total']}, speedup {d['speedup']}x")
-EOF
-else
-    echo "ci.sh: python3 not installed — skipping BENCH_incr.json probe" >&2
-fi
-
 echo "==> rollout-plan smoke (certified update sequencing)"
 # The committed relocation target is feasible but order-sensitive
 # (A:3-out must tighten before C:1 clears): `plan` must exit 0 and emit
@@ -142,33 +101,6 @@ if [ "$rc" -ne 3 ]; then
 fi
 grep -q '"core":\["D"\]' "$plan_dir/impossible.json"
 rm -rf "$plan_dir"
-
-echo "==> rollout-synthesis smoke (small WAN) — regenerates BENCH_plan.json"
-# The generator itself cold-replays every certified prefix state; the
-# smoke step additionally verifies the artifact's shape and the headline
-# claim: the planner's probe work stays well under the cold per-prefix
-# ceiling, and every wave in a feasible scenario carries a certificate.
-cargo run --release -p jinjing-bench --bin figures -- plan \
-    --bench-out BENCH_plan.json >/dev/null
-if command -v python3 >/dev/null 2>&1; then
-    python3 - <<'EOF'
-import json
-d = json.load(open("BENCH_plan.json"))
-assert d["benchmark"] == "plan" and d["network"] == "small", d
-assert d["dirty_pairs_total"] * 2 <= d["pairs_ceiling_total"], \
-    f"plan probe pruning regressed: {d['dirty_pairs_total']} dirty vs ceiling {d['pairs_ceiling_total']}"
-for s in d["scenarios"]:
-    if s["feasible"]:
-        assert s["certificates"] == s["waves"] >= 1, s
-    else:
-        assert s["core"] >= 1 and s["waves"] == 0, s
-assert any(not s["feasible"] for s in d["scenarios"]), "no infeasible scenario"
-print(f"BENCH_plan.json: {d['steps']} steps over {len(d['scenarios'])} scenarios, "
-      f"{d['dirty_pairs_total']} dirty pairs vs ceiling {d['pairs_ceiling_total']}")
-EOF
-else
-    echo "ci.sh: python3 not installed — skipping BENCH_plan.json probe" >&2
-fi
 
 echo "==> daemon smoke (serve ⇄ call round trip, threads 1 and 4)"
 # Boot the verification daemon on an ephemeral port, drive it with the
@@ -217,25 +149,6 @@ serve_smoke() {
 }
 serve_smoke 1
 serve_smoke 4
-
-echo "==> serve-throughput smoke — regenerates BENCH_serve.json"
-# The harness itself asserts every HTTP response body byte-identical to
-# the in-process rendering; the smoke step verifies the artifact's shape
-# and that nothing was shed at the bench's queue depth.
-cargo run --release -p jinjing-bench --bin figures -- serve \
-    --bench-out BENCH_serve.json >/dev/null
-if command -v python3 >/dev/null 2>&1; then
-    python3 - <<'EOF'
-import json
-d = json.load(open("BENCH_serve.json"))
-assert d["benchmark"] == "serve" and d["bodies_identical"] is True, d
-assert d["requests"] == d["clients"] * 25 and d["shed"] == 0, d
-print(f"BENCH_serve.json: {d['requests']} requests over {d['clients']} clients, "
-      f"p50 {d['p50_us']}us, {d['throughput_rps']} req/s")
-EOF
-else
-    echo "ci.sh: python3 not installed — skipping BENCH_serve.json probe" >&2
-fi
 
 echo "==> shard smoke (coordinator + 2 backends: byte-parity + streaming)"
 # Boot two stock jinjing-serve backends and a jinjing-shard coordinator
@@ -330,41 +243,9 @@ EOF
 }
 shard_smoke
 
-echo "==> shard-partition smoke (small WAN) — regenerates BENCH_shard.json"
-# The harness itself asserts the consistent-hash partition exact (dirty
-# pairs and solver queries sum to the unsharded totals at every width);
-# the smoke step verifies the artifact's shape and the zero-duplication
-# headline.
-cargo run --release -p jinjing-bench --bin figures -- shard \
-    --bench-out BENCH_shard.json >/dev/null
-if command -v python3 >/dev/null 2>&1; then
-    python3 - <<'EOF'
-import json
-d = json.load(open("BENCH_shard.json"))
-assert d["benchmark"] == "shard" and d["network"] == "small", d
-assert d["partition_exact"] is True, d
-base = d["baseline"]
-for w in d["widths"]:
-    assert w["dirty_pairs_sum"] == base["dirty_pairs"], w
-    assert w["queries_sum"] == base["queries"], w
-assert [w["shards"] for w in d["widths"]] == [1, 2, 4, 8], d
-print(f"BENCH_shard.json: {base['dirty_pairs']} pairs / {base['queries']} queries "
-      f"partitioned exactly at widths 1/2/4/8")
-EOF
-else
-    echo "ci.sh: python3 not installed — skipping BENCH_shard.json probe" >&2
-fi
-
-echo "==> perf regression gate (vs committed BENCH_*.json)"
-# Compare this run's regenerated bench artifacts against the committed
-# baselines (read back out of git — the working-tree copies were just
-# overwritten above). >25% slower fails CI; locally (CI unset, no
-# --strict) it only warns, because laptops are noisy.
-if command -v python3 >/dev/null 2>&1; then
-    python3 scripts/perf_gate.py
-else
-    echo "ci.sh: python3 not installed — skipping perf gate" >&2
-fi
+# The ruler: every workload once through every front door, answers judged
+# by the harness's oracles. Shared with scripts/offline_check.sh.
+scripts/ruler_smoke.sh
 
 echo "==> cargo fmt --all --check"
 if cargo fmt --version >/dev/null 2>&1; then

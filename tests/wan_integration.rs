@@ -2,10 +2,12 @@
 //! experiment scenario runs through the public API on the small preset and
 //! its result is certified by the exact checker.
 
-use jinjing_core::check::{check, check_exact, CheckConfig, CheckOutcome};
+use jinjing_core::check::{
+    check, check_configs, check_exact, CheckConfig, CheckOutcome, CheckReport,
+};
 use jinjing_core::fix::{fix, FixConfig};
 use jinjing_core::generate::{generate, GenerateConfig};
-use jinjing_core::Encoding;
+use jinjing_core::{CheckSession, Delta, Encoding, IncrConfig};
 use jinjing_lai::printer::statement_count;
 use jinjing_lai::Command;
 use jinjing_wan::{build_wan, scenarios, NetSize, WanParams};
@@ -193,4 +195,71 @@ fn differential_reduction_shrinks_encoded_rules() {
         basic.encoded_rules
     );
     assert_eq!(diff.outcome.is_consistent(), basic.outcome.is_consistent());
+}
+
+#[test]
+fn session_replay_matches_cold_checks_and_prunes_most_pairs() {
+    // A 3% perturbation deployed one slot at a time through a resident
+    // session. Every step must report what a cold check of the same
+    // before/after pair reports, and over the stream the session must solve
+    // fewer than half the (class, path) pairs the cold checks consider.
+    fn canon(r: &CheckReport) -> String {
+        format!(
+            "{:?} fec={} paths={} stats={:?} encoded={} total={}",
+            r.outcome, r.fec_count, r.paths_checked, r.solver_stats, r.encoded_rules, r.total_rules
+        )
+    }
+    let wan = small();
+    let task =
+        scenarios::checkfix(&wan, 0.03, 0xBE7C_0000 ^ 0.03f64.to_bits(), Command::Check).task;
+    let mut slots = task.before.slots();
+    slots.extend(task.after.slots());
+    slots.sort();
+    slots.dedup();
+    let deltas: Vec<Delta> = slots
+        .into_iter()
+        .filter(|&s| task.before.get(s) != task.after.get(s))
+        .map(|s| match task.after.get(s) {
+            Some(acl) => Delta::new().set(s, acl.clone()),
+            None => Delta::new().clear(s),
+        })
+        .collect();
+    assert!(deltas.len() >= 2, "the perturbation touches several slots");
+
+    let mut session = CheckSession::with_configs(
+        &wan.net,
+        task.scope.clone(),
+        task.controls.clone(),
+        task.before.clone(),
+        CheckConfig::default(),
+        IncrConfig::default(),
+    )
+    .expect("session opens");
+    let pairs_ceiling = deltas.len() * session.total_pairs();
+    let mut base = task.before.clone();
+    let mut dirty_pairs = 0;
+    for (i, delta) in deltas.iter().enumerate() {
+        let after = delta.applied_to(&base);
+        let cold = check_configs(
+            &wan.net,
+            &task.scope,
+            &base,
+            &after,
+            &task.controls,
+            &CheckConfig::default(),
+        )
+        .expect("cold check");
+        let step = session.recheck(delta).expect("recheck");
+        assert_eq!(canon(&step.report), canon(&cold), "step {i}");
+        assert_eq!(step.applied, cold.outcome.is_consistent(), "step {i}");
+        if step.applied {
+            base = after;
+        }
+        dirty_pairs += step.incr.dirty_pairs;
+    }
+    assert_eq!(session.base(), &base, "bases converge across the stream");
+    assert!(
+        dirty_pairs * 2 < pairs_ceiling,
+        "incremental pruning regressed: {dirty_pairs} dirty pairs vs ceiling {pairs_ceiling}"
+    );
 }
