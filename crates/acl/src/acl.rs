@@ -156,6 +156,15 @@ impl Acl {
     pub fn is_permit_all(&self) -> bool {
         self.permit_set().same_set(&PacketSet::full())
     }
+
+    /// The ACL as text lines: one rule per line in priority order, then
+    /// `default <action>` — the form [`crate::parse::parse_acl`] reads
+    /// back, and what every plan, spec and delta script carries.
+    pub fn lines(&self) -> Vec<String> {
+        let mut lines: Vec<String> = self.rules.iter().map(|r| r.to_string()).collect();
+        lines.push(format!("default {}", self.default_action));
+        lines
+    }
 }
 
 impl fmt::Display for Acl {

@@ -20,27 +20,32 @@
 //! jinjing simplify --acl-file acl.txt       # standalone ACL minimization
 //! ```
 //!
-//! The library half of the crate ([`run_command`] and friends) is what the
-//! binary calls; keeping it a library makes the whole flow unit-testable
-//! without spawning processes. The JSON spec loaders need `serde`; under
-//! `--cfg jinjing_offline` (the registry-free build) they are compiled
-//! out, while everything else — including the canonical JSON renderers,
-//! which use `jinjing-obs`'s hand-rolled writer — still builds and tests.
+//! The whole tool lives in this library: [`run_cli`] is the dispatcher
+//! the binary's `main` forwards to, with the two JSON spec loaders
+//! injected ([`Loaders`]) so the flow is unit-testable without spawning
+//! processes or parsing spec files. Every subcommand checks its flags
+//! against what the usage text lists for it, answers through the query
+//! layer shared with the daemon, and returns the exit code of that
+//! layer's [`Answer`]. The loaders themselves need `serde`; under
+//! `--cfg jinjing_offline` (the registry-free build) they and the two
+//! subcommands that read raw spec JSON (`lint`, `convert`) are compiled
+//! out, while everything else still builds and tests.
 
 use jinjing_core::engine::EngineConfig;
+use jinjing_core::query::Answer;
 #[cfg(not(jinjing_offline))]
-use jinjing_core::engine::ReportKind;
-#[cfg(not(jinjing_offline))]
-use jinjing_lai::{parse_program, validate};
+use jinjing_core::query::{lint_multi_query, lint_query, QueryError};
 #[cfg(not(jinjing_offline))]
 use jinjing_net::spec::{AclConfigSpec, NetworkSpec};
 use jinjing_net::{AclConfig, Network};
 
-// The canonical query-output layer (plan/watch documents and the
+// The canonical query-output layer (plan/watch/lint documents and the
 // functions that produce them) lives in `jinjing_core::query`, shared
 // byte-for-byte with the `jinjing-serve` daemon; the CLI re-exports it
 // so front-end callers keep one import path.
-pub use jinjing_core::query::{PlanDocument, PlanEntry, RunOutput, WatchOutput, WatchStep};
+pub use jinjing_core::query::{
+    LintOutput, PlanDocument, PlanEntry, RunOutput, WatchOutput, WatchStep,
+};
 
 /// Everything that can go wrong on a CLI run, as a printable message.
 #[derive(Debug)]
@@ -82,6 +87,16 @@ pub fn load_acls(path: &str, net: &Network) -> Result<AclConfig, CliError> {
     spec.build(net).map_err(err)
 }
 
+/// How [`run_cli`] turns `--network` / `--acls` paths into a network and
+/// its configuration. The binary injects [`load_network`] and
+/// [`load_acls`]; a test injects a fixture.
+pub struct Loaders {
+    /// `--network <path>`.
+    pub network: fn(&str) -> Result<Network, CliError>,
+    /// `--acls <path>`, bound to the loaded network.
+    pub acls: fn(&str, &Network) -> Result<AclConfig, CliError>,
+}
+
 /// Observability knobs for a CLI run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOptions {
@@ -108,20 +123,19 @@ impl RunOptions {
         }
         cfg
     }
-}
 
-/// Run an LAI program against a network + configuration; returns the
-/// human-readable report text and the machine-readable plan.
-///
-/// Thin compatibility wrapper over [`run_command_with`] with default
-/// options, discarding the observability snapshot.
-pub fn run_command(
-    net: &Network,
-    config: &AclConfig,
-    intent_text: &str,
-) -> Result<(String, PlanDocument), CliError> {
-    run_command_with(net, config, intent_text, &RunOptions::default())
-        .map(|out| (out.text, out.plan))
+    /// The same two knobs for a lint run.
+    #[cfg(not(jinjing_offline))]
+    fn lint_config(&self) -> jinjing_lint::LintConfig {
+        let mut cfg = jinjing_lint::LintConfig {
+            threads: self.threads,
+            ..jinjing_lint::LintConfig::default()
+        };
+        if self.trace {
+            cfg.obs = jinjing_obs::Collector::with_trace(true);
+        }
+        cfg
+    }
 }
 
 /// Run an LAI program with explicit observability options. Thin wrapper
@@ -224,46 +238,400 @@ pub fn plan_command(
     jinjing_core::query::plan_query(net, config, intent_text, target_text, &cfg).map_err(err)
 }
 
-/// Parse the `jinjing serve` flags (listen address, admission-control
-/// knobs, drain hooks) into a [`jinjing_serve::ServeConfig`]. Spec paths
-/// are handled by the caller — this half is serde-free so the offline
-/// build verifies it.
-pub fn serve_config_from_args(args: &[String]) -> Result<jinjing_serve::ServeConfig, CliError> {
-    fn arg_value(args: &[String], name: &str) -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
+/// Flags that take no value; every other flag consumes the next argument.
+const SWITCHES: [&str; 2] = ["--trace", "--drain-on-stdin-eof"];
+
+// What the usage text lists for each subcommand, space-separated.
+const RUN_FLAGS: &str = "--network --acls --intent --format --session --plan-out --rollback-out \
+                         --metrics-out --trace --threads";
+const WATCH_FLAGS: &str =
+    "--network --acls --intent --deltas --format --metrics-out --trace --threads";
+const TRACE_FLAGS: &str = "--network --acls --intent --trace-out --threads";
+const PLAN_FLAGS: &str = "--network --acls --intent --target --max-waves --format --metrics-out \
+                          --trace --threads";
+#[cfg(not(jinjing_offline))]
+const LINT_FLAGS: &str = "--network --acls --intent --priority --format --deny --metrics-out \
+                          --trace --threads";
+// `--max-body` is the pre-`--max-body-bytes` spelling; it stays accepted.
+const SERVE_FLAGS: &str = "--network --acls --addr --workers --queue --deadline-ms \
+                           --max-body-bytes --max-body --max-sessions --max-traces --threads \
+                           --metrics-out --port-file --drain-on-stdin-eof --trace";
+const SHARD_FLAGS: &str = "--network --acls --backends --addr --threads --max-body-bytes \
+                           --max-body --timeout-ms --metrics-out --port-file --trace";
+const CALL_FLAGS: &str = "--addr --path --method --body-file --body --timeout-ms --header --shards";
+
+/// One subcommand's command line, checked against the flags the usage
+/// text lists for it: anything else — a misspelt flag, a stray
+/// positional, a valued flag with nothing after it — is an error, never
+/// silently ignored.
+struct Flags<'a> {
+    /// `(flag, value)` in command-line order; switches carry `""`.
+    given: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Flags<'a> {
+    /// Parse `args[1..]` (`args[0]` is the subcommand) against `allowed`,
+    /// a space-separated flag list.
+    fn parse(args: &'a [String], allowed: &str) -> Result<Flags<'a>, CliError> {
+        let mut given = Vec::new();
+        let mut rest = args.iter().skip(1).map(String::as_str);
+        while let Some(flag) = rest.next() {
+            if !allowed.split(' ').any(|known| known == flag) {
+                return Err(CliError(format!(
+                    "unknown flag {flag:?} for `jinjing {}` (see `jinjing help`)",
+                    args[0]
+                )));
+            }
+            let value = if SWITCHES.contains(&flag) {
+                ""
+            } else {
+                rest.next()
+                    .ok_or_else(|| CliError(format!("flag {flag} wants a value")))?
+            };
+            given.push((flag, value));
+        }
+        Ok(Flags { given })
     }
-    let parse_num = |flag: &str, default: usize| -> Result<usize, CliError> {
-        match arg_value(args, flag) {
+
+    /// Every value of a repeatable flag, in order.
+    fn all(&self, name: &'a str) -> impl Iterator<Item = &'a str> + '_ {
+        self.given
+            .iter()
+            .filter(move |(flag, _)| *flag == name)
+            .map(|(_, value)| *value)
+    }
+
+    fn get(&self, name: &'a str) -> Option<&'a str> {
+        self.all(name).next()
+    }
+
+    fn has(&self, switch: &'a str) -> bool {
+        self.get(switch).is_some()
+    }
+
+    fn require(&self, name: &'a str) -> Result<&'a str, CliError> {
+        self.get(name)
+            .ok_or_else(|| CliError(format!("missing required flag {name}")))
+    }
+
+    fn num<T: std::str::FromStr>(&self, name: &'a str, default: T) -> Result<T, CliError> {
+        match self.get(name) {
             Some(v) => v
-                .parse::<usize>()
-                .map_err(|_| CliError(format!("{flag} wants a number, got {v:?}"))),
+                .parse()
+                .map_err(|_| CliError(format!("{name} wants a number, got {v:?}"))),
             None => Ok(default),
         }
+    }
+
+    /// A comma-separated `host:port` list (`--backends`, `--shards`).
+    fn addrs(&self, name: &'a str) -> Result<Option<Vec<String>>, CliError> {
+        let Some(list) = self.get(name) else {
+            return Ok(None);
+        };
+        let addrs: Vec<String> = list
+            .split(',')
+            .map(|s| s.trim().to_string())
+            .filter(|s| !s.is_empty())
+            .collect();
+        if addrs.is_empty() {
+            return Err(CliError(format!("{name} wants host:port[,host:port...]")));
+        }
+        Ok(Some(addrs))
+    }
+
+    fn run_options(&self) -> Result<RunOptions, CliError> {
+        Ok(RunOptions {
+            trace: self.has("--trace"),
+            threads: self.num("--threads", 0)?,
+        })
+    }
+}
+
+fn read_file(path: &str) -> Result<String, CliError> {
+    std::fs::read_to_string(path).map_err(|e| CliError(format!("{path}: {e}")))
+}
+
+fn write_file(path: &str, contents: &str) -> Result<(), CliError> {
+    std::fs::write(path, contents).map_err(|e| CliError(format!("{path}: {e}")))
+}
+
+fn load_specs(flags: &Flags<'_>, loaders: &Loaders) -> Result<(Network, AclConfig), CliError> {
+    let net = (loaders.network)(flags.require("--network")?)?;
+    let config = (loaders.acls)(flags.require("--acls")?, &net)?;
+    Ok((net, config))
+}
+
+/// What `run`, `watch`, `trace` and `plan` all start from: the network,
+/// its configuration, the intent text and the run options.
+type Inputs = (Network, AclConfig, String, RunOptions);
+
+fn load_inputs(flags: &Flags<'_>, loaders: &Loaders) -> Result<Inputs, CliError> {
+    let (net, config) = load_specs(flags, loaders)?;
+    let intent = read_file(flags.require("--intent")?)?;
+    Ok((net, config, intent, flags.run_options()?))
+}
+
+/// Print a query's output as `--format` asks: the report text, or the
+/// answer's canonical JSON.
+fn print_formatted(flags: &Flags<'_>, text: &str, answer: &Answer) -> Result<(), CliError> {
+    match flags.get("--format") {
+        Some("json") => print!("{}", answer.body),
+        None | Some("text") => print!("{text}"),
+        Some(other) => return Err(CliError(format!("unknown --format {other:?} (text|json)"))),
+    }
+    Ok(())
+}
+
+fn write_metrics(flags: &Flags<'_>, obs: &jinjing_obs::Snapshot) -> Result<(), CliError> {
+    if let Some(path) = flags.get("--metrics-out") {
+        write_file(path, &obs.to_json())?;
+        eprintln!("metrics written to {path}");
+    }
+    Ok(())
+}
+
+/// Run one `jinjing` invocation — `args` without the program name — and
+/// return the process exit code: the answer's (0 ok, 3 inconsistent
+/// check / rejected delta / infeasible plan, 4 lint gate), or 1 with
+/// `error: …` on stderr for anything that could not be answered. `usage`
+/// is what `help` prints.
+pub fn run_cli(args: &[String], usage: &str, loaders: &Loaders) -> i32 {
+    let result = match args.first().map_or("", String::as_str) {
+        "run" | "watch" => run_or_watch(args, loaders),
+        "trace" => trace(args, loaders),
+        "plan" => plan(args, loaders),
+        #[cfg(not(jinjing_offline))]
+        "lint" => lint(args),
+        "audit" => Flags::parse(args, "--network --acls").and_then(|flags| {
+            let (net, config) = load_specs(&flags, loaders)?;
+            print!("{}", audit_report(&net, &config));
+            Ok(0)
+        }),
+        "show" => Flags::parse(args, "--network").and_then(|flags| {
+            let net = (loaders.network)(flags.require("--network")?)?;
+            print!("{}", show_network(&net));
+            Ok(0)
+        }),
+        "simplify" => Flags::parse(args, "--acl-file").and_then(|flags| {
+            let text = read_file(flags.require("--acl-file")?)?;
+            print!("{}", simplify_acl_text(&text)?);
+            Ok(0)
+        }),
+        #[cfg(not(jinjing_offline))]
+        "convert" => convert(args),
+        "serve" => Flags::parse(args, SERVE_FLAGS).and_then(|flags| {
+            let (net, config) = load_specs(&flags, loaders)?;
+            serve_command(net, config, serve_config(&flags)?)?;
+            Ok(0)
+        }),
+        "shard" => Flags::parse(args, SHARD_FLAGS).and_then(|flags| {
+            let (net, config) = load_specs(&flags, loaders)?;
+            shard_command(net, config, shard_config(&flags)?)?;
+            Ok(0)
+        }),
+        "call" => call_command(args),
+        "" | "help" | "--help" | "-h" => {
+            println!("{usage}");
+            Ok(0)
+        }
+        other => Err(CliError(format!(
+            "unknown command {other:?} (see `jinjing help`)"
+        ))),
     };
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        1
+    })
+}
+
+/// `jinjing run` and `jinjing watch`; `run --session <deltas>` is the
+/// incremental path too, the same as `watch --deltas`.
+fn run_or_watch(args: &[String], loaders: &Loaders) -> Result<i32, CliError> {
+    let watch = args[0] == "watch";
+    let flags = Flags::parse(args, if watch { WATCH_FLAGS } else { RUN_FLAGS })?;
+    let (net, config, intent, opts) = load_inputs(&flags, loaders)?;
+    let deltas = if watch {
+        Some(flags.require("--deltas")?)
+    } else {
+        flags.get("--session")
+    };
+    if let Some(path) = deltas {
+        let out = watch_command(&net, &config, &intent, &read_file(path)?, &opts)?;
+        let answer = out.answer();
+        print_formatted(&flags, &out.text, &answer)?;
+        write_metrics(&flags, &out.obs)?;
+        return Ok(answer.exit);
+    }
+    let out = run_command_with(&net, &config, &intent, &opts)?;
+    let answer = out.answer();
+    print_formatted(&flags, &out.text, &answer)?;
+    // `run` reports what it wrote on stdout, after the report.
+    if let Some(path) = flags.get("--metrics-out") {
+        write_file(path, &out.obs.to_json())?;
+        println!("metrics written to {path}");
+    }
+    if !out.plan.changes.is_empty() {
+        println!("changed slots: {}", out.plan.changes.len());
+    }
+    if let Some(path) = flags.get("--rollback-out") {
+        let rollback = rollback_document(&net, &config, &out.plan);
+        write_file(path, &rollback.to_canonical_json())?;
+        println!("rollback plan written to {path}");
+    }
+    if let Some(path) = flags.get("--plan-out") {
+        write_file(path, &answer.body)?;
+        println!("plan written to {path}");
+    }
+    Ok(answer.exit)
+}
+
+/// `jinjing trace`.
+fn trace(args: &[String], loaders: &Loaders) -> Result<i32, CliError> {
+    let flags = Flags::parse(args, TRACE_FLAGS)?;
+    let (net, config, intent, opts) = load_inputs(&flags, loaders)?;
+    let out = trace_command(&net, &config, &intent, &opts)?;
+    let path = flags.get("--trace-out").unwrap_or("trace.json");
+    write_file(path, &out.chrome_json)?;
+    print!("{}", out.summary);
+    eprintln!("trace {} written to {path}", out.trace_id);
+    if out.events_dropped > 0 {
+        eprintln!(
+            "warning: {} event(s) dropped (flight-recorder ring full)",
+            out.events_dropped
+        );
+    }
+    Ok(out.run.answer().exit)
+}
+
+/// `jinjing plan`.
+fn plan(args: &[String], loaders: &Loaders) -> Result<i32, CliError> {
+    let flags = Flags::parse(args, PLAN_FLAGS)?;
+    let (net, config, intent, opts) = load_inputs(&flags, loaders)?;
+    let target = flags.get("--target").map(read_file).transpose()?;
+    let max_waves = flags.num("--max-waves", 0)?;
+    let out = plan_command(&net, &config, &intent, target.as_deref(), max_waves, &opts)?;
+    let answer = out.answer();
+    print_formatted(&flags, &out.text, &answer)?;
+    write_metrics(&flags, &out.obs)?;
+    Ok(answer.exit)
+}
+
+/// `jinjing lint`. A plain `--intent FILE` is a single-program run;
+/// repeated `--intent tenant=FILE` values select the cross-tenant pass
+/// (every value must then carry a tenant name). Error-severity findings
+/// always gate; `--deny` (repeatable: exact `JL301`, family glob `JL3*`,
+/// or `all`) escalates codes.
+#[cfg(not(jinjing_offline))]
+fn lint(args: &[String]) -> Result<i32, CliError> {
+    let flags = Flags::parse(args, LINT_FLAGS)?;
+    let net_text = read_file(flags.require("--network")?)?;
+    let acls_text = read_file(flags.require("--acls")?)?;
+    let opts = flags.run_options()?;
+    let intents: Vec<&str> = flags.all("--intent").collect();
+    let out = if intents.iter().any(|v| v.contains('=')) {
+        let mut tenants = Vec::with_capacity(intents.len());
+        for v in &intents {
+            let Some((tenant, path)) = v.split_once('=') else {
+                return Err(CliError(format!(
+                    "--intent {v:?}: multi-tenant lint needs tenant=FILE for every intent"
+                )));
+            };
+            if tenant.is_empty() {
+                return Err(CliError(format!("--intent {v:?}: empty tenant name")));
+            }
+            tenants.push((tenant.to_string(), read_file(path)?));
+        }
+        let priority: Vec<String> = flags
+            .get("--priority")
+            .map(|p| p.split(',').map(str::to_string).collect())
+            .unwrap_or_default();
+        lint_multi_command(&net_text, &acls_text, &tenants, &priority, &opts)?
+    } else {
+        if intents.len() > 1 {
+            return Err(CliError(
+                "multiple --intent flags need tenant=FILE form (multi-tenant lint)".to_string(),
+            ));
+        }
+        let intent_text = intents.first().copied().map(read_file).transpose()?;
+        lint_command(&net_text, &acls_text, intent_text.as_deref(), &opts)?
+    };
+    match flags.get("--format") {
+        Some("json") => print!("{}", Answer::of_lint(&out.report).body),
+        Some("sarif") => println!("{}", jinjing_lint::to_sarif(&out.report)),
+        None | Some("text") => print!("{}", out.report.render_text()),
+        Some(other) => {
+            return Err(CliError(format!(
+                "unknown --format {other:?} (text|json|sarif)"
+            )))
+        }
+    }
+    write_metrics(&flags, &out.obs)?;
+    let denied: Vec<String> = flags.all("--deny").map(str::to_string).collect();
+    Ok(if lint_gate(&out.report, &denied) {
+        4
+    } else {
+        0
+    })
+}
+
+/// `jinjing convert`.
+#[cfg(not(jinjing_offline))]
+fn convert(args: &[String]) -> Result<i32, CliError> {
+    let flags = Flags::parse(args, "--cisco-config --map --out")?;
+    let text = read_file(flags.require("--cisco-config")?)?;
+    let mut mappings = Vec::new();
+    for m in flags.all("--map") {
+        let (list, slot) = m
+            .split_once('=')
+            .ok_or_else(|| CliError(format!("bad --map {m:?}")))?;
+        let (iface, dir) = match slot.rsplit_once('-') {
+            Some((i, d @ ("in" | "out"))) => (i, d),
+            _ => (slot, "in"),
+        };
+        mappings.push((list.to_string(), iface.to_string(), dir.to_string()));
+    }
+    if mappings.is_empty() {
+        return Err(CliError("convert needs at least one --map".to_string()));
+    }
+    let json = convert_cisco(&text, &mappings)?;
+    match flags.get("--out") {
+        Some(path) => {
+            write_file(path, &json)?;
+            println!("wrote {path}");
+        }
+        None => println!("{json}"),
+    }
+    Ok(0)
+}
+
+/// Parse the `jinjing serve` flags (listen address, admission-control
+/// knobs, drain hooks) into a [`jinjing_serve::ServeConfig`].
+pub fn serve_config_from_args(args: &[String]) -> Result<jinjing_serve::ServeConfig, CliError> {
+    serve_config(&Flags::parse(args, SERVE_FLAGS)?)
+}
+
+fn serve_config(flags: &Flags<'_>) -> Result<jinjing_serve::ServeConfig, CliError> {
     let defaults = jinjing_serve::ServeConfig::default();
     Ok(jinjing_serve::ServeConfig {
-        addr: arg_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:8080".to_string()),
-        workers: parse_num("--workers", defaults.workers)?,
-        queue: parse_num("--queue", defaults.queue)?,
-        deadline_ms: parse_num("--deadline-ms", defaults.deadline_ms as usize)? as u64,
+        addr: flags.get("--addr").unwrap_or("127.0.0.1:8080").to_string(),
+        workers: flags.num("--workers", defaults.workers)?,
+        queue: flags.num("--queue", defaults.queue)?,
+        deadline_ms: flags.num("--deadline-ms", defaults.deadline_ms)?,
         // `--max-body-bytes` is the documented spelling (coordinator-sized
-        // fan-in payloads need the cap raised); `--max-body` stays accepted.
-        max_body: parse_num(
+        // fan-in payloads need the cap raised) and wins over `--max-body`.
+        max_body: flags.num(
             "--max-body-bytes",
-            parse_num("--max-body", defaults.max_body)?,
+            flags.num("--max-body", defaults.max_body)?,
         )?,
-        max_sessions: parse_num("--max-sessions", defaults.max_sessions)?,
-        max_traces: parse_num("--max-traces", defaults.max_traces)?,
-        threads: parse_num("--threads", 0)?,
-        metrics_out: arg_value(args, "--metrics-out"),
-        port_file: arg_value(args, "--port-file"),
-        drain_on_stdin_eof: args.iter().any(|a| a == "--drain-on-stdin-eof"),
+        max_sessions: flags.num("--max-sessions", defaults.max_sessions)?,
+        max_traces: flags.num("--max-traces", defaults.max_traces)?,
+        threads: flags.num("--threads", 0)?,
+        metrics_out: flags.get("--metrics-out").map(str::to_string),
+        port_file: flags.get("--port-file").map(str::to_string),
+        drain_on_stdin_eof: flags.has("--drain-on-stdin-eof"),
         // Test-only saturation knob; never a CLI flag.
         allow_test_delay: std::env::var_os("JINJING_SERVE_TEST_DELAY").is_some(),
-        trace: args.iter().any(|a| a == "--trace"),
+        trace: flags.has("--trace"),
     })
 }
 
@@ -287,45 +655,27 @@ pub fn serve_command(
 }
 
 /// Parse the `jinjing shard` flags into a
-/// [`jinjing_shard::ShardConfig`]. Spec paths are handled by the caller —
-/// this half is serde-free so the offline build verifies it.
+/// [`jinjing_shard::ShardConfig`].
 pub fn shard_config_from_args(args: &[String]) -> Result<jinjing_shard::ShardConfig, CliError> {
-    fn arg_value(args: &[String], name: &str) -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    }
-    let parse_num = |flag: &str, default: usize| -> Result<usize, CliError> {
-        match arg_value(args, flag) {
-            Some(v) => v
-                .parse::<usize>()
-                .map_err(|_| CliError(format!("{flag} wants a number, got {v:?}"))),
-            None => Ok(default),
-        }
-    };
-    let backends: Vec<String> = arg_value(args, "--backends")
-        .ok_or_else(|| CliError("missing required flag --backends".to_string()))?
-        .split(',')
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .collect();
-    if backends.is_empty() {
-        return Err(CliError("--backends wants host:port[,host:port...]".to_string()));
-    }
+    shard_config(&Flags::parse(args, SHARD_FLAGS)?)
+}
+
+fn shard_config(flags: &Flags<'_>) -> Result<jinjing_shard::ShardConfig, CliError> {
     let defaults = jinjing_shard::ShardConfig::default();
     Ok(jinjing_shard::ShardConfig {
-        addr: arg_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:8090".to_string()),
-        backends,
-        threads: parse_num("--threads", 0)?,
-        max_body: parse_num(
+        addr: flags.get("--addr").unwrap_or("127.0.0.1:8090").to_string(),
+        backends: flags
+            .addrs("--backends")?
+            .ok_or_else(|| CliError("missing required flag --backends".to_string()))?,
+        threads: flags.num("--threads", 0)?,
+        max_body: flags.num(
             "--max-body-bytes",
-            parse_num("--max-body", defaults.max_body)?,
+            flags.num("--max-body", defaults.max_body)?,
         )?,
-        timeout_ms: parse_num("--timeout-ms", defaults.timeout_ms as usize)? as u64,
-        port_file: arg_value(args, "--port-file"),
-        metrics_out: arg_value(args, "--metrics-out"),
-        trace: args.iter().any(|a| a == "--trace"),
+        timeout_ms: flags.num("--timeout-ms", defaults.timeout_ms)?,
+        port_file: flags.get("--port-file").map(str::to_string),
+        metrics_out: flags.get("--metrics-out").map(str::to_string),
+        trace: flags.has("--trace"),
     })
 }
 
@@ -347,115 +697,47 @@ pub fn shard_command(
     Ok(())
 }
 
-/// The `jinjing call --shards` path: fan one lint request out over the
-/// given backends (kept-alive connection each, `X-Jinjing-Shard: i/n`),
-/// merge the partitioned reports, and print the merged JSON — the same
-/// bytes an unsharded `jinjing lint --format json` renders. Only
-/// `/v1/lint` is mergeable client-side; stateful or verdict-bearing
-/// endpoints need the coordinator (`jinjing shard`).
-fn call_sharded(
-    backends: &[String],
-    path: &str,
-    body: &[u8],
-    timeout: std::time::Duration,
-) -> Result<i32, CliError> {
-    if path != "/v1/lint" {
-        return Err(CliError(format!(
-            "--shards supports only --path /v1/lint (got {path:?}); \
-             run a `jinjing shard` coordinator for check/plan"
-        )));
-    }
-    let n = backends.len();
-    let mut merged = jinjing_lint::LintReport::new();
-    for (i, addr) in backends.iter().enumerate() {
-        let mut conn = jinjing_serve::client::Conn::new(addr, timeout).map_err(CliError)?;
-        let resp = conn
-            .call(
-                "POST",
-                path,
-                &[("X-Jinjing-Shard".to_string(), format!("{i}/{n}"))],
-                body,
-            )
-            .map_err(|e| CliError(format!("backend {addr}: {e}")))?;
-        if resp.status != 200 {
-            return Err(CliError(format!(
-                "backend {addr} answered HTTP {}: {}",
-                resp.status,
-                resp.body_text().trim()
-            )));
-        }
-        let report = jinjing_lint::LintReport::from_json(&resp.body_text())
-            .map_err(|e| CliError(format!("backend {addr}: bad lint report: {e}")))?;
-        merged.merge(report);
-    }
-    merged.sort();
-    println!("{}", merged.to_json());
-    Ok(if merged.has_errors() { 4 } else { 0 })
-}
-
 /// The `jinjing call` subcommand: one HTTP request to a running daemon.
 /// Prints the response body to stdout and returns the process exit code —
-/// the daemon's `X-Jinjing-Exit` header (0 ok, 1 error, 3
-/// check-inconsistent / watch-rejected, 4 lint gate), falling back to 1
-/// for any undecorated non-2xx status. Serde-free: the offline build
-/// verifies the whole client path.
+/// the daemon's `X-Jinjing-Exit` header, falling back to 1 for any
+/// undecorated non-2xx status — so pipelines gate on a remote daemon
+/// exactly as on a local run. With `--shards a,b,...` a `/v1/lint`
+/// request fans out over the listed backends directly
+/// ([`jinjing_shard::lint_sharded`]) and the merged report is printed:
+/// the same bytes an unsharded `jinjing lint --format json` renders.
+/// Serde-free: the offline build verifies the whole client path.
 pub fn call_command(args: &[String]) -> Result<i32, CliError> {
-    fn arg_value(args: &[String], name: &str) -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    }
-    let addr = arg_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:8080".to_string());
-    let path = arg_value(args, "--path")
-        .ok_or_else(|| CliError("missing required flag --path".to_string()))?;
-    let method = arg_value(args, "--method").unwrap_or_else(|| "POST".to_string());
-    let timeout_ms = match arg_value(args, "--timeout-ms") {
-        Some(v) => v
-            .parse::<u64>()
-            .map_err(|_| CliError(format!("--timeout-ms wants a number, got {v:?}")))?,
-        None => 30_000,
-    };
-    let body = match (arg_value(args, "--body-file"), arg_value(args, "--body")) {
-        (Some(p), _) => std::fs::read(&p).map_err(|e| CliError(format!("{p}: {e}")))?,
-        (None, Some(text)) => text.into_bytes(),
+    let flags = Flags::parse(args, CALL_FLAGS)?;
+    let addr = flags.get("--addr").unwrap_or("127.0.0.1:8080");
+    let path = flags.require("--path")?;
+    let method = flags.get("--method").unwrap_or("POST");
+    let timeout = std::time::Duration::from_millis(flags.num("--timeout-ms", 30_000)?);
+    let body = match (flags.get("--body-file"), flags.get("--body")) {
+        (Some(p), _) => std::fs::read(p).map_err(|e| CliError(format!("{p}: {e}")))?,
+        (None, Some(text)) => text.as_bytes().to_vec(),
         (None, None) => Vec::new(),
     };
-    let headers: Vec<(String, String)> = args
-        .windows(2)
-        .filter(|w| w[0] == "--header")
-        .filter_map(|w| {
-            w[1].split_once(':')
-                .map(|(n, v)| (n.trim().to_string(), v.trim().to_string()))
-        })
-        .collect();
-    if let Some(list) = arg_value(args, "--shards") {
-        let backends: Vec<String> = list
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect();
-        if backends.is_empty() {
-            return Err(CliError(
-                "--shards wants host:port[,host:port...]".to_string(),
-            ));
-        }
-        return call_sharded(
-            &backends,
-            &path,
-            &body,
-            std::time::Duration::from_millis(timeout_ms),
-        );
+    let mut headers = Vec::new();
+    for h in flags.all("--header") {
+        let (name, value) = h
+            .split_once(':')
+            .ok_or_else(|| CliError(format!("bad --header {h:?} (want `Name: value`)")))?;
+        headers.push((name.trim().to_string(), value.trim().to_string()));
     }
-    let resp = jinjing_serve::client::call(
-        &addr,
-        &method,
-        &path,
-        &headers,
-        &body,
-        std::time::Duration::from_millis(timeout_ms),
-    )
-    .map_err(CliError)?;
+    if let Some(backends) = flags.addrs("--shards")? {
+        if path != "/v1/lint" {
+            return Err(CliError(format!(
+                "--shards supports only --path /v1/lint (got {path:?}); \
+                 run a `jinjing shard` coordinator for check/plan"
+            )));
+        }
+        let answer = jinjing_shard::lint_sharded(&backends, &body, timeout)
+            .map_err(|reject| CliError(reject.message))?;
+        print!("{}", answer.body);
+        return Ok(answer.exit);
+    }
+    let resp = jinjing_serve::client::call(addr, method, path, &headers, &body, timeout)
+        .map_err(CliError)?;
     print!("{}", resp.body_text());
     if resp.status >= 400 {
         // Surface the daemon's backpressure hint: a shed request (429)
@@ -471,39 +753,27 @@ pub fn call_command(args: &[String]) -> Result<i32, CliError> {
     Ok(resp.exit_code())
 }
 
-/// Everything a lint run produces.
-#[derive(Debug)]
-pub struct LintOutput {
-    /// The merged, sorted diagnostics from every analysis layer.
-    pub report: jinjing_lint::LintReport,
-    /// The run's observability snapshot (`lint.*` spans and counters).
-    pub obs: jinjing_obs::Snapshot,
-}
-
-/// Run the static analysis pass (`jinjing lint`) over raw spec texts and an
-/// optional LAI intent program.
-///
-/// Layering mirrors how the defects block progress: the spec layer
-/// (JL201/JL202) runs first on the raw JSON, collecting *every* dangling
-/// reference and invalid binding; if any are errors the network cannot be
-/// built, so that report is returned alone. Otherwise the built network +
-/// configuration (and the validated program, when given) go through the
-/// rule, intent, and network layers via [`jinjing_core::engine::lint`].
+/// The spec layer both lint commands start with: JL201/JL202 run first
+/// on the raw JSON, collecting *every* dangling reference and invalid
+/// binding; if any are errors the network cannot be built, so that
+/// report is returned alone. Otherwise `analyse` sees the built network +
+/// configuration and its report is merged with the spec layer's.
 #[cfg(not(jinjing_offline))]
-pub fn lint_command(
+fn lint_from_specs(
     net_text: &str,
     acls_text: &str,
-    intent_text: Option<&str>,
     opts: &RunOptions,
+    analyse: impl FnOnce(
+        &Network,
+        &AclConfig,
+        &jinjing_lint::LintConfig,
+    ) -> Result<LintOutput, QueryError>,
 ) -> Result<LintOutput, CliError> {
     let net_spec: NetworkSpec =
         serde_json::from_str(net_text).map_err(|e| CliError(format!("network spec: {e}")))?;
     let acl_spec: AclConfigSpec =
         serde_json::from_str(acls_text).map_err(|e| CliError(format!("acl spec: {e}")))?;
-    let mut cfg = jinjing_lint::LintConfig::default();
-    if opts.trace {
-        cfg.obs = jinjing_obs::Collector::with_trace(true);
-    }
+    let cfg = opts.lint_config();
     let mut spec_report = jinjing_lint::lint_specs(&net_spec, &acl_spec, &cfg);
     if spec_report.has_errors() {
         spec_report.sort();
@@ -514,35 +784,35 @@ pub fn lint_command(
     }
     let net = net_spec.build().map_err(err)?;
     let config = acl_spec.build(&net).map_err(err)?;
-    let program = match intent_text {
-        Some(text) => Some(validate(parse_program(text).map_err(err)?).map_err(err)?),
-        None => None,
-    };
-    let out = jinjing_core::engine::lint(&net, &config, program.as_ref(), &cfg);
-    let ReportKind::Lint(mut report) = out.kind else {
-        return Err(CliError(
-            "engine returned a non-lint report for lint".into(),
-        ));
-    };
-    report.merge(spec_report); // warning-free here, but keeps the shape honest
-    report.sort();
-    Ok(LintOutput {
-        report,
-        obs: out.obs,
+    let mut out = analyse(&net, &config, &cfg).map_err(err)?;
+    out.report.merge(spec_report); // warning-free here, but keeps the shape honest
+    out.report.sort();
+    Ok(out)
+}
+
+/// Run the static analysis pass (`jinjing lint`) over raw spec texts and an
+/// optional LAI intent program: the spec layer, then the rule, intent and
+/// network layers via [`jinjing_core::query::lint_query`] — the path the
+/// daemon's `POST /v1/lint` runs.
+#[cfg(not(jinjing_offline))]
+pub fn lint_command(
+    net_text: &str,
+    acls_text: &str,
+    intent_text: Option<&str>,
+    opts: &RunOptions,
+) -> Result<LintOutput, CliError> {
+    lint_from_specs(net_text, acls_text, opts, |net, config, cfg| {
+        lint_query(net, config, intent_text, cfg)
     })
 }
 
 /// Run the multi-tenant static analysis pass (`jinjing lint --intent
 /// tenant=FILE ...`) over raw spec texts and a set of named tenant
-/// intents.
-///
-/// The spec layer runs first exactly as in [`lint_command`]; if it errors
-/// the network cannot be built and that report is returned alone. Otherwise
-/// each tenant's text is parsed and validated (errors name the tenant) and
-/// the whole set goes through [`jinjing_core::engine::lint_multi`] — the
-/// per-tenant single-program layers plus the cross-tenant JL3xx layer with
-/// the given `priority` order. Tenant names must be unique and every name
-/// in `priority` must belong to a tenant.
+/// intents: the spec layer, then
+/// [`jinjing_core::query::lint_multi_query`] — the per-tenant
+/// single-program layers plus the cross-tenant JL3xx layer with the given
+/// `priority` order. Tenant names must be unique and every name in
+/// `priority` must belong to a tenant.
 #[cfg(not(jinjing_offline))]
 pub fn lint_multi_command(
     net_text: &str,
@@ -563,46 +833,8 @@ pub fn lint_multi_command(
             )));
         }
     }
-    let net_spec: NetworkSpec =
-        serde_json::from_str(net_text).map_err(|e| CliError(format!("network spec: {e}")))?;
-    let acl_spec: AclConfigSpec =
-        serde_json::from_str(acls_text).map_err(|e| CliError(format!("acl spec: {e}")))?;
-    let mut cfg = jinjing_lint::LintConfig {
-        threads: opts.threads,
-        ..jinjing_lint::LintConfig::default()
-    };
-    if opts.trace {
-        cfg.obs = jinjing_obs::Collector::with_trace(true);
-    }
-    let mut spec_report = jinjing_lint::lint_specs(&net_spec, &acl_spec, &cfg);
-    if spec_report.has_errors() {
-        spec_report.sort();
-        return Ok(LintOutput {
-            report: spec_report,
-            obs: cfg.obs.snapshot(),
-        });
-    }
-    let net = net_spec.build().map_err(err)?;
-    let config = acl_spec.build(&net).map_err(err)?;
-    let mut intents = Vec::with_capacity(tenants.len());
-    for (name, text) in tenants {
-        let program = validate(
-            parse_program(text).map_err(|e| CliError(format!("tenant {name}: {e}")))?,
-        )
-        .map_err(|e| CliError(format!("tenant {name}: {e}")))?;
-        intents.push(jinjing_lint::TenantIntent::new(name.clone(), program));
-    }
-    let out = jinjing_core::engine::lint_multi(&net, &config, &intents, priority, &cfg);
-    let ReportKind::Lint(mut report) = out.kind else {
-        return Err(CliError(
-            "engine returned a non-lint report for lint".into(),
-        ));
-    };
-    report.merge(spec_report);
-    report.sort();
-    Ok(LintOutput {
-        report,
-        obs: out.obs,
+    lint_from_specs(net_text, acls_text, opts, |net, config, cfg| {
+        lint_multi_query(net, config, tenants, priority, cfg)
     })
 }
 
@@ -636,10 +868,9 @@ pub fn simplify_acl_text(text: &str) -> Result<String, CliError> {
     let (s, stats) = jinjing_acl::simplify::simplify(&acl);
     let mut out = String::new();
     use std::fmt::Write;
-    for r in s.rules() {
-        let _ = writeln!(out, "{r}");
+    for line in s.lines() {
+        let _ = writeln!(out, "{line}");
     }
-    let _ = writeln!(out, "default {}", s.default_action());
     let _ = writeln!(
         out,
         "# {} rules -> {} rules in {} passes",
@@ -672,12 +903,10 @@ pub fn rollback_document(net: &Network, original: &AclConfig, plan: &PlanDocumen
                 .get(slot)
                 .cloned()
                 .unwrap_or_else(jinjing_acl::Acl::permit_all);
-            let mut lines: Vec<String> = acl.rules().iter().map(|r| r.to_string()).collect();
-            lines.push(format!("default {}", acl.default_action()));
             PlanEntry {
                 interface: entry.interface.clone(),
                 direction: entry.direction.clone(),
-                acl: lines,
+                acl: acl.lines(),
             }
         })
         .collect();
@@ -703,12 +932,10 @@ pub fn convert_cisco(
             .iter()
             .find(|l| &l.name == list_name)
             .ok_or_else(|| CliError(format!("no access list named {list_name:?} in the config")))?;
-        let mut lines: Vec<String> = found.acl.rules().iter().map(|r| r.to_string()).collect();
-        lines.push(format!("default {}", found.acl.default_action()));
         slots.push(jinjing_net::spec::AclSlotSpec {
             interface: iface.clone(),
             direction: dir.clone(),
-            acl: lines,
+            acl: found.acl.lines(),
         });
     }
     let spec = AclConfigSpec { slots };
@@ -777,10 +1004,10 @@ mod tests {
         // A consistent no-op modify.
         let intent = "acl Same {\n deny dst 1.2.0.0/16\n permit all\n}\n\
                       scope A:*, B:*\nallow A:*\nmodify A:0 to Same\ncheck\n";
-        let (text, plan) = run_command(&net, &config, intent).unwrap();
-        assert!(text.contains("consistent"), "{text}");
-        assert_eq!(plan.command, "check");
-        assert!(plan.changes.is_empty());
+        let out = run_command_with(&net, &config, intent, &RunOptions::default()).unwrap();
+        assert!(out.text.contains("consistent"), "{}", out.text);
+        assert_eq!(out.plan.command, "check");
+        assert!(out.plan.changes.is_empty());
     }
 
     #[test]
@@ -791,7 +1018,9 @@ mod tests {
         // the allowed slots.
         let intent = "acl Open { permit all }\nscope A:*, B:*\nallow A:*, B:*\n\
                       modify A:0 to Open\nfix\n";
-        let (_, plan) = run_command(&net, &config, intent).unwrap();
+        let plan = run_command_with(&net, &config, intent, &RunOptions::default())
+            .unwrap()
+            .plan;
         assert!(!plan.changes.is_empty());
         // The plan document renders as canonical JSON.
         let json = plan.to_canonical_json();
@@ -864,7 +1093,8 @@ mod tests {
         assert!(load_network("/nonexistent/net.json").is_err());
         let net = load_network(&write_temp("net4.json", NET_JSON)).unwrap();
         let bad_intent = "scope Z:*\ncheck\n";
-        assert!(run_command(&net, &AclConfig::new(), bad_intent).is_err());
+        let opts = RunOptions::default();
+        assert!(run_command_with(&net, &AclConfig::new(), bad_intent, &opts).is_err());
     }
 }
 
@@ -882,6 +1112,158 @@ allow A:*, B:*
 modify D:2 to PermitAll
 check
 ";
+
+    /// A semantically invisible update (D:2's denies reordered).
+    const CONSISTENT_INTENT: &str = "\
+acl D2r {
+    deny dst 2.0.0.0/8
+    deny dst 1.0.0.0/8
+    permit all
+}
+scope A:*, B:*, C:*, D:*
+allow D:*
+modify D:2 to D2r
+check
+";
+
+    /// The dispatcher with the Figure 1 fixture behind `--network` /
+    /// `--acls` (the paths are never opened).
+    fn cli(args: &[&str]) -> i32 {
+        let loaders = Loaders {
+            network: |_| Ok(Figure1::new().net),
+            acls: |_, _| Ok(Figure1::new().config),
+        };
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        run_cli(&args, "usage text", &loaders)
+    }
+
+    fn temp_file(name: &str, contents: &str) -> String {
+        let path = std::env::temp_dir().join(format!(
+            "jinjing-cli-dispatch-{}-{name}",
+            std::process::id()
+        ));
+        std::fs::write(&path, contents).unwrap();
+        path.to_string_lossy().into_owned()
+    }
+
+    #[test]
+    fn dispatcher_exits_with_the_answers_code() {
+        fn run<'a>(command: &'a str, rest: &[&'a str]) -> i32 {
+            let mut args = vec![command, "--network", "fig1", "--acls", "fig1"];
+            args.extend_from_slice(rest);
+            cli(&args)
+        }
+        let consistent = temp_file("consistent.lai", CONSISTENT_INTENT);
+        let inconsistent = temp_file("inconsistent.lai", CHECK_INTENT);
+        let scope = temp_file("scope.lai", "scope A:*, B:*, C:*, D:*\ncheck\n");
+        let open_d2 = temp_file("open-d2.deltas", "step open-d2\nset D:2 permit all\n");
+        let clear_d2 = temp_file("clear-d2.deltas", "step open-d2\nclear D:2\n");
+        let bad = temp_file("bad.lai", "scope Z:*\ncheck\n");
+
+        for f in ["text", "json"] {
+            assert_eq!(run("run", &["--intent", &consistent, "--format", f]), 0);
+            // A failed bare check, a rejected delta and an unorderable
+            // update all gate with 3 …
+            assert_eq!(run("run", &["--intent", &inconsistent, "--format", f]), 3);
+            let deltas = [
+                "--intent",
+                &inconsistent,
+                "--deltas",
+                &open_d2,
+                "--format",
+                f,
+            ];
+            assert_eq!(run("watch", &deltas), 3);
+            let session = [
+                "--intent",
+                &inconsistent,
+                "--session",
+                &open_d2,
+                "--format",
+                f,
+            ];
+            assert_eq!(run("run", &session), 3, "run --session is watch");
+            let target = ["--intent", &scope, "--target", &clear_d2, "--format", f];
+            assert_eq!(run("plan", &target), 3);
+            // … and anything that could not be answered exits 1.
+            assert_eq!(run("run", &["--intent", &bad, "--format", f]), 1);
+        }
+        assert_eq!(
+            run("run", &["--intent", &consistent, "--format", "yaml"]),
+            1
+        );
+        assert_eq!(run("run", &["--intent", "/nonexistent/intent.lai"]), 1);
+        assert_eq!(run("run", &[]), 1, "missing --intent");
+        assert_eq!(run("audit", &[]), 0);
+        assert_eq!(cli(&["show", "--network", "fig1"]), 0);
+        assert_eq!(cli(&["help"]), 0);
+        assert_eq!(cli(&[]), 0, "no arguments prints usage");
+        assert_eq!(cli(&["frobnicate"]), 1);
+
+        let trace_out = temp_file("trace.json", "");
+        let traced = ["--intent", &inconsistent, "--trace-out", &trace_out];
+        assert_eq!(run("trace", &traced), 3, "trace gates like run");
+        assert!(std::fs::read_to_string(&trace_out)
+            .unwrap()
+            .contains("\"traceEvents\""));
+
+        for path in [
+            consistent,
+            inconsistent,
+            scope,
+            open_d2,
+            clear_d2,
+            bad,
+            trace_out,
+        ] {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+
+    #[test]
+    fn unknown_flags_are_errors_not_ignored() {
+        let parse = |args: &[&str], allowed: &str| {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            Flags::parse(&args, allowed).map(|_| ()).map_err(|e| e.0)
+        };
+        // The three ways the old parser lost input: a misspelt flag, a
+        // flag of another subcommand, a value that never came.
+        let e = parse(&["serve", "--worker", "4"], SERVE_FLAGS).unwrap_err();
+        assert!(e.contains("unknown flag \"--worker\""), "{e}");
+        let e = parse(&["run", "--treads", "4"], RUN_FLAGS).unwrap_err();
+        assert!(e.contains("unknown flag \"--treads\""), "{e}");
+        let e = parse(&["trace", "--format", "json"], TRACE_FLAGS).unwrap_err();
+        assert!(e.contains("for `jinjing trace`"), "{e}");
+        let e = parse(&["run", "stray"], RUN_FLAGS).unwrap_err();
+        assert!(e.contains("unknown flag \"stray\""), "{e}");
+        let e = parse(&["run", "--threads"], RUN_FLAGS).unwrap_err();
+        assert!(e.contains("--threads wants a value"), "{e}");
+        assert_eq!(
+            parse(&["serve", "--trace", "--workers", "4"], SERVE_FLAGS),
+            Ok(())
+        );
+
+        // Through the dispatcher each is `error: …`, exit 1 — before any
+        // spec is loaded or any socket is bound or dialled.
+        assert_eq!(
+            cli(&["serve", "--network", "n", "--acls", "a", "--worker", "4"]),
+            1
+        );
+        assert_eq!(
+            cli(&["run", "--network", "n", "--acls", "a", "--treads", "4"]),
+            1
+        );
+        assert_eq!(cli(&["show", "--network", "n", "--acls", "a"]), 1);
+        assert_eq!(
+            cli(&["call", "--path", "/healthz", "--header", "NoColon"]),
+            1
+        );
+        let e = call_command(&["call", "--path", "/x", "--header", "NoColon"].map(String::from))
+            .unwrap_err();
+        assert!(e.to_string().contains("bad --header \"NoColon\""), "{e}");
+        let e = serve_config_from_args(&["serve", "--worker", "4"].map(String::from)).unwrap_err();
+        assert!(e.to_string().contains("unknown flag"), "{e}");
+    }
 
     #[test]
     fn deny_patterns_match_exact_glob_and_all() {

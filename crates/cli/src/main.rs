@@ -1,13 +1,11 @@
 #![forbid(unsafe_code)]
 
-//! The `jinjing` binary. Argument parsing is deliberately dependency-free
-//! (the offline crate budget goes to the algorithmic substrates); see the
-//! crate docs for the grammar.
+//! The `jinjing` binary: the usage text plus a shim. Everything else —
+//! flag checking, the subcommands, the exit-code rule — is
+//! [`jinjing_cli::run_cli`], which the library's unit tests drive
+//! directly.
 
-use jinjing_cli::{
-    audit_report, lint_command, load_acls, load_network, run_command_with, show_network,
-    simplify_acl_text, watch_command, RunOptions,
-};
+use jinjing_cli::{load_acls, load_network, run_cli, Loaders};
 
 const USAGE: &str = "\
 jinjing — safely and automatically update in-network ACL configurations
@@ -132,389 +130,11 @@ environment variable) streams events to stderr as they happen.
 (default: the JINJING_THREADS environment variable, else 1). Reports are
 byte-identical for every thread count.";
 
-fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn require(args: &[String], name: &str) -> Result<String, String> {
-    arg_value(args, name).ok_or_else(|| format!("missing required flag {name}"))
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match real_main(&args) {
-        Ok(()) => 0,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            if msg.contains("usage") || args.is_empty() {
-                eprintln!("\n{USAGE}");
-            }
-            1
-        }
+    let loaders = Loaders {
+        network: load_network,
+        acls: load_acls,
     };
-    std::process::exit(code);
-}
-
-/// The shared incremental path behind `jinjing watch` and
-/// `jinjing run --session`.
-fn run_watch(
-    net: &jinjing_net::Network,
-    config: &jinjing_net::AclConfig,
-    intent: &str,
-    deltas_path: &str,
-    opts: &RunOptions,
-    args: &[String],
-) -> Result<(), String> {
-    let deltas = std::fs::read_to_string(deltas_path).map_err(|e| format!("{deltas_path}: {e}"))?;
-    let out = watch_command(net, config, intent, &deltas, opts).map_err(|e| e.to_string())?;
-    match arg_value(args, "--format").as_deref() {
-        Some("json") => print!("{}", out.to_canonical_json()),
-        None | Some("text") => print!("{}", out.text),
-        Some(other) => return Err(format!("unknown --format {other:?} (text|json)")),
-    }
-    if let Some(path) = arg_value(args, "--metrics-out") {
-        std::fs::write(&path, out.obs.to_json()).map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("metrics written to {path}");
-    }
-    // Pipelines gate on rejected (inconsistent) deltas, like a failed check.
-    if out.rejected > 0 {
-        std::process::exit(3);
-    }
-    Ok(())
-}
-
-fn real_main(args: &[String]) -> Result<(), String> {
-    let command = args.first().map(String::as_str).unwrap_or("");
-    match command {
-        "run" => {
-            let net_path = require(args, "--network")?;
-            let acl_path = require(args, "--acls")?;
-            let intent_path = require(args, "--intent")?;
-            let net = load_network(&net_path).map_err(|e| e.to_string())?;
-            let config = load_acls(&acl_path, &net).map_err(|e| e.to_string())?;
-            let intent =
-                std::fs::read_to_string(&intent_path).map_err(|e| format!("{intent_path}: {e}"))?;
-            let threads = match arg_value(args, "--threads") {
-                Some(n) => n
-                    .parse::<usize>()
-                    .map_err(|_| format!("--threads wants a number, got {n:?}"))?,
-                None => 0,
-            };
-            let opts = RunOptions {
-                trace: args.iter().any(|a| a == "--trace"),
-                threads,
-            };
-            // `run --session <deltas>` is the incremental path (see watch).
-            if let Some(deltas_path) = arg_value(args, "--session") {
-                return run_watch(&net, &config, &intent, &deltas_path, &opts, args);
-            }
-            let out = run_command_with(&net, &config, &intent, &opts).map_err(|e| e.to_string())?;
-            let (text, plan) = (out.text, out.plan);
-            match arg_value(args, "--format").as_deref() {
-                Some("json") => print!("{}", plan.to_canonical_json()),
-                None | Some("text") => print!("{text}"),
-                Some(other) => return Err(format!("unknown --format {other:?} (text|json)")),
-            }
-            if let Some(path) = arg_value(args, "--metrics-out") {
-                std::fs::write(&path, out.obs.to_json()).map_err(|e| format!("{path}: {e}"))?;
-                println!("metrics written to {path}");
-            }
-            if !plan.changes.is_empty() {
-                println!("changed slots: {}", plan.changes.len());
-            }
-            if let Some(out) = arg_value(args, "--rollback-out") {
-                let rollback = jinjing_cli::rollback_document(&net, &config, &plan);
-                std::fs::write(&out, rollback.to_canonical_json())
-                    .map_err(|e| format!("{out}: {e}"))?;
-                println!("rollback plan written to {out}");
-            }
-            if let Some(out) = arg_value(args, "--plan-out") {
-                std::fs::write(&out, plan.to_canonical_json())
-                    .map_err(|e| format!("{out}: {e}"))?;
-                println!("plan written to {out}");
-            }
-            // Exit non-zero when a bare check fails, so pipelines can gate
-            // deployments on it.
-            if plan.command == "check" && plan.verdict.starts_with("inconsistent") {
-                std::process::exit(3);
-            }
-            Ok(())
-        }
-        "watch" => {
-            let net_path = require(args, "--network")?;
-            let acl_path = require(args, "--acls")?;
-            let intent_path = require(args, "--intent")?;
-            let deltas_path = require(args, "--deltas")?;
-            let net = load_network(&net_path).map_err(|e| e.to_string())?;
-            let config = load_acls(&acl_path, &net).map_err(|e| e.to_string())?;
-            let intent =
-                std::fs::read_to_string(&intent_path).map_err(|e| format!("{intent_path}: {e}"))?;
-            let threads = match arg_value(args, "--threads") {
-                Some(n) => n
-                    .parse::<usize>()
-                    .map_err(|_| format!("--threads wants a number, got {n:?}"))?,
-                None => 0,
-            };
-            let opts = RunOptions {
-                trace: args.iter().any(|a| a == "--trace"),
-                threads,
-            };
-            run_watch(&net, &config, &intent, &deltas_path, &opts, args)
-        }
-        "trace" => {
-            let net_path = require(args, "--network")?;
-            let acl_path = require(args, "--acls")?;
-            let intent_path = require(args, "--intent")?;
-            let net = load_network(&net_path).map_err(|e| e.to_string())?;
-            let config = load_acls(&acl_path, &net).map_err(|e| e.to_string())?;
-            let intent =
-                std::fs::read_to_string(&intent_path).map_err(|e| format!("{intent_path}: {e}"))?;
-            let threads = match arg_value(args, "--threads") {
-                Some(n) => n
-                    .parse::<usize>()
-                    .map_err(|_| format!("--threads wants a number, got {n:?}"))?,
-                None => 0,
-            };
-            let opts = RunOptions {
-                trace: args.iter().any(|a| a == "--trace"),
-                threads,
-            };
-            let out = jinjing_cli::trace_command(&net, &config, &intent, &opts)
-                .map_err(|e| e.to_string())?;
-            let path = arg_value(args, "--trace-out").unwrap_or_else(|| "trace.json".to_string());
-            std::fs::write(&path, &out.chrome_json).map_err(|e| format!("{path}: {e}"))?;
-            print!("{}", out.summary);
-            eprintln!("trace {} written to {path}", out.trace_id);
-            if out.events_dropped > 0 {
-                eprintln!(
-                    "warning: {} event(s) dropped (flight-recorder ring full)",
-                    out.events_dropped
-                );
-            }
-            // Exit parity with `run`: a failed bare check gates with 3.
-            if out.run.plan.command == "check" && out.run.plan.verdict.starts_with("inconsistent") {
-                std::process::exit(3);
-            }
-            Ok(())
-        }
-        "plan" => {
-            let net_path = require(args, "--network")?;
-            let acl_path = require(args, "--acls")?;
-            let intent_path = require(args, "--intent")?;
-            let net = load_network(&net_path).map_err(|e| e.to_string())?;
-            let config = load_acls(&acl_path, &net).map_err(|e| e.to_string())?;
-            let intent =
-                std::fs::read_to_string(&intent_path).map_err(|e| format!("{intent_path}: {e}"))?;
-            let target = match arg_value(args, "--target") {
-                Some(p) => Some(std::fs::read_to_string(&p).map_err(|e| format!("{p}: {e}"))?),
-                None => None,
-            };
-            let max_waves = match arg_value(args, "--max-waves") {
-                Some(n) => n
-                    .parse::<usize>()
-                    .map_err(|_| format!("--max-waves wants a number, got {n:?}"))?,
-                None => 0,
-            };
-            let threads = match arg_value(args, "--threads") {
-                Some(n) => n
-                    .parse::<usize>()
-                    .map_err(|_| format!("--threads wants a number, got {n:?}"))?,
-                None => 0,
-            };
-            let opts = RunOptions {
-                trace: args.iter().any(|a| a == "--trace"),
-                threads,
-            };
-            let out =
-                jinjing_cli::plan_command(&net, &config, &intent, target.as_deref(), max_waves, &opts)
-                    .map_err(|e| e.to_string())?;
-            match arg_value(args, "--format").as_deref() {
-                Some("json") => print!("{}", out.json),
-                None | Some("text") => print!("{}", out.text),
-                Some(other) => return Err(format!("unknown --format {other:?} (text|json)")),
-            }
-            if let Some(path) = arg_value(args, "--metrics-out") {
-                std::fs::write(&path, out.obs.to_json()).map_err(|e| format!("{path}: {e}"))?;
-                eprintln!("metrics written to {path}");
-            }
-            // Pipelines gate on an unorderable update, like a failed check.
-            if !out.feasible {
-                std::process::exit(3);
-            }
-            Ok(())
-        }
-        "lint" => {
-            let net_path = require(args, "--network")?;
-            let acl_path = require(args, "--acls")?;
-            let net_text =
-                std::fs::read_to_string(&net_path).map_err(|e| format!("{net_path}: {e}"))?;
-            let acls_text =
-                std::fs::read_to_string(&acl_path).map_err(|e| format!("{acl_path}: {e}"))?;
-            // Repeatable --intent. Plain FILE is a single-program run;
-            // tenant=FILE values select the multi-tenant pass (all values
-            // must then carry a tenant name).
-            let intent_args: Vec<String> = args
-                .windows(2)
-                .filter(|w| w[0] == "--intent")
-                .map(|w| w[1].clone())
-                .collect();
-            let threads = match arg_value(args, "--threads") {
-                Some(n) => n
-                    .parse::<usize>()
-                    .map_err(|_| format!("--threads wants a number, got {n:?}"))?,
-                None => 0,
-            };
-            let opts = RunOptions {
-                trace: args.iter().any(|a| a == "--trace"),
-                threads,
-            };
-            let multi = intent_args.iter().any(|v| v.contains('='));
-            let out = if multi {
-                let mut tenants = Vec::with_capacity(intent_args.len());
-                for v in &intent_args {
-                    let Some((tenant, path)) = v.split_once('=') else {
-                        return Err(format!(
-                            "--intent {v:?}: multi-tenant lint needs tenant=FILE for every intent"
-                        ));
-                    };
-                    if tenant.is_empty() {
-                        return Err(format!("--intent {v:?}: empty tenant name"));
-                    }
-                    let text =
-                        std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-                    tenants.push((tenant.to_string(), text));
-                }
-                let priority: Vec<String> = arg_value(args, "--priority")
-                    .map(|p| p.split(',').map(str::to_string).collect())
-                    .unwrap_or_default();
-                jinjing_cli::lint_multi_command(&net_text, &acls_text, &tenants, &priority, &opts)
-                    .map_err(|e| e.to_string())?
-            } else {
-                if intent_args.len() > 1 {
-                    return Err(
-                        "multiple --intent flags need tenant=FILE form (multi-tenant lint)"
-                            .to_string(),
-                    );
-                }
-                let intent_text = match intent_args.first() {
-                    Some(p) => {
-                        Some(std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?)
-                    }
-                    None => None,
-                };
-                lint_command(&net_text, &acls_text, intent_text.as_deref(), &opts)
-                    .map_err(|e| e.to_string())?
-            };
-            match arg_value(args, "--format").as_deref() {
-                Some("json") => println!("{}", out.report.to_json()),
-                Some("sarif") => println!("{}", jinjing_lint::to_sarif(&out.report)),
-                None | Some("text") => print!("{}", out.report.render_text()),
-                Some(other) => {
-                    return Err(format!("unknown --format {other:?} (text|json|sarif)"))
-                }
-            }
-            if let Some(path) = arg_value(args, "--metrics-out") {
-                std::fs::write(&path, out.obs.to_json()).map_err(|e| format!("{path}: {e}"))?;
-                eprintln!("metrics written to {path}");
-            }
-            // Exit-code policy: error-severity findings always gate;
-            // --deny escalates codes (repeatable; exact `JL301`, family
-            // glob `JL3*`, or `all`).
-            let denied: Vec<String> = args
-                .windows(2)
-                .filter(|w| w[0] == "--deny")
-                .map(|w| w[1].clone())
-                .collect();
-            if jinjing_cli::lint_gate(&out.report, &denied) {
-                std::process::exit(4);
-            }
-            Ok(())
-        }
-        "audit" => {
-            let net_path = require(args, "--network")?;
-            let acl_path = require(args, "--acls")?;
-            let net = load_network(&net_path).map_err(|e| e.to_string())?;
-            let config = load_acls(&acl_path, &net).map_err(|e| e.to_string())?;
-            print!("{}", audit_report(&net, &config));
-            Ok(())
-        }
-        "show" => {
-            let net_path = require(args, "--network")?;
-            let net = load_network(&net_path).map_err(|e| e.to_string())?;
-            print!("{}", show_network(&net));
-            Ok(())
-        }
-        "convert" => {
-            let cfg_path = require(args, "--cisco-config")?;
-            let text =
-                std::fs::read_to_string(&cfg_path).map_err(|e| format!("{cfg_path}: {e}"))?;
-            let mut mappings = Vec::new();
-            let mut it = args.iter();
-            while let Some(a) = it.next() {
-                if a == "--map" {
-                    let m = it.next().ok_or("--map needs LIST=dev:iface[-dir]")?;
-                    let (list, slot) = m
-                        .split_once('=')
-                        .ok_or_else(|| format!("bad --map {m:?}"))?;
-                    let (iface, dir) = match slot.rsplit_once('-') {
-                        Some((i, d @ ("in" | "out"))) => (i.to_string(), d.to_string()),
-                        _ => (slot.to_string(), "in".to_string()),
-                    };
-                    mappings.push((list.to_string(), iface, dir));
-                }
-            }
-            if mappings.is_empty() {
-                return Err("convert needs at least one --map".to_string());
-            }
-            let json = jinjing_cli::convert_cisco(&text, &mappings).map_err(|e| e.to_string())?;
-            match arg_value(args, "--out") {
-                Some(out) => {
-                    std::fs::write(&out, json).map_err(|e| format!("{out}: {e}"))?;
-                    println!("wrote {out}");
-                }
-                None => println!("{json}"),
-            }
-            Ok(())
-        }
-        "serve" => {
-            let net_path = require(args, "--network")?;
-            let acl_path = require(args, "--acls")?;
-            let net = load_network(&net_path).map_err(|e| e.to_string())?;
-            let config = load_acls(&acl_path, &net).map_err(|e| e.to_string())?;
-            let cfg = jinjing_cli::serve_config_from_args(args).map_err(|e| e.to_string())?;
-            jinjing_cli::serve_command(net, config, cfg).map_err(|e| e.to_string())
-        }
-        "shard" => {
-            let net_path = require(args, "--network")?;
-            let acl_path = require(args, "--acls")?;
-            let net = load_network(&net_path).map_err(|e| e.to_string())?;
-            let config = load_acls(&acl_path, &net).map_err(|e| e.to_string())?;
-            let cfg = jinjing_cli::shard_config_from_args(args).map_err(|e| e.to_string())?;
-            jinjing_cli::shard_command(net, config, cfg).map_err(|e| e.to_string())
-        }
-        "call" => {
-            // Exit with the daemon's X-Jinjing-Exit code so pipelines can
-            // gate on a remote daemon exactly as on a local run.
-            let code = jinjing_cli::call_command(args).map_err(|e| e.to_string())?;
-            if code != 0 {
-                std::process::exit(code);
-            }
-            Ok(())
-        }
-        "simplify" => {
-            let acl_path = require(args, "--acl-file")?;
-            let text =
-                std::fs::read_to_string(&acl_path).map_err(|e| format!("{acl_path}: {e}"))?;
-            print!("{}", simplify_acl_text(&text).map_err(|e| e.to_string())?);
-            Ok(())
-        }
-        "" | "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?} (see `jinjing help`)")),
-    }
+    std::process::exit(run_cli(&args, USAGE, &loaders));
 }

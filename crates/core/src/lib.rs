@@ -76,8 +76,9 @@ pub use crate::plan::{
 };
 pub use crate::qcache::{CachedSolve, QueryCache, QueryKey};
 pub use crate::query::{
-    open_intent_session, plan_query, recheck_steps, render_rollout_json, run_query, watch_query,
-    PlanDocument, PlanEntry, PlanRunOutput, QueryError, RunOutput, WatchOutput, WatchStep,
+    lint_multi_query, lint_query, open_intent_session, plan_query, recheck_steps,
+    render_rollout_json, run_query, watch_query, Answer, LintOutput, PlanDocument, PlanEntry,
+    PlanRunOutput, QueryError, Reject, RunOutput, WatchOutput, WatchStep,
 };
 pub use crate::resolve::{resolve, ResolveError};
 pub use crate::task::Task;

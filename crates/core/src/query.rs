@@ -6,9 +6,10 @@
 //! HTTP and its contract is that a response body is *byte-identical* to
 //! the corresponding CLI output. Sharing one renderer is the only honest
 //! way to keep that promise (goldens are shared, not duplicated), so the
-//! output structs ([`PlanDocument`], [`WatchOutput`]) and the functions
-//! that produce them ([`run_query`], [`watch_query`]) live here, beneath
-//! both front ends.
+//! output structs ([`PlanDocument`], [`WatchOutput`], [`LintOutput`]) and
+//! the functions that produce them ([`run_query`], [`plan_query`],
+//! [`watch_query`], [`lint_query`], [`lint_multi_query`]) live here,
+//! beneath every front end.
 //!
 //! Canonical JSON means: strict JSON through
 //! [`jinjing_obs::json::JsonWriter`], keys in sorted order, no
@@ -20,30 +21,121 @@
 //! [`CheckSession`] resident and replays the `watch` protocol one delta
 //! batch per request, rendering each batch with the same writer the CLI
 //! uses for a whole script.
+//!
+//! Every front door hands back the same two shapes: an [`Answer`] — the
+//! canonical body plus the exit code a pipeline gates on, decided here on
+//! the outputs and nowhere else — or a [`QueryError`], which a server
+//! turns into a typed [`Reject`] (400 for a request at fault, 502 for a
+//! failed shard fan-out) and the CLI into exit 1.
 
 use crate::check::CheckOutcome;
-use crate::engine::{open_session, render_plan, run, EngineConfig, ReportKind};
+use crate::engine::{open_session, render_plan, run, EngineConfig, EngineError, ReportKind};
 use crate::incr::{CheckSession, Delta};
 use jinjing_lai::{parse_program, validate};
+use jinjing_lint::{LintConfig, LintReport, TenantIntent};
 use jinjing_net::{AclConfig, Network};
 use jinjing_obs::json::JsonWriter;
 
 /// Everything that can go wrong executing a query, as a printable
-/// message. Front ends map this onto their own error types (CLI exit
-/// code 1, HTTP 400).
+/// message plus *whose* fault it is — the one distinction a front end
+/// needs (see [`Reject`]).
 #[derive(Debug)]
-pub struct QueryError(pub String);
+pub enum QueryError {
+    /// The request is at fault: unparsable or invalid intent, unknown
+    /// interface, a bad delta script, an engine budget exceeded.
+    Invalid(String),
+    /// The shard fan-out behind a delegated check failed — a gateway
+    /// fault, not the caller's.
+    Shard(String),
+}
 
 impl std::fmt::Display for QueryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
+        let (QueryError::Invalid(msg) | QueryError::Shard(msg)) = self;
+        write!(f, "{msg}")
     }
 }
 
 impl std::error::Error for QueryError {}
 
 fn err(e: impl std::fmt::Display) -> QueryError {
-    QueryError(e.to_string())
+    QueryError::Invalid(e.to_string())
+}
+
+impl From<EngineError> for QueryError {
+    fn from(e: EngineError) -> QueryError {
+        use crate::{fix::FixError, plan::PlanError};
+        let msg = e.to_string();
+        match e {
+            EngineError::Shard(_)
+            | EngineError::Fix(FixError::Shard(_))
+            | EngineError::Plan(PlanError::Shard(_)) => QueryError::Shard(msg),
+            EngineError::Classes(_)
+            | EngineError::Fix(_)
+            | EngineError::Generate(_)
+            | EngineError::Plan(_) => QueryError::Invalid(msg),
+        }
+    }
+}
+
+/// What every front door answers a served query with. The CLI prints
+/// `body` and exits with `exit`; the daemon and the coordinator send
+/// `body` with `exit` in `X-Jinjing-Exit`. The exit policy lives on the
+/// outputs and nowhere else: 3 for an inconsistent check, an infeasible
+/// plan or a rejected delta ([`RunOutput::answer`],
+/// [`PlanRunOutput::answer`], [`WatchOutput::answer`]), 4 for lint errors
+/// ([`LintReport::exit_code`]), otherwise 0.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Answer {
+    /// Canonical JSON, newline-terminated.
+    pub body: String,
+    /// Process exit code / `X-Jinjing-Exit` value.
+    pub exit: i32,
+}
+
+impl Answer {
+    /// The answer to a lint run: the report's JSON and its gate.
+    pub fn of_lint(report: &LintReport) -> Answer {
+        let mut body = report.to_json();
+        body.push('\n');
+        Answer {
+            body,
+            exit: report.exit_code(),
+        }
+    }
+}
+
+/// A query refused: the HTTP status a server answers with (the CLI exits
+/// 1 on any of them) and the message for the canonical error document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Reject {
+    /// HTTP status: 400 for a request at fault, 502 for a failed shard
+    /// fan-out, 404 / 408 / 413 from the serving layers.
+    pub status: u16,
+    /// Human-readable cause.
+    pub message: String,
+}
+
+impl Reject {
+    /// A 400: the request itself is at fault.
+    pub fn bad_request(message: impl std::fmt::Display) -> Reject {
+        Reject {
+            status: 400,
+            message: message.to_string(),
+        }
+    }
+}
+
+impl From<QueryError> for Reject {
+    fn from(e: QueryError) -> Reject {
+        Reject {
+            status: match e {
+                QueryError::Invalid(_) => 400,
+                QueryError::Shard(_) => 502,
+            },
+            message: e.to_string(),
+        }
+    }
 }
 
 /// One changed slot in the machine-readable plan.
@@ -117,6 +209,18 @@ pub struct RunOutput {
     pub obs: jinjing_obs::Snapshot,
 }
 
+impl RunOutput {
+    /// The canonical plan document; a failed bare `check` gates with 3.
+    pub fn answer(&self) -> Answer {
+        let failed_check =
+            self.plan.command == "check" && self.plan.verdict.starts_with("inconsistent");
+        Answer {
+            body: self.plan.to_canonical_json(),
+            exit: if failed_check { 3 } else { 0 },
+        }
+    }
+}
+
 /// Run an LAI program against a network + configuration under an explicit
 /// [`EngineConfig`] (thread override, shared query cache, observability
 /// collector). This is the one code path behind `jinjing run` and the
@@ -130,7 +234,7 @@ pub fn run_query(
     let program = validate(parse_program(intent_text).map_err(err)?).map_err(err)?;
     let command = program.command.expect("validated programs have a command");
     let task = crate::resolve::resolve(net, &program, config).map_err(err)?;
-    let report = run(net, &task, cfg).map_err(err)?;
+    let report = run(net, &task, cfg)?;
 
     let mut text = String::new();
     use std::fmt::Write;
@@ -181,18 +285,16 @@ pub fn run_query(
         None => Vec::new(),
         Some(to) => render_plan(net, config, to)
             .into_iter()
-            .map(|(slot, name, acl_text)| {
-                let (iface, dir) = name.rsplit_once('-').expect("name has -dir suffix");
-                let _ = slot;
-                PlanEntry {
-                    interface: iface.to_string(),
-                    direction: dir.to_string(),
-                    acl: acl_text
-                        .lines()
-                        .map(|l| l.trim().to_string())
-                        .map(|l| l.replace("(default ", "default ").replace(')', ""))
-                        .collect(),
-                }
+            .map(|(slot, _, _)| PlanEntry {
+                interface: net.topology().iface_name(slot.iface),
+                direction: slot.dir.to_string(),
+                // Fix and generate only ever set slots; an absent one
+                // would behave as permit-all, as in a rollout step.
+                acl: to
+                    .get(slot)
+                    .cloned()
+                    .unwrap_or_else(jinjing_acl::Acl::permit_all)
+                    .lines(),
             })
             .collect(),
     };
@@ -223,19 +325,22 @@ pub struct PlanRunOutput {
     pub obs: jinjing_obs::Snapshot,
 }
 
+impl PlanRunOutput {
+    /// The canonical rollout document; an unorderable update gates with 3.
+    pub fn answer(&self) -> Answer {
+        Answer {
+            body: self.json.clone(),
+            exit: if self.feasible { 0 } else { 3 },
+        }
+    }
+}
+
 /// Render a [`RolloutPlan`](crate::plan::RolloutPlan) as canonical JSON:
 /// strict JSON, keys in sorted order, no wall-clock — byte-stable across
 /// runs, thread counts and query-store contents.
 pub fn render_rollout_json(net: &Network, rollout: &crate::plan::RolloutPlan) -> String {
     use crate::plan::PlanOutcome;
     let topo = net.topology();
-    let acl_lines = |acl: &jinjing_acl::Acl| -> Vec<String> {
-        acl.to_string()
-            .lines()
-            .map(|l| l.trim().to_string())
-            .map(|l| l.replace("(default ", "default ").replace(')', ""))
-            .collect()
-    };
     let (waves, certificates, core): (&[Vec<usize>], &[crate::plan::WaveCertificate], &[usize]) =
         match &rollout.outcome {
             PlanOutcome::Feasible {
@@ -305,7 +410,7 @@ pub fn render_rollout_json(net: &Network, rollout: &crate::plan::RolloutPlan) ->
             let effective = acl
                 .clone()
                 .unwrap_or_else(jinjing_acl::Acl::permit_all);
-            for line in acl_lines(&effective) {
+            for line in effective.lines() {
                 w.string(&line);
             }
             w.end_array();
@@ -370,7 +475,7 @@ pub fn plan_query(
         }
         None => task.after.clone(),
     };
-    let report = crate::engine::plan(net, &task, &target, cfg).map_err(err)?;
+    let report = crate::engine::plan(net, &task, &target, cfg)?;
     let ReportKind::Plan(rollout) = &report.kind else {
         unreachable!("engine::plan yields a plan report")
     };
@@ -499,6 +604,14 @@ impl WatchOutput {
         }
     }
 
+    /// The canonical watch document; any rejected delta gates with 3.
+    pub fn answer(&self) -> Answer {
+        Answer {
+            body: self.to_canonical_json(),
+            exit: if self.rejected > 0 { 3 } else { 0 },
+        }
+    }
+
     /// Canonical JSON rendering (the `watch --format json` output and the
     /// daemon's session-delta response body): strict JSON, sorted keys,
     /// no timings — byte-stable across runs, thread counts and cache
@@ -557,7 +670,7 @@ pub fn open_intent_session<'n>(
 ) -> Result<CheckSession<'n>, QueryError> {
     let program = validate(parse_program(intent_text).map_err(err)?).map_err(err)?;
     let task = crate::resolve::resolve(net, &program, config).map_err(err)?;
-    open_session(net, &task, cfg).map_err(err)
+    Ok(open_session(net, &task, cfg)?)
 }
 
 /// Run a batch of labeled deltas through a session, one
@@ -573,7 +686,7 @@ pub fn recheck_steps(
 ) -> Result<Vec<WatchStep>, QueryError> {
     let mut steps = Vec::with_capacity(deltas.len());
     for (label, delta) in deltas {
-        let r = session.recheck(delta).map_err(err)?;
+        let r = session.recheck(delta).map_err(EngineError::from)?;
         let verdict = match &r.report.outcome {
             CheckOutcome::Consistent => "consistent".to_string(),
             CheckOutcome::Inconsistent(v) => format!("inconsistent (witness {})", v.packet),
@@ -615,6 +728,68 @@ pub fn watch_query(
         steps,
         cfg.obs.snapshot(),
     ))
+}
+
+/// Everything a lint run produces.
+#[derive(Debug)]
+pub struct LintOutput {
+    /// The merged, sorted diagnostics from every analysis layer.
+    pub report: LintReport,
+    /// The run's observability snapshot (`lint.*` spans and counters).
+    pub obs: jinjing_obs::Snapshot,
+}
+
+fn lint_output(out: crate::engine::Report) -> LintOutput {
+    let ReportKind::Lint(report) = out.kind else {
+        unreachable!("engine::lint yields a lint report")
+    };
+    LintOutput {
+        report,
+        obs: out.obs,
+    }
+}
+
+/// Lint a network + configuration and, when given, one LAI intent: parse
+/// and validate the program, then run
+/// [`engine::lint`](crate::engine::lint). The one code path behind
+/// `jinjing lint` and the daemon's `POST /v1/lint`; [`Answer::of_lint`]
+/// renders the report.
+pub fn lint_query(
+    net: &Network,
+    config: &AclConfig,
+    intent_text: Option<&str>,
+    cfg: &LintConfig,
+) -> Result<LintOutput, QueryError> {
+    let program = match intent_text {
+        Some(text) => Some(validate(parse_program(text).map_err(err)?).map_err(err)?),
+        None => None,
+    };
+    let out = crate::engine::lint(net, config, program.as_ref(), cfg);
+    Ok(lint_output(out))
+}
+
+/// The cross-tenant lint pass over `(tenant, intent text)` pairs: parse
+/// and validate each program (errors name the tenant), then run
+/// [`engine::lint_multi`](crate::engine::lint_multi) under the given
+/// `priority` order. The one code path behind
+/// `jinjing lint --intent tenant=FILE ...` and `POST /v1/lint/multi`.
+pub fn lint_multi_query(
+    net: &Network,
+    config: &AclConfig,
+    tenants: &[(String, String)],
+    priority: &[String],
+    cfg: &LintConfig,
+) -> Result<LintOutput, QueryError> {
+    let mut intents = Vec::with_capacity(tenants.len());
+    for (name, text) in tenants {
+        let program = parse_program(text)
+            .map_err(err)
+            .and_then(|p| validate(p).map_err(err))
+            .map_err(|e| QueryError::Invalid(format!("tenant {name}: {e}")))?;
+        intents.push(TenantIntent::new(name.clone(), program));
+    }
+    let out = crate::engine::lint_multi(net, config, &intents, priority, cfg);
+    Ok(lint_output(out))
 }
 
 #[cfg(test)]
@@ -674,6 +849,108 @@ check
         merged.extend(batch2.steps);
         let merged = WatchOutput::from_steps(class_count, 2, merged, cfg.obs.snapshot());
         assert_eq!(merged.to_canonical_json(), whole.to_canonical_json());
+    }
+
+    /// A semantically invisible update (D:2's denies reordered).
+    const CONSISTENT_INTENT: &str = "\
+acl D2r {
+    deny dst 2.0.0.0/8
+    deny dst 1.0.0.0/8
+    permit all
+}
+scope A:*, B:*, C:*, D:*
+allow D:*
+modify D:2 to D2r
+check
+";
+
+    #[test]
+    fn the_exit_policy_lives_on_the_outputs() {
+        let f = Figure1::new();
+        let cfg = EngineConfig::default();
+        let run = |intent: &str| run_query(&f.net, &f.config, intent, &cfg).unwrap().answer();
+        assert_eq!(run(CONSISTENT_INTENT).exit, 0);
+        let failed = run(CHECK_INTENT);
+        assert_eq!(failed.exit, 3, "a failed bare check gates");
+        assert!(failed.body.ends_with("}\n"), "{}", failed.body);
+        // Only `check` gates on its verdict: fix of the same update repairs it.
+        assert_eq!(run(&CHECK_INTENT.replace("\ncheck\n", "\nfix\n")).exit, 0);
+
+        let watch = |script: &str| {
+            watch_query(&f.net, &f.config, CHECK_INTENT, script, &cfg)
+                .unwrap()
+                .answer()
+        };
+        assert_eq!(watch("step noop\n").exit, 0);
+        assert_eq!(watch("step open\nset D:2 permit all\n").exit, 3);
+
+        let plan = |target: &str| {
+            let scope = "scope A:*, B:*, C:*, D:*\ncheck\n";
+            let out = plan_query(&f.net, &f.config, scope, Some(target), &cfg).unwrap();
+            assert_eq!(out.answer().body, out.json);
+            out.answer().exit
+        };
+        assert_eq!(plan("step noop\n"), 0);
+        assert_eq!(plan("step open\nclear D:2\n"), 3, "no safe ordering");
+
+        use jinjing_lint::{Diagnostic, Severity};
+        let mut report = LintReport::new();
+        report.push(Diagnostic::new("JL301", Severity::Warning, "multi:x", "m"));
+        assert_eq!(Answer::of_lint(&report).exit, 0);
+        report.push(Diagnostic::new("JL201", Severity::Error, "spec:x", "m"));
+        let gated = Answer::of_lint(&report);
+        assert_eq!(gated.exit, 4);
+        assert_eq!(gated.body, report.to_json() + "\n");
+    }
+
+    #[test]
+    fn a_failed_fan_out_rejects_with_502_and_a_bad_request_with_400() {
+        #[derive(Debug)]
+        struct DeadBackend;
+        impl crate::check::CheckDelegate for DeadBackend {
+            fn check(
+                &self,
+                _: &AclConfig,
+                _: &AclConfig,
+            ) -> Result<Option<(usize, usize)>, String> {
+                Err("shard 1/2: backend down".to_string())
+            }
+        }
+        let f = Figure1::new();
+        let mut cfg = EngineConfig::default();
+        cfg.check.delegate = Some(std::sync::Arc::new(DeadBackend));
+        let script = "step a\nset D:2 deny dst 2.0.0.0/8; deny dst 1.0.0.0/8\n";
+        let failures = [
+            run_query(&f.net, &f.config, CHECK_INTENT, &cfg).map(|_| ()),
+            plan_query(&f.net, &f.config, CHECK_INTENT, None, &cfg).map(|_| ()),
+            watch_query(&f.net, &f.config, CHECK_INTENT, script, &cfg).map(|_| ()),
+        ];
+        for failure in failures {
+            let reject = Reject::from(failure.unwrap_err());
+            assert_eq!(reject.status, 502, "{}", reject.message);
+            assert_eq!(
+                reject.message,
+                "shard fan-out failed: shard 1/2: backend down"
+            );
+        }
+        // The same queries at fault themselves are the caller's problem.
+        let bad = run_query(&f.net, &f.config, "scope Z:*\ncheck\n", &cfg).unwrap_err();
+        assert_eq!(Reject::from(bad).status, 400);
+        let bad = lint_multi_query(
+            &f.net,
+            &f.config,
+            &[("alpha".to_string(), "scope Z:*".to_string())],
+            &[],
+            &LintConfig::default(),
+        )
+        .unwrap_err();
+        let reject = Reject::from(bad);
+        assert_eq!(reject.status, 400);
+        assert!(
+            reject.message.starts_with("tenant alpha: "),
+            "{}",
+            reject.message
+        );
     }
 
     #[test]

@@ -256,6 +256,16 @@ impl LintReport {
         self.count(Severity::Error) > 0
     }
 
+    /// The exit code a lint run gates pipelines with, at every front
+    /// door: 4 when any finding is an error, else 0.
+    pub fn exit_code(&self) -> i32 {
+        if self.has_errors() {
+            4
+        } else {
+            0
+        }
+    }
+
     /// `true` when any finding carries the given code.
     pub fn has_code(&self, code: &str) -> bool {
         self.diagnostics.iter().any(|d| d.code == code)

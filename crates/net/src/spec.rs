@@ -295,15 +295,10 @@ impl AclConfigSpec {
         let slots = config
             .slots()
             .into_iter()
-            .map(|slot| {
-                let acl = config.get(slot).expect("listed slot");
-                let mut lines: Vec<String> = acl.rules().iter().map(|r| r.to_string()).collect();
-                lines.push(format!("default {}", acl.default_action()));
-                AclSlotSpec {
-                    interface: topo.iface_name(slot.iface),
-                    direction: slot.dir.to_string(),
-                    acl: lines,
-                }
+            .map(|slot| AclSlotSpec {
+                interface: topo.iface_name(slot.iface),
+                direction: slot.dir.to_string(),
+                acl: config.get(slot).expect("listed slot").lines(),
             })
             .collect();
         AclConfigSpec { slots }

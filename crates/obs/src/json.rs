@@ -133,6 +133,12 @@ impl JsonWriter {
         self.comma();
         self.out.push_str(if v { "true" } else { "false" });
     }
+
+    /// A `null` value.
+    pub fn null(&mut self) {
+        self.comma();
+        self.out.push_str("null");
+    }
 }
 
 /// A parsed JSON value.

@@ -654,6 +654,14 @@ impl Snapshot {
     /// Render the whole snapshot as strict JSON with stable key ordering.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    /// Write the snapshot as one JSON value into `w` — the same bytes as
+    /// [`Snapshot::to_json`], for documents that embed a snapshot (the
+    /// shard wire report).
+    pub fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
         w.key("counters");
         w.begin_object();
@@ -688,13 +696,12 @@ impl Snapshot {
         w.begin_object();
         for (k, h) in &self.histograms {
             w.key(k);
-            h.write_json(&mut w);
+            h.write_json(w);
         }
         w.end_object();
         w.key("spans");
-        self.spans.write_json(&mut w);
+        self.spans.write_json(w);
         w.end_object();
-        w.finish()
     }
 
     /// Fold `other` into `self`, as if both collectors had recorded into

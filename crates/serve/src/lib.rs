@@ -44,6 +44,14 @@
 //! ends call the same renderers in [`jinjing_core::query`], so the golden
 //! files under `tests/golden/` pin the daemon and the CLI at once.
 //!
+//! **One path, one exit rule.** Every queueable route is a row of one
+//! endpoint table and runs through one `dispatch`: queue deadline → body
+//! → trace opt-in → handler → response. A handler returns the query
+//! layer's [`Answer`] (canonical body + the exit code `jinjing` itself
+//! would exit with) or a typed [`Reject`]; `dispatch` alone turns either
+//! into a response, the code riding in `X-Jinjing-Exit` (error documents
+//! carry 1) for `jinjing call` to exit with.
+//!
 //! **Admission control.** The accept thread parses each request (with
 //! head/body caps → 400/413) and answers the cheap introspection routes
 //! inline; engine work is pushed onto a bounded
@@ -106,9 +114,12 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use jinjing_acl::shard::ShardSpec;
-use jinjing_core::engine::{EngineConfig, ReportKind};
+use jinjing_core::engine::EngineConfig;
 use jinjing_core::incr::CheckSession;
-use jinjing_core::query::{open_intent_session, plan_query, recheck_steps, run_query, WatchOutput};
+use jinjing_core::query::{
+    lint_multi_query, lint_query, open_intent_session, plan_query, recheck_steps, run_query,
+    Answer, Reject, WatchOutput,
+};
 use jinjing_net::{AclConfig, Network};
 use jinjing_obs::json::JsonWriter;
 use jinjing_obs::{Collector, Level};
@@ -246,85 +257,171 @@ struct SessionCell<'n> {
     class_count: usize,
 }
 
+/// One admitted request as its handler sees it.
+struct Call<'r> {
+    req: &'r Request,
+    /// The request body as UTF-8 text.
+    body: &'r str,
+    /// The path's `{id}` capture (empty when the pattern has none).
+    id: &'r str,
+    /// This request's private engine configuration: a fresh collector
+    /// and query store, with a flight recorder attached when traced.
+    ecfg: EngineConfig,
+}
+
+type Handler = for<'a, 'n> fn(Ctx<'a, 'n>, Call<'_>) -> Result<Answer, Reject>;
+
+/// One row of the endpoint table: everything the daemon knows about a
+/// queueable route. GETs and `/v1/shutdown` are answered inline on the
+/// accept thread and are not rows.
+struct Endpoint {
+    /// `METHOD /path`, the path with at most one `{id}` capture.
+    route: &'static str,
+    /// Metrics key: latencies land in `serve.latency_us.<key>`.
+    key: &'static str,
+    handler: Handler,
+    /// Whether `X-Jinjing-Trace` arms a flight recorder on this route.
+    traced: bool,
+    /// The 405 message for this path under any other method; `None`
+    /// makes that a plain 404.
+    wrong_method: Option<&'static str>,
+}
+
+impl Endpoint {
+    const fn new(route: &'static str, key: &'static str, handler: Handler) -> Endpoint {
+        Endpoint {
+            route,
+            key,
+            handler,
+            traced: false,
+            wrong_method: None,
+        }
+    }
+
+    const fn traced(mut self) -> Endpoint {
+        self.traced = true;
+        self
+    }
+
+    const fn or_405(mut self, message: &'static str) -> Endpoint {
+        self.wrong_method = Some(message);
+        self
+    }
+
+    /// Match a request against this row: `None` when the path is not
+    /// this row's, else whether the method is too and the path's `{id}`
+    /// capture (empty for a literal path). A capture that ends the path
+    /// is one non-empty segment; one followed by a suffix is whatever
+    /// precedes it, so a nonsense id reaches the handler and gets its
+    /// "unknown session".
+    fn matches<'p>(&self, method: &str, path: &'p str) -> Option<(bool, &'p str)> {
+        let (my_method, pattern) = self.route.split_once(' ').expect("METHOD /path");
+        let id = match pattern.split_once("{id}") {
+            None => (pattern == path).then_some("")?,
+            Some((head, tail)) => {
+                let id = path.strip_prefix(head)?.strip_suffix(tail)?;
+                let one_segment = !id.is_empty() && !id.contains('/');
+                (one_segment || !tail.is_empty()).then_some(id)?
+            }
+        };
+        Some((my_method == method, id))
+    }
+}
+
+/// The endpoint table. [`dispatch`] runs every row the same way — queue
+/// deadline, body, optional trace, handler, then the [`Answer`] or
+/// [`Reject`] as the response — so a handler is only what differs
+/// between endpoints.
+static ENDPOINTS: [Endpoint; 10] = [
+    Endpoint::new("POST /v1/check", "check", query_endpoint).traced(),
+    Endpoint::new("POST /v1/fix", "fix", query_endpoint).traced(),
+    Endpoint::new("POST /v1/generate", "generate", query_endpoint).traced(),
+    Endpoint::new("POST /v1/lint", "lint", lint_endpoint),
+    Endpoint::new("POST /v1/lint/multi", "lint_multi", lint_multi_endpoint),
+    Endpoint::new("POST /v1/plan", "plan", query_endpoint),
+    Endpoint::new("POST /v1/shard/check", "shard_check", shard_check_endpoint),
+    Endpoint::new("POST /v1/sessions", "session_open", session_open),
+    Endpoint::new(
+        "POST /v1/sessions/{id}/delta",
+        "session_delta",
+        session_delta,
+    )
+    .or_405("delta wants POST"),
+    Endpoint::new("DELETE /v1/sessions/{id}", "session_delete", session_delete)
+        .or_405("session resources want DELETE"),
+];
+
+/// Resolve a request to its table row, or the 404 / 405 to answer
+/// inline.
+fn route(method: &str, path: &str) -> Result<&'static Endpoint, Reject> {
+    let mut not_allowed = None;
+    for ep in &ENDPOINTS {
+        match ep.matches(method, path) {
+            Some((true, _)) => return Ok(ep),
+            Some((false, _)) => not_allowed = not_allowed.or(ep.wrong_method),
+            None => {}
+        }
+    }
+    Err(match not_allowed {
+        Some(message) => Reject {
+            status: 405,
+            message: message.to_string(),
+        },
+        None => Reject {
+            status: 404,
+            message: format!("no route for {method} {path}"),
+        },
+    })
+}
+
 /// What travels from the accept thread to a worker: the parsed request,
-/// the socket to answer on, and admission metadata.
+/// its table row, the socket to answer on, and admission metadata.
 struct Job {
     req: Request,
     stream: TcpStream,
-    route: Route,
+    endpoint: &'static Endpoint,
     admitted: Instant,
     id: u64,
 }
 
-/// The dispatchable POST/DELETE endpoints (GETs and shutdown are
-/// answered inline on the accept thread).
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Route {
-    Check,
-    Fix,
-    Generate,
-    Lint,
-    LintMulti,
-    Plan,
-    ShardCheck,
-    SessionOpen,
-    SessionDelta(String),
-    SessionDelete(String),
+impl From<Answer> for Response {
+    /// A served query: 200, the canonical body, and the exit code a
+    /// pipeline gates on in `X-Jinjing-Exit`.
+    fn from(answer: Answer) -> Response {
+        Response::json(200, answer.body).with_header("X-Jinjing-Exit", &answer.exit.to_string())
+    }
 }
 
-impl Route {
-    /// The metrics key for per-endpoint latency histograms.
-    fn key(&self) -> &'static str {
-        match self {
-            Route::Check => "check",
-            Route::Fix => "fix",
-            Route::Generate => "generate",
-            Route::Lint => "lint",
-            Route::LintMulti => "lint_multi",
-            Route::Plan => "plan",
-            Route::ShardCheck => "shard_check",
-            Route::SessionOpen => "session_open",
-            Route::SessionDelta(_) => "session_delta",
-            Route::SessionDelete(_) => "session_delete",
+impl From<Reject> for Response {
+    fn from(reject: Reject) -> Response {
+        Response::error(reject.status, &reject.message)
+    }
+}
+
+impl From<HttpError> for Reject {
+    /// Hostile bytes on the wire: 413 past the body cap, else 400.
+    fn from(e: HttpError) -> Reject {
+        match e {
+            HttpError::Malformed(message) => Reject::bad_request(message),
+            HttpError::TooLarge(message) => Reject {
+                status: 413,
+                message,
+            },
+            HttpError::Io(_) => Reject::bad_request("unreadable body"),
         }
     }
 }
 
-/// Resolve a method + path to a queueable route, or the error response
-/// to send inline.
-fn route_of(method: &str, path: &str) -> Result<Route, Response> {
-    match (method, path) {
-        ("POST", "/v1/check") => Ok(Route::Check),
-        ("POST", "/v1/fix") => Ok(Route::Fix),
-        ("POST", "/v1/generate") => Ok(Route::Generate),
-        ("POST", "/v1/lint") => Ok(Route::Lint),
-        ("POST", "/v1/lint/multi") => Ok(Route::LintMulti),
-        ("POST", "/v1/plan") => Ok(Route::Plan),
-        ("POST", "/v1/shard/check") => Ok(Route::ShardCheck),
-        ("POST", "/v1/sessions") => Ok(Route::SessionOpen),
-        _ => {
-            if let Some(rest) = path.strip_prefix("/v1/sessions/") {
-                if let Some(id) = rest.strip_suffix("/delta") {
-                    return if method == "POST" {
-                        Ok(Route::SessionDelta(id.to_string()))
-                    } else {
-                        Err(Response::error(405, "delta wants POST"))
-                    };
-                }
-                if !rest.is_empty() && !rest.contains('/') {
-                    return if method == "DELETE" {
-                        Ok(Route::SessionDelete(rest.to_string()))
-                    } else {
-                        Err(Response::error(405, "session resources want DELETE"))
-                    };
-                }
-            }
-            Err(Response::error(
-                404,
-                &format!("no route for {method} {path}"),
-            ))
-        }
-    }
+/// One canonical JSON object, newline-terminated; `members` writes its
+/// keys in sorted order.
+fn json_object(members: impl FnOnce(&mut JsonWriter)) -> String {
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    members(&mut w);
+    w.end_object();
+    let mut out = w.finish();
+    out.push('\n');
+    out
 }
 
 /// Shared immutable context for the accept thread and the workers.
@@ -489,6 +586,34 @@ impl Server {
     }
 }
 
+/// Read the next request off a connection. A malformed or oversized one
+/// is counted and answered here (400 / 413); `Err(answered)` says whether
+/// that happened or the peer just went away.
+fn next_request(ctx: Ctx<'_, '_>, stream: &mut TcpStream) -> Result<Request, bool> {
+    match read_request(stream, ctx.cfg.max_body) {
+        Ok(req) => Ok(req),
+        Err(HttpError::Io(_)) => Err(false),
+        Err(e) => {
+            ctx.obs.counter_add("serve.requests_total", 1);
+            ctx.respond(stream, &Reject::from(e).into());
+            Err(true)
+        }
+    }
+}
+
+/// Count a parsed request and give it its number; `note` tags the
+/// `serve.request` event.
+fn number_request(ctx: Ctx<'_, '_>, req: &Request, note: &str) -> u64 {
+    ctx.obs.counter_add("serve.requests_total", 1);
+    let id = ctx.next_request.fetch_add(1, Ordering::Relaxed) + 1;
+    ctx.obs.event(
+        Level::Debug,
+        "serve.request",
+        &format!("r{id} {} {}{note}", req.method, req.path),
+    );
+    id
+}
+
 /// Accept + parse until a shutdown request arrives.
 fn accept_loop(listener: &TcpListener, ctx: Ctx<'_, '_>) {
     for stream in listener.incoming() {
@@ -498,29 +623,16 @@ fn accept_loop(listener: &TcpListener, ctx: Ctx<'_, '_>) {
         };
         let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
         let _ = stream.set_write_timeout(Some(READ_TIMEOUT));
-        let req = match read_request(&mut stream, ctx.cfg.max_body) {
+        let req = match next_request(ctx, &mut stream) {
             Ok(r) => r,
-            Err(HttpError::Malformed(m)) => {
-                ctx.obs.counter_add("serve.requests_total", 1);
-                ctx.respond(&mut stream, &Response::error(400, &m));
-                drain_rejected(&mut stream);
+            Err(answered) => {
+                if answered {
+                    drain_rejected(&mut stream);
+                }
                 continue;
             }
-            Err(HttpError::TooLarge(m)) => {
-                ctx.obs.counter_add("serve.requests_total", 1);
-                ctx.respond(&mut stream, &Response::error(413, &m));
-                drain_rejected(&mut stream);
-                continue;
-            }
-            Err(HttpError::Io(_)) => continue, // peer went away mid-read
         };
-        ctx.obs.counter_add("serve.requests_total", 1);
-        let id = ctx.next_request.fetch_add(1, Ordering::Relaxed) + 1;
-        ctx.obs.event(
-            Level::Debug,
-            "serve.request",
-            &format!("r{id} {} {}", req.method, req.path),
-        );
+        let id = number_request(ctx, &req, "");
 
         // Introspection and shutdown are answered inline: they must work
         // even when every worker is busy and the queue is full.
@@ -552,33 +664,27 @@ fn accept_loop(listener: &TcpListener, ctx: Ctx<'_, '_>) {
                 continue;
             }
             ("POST", "/v1/shutdown") => {
-                let mut w = JsonWriter::new();
-                w.begin_object();
-                w.key("status");
-                w.string("draining");
-                w.end_object();
-                let mut body = w.finish();
-                body.push('\n');
-                ctx.respond(
-                    &mut stream,
-                    &Response::json(200, body).with_header("X-Jinjing-Exit", "0"),
-                );
+                let body = json_object(|w| {
+                    w.key("status");
+                    w.string("draining");
+                });
+                ctx.respond(&mut stream, &Answer { body, exit: 0 }.into());
                 return;
             }
             _ => {}
         }
 
-        let route = match route_of(&req.method, &req.path) {
-            Ok(r) => r,
-            Err(resp) => {
-                ctx.respond(&mut stream, &resp);
+        let endpoint = match route(&req.method, &req.path) {
+            Ok(endpoint) => endpoint,
+            Err(reject) => {
+                ctx.respond(&mut stream, &reject.into());
                 continue;
             }
         };
         let job = Job {
             req,
             stream,
-            route,
+            endpoint,
             admitted: Instant::now(),
             id,
         };
@@ -630,20 +736,16 @@ fn refresh_gauges(ctx: Ctx<'_, '_>) {
 /// The `/healthz` body: cheap liveness + pressure gauges, canonical JSON.
 fn healthz_body(ctx: Ctx<'_, '_>) -> String {
     let sessions = ctx.lock_sessions().len();
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.key("queue_capacity");
-    w.u64(ctx.queue.capacity() as u64);
-    w.key("queue_depth");
-    w.u64(ctx.queue.depth() as u64);
-    w.key("sessions");
-    w.u64(sessions as u64);
-    w.key("status");
-    w.string("ok");
-    w.end_object();
-    let mut body = w.finish();
-    body.push('\n');
-    body
+    json_object(|w| {
+        w.key("queue_capacity");
+        w.u64(ctx.queue.capacity() as u64);
+        w.key("queue_depth");
+        w.u64(ctx.queue.depth() as u64);
+        w.key("sessions");
+        w.u64(sessions as u64);
+        w.key("status");
+        w.string("ok");
+    })
 }
 
 /// A worker: pop admitted jobs until the queue closes empty. A job whose
@@ -653,12 +755,14 @@ fn worker_loop(ctx: Ctx<'_, '_>) {
     while let Some(mut job) = ctx.queue.pop() {
         ctx.obs
             .gauge_set("serve.queue_depth", ctx.queue.depth() as i64);
-        let keep = job.req.wants_keep_alive();
-        let start = Instant::now();
-        let resp = handle(ctx, &job.req, &job.route, job.admitted);
-        record_done(ctx, &job.route, job.id, start, &resp);
-        ctx.respond_with(&mut job.stream, &resp, keep);
-        if keep {
+        if serve(
+            ctx,
+            &mut job.stream,
+            &job.req,
+            job.endpoint,
+            job.id,
+            job.admitted,
+        ) {
             pinned_loop(ctx, job.stream);
         }
     }
@@ -669,46 +773,25 @@ fn worker_loop(ctx: Ctx<'_, '_>) {
 /// request (it flowed through the bounded queue); follow-ups ride the
 /// already-pinned worker directly, bounded by [`KEEPALIVE_IDLE`] between
 /// requests and [`KEEPALIVE_MAX_REQUESTS`] per connection. Only the
-/// queueable engine routes are served here — anything else (including
+/// table's routes are served here — anything else (including
 /// `/v1/shutdown`) is answered and the connection closed.
 fn pinned_loop(ctx: Ctx<'_, '_>, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(KEEPALIVE_IDLE));
     for _ in 1..KEEPALIVE_MAX_REQUESTS {
-        let req = match read_request(&mut stream, ctx.cfg.max_body) {
-            Ok(r) => r,
-            Err(HttpError::Malformed(m)) => {
-                ctx.obs.counter_add("serve.requests_total", 1);
-                ctx.respond(&mut stream, &Response::error(400, &m));
-                return;
-            }
-            Err(HttpError::TooLarge(m)) => {
-                ctx.obs.counter_add("serve.requests_total", 1);
-                ctx.respond(&mut stream, &Response::error(413, &m));
-                return;
-            }
-            Err(HttpError::Io(_)) => return, // idle timeout or peer hung up
+        // `Err`: answered 400 / 413, idle timeout, or the peer hung up.
+        let Ok(req) = next_request(ctx, &mut stream) else {
+            return;
         };
-        ctx.obs.counter_add("serve.requests_total", 1);
         ctx.obs.counter_add("serve.keepalive_requests", 1);
-        let id = ctx.next_request.fetch_add(1, Ordering::Relaxed) + 1;
-        ctx.obs.event(
-            Level::Debug,
-            "serve.request",
-            &format!("r{id} {} {} (pinned)", req.method, req.path),
-        );
-        let route = match route_of(&req.method, &req.path) {
-            Ok(r) => r,
-            Err(resp) => {
-                ctx.respond(&mut stream, &resp);
+        let id = number_request(ctx, &req, " (pinned)");
+        let endpoint = match route(&req.method, &req.path) {
+            Ok(endpoint) => endpoint,
+            Err(reject) => {
+                ctx.respond(&mut stream, &reject.into());
                 return;
             }
         };
-        let keep = req.wants_keep_alive();
-        let start = Instant::now();
-        let resp = handle(ctx, &req, &route, start);
-        record_done(ctx, &route, id, start, &resp);
-        ctx.respond_with(&mut stream, &resp, keep);
-        if !keep {
+        if !serve(ctx, &mut stream, &req, endpoint, id, Instant::now()) {
             return;
         }
     }
@@ -717,24 +800,39 @@ fn pinned_loop(ctx: Ctx<'_, '_>, mut stream: TcpStream) {
     ctx.obs.counter_add("serve.keepalive_capped", 1);
 }
 
-/// Per-request bookkeeping once an endpoint body has produced a response.
-fn record_done(ctx: Ctx<'_, '_>, route: &Route, id: u64, start: Instant, resp: &Response) {
+/// Run one routed request, record it and answer on `stream`. Returns
+/// whether the client negotiated keep-alive (the socket stays open).
+fn serve(
+    ctx: Ctx<'_, '_>,
+    stream: &mut TcpStream,
+    req: &Request,
+    endpoint: &Endpoint,
+    id: u64,
+    admitted: Instant,
+) -> bool {
+    let keep = req.wants_keep_alive();
+    let key = endpoint.key;
+    let start = Instant::now();
+    let resp = dispatch(ctx, req, endpoint, admitted);
     let elapsed = start.elapsed();
     ctx.obs.histogram_record(
-        &format!("serve.latency_us.{}", route.key()),
+        &format!("serve.latency_us.{key}"),
         elapsed.as_micros() as u64,
     );
     ctx.obs.record_span("serve.request", 1, elapsed);
     ctx.obs.event(
         Level::Debug,
         "serve.response",
-        &format!("r{id} {} -> {}", route.key(), resp.status),
+        &format!("r{id} {key} -> {}", resp.status),
     );
+    ctx.respond_with(stream, &resp, keep);
+    keep
 }
 
-/// Execute one admitted request: deadline check, optional test delay,
-/// then the endpoint body.
-fn handle(ctx: Ctx<'_, '_>, req: &Request, route: &Route, admitted: Instant) -> Response {
+/// The one path every table row takes: queue deadline, optional test
+/// delay, body decoding, flight-recorder opt-in, the row's handler, and
+/// its [`Answer`] or [`Reject`] as the response.
+fn dispatch(ctx: Ctx<'_, '_>, req: &Request, endpoint: &Endpoint, admitted: Instant) -> Response {
     let deadline_ms = req
         .header("x-jinjing-deadline-ms")
         .and_then(|v| v.parse::<u64>().ok())
@@ -754,89 +852,100 @@ fn handle(ctx: Ctx<'_, '_>, req: &Request, route: &Route, admitted: Instant) -> 
             std::thread::sleep(Duration::from_millis(ms.min(10_000)));
         }
     }
-    match route.clone() {
-        Route::Check => one_shot(ctx, req, "check"),
-        Route::Fix => one_shot(ctx, req, "fix"),
-        Route::Generate => one_shot(ctx, req, "generate"),
-        Route::Lint => lint_endpoint(ctx, req),
-        Route::LintMulti => lint_multi_endpoint(ctx, req),
-        Route::Plan => plan_endpoint(ctx, req),
-        Route::ShardCheck => shard_check_endpoint(ctx, req),
-        Route::SessionOpen => session_open(ctx, req),
-        Route::SessionDelta(id) => session_delta(ctx, req, &id),
-        Route::SessionDelete(id) => session_delete(ctx, &id),
-    }
-}
-
-/// `POST /v1/check|fix|generate`: run the intent, demand its command
-/// matches the endpoint, answer the canonical plan JSON.
-fn one_shot(ctx: Ctx<'_, '_>, req: &Request, endpoint: &str) -> Response {
-    let text = match req.body_text() {
-        Ok(t) => t,
-        Err(HttpError::Malformed(m)) => return Response::error(400, &m),
-        Err(_) => return Response::error(400, "unreadable body"),
+    let body = match req.body_text() {
+        Ok(text) => text,
+        Err(e) => return Reject::from(e).into(),
     };
     let ecfg = ctx.engine_config();
     // Flight-recorder opt-in: any non-empty, non-"0" header value arms a
     // request-scoped recorder on this request's private collector. The
-    // trace id is deterministic in the intent text, so re-tracing the
-    // same query replaces its old capture rather than duplicating it.
+    // trace id is deterministic in the body text, so re-tracing the same
+    // query replaces its old capture rather than duplicating it.
     let tctx = req
         .header("x-jinjing-trace")
-        .filter(|v| !v.is_empty() && *v != "0")
+        .filter(|v| endpoint.traced && !v.is_empty() && *v != "0")
         .map(|_| {
-            let t = jinjing_obs::TraceCtx::new(&jinjing_obs::trace_id_of(text));
+            let t = jinjing_obs::TraceCtx::new(&jinjing_obs::trace_id_of(body));
             ecfg.obs.attach_trace_ctx(t.clone());
             t
         });
     let req_span = tctx.as_ref().map(|t| t.span(0, "serve.request"));
-    let result = run_query(ctx.net, ctx.config, text, &ecfg);
-    drop(req_span);
-    let trace_id = tctx.map(|t| {
-        let id = t.id().unwrap_or("").to_string();
-        ctx.lock_traces().insert(&id, t.to_chrome_json());
-        ctx.obs.counter_add("serve.traces_captured", 1);
-        let dropped = t.events_dropped();
-        if dropped > 0 {
-            ctx.obs.counter_add("serve.trace_events_dropped", dropped);
-        }
-        id
-    });
-    let resp = match result {
-        Err(e) => Response::error(400, &e.to_string()),
-        Ok(out) => {
-            if out.plan.command != endpoint {
-                Response::error(
-                    400,
-                    &format!(
-                        "intent command {:?} does not match endpoint /v1/{endpoint}",
-                        out.plan.command
-                    ),
-                )
-            } else {
-                // Exit-code parity with `jinjing run`: a failed bare check
-                // gates pipelines with 3.
-                let exit = if endpoint == "check" && out.plan.verdict.starts_with("inconsistent") {
-                    3
-                } else {
-                    0
-                };
-                Response::json(200, out.plan.to_canonical_json())
-                    .with_header("X-Jinjing-Exit", &exit.to_string())
-            }
-        }
+    let call = Call {
+        req,
+        body,
+        id: endpoint
+            .matches(&req.method, &req.path)
+            .map_or("", |(_, id)| id),
+        ecfg,
     };
-    match trace_id {
-        Some(id) => resp.with_header("X-Jinjing-Trace-Id", &id),
+    let result = (endpoint.handler)(ctx, call);
+    drop(req_span);
+    let resp: Response = match result {
+        Ok(answer) => answer.into(),
+        Err(reject) => reject.into(),
+    };
+    match tctx {
         None => resp,
+        Some(t) => {
+            let id = t.id().unwrap_or("").to_string();
+            ctx.lock_traces().insert(&id, t.to_chrome_json());
+            ctx.obs.counter_add("serve.traces_captured", 1);
+            let dropped = t.events_dropped();
+            if dropped > 0 {
+                ctx.obs.counter_add("serve.trace_events_dropped", dropped);
+            }
+            resp.with_header("X-Jinjing-Trace-Id", &id)
+        }
     }
+}
+
+/// The stateless engine endpoints as a function of the resident network
+/// and the wire body: `/v1/check|fix|generate` run the intent and demand
+/// its command matches the endpoint; `/v1/plan` splits the body with
+/// [`parse_plan_body`] and synthesizes the rollout. `engine_config`
+/// receives the intent text and returns the configuration to run it
+/// under — the daemon hands over the request's private one, the
+/// `jinjing-shard` coordinator one whose check fan-out ships that intent
+/// to its backends. Bodies are byte-identical to `jinjing run|plan
+/// --format json`.
+pub fn answer_query(
+    net: &Network,
+    config: &AclConfig,
+    path: &str,
+    body: &str,
+    engine_config: impl FnOnce(&str) -> EngineConfig,
+) -> Result<Answer, Reject> {
+    if path == "/v1/plan" {
+        let (intent, target, max_waves) = parse_plan_body(body).map_err(Reject::bad_request)?;
+        let mut ecfg = engine_config(&intent);
+        ecfg.plan.max_waves = max_waves;
+        return Ok(plan_query(net, config, &intent, target.as_deref(), &ecfg)?.answer());
+    }
+    let out = run_query(net, config, body, &engine_config(body))?;
+    let endpoint = path.strip_prefix("/v1/").unwrap_or(path);
+    if out.plan.command != endpoint {
+        return Err(Reject::bad_request(format!(
+            "intent command {:?} does not match endpoint /v1/{endpoint}",
+            out.plan.command
+        )));
+    }
+    Ok(out.answer())
+}
+
+/// `POST /v1/check|fix|generate|plan`: [`answer_query`] under the
+/// request's own engine configuration.
+fn query_endpoint(ctx: Ctx<'_, '_>, call: Call<'_>) -> Result<Answer, Reject> {
+    let Call {
+        req, body, ecfg, ..
+    } = call;
+    answer_query(ctx.net, ctx.config, &req.path, body, |_| ecfg)
 }
 
 /// Parse an `X-Jinjing-Shard: i/n` header into a shard spec. Absent
 /// header means "the whole space" (`None`); a malformed or out-of-range
-/// value is an error the endpoint answers with 400 — [`ShardSpec::new`]
-/// panics on bad input, so validate here first.
-fn shard_spec_of(req: &Request) -> Result<Option<ShardSpec>, String> {
+/// value is a 400 — [`ShardSpec::new`] panics on bad input, so validate
+/// here first.
+fn shard_spec_of(req: &Request) -> Result<Option<ShardSpec>, Reject> {
     let Some(v) = req.header("x-jinjing-shard") else {
         return Ok(None);
     };
@@ -847,9 +956,9 @@ fn shard_spec_of(req: &Request) -> Result<Option<ShardSpec>, String> {
     });
     match parsed {
         Some(spec) => Ok(Some(spec)),
-        None => Err(format!(
+        None => Err(Reject::bad_request(format!(
             "X-Jinjing-Shard wants i/n with i < n, got {v:?}"
-        )),
+        ))),
     }
 }
 
@@ -859,42 +968,14 @@ fn shard_spec_of(req: &Request) -> Result<Option<ShardSpec>, String> {
 /// `X-Jinjing-Shard: i/n` header restricts the pass to shard-owned slots
 /// (network-wide findings come from the primary shard only), so the
 /// per-shard reports partition the unsharded one.
-fn lint_endpoint(ctx: Ctx<'_, '_>, req: &Request) -> Response {
-    let text = match req.body_text() {
-        Ok(t) => t,
-        Err(HttpError::Malformed(m)) => return Response::error(400, &m),
-        Err(_) => return Response::error(400, "unreadable body"),
-    };
-    let shard = match shard_spec_of(req) {
-        Ok(s) => s,
-        Err(e) => return Response::error(400, &e),
-    };
-    let program = if text.trim().is_empty() {
-        None
-    } else {
-        let parsed = match jinjing_lai::parse_program(text) {
-            Ok(p) => p,
-            Err(e) => return Response::error(400, &e.to_string()),
-        };
-        match jinjing_lai::validate(parsed) {
-            Ok(p) => Some(p),
-            Err(e) => return Response::error(400, &e.to_string()),
-        }
-    };
+fn lint_endpoint(ctx: Ctx<'_, '_>, call: Call<'_>) -> Result<Answer, Reject> {
     let lcfg = jinjing_lint::LintConfig {
-        shard,
+        shard: shard_spec_of(call.req)?,
         ..jinjing_lint::LintConfig::default()
     };
-    let out = jinjing_core::engine::lint(ctx.net, ctx.config, program.as_ref(), &lcfg);
-    let ReportKind::Lint(report) = out.kind else {
-        return Response::error(500, "engine returned a non-lint report for lint");
-    };
-    // Exit-code parity with `jinjing lint`: error-severity findings gate
-    // with 4.
-    let exit = if report.has_errors() { 4 } else { 0 };
-    let mut body = report.to_json();
-    body.push('\n');
-    Response::json(200, body).with_header("X-Jinjing-Exit", &exit.to_string())
+    let intent = (!call.body.trim().is_empty()).then_some(call.body);
+    let out = lint_query(ctx.net, ctx.config, intent, &lcfg)?;
+    Ok(Answer::of_lint(&out.report))
 }
 
 /// Parse the `POST /v1/lint/multi` wire body into `(tenant, program-text)`
@@ -963,41 +1044,11 @@ fn parse_multi_lint_body(text: &str) -> Result<(Vec<(String, String)>, Vec<Strin
 /// `#priority a,b,c` order (see [`parse_multi_lint_body`]). Byte-identical
 /// to `jinjing lint --intent tenant=FILE ... --format json` on the same
 /// inputs.
-fn lint_multi_endpoint(ctx: Ctx<'_, '_>, req: &Request) -> Response {
-    let text = match req.body_text() {
-        Ok(t) => t,
-        Err(HttpError::Malformed(m)) => return Response::error(400, &m),
-        Err(_) => return Response::error(400, "unreadable body"),
-    };
-    let (sections, priority) = match parse_multi_lint_body(text) {
-        Ok(parts) => parts,
-        Err(e) => return Response::error(400, &e),
-    };
-    let mut tenants = Vec::with_capacity(sections.len());
-    for (name, body) in &sections {
-        let parsed = match jinjing_lai::parse_program(body) {
-            Ok(p) => p,
-            Err(e) => return Response::error(400, &format!("tenant {name}: {e}")),
-        };
-        match jinjing_lai::validate(parsed) {
-            Ok(p) => tenants.push(jinjing_lint::TenantIntent::new(name.clone(), p)),
-            Err(e) => return Response::error(400, &format!("tenant {name}: {e}")),
-        }
-    }
-    let out = jinjing_core::engine::lint_multi(
-        ctx.net,
-        ctx.config,
-        &tenants,
-        &priority,
-        &jinjing_lint::LintConfig::default(),
-    );
-    let ReportKind::Lint(report) = out.kind else {
-        return Response::error(500, "engine returned a non-lint report for lint");
-    };
-    let exit = if report.has_errors() { 4 } else { 0 };
-    let mut body = report.to_json();
-    body.push('\n');
-    Response::json(200, body).with_header("X-Jinjing-Exit", &exit.to_string())
+fn lint_multi_endpoint(ctx: Ctx<'_, '_>, call: Call<'_>) -> Result<Answer, Reject> {
+    let (tenants, priority) = parse_multi_lint_body(call.body).map_err(Reject::bad_request)?;
+    let lcfg = jinjing_lint::LintConfig::default();
+    let out = lint_multi_query(ctx.net, ctx.config, &tenants, &priority, &lcfg)?;
+    Ok(Answer::of_lint(&out.report))
 }
 
 /// Parse the `POST /v1/plan` wire body into the intent program text and
@@ -1010,10 +1061,7 @@ fn lint_multi_endpoint(ctx: Ctx<'_, '_>, req: &Request) -> Response {
 /// `jinjing plan --target` reads). An optional `#max-waves N` line caps
 /// the wave count. `#` already starts a comment in LAI, so the
 /// directives are invisible to the intent parser.
-///
-/// Public so the `jinjing-shard` coordinator reuses the exact wire
-/// grammar when it proxies `/v1/plan`.
-pub fn parse_plan_body(text: &str) -> Result<(String, Option<String>, usize), String> {
+fn parse_plan_body(text: &str) -> Result<(String, Option<String>, usize), String> {
     let mut intent = String::new();
     let mut target: Option<String> = None;
     let mut max_waves = 0usize;
@@ -1041,34 +1089,6 @@ pub fn parse_plan_body(text: &str) -> Result<(String, Option<String>, usize), St
         }
     }
     Ok((intent, target, max_waves))
-}
-
-/// `POST /v1/plan`: synthesize a certified rollout plan from the
-/// resident configuration to a target described by the body's `#target`
-/// delta script (or the intent's own after-state when absent).
-/// Byte-identical to `jinjing plan --format json` on the same inputs;
-/// `X-Jinjing-Exit` is 3 when no safe ordering exists.
-fn plan_endpoint(ctx: Ctx<'_, '_>, req: &Request) -> Response {
-    let text = match req.body_text() {
-        Ok(t) => t,
-        Err(HttpError::Malformed(m)) => return Response::error(400, &m),
-        Err(_) => return Response::error(400, "unreadable body"),
-    };
-    let (intent, target, max_waves) = match parse_plan_body(text) {
-        Ok(parts) => parts,
-        Err(e) => return Response::error(400, &e),
-    };
-    let mut ecfg = ctx.engine_config();
-    ecfg.plan.max_waves = max_waves;
-    match plan_query(ctx.net, ctx.config, &intent, target.as_deref(), &ecfg) {
-        Err(e) => Response::error(400, &e.to_string()),
-        Ok(out) => {
-            // Exit-code parity with `jinjing plan`: infeasibility gates
-            // pipelines with 3.
-            let exit = if out.feasible { 0 } else { 3 };
-            Response::json(200, out.json).with_header("X-Jinjing-Exit", &exit.to_string())
-        }
-    }
 }
 
 /// Parse the `POST /v1/shard/check` wire body into the intent text and
@@ -1127,43 +1147,23 @@ pub fn parse_shard_body(text: &str) -> Result<(String, Option<String>, Option<St
 /// **global** coordinates; the coordinator takes the lexicographic
 /// minimum across shards, re-solves that one pair locally to materialize
 /// the witness packet, and renders the canonical document itself.
-fn shard_check_endpoint(ctx: Ctx<'_, '_>, req: &Request) -> Response {
-    let text = match req.body_text() {
-        Ok(t) => t,
-        Err(HttpError::Malformed(m)) => return Response::error(400, &m),
-        Err(_) => return Response::error(400, "unreadable body"),
-    };
-    let shard = match shard_spec_of(req) {
-        Ok(s) => s,
-        Err(e) => return Response::error(400, &e),
-    };
-    let (intent, base, apply) = match parse_shard_body(text) {
-        Ok(parts) => parts,
-        Err(e) => return Response::error(400, &e),
-    };
-    let program = match jinjing_lai::parse_program(&intent) {
-        Ok(p) => p,
-        Err(e) => return Response::error(400, &e.to_string()),
-    };
+fn shard_check_endpoint(ctx: Ctx<'_, '_>, call: Call<'_>) -> Result<Answer, Reject> {
+    let shard = shard_spec_of(call.req)?;
+    let (intent, base, apply) = parse_shard_body(call.body).map_err(Reject::bad_request)?;
+    let program = jinjing_lai::parse_program(&intent).map_err(Reject::bad_request)?;
     // Lax validation: the configurations under test come from the delta
     // scripts, so a modify-less intent (a rollout-planning probe) is
     // legal here. The coordinator already applied the strict rules its
     // own endpoint demands.
-    let program = match jinjing_lai::validate_plan_intent(program) {
-        Ok(p) => p,
-        Err(e) => return Response::error(400, &e.to_string()),
-    };
-    let task = match jinjing_core::resolve(ctx.net, &program, ctx.config) {
-        Ok(t) => t,
-        Err(e) => return Response::error(400, &e.to_string()),
-    };
+    let program = jinjing_lai::validate_plan_intent(program).map_err(Reject::bad_request)?;
+    let task = jinjing_core::resolve(ctx.net, &program, ctx.config).map_err(Reject::bad_request)?;
 
     // Fold the delta scripts into the exact configurations under test.
     // An empty (or absent) script is a no-op, so a plain intent checks
     // its own before/after.
-    let fold = |label: &str, start: &AclConfig, script: &str| -> Result<AclConfig, Response> {
+    let fold = |label: &str, start: &AclConfig, script: &str| -> Result<AclConfig, Reject> {
         let deltas = jinjing_core::incr::parse_delta_script(ctx.net, script)
-            .map_err(|e| Response::error(400, &format!("{label}: {e}")))?;
+            .map_err(|e| Reject::bad_request(format!("{label}: {e}")))?;
         let mut config = start.clone();
         for (_, delta) in &deltas {
             config = delta.applied_to(&config);
@@ -1171,18 +1171,12 @@ fn shard_check_endpoint(ctx: Ctx<'_, '_>, req: &Request) -> Response {
         Ok(config)
     };
     let before = match base {
-        Some(script) => match fold("#shard-base", &task.before, &script) {
-            Ok(c) => c,
-            Err(resp) => return resp,
-        },
+        Some(script) => fold("#shard-base", &task.before, &script)?,
         None => task.before.clone(),
     };
     let after = match apply {
         // The apply script is relative to the (possibly rebased) before.
-        Some(script) => match fold("#shard-apply", &before, &script) {
-            Ok(c) => c,
-            Err(resp) => return resp,
-        },
+        Some(script) => fold("#shard-apply", &before, &script)?,
         None => task.after.clone(),
     };
 
@@ -1191,150 +1185,129 @@ fn shard_check_endpoint(ctx: Ctx<'_, '_>, req: &Request) -> Response {
         shard: shard.clone(),
         ..jinjing_core::check::CheckConfig::default()
     };
-    let report = match jinjing_core::check::check_configs(
+    let report = jinjing_core::check::check_configs(
         ctx.net,
         &task.scope,
         &before,
         &after,
         &task.controls,
         &ccfg,
-    ) {
-        Ok(r) => r,
-        Err(e) => return Response::error(400, &e.to_string()),
-    };
+    )
+    .map_err(Reject::bad_request)?;
     let snapshot = ccfg.obs.snapshot();
 
-    // Hand-rolled so the mergeable obs snapshot embeds raw; keys stay
-    // sorted (the coordinator parses this with jinjing-obs's Json).
     let (index, count) = shard.as_ref().map_or((0, 1), |s| (s.index(), s.count()));
-    let mut body = String::new();
-    body.push_str("{\"dirty_pairs\":");
-    body.push_str(&report.paths_checked.to_string());
-    body.push_str(",\"fec_count\":");
-    body.push_str(&report.fec_count.to_string());
-    body.push_str(",\"obs\":");
-    body.push_str(snapshot.to_json().trim_end());
-    body.push_str(",\"pair\":");
-    match report.violation_pair {
-        Some((class, path)) => {
-            body.push_str(&format!("{{\"class\":{class},\"path\":{path}}}"));
+    let body = json_object(|w| {
+        w.key("dirty_pairs");
+        w.u64(report.paths_checked as u64);
+        w.key("fec_count");
+        w.u64(report.fec_count as u64);
+        w.key("obs");
+        snapshot.write_json(w);
+        w.key("pair");
+        match report.violation_pair {
+            Some((class, path)) => {
+                w.begin_object();
+                w.key("class");
+                w.u64(class as u64);
+                w.key("path");
+                w.u64(path as u64);
+                w.end_object();
+            }
+            None => w.null(),
         }
-        None => body.push_str("null"),
-    }
-    body.push_str(",\"queries\":");
-    body.push_str(&snapshot.counter("solver.queries").to_string());
-    body.push_str(&format!(
-        ",\"shard\":{{\"count\":{count},\"index\":{index}}},\"status\":\"ok\"}}\n"
-    ));
-    Response::json(200, body).with_header("X-Jinjing-Exit", "0")
+        w.key("queries");
+        w.u64(snapshot.counter("solver.queries"));
+        w.key("shard");
+        w.begin_object();
+        w.key("count");
+        w.u64(count as u64);
+        w.key("index");
+        w.u64(index as u64);
+        w.end_object();
+        w.key("status");
+        w.string("ok");
+    });
+    Ok(Answer { body, exit: 0 })
 }
 
 /// `POST /v1/sessions`: open a resident check session over the intent's
 /// scope and the daemon's current configuration.
-fn session_open(ctx: Ctx<'_, '_>, req: &Request) -> Response {
-    let text = match req.body_text() {
-        Ok(t) => t,
-        Err(HttpError::Malformed(m)) => return Response::error(400, &m),
-        Err(_) => return Response::error(400, "unreadable body"),
-    };
-    match open_intent_session(ctx.net, ctx.config, text, &ctx.engine_config()) {
-        Err(e) => Response::error(400, &e.to_string()),
-        Ok(session) => {
-            let class_count = session.class_count();
-            let mut store = ctx.lock_sessions();
-            let r = store.insert(SessionCell {
-                session,
-                class_count,
-            });
-            ctx.obs.counter_add("serve.sessions_opened", 1);
-            if let Some(victim) = &r.evicted {
-                ctx.obs.counter_add("serve.sessions_evicted", 1);
-                ctx.obs.event(
-                    Level::Info,
-                    "serve.session_evicted",
-                    &format!("{victim} evicted by {}", r.id),
-                );
-            }
-            ctx.obs.gauge_set("serve.sessions_live", store.len() as i64);
-            drop(store);
-            let mut w = JsonWriter::new();
-            w.begin_object();
-            w.key("classes");
-            w.u64(class_count as u64);
-            w.key("id");
-            w.string(&r.id);
-            w.end_object();
-            let mut body = w.finish();
-            body.push('\n');
-            Response::json(200, body).with_header("X-Jinjing-Exit", "0")
-        }
+fn session_open(ctx: Ctx<'_, '_>, call: Call<'_>) -> Result<Answer, Reject> {
+    let session = open_intent_session(ctx.net, ctx.config, call.body, &call.ecfg)?;
+    let class_count = session.class_count();
+    let mut store = ctx.lock_sessions();
+    let r = store.insert(SessionCell {
+        session,
+        class_count,
+    });
+    ctx.obs.counter_add("serve.sessions_opened", 1);
+    if let Some(victim) = &r.evicted {
+        ctx.obs.counter_add("serve.sessions_evicted", 1);
+        ctx.obs.event(
+            Level::Info,
+            "serve.session_evicted",
+            &format!("{victim} evicted by {}", r.id),
+        );
     }
+    ctx.obs.gauge_set("serve.sessions_live", store.len() as i64);
+    drop(store);
+    let body = json_object(|w| {
+        w.key("classes");
+        w.u64(class_count as u64);
+        w.key("id");
+        w.string(&r.id);
+    });
+    Ok(Answer { body, exit: 0 })
 }
 
 /// `POST /v1/sessions/{id}/delta`: re-check one delta batch against a
 /// resident session, answering the canonical watch JSON for the batch.
-fn session_delta(ctx: Ctx<'_, '_>, req: &Request, id: &str) -> Response {
-    let text = match req.body_text() {
-        Ok(t) => t,
-        Err(HttpError::Malformed(m)) => return Response::error(400, &m),
-        Err(_) => return Response::error(400, "unreadable body"),
-    };
-    let deltas = match jinjing_core::incr::parse_delta_script(ctx.net, text) {
-        Ok(d) => d,
-        Err(e) => return Response::error(400, &e.to_string()),
-    };
-    let Some(cell) = ctx.lock_sessions().get(id) else {
-        return Response::error(
-            404,
-            &format!("unknown session {id:?} (expired or evicted?)"),
-        );
+fn session_delta(ctx: Ctx<'_, '_>, call: Call<'_>) -> Result<Answer, Reject> {
+    let deltas =
+        jinjing_core::incr::parse_delta_script(ctx.net, call.body).map_err(Reject::bad_request)?;
+    let Some(cell) = ctx.lock_sessions().get(call.id) else {
+        return Err(Reject {
+            status: 404,
+            message: format!("unknown session {:?} (expired or evicted?)", call.id),
+        });
     };
     // Deltas to the *same* session serialize here; other sessions and
     // one-shot queries proceed in parallel on the other workers.
     let mut cell = cell
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    match recheck_steps(&mut cell.session, &deltas) {
-        Err(e) => Response::error(400, &e.to_string()),
-        Ok(steps) => {
-            let rejected = steps.iter().filter(|s| !s.applied).count();
-            if rejected > 0 {
-                ctx.obs
-                    .counter_add("serve.deltas_rejected", rejected as u64);
-            }
-            let out = WatchOutput::from_steps(
-                cell.class_count,
-                deltas.len(),
-                steps,
-                jinjing_obs::Snapshot::empty(),
-            );
-            // Exit-code parity with `jinjing watch`: rejected deltas gate
-            // with 3.
-            let exit = if rejected > 0 { 3 } else { 0 };
-            Response::json(200, out.to_canonical_json())
-                .with_header("X-Jinjing-Exit", &exit.to_string())
-        }
+    let steps = recheck_steps(&mut cell.session, &deltas)?;
+    let out = WatchOutput::from_steps(
+        cell.class_count,
+        deltas.len(),
+        steps,
+        jinjing_obs::Snapshot::empty(),
+    );
+    if out.rejected > 0 {
+        ctx.obs
+            .counter_add("serve.deltas_rejected", out.rejected as u64);
     }
+    Ok(out.answer())
 }
 
 /// `DELETE /v1/sessions/{id}`.
-fn session_delete(ctx: Ctx<'_, '_>, id: &str) -> Response {
+fn session_delete(ctx: Ctx<'_, '_>, call: Call<'_>) -> Result<Answer, Reject> {
     let mut store = ctx.lock_sessions();
-    if store.remove(id) {
-        ctx.obs.counter_add("serve.sessions_closed", 1);
-        ctx.obs.gauge_set("serve.sessions_live", store.len() as i64);
-        drop(store);
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("deleted");
-        w.string(id);
-        w.end_object();
-        let mut body = w.finish();
-        body.push('\n');
-        Response::json(200, body).with_header("X-Jinjing-Exit", "0")
-    } else {
-        Response::error(404, &format!("unknown session {id:?}"))
+    if !store.remove(call.id) {
+        return Err(Reject {
+            status: 404,
+            message: format!("unknown session {:?}", call.id),
+        });
     }
+    ctx.obs.counter_add("serve.sessions_closed", 1);
+    ctx.obs.gauge_set("serve.sessions_live", store.len() as i64);
+    drop(store);
+    let body = json_object(|w| {
+        w.key("deleted");
+        w.string(call.id);
+    });
+    Ok(Answer { body, exit: 0 })
 }
 
 #[cfg(test)]
@@ -1501,37 +1474,89 @@ check
 
     #[test]
     fn routes_resolve_and_reject() {
-        assert_eq!(route_of("POST", "/v1/check").unwrap(), Route::Check);
+        // A route resolves to its row's metrics key and `{id}` capture, or
+        // to the status + message answered inline.
+        fn resolve<'p>(
+            method: &str,
+            path: &'p str,
+        ) -> Result<(&'static str, &'p str), (u16, String)> {
+            route(method, path)
+                .map(|ep| (ep.key, ep.matches(method, path).unwrap().1))
+                .map_err(|r| (r.status, r.message))
+        }
+        let no_route =
+            |method: &str, path: &str| Err((404, format!("no route for {method} {path}")));
+        assert_eq!(resolve("POST", "/v1/check"), Ok(("check", "")));
         assert_eq!(
-            route_of("POST", "/v1/sessions/s7/delta").unwrap(),
-            Route::SessionDelta("s7".into())
+            resolve("POST", "/v1/sessions/s7/delta"),
+            Ok(("session_delta", "s7"))
         );
         assert_eq!(
-            route_of("DELETE", "/v1/sessions/s7").unwrap(),
-            Route::SessionDelete("s7".into())
+            resolve("DELETE", "/v1/sessions/s7"),
+            Ok(("session_delete", "s7"))
         );
-        assert_eq!(route_of("GET", "/v1/check").unwrap_err().status, 404);
+        assert_eq!(resolve("GET", "/v1/check"), no_route("GET", "/v1/check"));
         assert_eq!(
-            route_of("GET", "/v1/sessions/s7/delta").unwrap_err().status,
-            405
+            resolve("GET", "/v1/sessions/s7/delta"),
+            Err((405, "delta wants POST".to_string()))
         );
         assert_eq!(
-            route_of("PATCH", "/v1/sessions/s7").unwrap_err().status,
-            405
+            resolve("PATCH", "/v1/sessions/s7"),
+            Err((405, "session resources want DELETE".to_string()))
         );
-        assert_eq!(route_of("POST", "/v2/zzz").unwrap_err().status, 404);
-        assert_eq!(route_of("POST", "/v1/lint/multi").unwrap(), Route::LintMulti);
-        assert_eq!(Route::LintMulti.key(), "lint_multi");
-        assert_eq!(route_of("GET", "/v1/lint/multi").unwrap_err().status, 404);
-        assert_eq!(route_of("POST", "/v1/plan").unwrap(), Route::Plan);
-        assert_eq!(Route::Plan.key(), "plan");
-        assert_eq!(route_of("GET", "/v1/plan").unwrap_err().status, 404);
+        assert_eq!(resolve("POST", "/v2/zzz"), no_route("POST", "/v2/zzz"));
+        assert_eq!(resolve("POST", "/v1/lint/multi"), Ok(("lint_multi", "")));
         assert_eq!(
-            route_of("POST", "/v1/shard/check").unwrap(),
-            Route::ShardCheck
+            resolve("GET", "/v1/lint/multi"),
+            no_route("GET", "/v1/lint/multi")
         );
-        assert_eq!(Route::ShardCheck.key(), "shard_check");
-        assert_eq!(route_of("GET", "/v1/shard/check").unwrap_err().status, 404);
+        assert_eq!(resolve("POST", "/v1/plan"), Ok(("plan", "")));
+        assert_eq!(resolve("GET", "/v1/plan"), no_route("GET", "/v1/plan"));
+        assert_eq!(resolve("POST", "/v1/shard/check"), Ok(("shard_check", "")));
+        assert_eq!(
+            resolve("GET", "/v1/shard/check"),
+            no_route("GET", "/v1/shard/check")
+        );
+        // A capture that ends the path is one non-empty segment; a nonsense
+        // id before `/delta` reaches the handler's "unknown session".
+        assert_eq!(
+            resolve("DELETE", "/v1/sessions/a/b"),
+            no_route("DELETE", "/v1/sessions/a/b")
+        );
+        assert_eq!(
+            resolve("DELETE", "/v1/sessions/"),
+            no_route("DELETE", "/v1/sessions/")
+        );
+        assert_eq!(
+            resolve("POST", "/v1/sessions/a/b/delta"),
+            Ok(("session_delta", "a/b"))
+        );
+
+        // The metrics keys are a contract: latencies land in
+        // `serve.latency_us.<key>` (the benchmark reads `.check`).
+        let keys: Vec<&str> = ENDPOINTS.iter().map(|ep| ep.key).collect();
+        assert_eq!(
+            keys,
+            [
+                "check",
+                "fix",
+                "generate",
+                "lint",
+                "lint_multi",
+                "plan",
+                "shard_check",
+                "session_open",
+                "session_delta",
+                "session_delete"
+            ]
+        );
+        // Only the one-shot run endpoints arm the flight recorder.
+        let traced: Vec<&str> = ENDPOINTS
+            .iter()
+            .filter(|ep| ep.traced)
+            .map(|ep| ep.key)
+            .collect();
+        assert_eq!(traced, ["check", "fix", "generate"]);
     }
 
     #[test]

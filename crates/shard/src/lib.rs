@@ -28,7 +28,10 @@
 //! that single pair locally to materialize the witness packet, and renders
 //! the canonical document. Responses are therefore byte-identical to a
 //! single-process run at every shard count — the same contract
-//! `--threads` honors, and the same goldens pin both.
+//! `--threads` honors, and the same goldens pin both. `/v1/check` and
+//! `/v1/plan` *are* the daemon's handler ([`jinjing_serve::answer_query`])
+//! run under that delegated engine configuration, so bodies, error
+//! documents and `X-Jinjing-Exit` codes cannot drift between the two.
 //!
 //! **Wire protocol.** Backends expose `POST /v1/shard/check`: the intent
 //! text plus `#shard-base` / `#shard-apply` delta-script sections carrying
@@ -48,6 +51,9 @@
 //! **No partial results.** A backend that is down, answers non-200, or
 //! ships a malformed shard report fails the whole request with the
 //! canonical error JSON (HTTP 502) — never a silently partial verdict.
+//! One `fan_out` carries both the check delegate and the lint merge, and
+//! the 502 comes from the error's type
+//! ([`jinjing_core::query::QueryError::Shard`]), not from its text.
 //!
 //! Std-only like every other crate: `TcpListener` + `jinjing-serve`'s
 //! hand-rolled HTTP, no runtime, no TLS.
@@ -56,20 +62,19 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use jinjing_acl::Acl;
 use jinjing_core::check::CheckDelegate;
 use jinjing_core::engine::EngineConfig;
-use jinjing_core::query::{plan_query, run_query};
+use jinjing_core::query::{Answer, Reject};
 use jinjing_lint::LintReport;
 use jinjing_net::{AclConfig, Network, Slot};
 use jinjing_obs::json::{self, JsonWriter};
 use jinjing_obs::{Collector, Level, Snapshot};
+use jinjing_serve::answer_query;
 use jinjing_serve::client::Conn;
 use jinjing_serve::http::{read_request, ChunkedWriter, HttpError, Request, Response};
-use jinjing_serve::parse_plan_body;
 
 /// How long a read on an accepted front-end connection may stall.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
@@ -145,16 +150,24 @@ pub struct CoordSummary {
     pub snapshot: Snapshot,
 }
 
-/// One kept-alive connection per backend; a connection is locked for the
-/// duration of one fan-out call, so concurrent requests to the *same*
-/// backend serialize on its connection (requests to different backends
-/// proceed in parallel).
+/// One kept-alive connection per backend, shard `i` of `n` behind
+/// `conns[i]`; a connection is locked for the duration of one fan-out
+/// call, so concurrent requests to the *same* backend serialize on its
+/// connection (requests to different backends proceed in parallel).
 struct BackendPool {
     conns: Vec<Mutex<Conn>>,
-    addrs: Vec<String>,
 }
 
 impl BackendPool {
+    /// Prepare the connections; dialing is lazy.
+    fn new(backends: &[String], timeout: Duration) -> Result<BackendPool, String> {
+        let conns = backends
+            .iter()
+            .map(|addr| Conn::new(addr, timeout).map(Mutex::new))
+            .collect::<Result<_, _>>()?;
+        Ok(BackendPool { conns })
+    }
+
     fn len(&self) -> usize {
         self.conns.len()
     }
@@ -163,6 +176,90 @@ impl BackendPool {
 /// A progress sink for streamed responses: receives newline-terminated
 /// JSON documents as backends complete.
 pub type Progress = Arc<dyn Fn(String) + Send + Sync>;
+
+/// The one fan-out: post `body` to `path` on every backend at once, each
+/// under its `X-Jinjing-Shard: i/n` slice, and read every 200 reply with
+/// `parse`. Each finished backend emits a `{"done":k,"shards":n}`
+/// progress document. Results come back in shard order with the failing
+/// slice and backend named; callers fail the whole request on the first
+/// `Err` — never a partial answer.
+fn fan_out<T: Send>(
+    pool: &BackendPool,
+    path: &str,
+    body: &[u8],
+    progress: Option<&Progress>,
+    parse: impl Fn(&str) -> Result<T, String> + Sync,
+) -> Vec<Result<T, String>> {
+    let n = pool.len();
+    let done = AtomicUsize::new(0);
+    let call = |i: usize| {
+        let mut conn = pool.conns[i].lock().unwrap_or_else(PoisonError::into_inner);
+        let slice = [("X-Jinjing-Shard".to_string(), format!("{i}/{n}"))];
+        let reply = conn.call("POST", path, &slice, body);
+        let addr = conn.addr();
+        let result = match reply {
+            Err(e) => Err(format!("backend {addr}: {e}")),
+            Ok(resp) if resp.status != 200 => Err(format!(
+                "backend {addr} answered {}: {}",
+                resp.status,
+                resp.body_text().trim()
+            )),
+            Ok(resp) => parse(&resp.body_text()).map_err(|e| format!("backend {addr}: {e}")),
+        };
+        let k = done.fetch_add(1, Ordering::SeqCst) + 1;
+        if let Some(p) = progress {
+            let mut w = JsonWriter::new();
+            w.begin_object();
+            w.key("done");
+            w.u64(k as u64);
+            w.key("shards");
+            w.u64(n as u64);
+            w.end_object();
+            p(w.finish() + "\n");
+        }
+        result.map_err(|e| format!("shard {i}/{n}: {e}"))
+    };
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..n).map(|i| s.spawn(move || call(i))).collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|_| Err("shard worker panicked".to_string()))
+            })
+            .collect()
+    })
+}
+
+/// Fan a `/v1/lint` body out and merge the partitioned reports
+/// ([`LintReport::merge`] + sort): byte-identical to an unsharded
+/// `jinjing lint --format json`. A failed slice is a 502.
+fn lint_fan_out(
+    pool: &BackendPool,
+    body: &[u8],
+    progress: Option<&Progress>,
+) -> Result<Answer, Reject> {
+    let parse =
+        |text: &str| LintReport::from_json(text).map_err(|e| format!("bad lint report: {e}"));
+    let mut merged = LintReport::new();
+    for report in fan_out(pool, "/v1/lint", body, progress, parse) {
+        merged.merge(report.map_err(|message| Reject {
+            status: 502,
+            message,
+        })?);
+    }
+    merged.sort();
+    Ok(Answer::of_lint(&merged))
+}
+
+/// The `jinjing call --shards` path: [`Coordinator`]'s `/v1/lint` merge
+/// without a coordinator — one lint body fanned out over `backends`
+/// directly. Only lint is mergeable client-side; verdict-bearing
+/// endpoints need the coordinator's local engine.
+pub fn lint_sharded(backends: &[String], body: &[u8], timeout: Duration) -> Result<Answer, Reject> {
+    let pool = BackendPool::new(backends, timeout).map_err(Reject::bad_request)?;
+    lint_fan_out(&pool, body, None)
+}
 
 /// Per-request fan-out totals, folded into the coordinator's metrics
 /// after the request completes.
@@ -192,6 +289,38 @@ struct WireReport {
     snapshot: Snapshot,
 }
 
+impl WireReport {
+    fn parse(text: &str) -> Result<WireReport, String> {
+        let doc = json::parse(text.trim()).map_err(|e| format!("malformed shard report: {e}"))?;
+        if doc.get("status").and_then(json::Json::as_str) != Some("ok") {
+            return Err("shard report without status ok".to_string());
+        }
+        let grab = |k: &str| {
+            doc.get(k)
+                .and_then(json::Json::as_u64)
+                .ok_or_else(|| format!("shard report missing {k}"))
+        };
+        let pair = doc.get("pair").and_then(|p| {
+            Some((
+                p.get("class")?.as_u64()? as usize,
+                p.get("path")?.as_u64()? as usize,
+            ))
+        });
+        let snapshot = match doc.get("obs") {
+            Some(v) => {
+                Snapshot::from_json_value(v).map_err(|e| format!("malformed obs snapshot: {e}"))?
+            }
+            None => Snapshot::empty(),
+        };
+        Ok(WireReport {
+            dirty_pairs: grab("dirty_pairs")?,
+            queries: grab("queries")?,
+            pair,
+            snapshot,
+        })
+    }
+}
+
 /// The [`CheckDelegate`] that ships each check fan-out to the backends:
 /// renders the before/after configurations as delta scripts against the
 /// resident configuration, posts one `/v1/shard/check` per backend
@@ -209,27 +338,16 @@ struct RemoteDelegate {
 impl fmt::Debug for RemoteDelegate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RemoteDelegate")
-            .field("backends", &self.pool.addrs)
+            .field("backends", &self.pool.len())
             .finish_non_exhaustive()
     }
 }
 
-/// Render an ACL as the one-line `set` payload of a delta script: rules
-/// joined by `; `, with the display form's `(default …)` tail opened up
-/// into the `default …` directive [`jinjing_acl::parse::parse_acl`]
-/// reads back.
-fn acl_one_line(acl: &Acl) -> String {
-    acl.to_string()
-        .lines()
-        .map(|l| l.trim().trim_start_matches('(').trim_end_matches(')').to_string())
-        .collect::<Vec<_>>()
-        .join("; ")
-}
-
 /// Render the slot-wise difference `from → to` as a delta script
 /// ([`jinjing_core::incr::parse_delta_script`] grammar): one `set` line
-/// per slot whose ACL changed or appeared, one `clear` per slot that
-/// vanished, in sorted slot order. Equal configurations render empty.
+/// per slot whose ACL changed or appeared (its lines joined by `; `), one
+/// `clear` per slot that vanished, in sorted slot order. Equal
+/// configurations render empty.
 fn render_delta(net: &Network, from: &AclConfig, to: &AclConfig) -> String {
     let topo = net.topology();
     let mut slots: BTreeSet<Slot> = from.slots().into_iter().collect();
@@ -239,7 +357,7 @@ fn render_delta(net: &Network, from: &AclConfig, to: &AclConfig) -> String {
         let name = || format!("{}-{}", topo.iface_name(slot.iface), slot.dir);
         match (from.get(slot), to.get(slot)) {
             (was, Some(acl)) if was != Some(acl) => {
-                out.push_str(&format!("set {} {}\n", name(), acl_one_line(acl)));
+                out.push_str(&format!("set {} {}\n", name(), acl.lines().join("; ")));
             }
             (Some(_), None) => {
                 out.push_str(&format!("clear {}\n", name()));
@@ -250,11 +368,15 @@ fn render_delta(net: &Network, from: &AclConfig, to: &AclConfig) -> String {
     out
 }
 
-impl RemoteDelegate {
-    /// The `/v1/shard/check` body for one fan-out: the intent text plus
-    /// both section markers (always present, possibly empty) so the
-    /// backend checks exactly the configurations the coordinator holds.
-    fn wire_body(&self, before: &AclConfig, after: &AclConfig) -> String {
+impl CheckDelegate for RemoteDelegate {
+    fn check(
+        &self,
+        before: &AclConfig,
+        after: &AclConfig,
+    ) -> Result<Option<(usize, usize)>, String> {
+        // The intent plus both section markers (always present, possibly
+        // empty), so the backend checks exactly the configurations the
+        // coordinator holds.
         let mut body = self.intent.clone();
         if !body.ends_with('\n') {
             body.push('\n');
@@ -263,101 +385,19 @@ impl RemoteDelegate {
         body.push_str(&render_delta(&self.net, &self.resident, before));
         body.push_str("#shard-apply\n");
         body.push_str(&render_delta(&self.net, before, after));
-        body
-    }
-
-    /// One backend call: post the shard body, parse the wire report.
-    fn call_shard(&self, i: usize, n: usize, body: &str) -> Result<WireReport, String> {
-        let addr = &self.pool.addrs[i];
-        let mut conn = self.pool.conns[i]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let resp = conn
-            .call(
-                "POST",
-                "/v1/shard/check",
-                &[("X-Jinjing-Shard".to_string(), format!("{i}/{n}"))],
-                body.as_bytes(),
-            )
-            .map_err(|e| format!("backend {addr}: {e}"))?;
-        if resp.status != 200 {
-            return Err(format!(
-                "backend {addr} answered {}: {}",
-                resp.status,
-                resp.body_text().trim()
-            ));
-        }
-        let doc = json::parse(resp.body_text().trim())
-            .map_err(|e| format!("backend {addr}: malformed shard report: {e}"))?;
-        if doc.get("status").and_then(json::Json::as_str) != Some("ok") {
-            return Err(format!("backend {addr}: shard report without status ok"));
-        }
-        let grab = |k: &str| {
-            doc.get(k)
-                .and_then(json::Json::as_u64)
-                .ok_or_else(|| format!("backend {addr}: shard report missing {k}"))
-        };
-        let pair = doc.get("pair").and_then(|p| {
-            Some((
-                p.get("class")?.as_u64()? as usize,
-                p.get("path")?.as_u64()? as usize,
-            ))
-        });
-        let snapshot = match doc.get("obs") {
-            Some(v) => Snapshot::from_json_value(v)
-                .map_err(|e| format!("backend {addr}: malformed obs snapshot: {e}"))?,
-            None => Snapshot::empty(),
-        };
-        Ok(WireReport {
-            dirty_pairs: grab("dirty_pairs")?,
-            queries: grab("queries")?,
-            pair,
-            snapshot,
-        })
-    }
-}
-
-impl CheckDelegate for RemoteDelegate {
-    fn check(
-        &self,
-        before: &AclConfig,
-        after: &AclConfig,
-    ) -> Result<Option<(usize, usize)>, String> {
-        let n = self.pool.len();
-        let body = self.wire_body(before, after);
-        let done = AtomicUsize::new(0);
-        let results: Vec<Result<WireReport, String>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n)
-                .map(|i| {
-                    let body = body.as_str();
-                    let done = &done;
-                    s.spawn(move || {
-                        let r = self.call_shard(i, n, body);
-                        let k = done.fetch_add(1, Ordering::SeqCst) + 1;
-                        if let Some(p) = &self.progress {
-                            p(format!("{{\"done\":{k},\"shards\":{n}}}\n"));
-                        }
-                        r
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|_| Err("shard worker panicked".to_string()))
-                })
-                .collect()
-        });
+        let reports = fan_out(
+            &self.pool,
+            "/v1/shard/check",
+            body.as_bytes(),
+            self.progress.as_ref(),
+            WireReport::parse,
+        );
 
         let mut min: Option<(usize, usize)> = None;
-        let mut acc = self
-            .accum
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut acc = self.accum.lock().unwrap_or_else(PoisonError::into_inner);
         acc.fan_outs += 1;
-        for (i, r) in results.into_iter().enumerate() {
-            let rep = r.map_err(|e| format!("shard {i}/{n}: {e}"))?;
+        for report in reports {
+            let rep = report?;
             acc.dirty_pairs += rep.dirty_pairs;
             acc.queries += rep.queries;
             acc.snapshot.merge(&rep.snapshot);
@@ -449,135 +489,23 @@ impl<'a> Cx<'a> {
     }
 }
 
-/// Map an engine error message onto the right front-end status: a failed
-/// backend fan-out is a gateway problem (502), anything else is the
-/// caller's (400).
-fn error_of(msg: &str) -> Response {
-    if msg.contains("shard fan-out failed") {
-        Response::error(502, msg)
-    } else {
-        Response::error(400, msg)
-    }
-}
-
-/// `POST /v1/check`: run the intent locally with the solver fan-out
-/// delegated to the backends. Byte-identical to the single-process
-/// `jinjing run --format json` at any backend count.
-fn check_endpoint(cx: Cx<'_>, text: &str, progress: Option<Progress>) -> Response {
+/// `POST /v1/check|plan`: the daemon's own handler
+/// ([`jinjing_serve::answer_query`]) run locally, with every check's
+/// solver fan-out delegated to the backends. Byte-identical to the
+/// single-process answer at any backend count; a failed fan-out
+/// surfaces as the 502 [`Reject`] the query layer types it as.
+fn query_endpoint(
+    cx: Cx<'_>,
+    path: &str,
+    body: &str,
+    progress: Option<Progress>,
+) -> Result<Answer, Reject> {
     let accum = Arc::new(Mutex::new(ShardAccum::new()));
-    let ecfg = cx.delegated_config(text, &accum, progress);
-    let result = run_query(cx.net, cx.config, text, &ecfg);
-    cx.absorb(&accum);
-    match result {
-        Err(e) => error_of(&e.to_string()),
-        Ok(out) => {
-            if out.plan.command != "check" {
-                Response::error(
-                    400,
-                    &format!(
-                        "intent command {:?} does not match endpoint /v1/check",
-                        out.plan.command
-                    ),
-                )
-            } else {
-                let exit = if out.plan.verdict.starts_with("inconsistent") {
-                    3
-                } else {
-                    0
-                };
-                Response::json(200, out.plan.to_canonical_json())
-                    .with_header("X-Jinjing-Exit", &exit.to_string())
-            }
-        }
-    }
-}
-
-/// `POST /v1/plan`: synthesize the rollout plan locally; every safety
-/// probe's solver fan-out rides the same delegate. Byte-identical to
-/// `jinjing plan --format json`.
-fn plan_endpoint(cx: Cx<'_>, text: &str, progress: Option<Progress>) -> Response {
-    let (intent, target, max_waves) = match parse_plan_body(text) {
-        Ok(parts) => parts,
-        Err(e) => return Response::error(400, &e),
-    };
-    let accum = Arc::new(Mutex::new(ShardAccum::new()));
-    let mut ecfg = cx.delegated_config(&intent, &accum, progress);
-    ecfg.plan.max_waves = max_waves;
-    let result = plan_query(cx.net, cx.config, &intent, target.as_deref(), &ecfg);
-    cx.absorb(&accum);
-    match result {
-        Err(e) => error_of(&e.to_string()),
-        Ok(out) => {
-            let exit = if out.feasible { 0 } else { 3 };
-            Response::json(200, out.json).with_header("X-Jinjing-Exit", &exit.to_string())
-        }
-    }
-}
-
-/// `POST /v1/lint`: fan the lint body to every backend with its
-/// `X-Jinjing-Shard` slice and merge the partitioned reports
-/// ([`LintReport::merge`] + sort). Byte-identical to an unsharded
-/// `jinjing lint --format json`.
-fn lint_endpoint(cx: Cx<'_>, text: &str, progress: Option<Progress>) -> Response {
-    let n = cx.pool.len();
-    let done = AtomicUsize::new(0);
-    let results: Vec<Result<LintReport, String>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n)
-            .map(|i| {
-                let done = &done;
-                let progress = &progress;
-                s.spawn(move || {
-                    let addr = &cx.pool.addrs[i];
-                    let mut conn = cx.pool.conns[i]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    let r = conn
-                        .call(
-                            "POST",
-                            "/v1/lint",
-                            &[("X-Jinjing-Shard".to_string(), format!("{i}/{n}"))],
-                            text.as_bytes(),
-                        )
-                        .map_err(|e| format!("backend {addr}: {e}"))
-                        .and_then(|resp| {
-                            if resp.status != 200 {
-                                return Err(format!(
-                                    "backend {addr} answered {}: {}",
-                                    resp.status,
-                                    resp.body_text().trim()
-                                ));
-                            }
-                            LintReport::from_json(&resp.body_text())
-                                .map_err(|e| format!("backend {addr}: bad lint report: {e}"))
-                        });
-                    let k = done.fetch_add(1, Ordering::SeqCst) + 1;
-                    if let Some(p) = progress {
-                        p(format!("{{\"done\":{k},\"shards\":{n}}}\n"));
-                    }
-                    r
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err("lint worker panicked".to_string()))
-            })
-            .collect()
+    let result = answer_query(cx.net, cx.config, path, body, |intent| {
+        cx.delegated_config(intent, &accum, progress)
     });
-    let mut merged = LintReport::new();
-    for (i, r) in results.into_iter().enumerate() {
-        match r {
-            Ok(rep) => merged.merge(rep),
-            Err(e) => return Response::error(502, &format!("shard {i}/{n}: {e}")),
-        }
-    }
-    merged.sort();
-    let exit = if merged.has_errors() { 4 } else { 0 };
-    let mut body = merged.to_json();
-    body.push('\n');
-    Response::json(200, body).with_header("X-Jinjing-Exit", &exit.to_string())
+    cx.absorb(&accum);
+    result
 }
 
 /// Answer one engine request as a chunked stream: progress documents as
@@ -648,19 +576,10 @@ impl Coordinator {
             return Err(ShardError("at least one backend is required".to_string()));
         }
         let timeout = Duration::from_millis(cfg.timeout_ms.max(1));
-        let mut conns = Vec::with_capacity(cfg.backends.len());
-        for addr in &cfg.backends {
-            conns.push(Mutex::new(
-                Conn::new(addr, timeout).map_err(ShardError)?,
-            ));
-        }
+        let pool = Arc::new(BackendPool::new(&cfg.backends, timeout).map_err(ShardError)?);
         let listener = TcpListener::bind(&cfg.addr)
             .map_err(|e| ShardError(format!("bind {}: {e}", cfg.addr)))?;
         let obs = Collector::with_trace(cfg.trace || jinjing_obs::trace_env_enabled());
-        let pool = Arc::new(BackendPool {
-            conns,
-            addrs: cfg.backends.clone(),
-        });
         Ok(Coordinator {
             net: Arc::new(net),
             config,
@@ -717,17 +636,12 @@ impl Coordinator {
             let _ = stream.set_write_timeout(Some(READ_TIMEOUT));
             let req = match read_request(&mut stream, cfg.max_body) {
                 Ok(r) => r,
-                Err(HttpError::Malformed(m)) => {
-                    obs.counter_add("shard.requests_total", 1);
-                    cx.respond(&mut stream, &Response::error(400, &m));
-                    continue;
-                }
-                Err(HttpError::TooLarge(m)) => {
-                    obs.counter_add("shard.requests_total", 1);
-                    cx.respond(&mut stream, &Response::error(413, &m));
-                    continue;
-                }
                 Err(HttpError::Io(_)) => continue,
+                Err(e) => {
+                    obs.counter_add("shard.requests_total", 1);
+                    cx.respond(&mut stream, &Reject::from(e).into());
+                    continue;
+                }
             };
             obs.counter_add("shard.requests_total", 1);
             if handle_request(cx, req, &mut stream) == Flow::Shutdown {
@@ -783,27 +697,24 @@ fn handle_request(cx: Cx<'_>, req: Request, stream: &mut TcpStream) -> Flow {
             w.key("status");
             w.string("draining");
             w.end_object();
-            let mut body = w.finish();
-            body.push('\n');
-            cx.respond(
-                stream,
-                &Response::json(200, body).with_header("X-Jinjing-Exit", "0"),
-            );
+            let body = w.finish() + "\n";
+            cx.respond(stream, &Answer { body, exit: 0 }.into());
             return Flow::Shutdown;
         }
-        ("POST", "/v1/check") | ("POST", "/v1/plan") | ("POST", "/v1/lint") => {
-            let text = match req.body_text() {
-                Ok(t) => t.to_string(),
-                Err(_) => {
-                    cx.respond(stream, &Response::error(400, "unreadable body"));
-                    return Flow::Continue;
-                }
+        ("POST", path @ ("/v1/check" | "/v1/plan" | "/v1/lint")) => {
+            let Ok(text) = req.body_text() else {
+                cx.respond(stream, &Response::error(400, "unreadable body"));
+                return Flow::Continue;
             };
-            let path = req.path.clone();
-            let work = move |progress: Option<Progress>| match path.as_str() {
-                "/v1/check" => check_endpoint(cx, &text, progress),
-                "/v1/plan" => plan_endpoint(cx, &text, progress),
-                _ => lint_endpoint(cx, &text, progress),
+            let work = move |progress: Option<Progress>| -> Response {
+                let result = match path {
+                    "/v1/lint" => lint_fan_out(cx.pool, text.as_bytes(), progress.as_ref()),
+                    _ => query_endpoint(cx, path, text, progress),
+                };
+                match result {
+                    Ok(answer) => answer.into(),
+                    Err(reject) => reject.into(),
+                }
             };
             if streamed {
                 respond_streamed(cx, stream, work);
@@ -826,6 +737,7 @@ fn handle_request(cx: Cx<'_>, req: Request, stream: &mut TcpStream) -> Flow {
 mod tests {
     use super::*;
     use jinjing_core::figure1::Figure1;
+    use jinjing_core::query::{plan_query, run_query};
     use jinjing_serve::client;
     use jinjing_serve::{ServeConfig, Server};
 
@@ -884,7 +796,8 @@ check
             .deny_dst("1.0.0.0/8")
             .permit_dst("2.0.0.0/8")
             .build();
-        let line = acl_one_line(&acl);
+        // The `set` payload of a delta script: the ACL's lines on one.
+        let line = acl.lines().join("; ");
         assert_eq!(
             line,
             "deny dst 1.0.0.0/8; permit dst 2.0.0.0/8; default deny"

@@ -15,6 +15,19 @@ probe_registry() {
     cargo metadata --format-version 1 >/dev/null 2>&1
 }
 
+# expect_exit N cmd...: run cmd and require exit status N — the gates
+# below (3 = inconsistent / rejected / infeasible, 4 = lint) are part of
+# the CLI's contract, so any other status fails CI.
+expect_exit() {
+    local want="$1" rc=0
+    shift
+    "$@" || rc=$?
+    if [ "$rc" -ne "$want" ]; then
+        echo "ci.sh: expected exit $want, got $rc: $*" >&2
+        return 1
+    fi
+}
+
 if ! probe_registry; then
     echo "ci.sh: crates.io registry unavailable — running offline checks only" >&2
     exec "$(dirname "$0")/offline_check.sh"
@@ -46,19 +59,14 @@ cargo run --release -p jinjing-cli --bin jinjing -- lint \
     --intent gamma=examples/data/tenant-gamma.lai \
     --deny JL301 --format json >/dev/null
 # The conflicting pair carries a solver-certified JL301: denying the
-# JL3xx family must gate with exit 4 (any other exit fails CI).
-rc=0
-cargo run --release -p jinjing-cli --bin jinjing -- lint \
+# JL3xx family must gate with exit 4.
+expect_exit 4 cargo run --release -p jinjing-cli --bin jinjing -- lint \
     --network examples/data/figure1-network.json \
     --acls examples/data/figure1-acls.json \
     --intent alpha=examples/data/tenant-alpha.lai \
     --intent beta=examples/data/tenant-beta.lai \
     --priority alpha,beta \
-    --deny 'JL3*' --format sarif >/dev/null || rc=$?
-if [ "$rc" -ne 4 ]; then
-    echo "ci.sh: expected the conflicting tenant pair to gate with exit 4, got $rc" >&2
-    exit 1
-fi
+    --deny 'JL3*' --format sarif >/dev/null
 
 echo "==> rollout-plan smoke (certified update sequencing)"
 # The committed relocation target is feasible but order-sensitive
@@ -88,17 +96,12 @@ else
 fi
 # The impossible target (clear D:2 leaks traffic 1/2 in any order) must
 # gate with exit 3 and name the infeasibility core.
-rc=0
-cargo run --release -q -p jinjing-cli --bin jinjing -- plan \
+expect_exit 3 cargo run --release -q -p jinjing-cli --bin jinjing -- plan \
     --network examples/data/figure1-network.json \
     --acls examples/data/figure1-acls.json \
     --intent examples/data/rollout-scope.lai \
     --target examples/data/rollout-impossible.deltas \
-    --format json >"$plan_dir/impossible.json" || rc=$?
-if [ "$rc" -ne 3 ]; then
-    echo "ci.sh: expected the impossible rollout to exit 3, got $rc" >&2
-    exit 1
-fi
+    --format json >"$plan_dir/impossible.json"
 grep -q '"core":\["D"\]' "$plan_dir/impossible.json"
 rm -rf "$plan_dir"
 
@@ -110,7 +113,7 @@ echo "==> daemon smoke (serve ⇄ call round trip, threads 1 and 4)"
 # exit. Once single-threaded, once with a 4-wide engine: the wire bytes
 # and exit codes must not care.
 serve_smoke() {
-    local threads="$1" dir pid addr sid rc
+    local threads="$1" dir pid addr sid
     dir="$(mktemp -d)"
     printf 'step open-d2\nset D:2 default permit\n' >"$dir/edit.deltas"
     JINJING_THREADS="$threads" cargo run --release -p jinjing-cli --bin jinjing -- serve \
@@ -123,19 +126,15 @@ serve_smoke() {
     addr="$(cat "$dir/port")"
     jj() { cargo run --release -q -p jinjing-cli --bin jinjing -- call --addr "$addr" "$@"; }
 
-    rc=0
-    jj --path /v1/check --body-file examples/data/running-example.lai \
-        >"$dir/check.json" || rc=$?
-    [ "$rc" -eq 3 ] || { echo "expected exit 3 from /v1/check, got $rc" >&2; return 1; }
+    expect_exit 3 jj --path /v1/check --body-file examples/data/running-example.lai \
+        >"$dir/check.json"
     grep -q '"verdict":"inconsistent' "$dir/check.json"
 
     jj --path /v1/sessions --body-file examples/data/running-example.lai >"$dir/open.json"
     sid="$(sed -n 's/.*"id":"\(s[0-9]*\)".*/\1/p' "$dir/open.json")"
     [ -n "$sid" ] || { echo "no session id in $(cat "$dir/open.json")" >&2; return 1; }
-    rc=0
-    jj --path "/v1/sessions/$sid/delta" --body-file "$dir/edit.deltas" \
-        >"$dir/delta.json" || rc=$?
-    [ "$rc" -eq 3 ] || { echo "expected exit 3 from a rejected delta, got $rc" >&2; return 1; }
+    expect_exit 3 jj --path "/v1/sessions/$sid/delta" --body-file "$dir/edit.deltas" \
+        >"$dir/delta.json"
     grep -q '"rejected":1' "$dir/delta.json"
     jj --method DELETE --path "/v1/sessions/$sid" >/dev/null
 
@@ -158,7 +157,7 @@ echo "==> shard smoke (coordinator + 2 backends: byte-parity + streaming)"
 # fan-out rendering the same bytes, and (c) the chunked streaming form
 # emitting per-shard progress docs before an identical final chunk.
 shard_smoke() {
-    local dir bpid1 bpid2 cpid addr1 caddr rc
+    local dir bpid1 bpid2 cpid addr1 caddr
     dir="$(mktemp -d)"
     for i in 1 2; do
         cargo run --release -q -p jinjing-cli --bin jinjing -- serve \
@@ -182,14 +181,10 @@ shard_smoke() {
     jj() { cargo run --release -q -p jinjing-cli --bin jinjing -- call "$@"; }
 
     # Byte-parity: coordinator vs lone daemon, both gating with exit 3.
-    rc=0
-    jj --addr "$caddr" --path /v1/check \
-        --body-file examples/data/running-example.lai >"$dir/coord-check.json" || rc=$?
-    [ "$rc" -eq 3 ] || { echo "expected exit 3 from the sharded check, got $rc" >&2; return 1; }
-    rc=0
-    jj --addr "$addr1" --path /v1/check \
-        --body-file examples/data/running-example.lai >"$dir/solo-check.json" || rc=$?
-    [ "$rc" -eq 3 ] || { echo "expected exit 3 from the lone daemon, got $rc" >&2; return 1; }
+    expect_exit 3 jj --addr "$caddr" --path /v1/check \
+        --body-file examples/data/running-example.lai >"$dir/coord-check.json"
+    expect_exit 3 jj --addr "$addr1" --path /v1/check \
+        --body-file examples/data/running-example.lai >"$dir/solo-check.json"
     cmp "$dir/coord-check.json" "$dir/solo-check.json" \
         || { echo "sharded check drifted from the single-process bytes" >&2; return 1; }
 

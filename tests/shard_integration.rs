@@ -232,7 +232,7 @@ fn a_dead_backend_fails_the_whole_request_with_canonical_json() {
     let (coord, coord_handle) = coordinator(vec![alive.clone(), dead], 1);
     let check_intent = format!("{RUNNING_EXAMPLE_BODY}check\n");
 
-    for path in ["/v1/check", "/v1/lint"] {
+    for path in ["/v1/check", "/v1/lint", "/v1/plan"] {
         let r = post(&coord, path, &check_intent);
         assert_eq!(r.status, 502, "{path}: {}", r.body_text());
         assert_eq!(r.exit_code(), 1, "{path}");
