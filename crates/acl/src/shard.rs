@@ -92,7 +92,10 @@ impl ShardSpec {
     /// error.
     pub fn new(index: usize, count: usize) -> ShardSpec {
         assert!(count > 0, "shard count must be positive");
-        assert!(index < count, "shard index {index} out of range for {count} shard(s)");
+        assert!(
+            index < count,
+            "shard index {index} out of range for {count} shard(s)"
+        );
         let mut ring = Vec::with_capacity(count * VNODES_PER_SHARD);
         for shard in 0..count {
             for vnode in 0..VNODES_PER_SHARD {

@@ -828,9 +828,7 @@ pub fn lint_multi_command(
     }
     for p in priority {
         if !tenants.iter().any(|(n, _)| n == p) {
-            return Err(CliError(format!(
-                "--priority names unknown tenant {p:?}"
-            )));
+            return Err(CliError(format!("--priority names unknown tenant {p:?}")));
         }
     }
     lint_from_specs(net_text, acls_text, opts, |net, config, cfg| {
@@ -1450,12 +1448,9 @@ step noop
     fn call_shards_merges_lint_and_rejects_other_paths() {
         let mk_backend = || {
             let f = Figure1::new();
-            let srv = jinjing_serve::Server::bind(
-                f.net,
-                f.config,
-                jinjing_serve::ServeConfig::default(),
-            )
-            .unwrap();
+            let srv =
+                jinjing_serve::Server::bind(f.net, f.config, jinjing_serve::ServeConfig::default())
+                    .unwrap();
             let addr = srv.local_addr().unwrap().to_string();
             let h = std::thread::spawn(move || srv.run().unwrap());
             (addr, h)
@@ -1546,7 +1541,8 @@ step noop
             .unwrap()
             .plan
             .to_canonical_json();
-        let traced = trace_command(&f.net, &f.config, CHECK_INTENT, &RunOptions::default()).unwrap();
+        let traced =
+            trace_command(&f.net, &f.config, CHECK_INTENT, &RunOptions::default()).unwrap();
         assert_eq!(
             traced.run.plan.to_canonical_json(),
             plain,

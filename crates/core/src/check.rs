@@ -125,7 +125,11 @@ impl Default for CheckConfig {
 pub trait CheckDelegate: std::fmt::Debug + Send + Sync {
     /// Solve the fan-out for `before → after`; `Err` strings surface as
     /// [`CheckError::Shard`].
-    fn check(&self, before: &AclConfig, after: &AclConfig) -> Result<Option<(usize, usize)>, String>;
+    fn check(
+        &self,
+        before: &AclConfig,
+        after: &AclConfig,
+    ) -> Result<Option<(usize, usize)>, String>;
 }
 
 /// Why a check run failed to produce a verdict.
@@ -586,7 +590,11 @@ pub(crate) fn check_inner(
         .iter()
         .enumerate()
         .filter(|(_, class)| !cfg.differential || class.set.intersects(&cover))
-        .filter(|(_, class)| cfg.shard.as_ref().map_or(true, |s| s.owns_class(&class.set)))
+        .filter(|(_, class)| {
+            cfg.shard
+                .as_ref()
+                .map_or(true, |s| s.owns_class(&class.set))
+        })
         .collect();
 
     let pool = Pool::new(cfg.threads);
@@ -654,7 +662,10 @@ pub(crate) fn check_inner(
         let pair_span = tr.span_with(
             tid,
             "check.pair",
-            &[("class", job.class_idx as u64), ("path", job.path_idx as u64)],
+            &[
+                ("class", job.class_idx as u64),
+                ("path", job.path_idx as u64),
+            ],
         );
         let path = &enumerated[job.class_idx].0[job.path_idx];
         let chain: Vec<(&Acl, &Acl)> = path
@@ -669,7 +680,9 @@ pub(crate) fn check_inner(
         // verbatim by every FEC routed through the same ACL chain.
         let s1_span = tr.span_with(tid, "solver.query", &[("stage", 1)]);
         let stage1 = cached_query(cfg, &chain, job.verb, region);
-        stage1.stats.trace_query(s1_span, stage1.vars, stage1.clauses);
+        stage1
+            .stats
+            .trace_query(s1_span, stage1.vars, stage1.clauses);
         let witness = match stage1.result {
             SolveResult::Unsat => {
                 // No disagreeing packet anywhere in the cover ⇒ none in
@@ -1014,7 +1027,9 @@ pub fn check_per_acl(before: &AclConfig, after: &AclConfig, cfg: &CheckConfig) -
         let q_span = tr.span_with(tid, "solver.query", &[("slot", i as u64)]);
         let chain = [(&pair.before, &pair.after)];
         let solved = cached_query(cfg, &chain, None, region);
-        solved.stats.trace_query(q_span, solved.vars, solved.clauses);
+        solved
+            .stats
+            .trace_query(q_span, solved.vars, solved.clauses);
         if solved.result == SolveResult::Sat {
             cancel.cut(i);
         }

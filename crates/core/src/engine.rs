@@ -478,10 +478,19 @@ generate
                 "alpha",
                 validate(parse_program(alpha).unwrap()).unwrap(),
             ),
-            jinjing_lint::TenantIntent::new("beta", validate(parse_program(beta).unwrap()).unwrap()),
+            jinjing_lint::TenantIntent::new(
+                "beta",
+                validate(parse_program(beta).unwrap()).unwrap(),
+            ),
         ];
         let cfg = jinjing_lint::LintConfig::default();
-        let report = lint_multi(&f.net, &f.config, &tenants, &["alpha".into(), "beta".into()], &cfg);
+        let report = lint_multi(
+            &f.net,
+            &f.config,
+            &tenants,
+            &["alpha".into(), "beta".into()],
+            &cfg,
+        );
         let ReportKind::Lint(r) = &report.kind else {
             panic!("expected a lint report")
         };

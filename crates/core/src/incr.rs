@@ -343,7 +343,10 @@ impl<'n> CheckSession<'n> {
     /// Sound to interleave freely with [`CheckSession::recheck`]: the query
     /// store keys on ACL-chain *content*, so entries recorded under one
     /// candidate configuration can never answer for a different one.
-    pub fn probe(&self, after: &AclConfig) -> Result<(CheckReport, IncrStats), crate::check::CheckError> {
+    pub fn probe(
+        &self,
+        after: &AclConfig,
+    ) -> Result<(CheckReport, IncrStats), crate::check::CheckError> {
         check_inner(
             self.net,
             &self.scope,

@@ -174,14 +174,14 @@ impl RolloutPlan {
     /// One-line human verdict.
     pub fn verdict(&self) -> String {
         match &self.outcome {
-            PlanOutcome::Feasible { waves, .. } => format!(
-                "plan: {} steps in {} waves",
-                self.steps.len(),
-                waves.len()
-            ),
+            PlanOutcome::Feasible { waves, .. } => {
+                format!("plan: {} steps in {} waves", self.steps.len(), waves.len())
+            }
             PlanOutcome::Infeasible { core } => {
-                let names: Vec<&str> =
-                    core.iter().map(|&i| self.steps[i].device.as_str()).collect();
+                let names: Vec<&str> = core
+                    .iter()
+                    .map(|&i| self.steps[i].device.as_str())
+                    .collect();
                 format!("plan: infeasible (core {})", names.join(", "))
             }
         }
@@ -395,8 +395,12 @@ impl Search<'_, '_> {
                 continue;
             }
             let joins_wave = waves.last().is_some_and(|w| {
-                w.iter()
-                    .all(|&j| self.steps[i].cover.intersect(&self.steps[j].cover).is_empty())
+                w.iter().all(|&j| {
+                    self.steps[i]
+                        .cover
+                        .intersect(&self.steps[j].cover)
+                        .is_empty()
+                })
             });
             if joins_wave {
                 extenders.push(i);
@@ -418,7 +422,10 @@ impl Search<'_, '_> {
                 continue;
             }
             if extends {
-                waves.last_mut().expect("extender implies open wave").push(i);
+                waves
+                    .last_mut()
+                    .expect("extender implies open wave")
+                    .push(i);
             } else {
                 waves.push(vec![i]);
             }
@@ -476,8 +483,11 @@ pub fn synthesize(
     }
     cfg.obs.counter_add("plan.steps", steps.len() as u64);
     if steps.is_empty() {
-        cfg.obs
-            .event(jinjing_obs::Level::Info, "plan.done", "plan: 0 steps in 0 waves");
+        cfg.obs.event(
+            jinjing_obs::Level::Info,
+            "plan.done",
+            "plan: 0 steps in 0 waves",
+        );
         sp.finish();
         return Ok(RolloutPlan {
             steps,
@@ -715,7 +725,10 @@ mod tests {
         let PlanOutcome::Infeasible { core } = &plan.outcome else {
             unreachable!()
         };
-        let devices: Vec<&str> = core.iter().map(|&i| plan.steps[i].device.as_str()).collect();
+        let devices: Vec<&str> = core
+            .iter()
+            .map(|&i| plan.steps[i].device.as_str())
+            .collect();
         assert_eq!(devices, ["D"]);
         assert_eq!(plan.verdict(), "plan: infeasible (core D)");
     }

@@ -407,9 +407,7 @@ pub fn render_rollout_json(net: &Network, rollout: &crate::plan::RolloutPlan) ->
             w.begin_object();
             w.key("acl");
             w.begin_array();
-            let effective = acl
-                .clone()
-                .unwrap_or_else(jinjing_acl::Acl::permit_all);
+            let effective = acl.clone().unwrap_or_else(jinjing_acl::Acl::permit_all);
             for line in effective.lines() {
                 w.string(&line);
             }
@@ -490,14 +488,18 @@ pub fn plan_query(
     match &rollout.outcome {
         PlanOutcome::Feasible { waves, .. } => {
             for (k, wave) in waves.iter().enumerate() {
-                let devices: Vec<&str> =
-                    wave.iter().map(|&i| rollout.steps[i].device.as_str()).collect();
+                let devices: Vec<&str> = wave
+                    .iter()
+                    .map(|&i| rollout.steps[i].device.as_str())
+                    .collect();
                 let _ = writeln!(text, "wave {:<3}: {}", k + 1, devices.join(", "));
             }
         }
         PlanOutcome::Infeasible { core } => {
-            let devices: Vec<&str> =
-                core.iter().map(|&i| rollout.steps[i].device.as_str()).collect();
+            let devices: Vec<&str> = core
+                .iter()
+                .map(|&i| rollout.steps[i].device.as_str())
+                .collect();
             let _ = writeln!(text, "core    : {}", devices.join(", "));
         }
     }

@@ -350,14 +350,16 @@ impl LintReport {
                 "error" => Severity::Error,
                 other => return Err(format!("lint diagnostic: unknown severity {other:?}")),
             };
-            let mut diag =
-                Diagnostic::new(code, severity, str_field("location")?, str_field("message")?);
+            let mut diag = Diagnostic::new(
+                code,
+                severity,
+                str_field("location")?,
+                str_field("message")?,
+            );
             match d.get("certainty").and_then(|v| v.as_str()) {
                 Some("solver-confirmed") => diag.certainty = Some(Certainty::SolverConfirmed),
                 Some("heuristic") => diag.certainty = Some(Certainty::Heuristic),
-                Some(other) => {
-                    return Err(format!("lint diagnostic: unknown certainty {other:?}"))
-                }
+                Some(other) => return Err(format!("lint diagnostic: unknown certainty {other:?}")),
                 None => {}
             }
             if let Some(s) = d.get("suggestion").and_then(|v| v.as_str()) {
@@ -477,7 +479,12 @@ mod tests {
         assert!(r.render_text().contains("= note: tenant: a"));
         // attribute_tenant only fills the blanks.
         let mut r = LintReport::new();
-        r.push(Diagnostic::new("JL101", Severity::Warning, "lai:control:0", "m"));
+        r.push(Diagnostic::new(
+            "JL101",
+            Severity::Warning,
+            "lai:control:0",
+            "m",
+        ));
         r.push(Diagnostic::new("JL301", Severity::Warning, "multi:x", "m").with_tenant("a,b"));
         r.attribute_tenant("alpha");
         assert_eq!(r.diagnostics()[0].tenant.as_deref(), Some("alpha"));

@@ -194,7 +194,10 @@ pub fn cross_conflicts(tenants: &[TenantIntent], cfg: &LintConfig) -> Vec<Confli
         if cfg.solver_confirm {
             certify_overlap(&cand.set_a, &cand.set_b, &cfg.obs).map(|w| (w, true))
         } else {
-            cand.set_a.intersect(&cand.set_b).sample().map(|w| (w, false))
+            cand.set_a
+                .intersect(&cand.set_b)
+                .sample()
+                .map(|w| (w, false))
         }
     });
     let mut out = Vec::with_capacity(cands.len());
@@ -412,7 +415,11 @@ pub fn lint_multi(tenants: &[TenantIntent], priority: &[String], cfg: &LintConfi
         let total = unresolved == 0;
         let d = Diagnostic::new(
             "JL303",
-            if total { Severity::Note } else { Severity::Warning },
+            if total {
+                Severity::Note
+            } else {
+                Severity::Warning
+            },
             "multi:priority",
             format!(
                 "merge preview: {} contested region(s), {resolved} resolved by the priority \
@@ -456,7 +463,10 @@ mod tests {
         assert_eq!(cs.len(), 1);
         let c = &cs[0];
         assert!(c.certified);
-        assert_eq!((c.tenant_a.as_str(), c.tenant_b.as_str()), ("alpha", "beta"));
+        assert_eq!(
+            (c.tenant_a.as_str(), c.tenant_b.as_str()),
+            ("alpha", "beta")
+        );
         assert_eq!(c.location(), "multi:alpha:control:0<->beta:control:0");
         // The witness lies in both traffic regions, which the two verbs
         // classify differently.
@@ -511,7 +521,11 @@ mod tests {
             .iter()
             .find(|d| d.location == "multi:priority")
             .unwrap();
-        assert!(summary.message.contains("the merge is total"), "{}", summary.message);
+        assert!(
+            summary.message.contains("the merge is total"),
+            "{}",
+            summary.message
+        );
         let preview = r
             .diagnostics()
             .iter()

@@ -259,10 +259,7 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected '{}' at offset {}",
-                b as char, self.pos
-            ))
+            Err(format!("expected '{}' at offset {}", b as char, self.pos))
         }
     }
 

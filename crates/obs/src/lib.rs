@@ -764,19 +764,11 @@ impl Snapshot {
         let mut histograms: BTreeMap<String, Histogram> = self
             .histograms
             .drain(..)
-            .map(|(k, h)| {
-                (
-                    k,
-                    Histogram::from_sparse(&h.buckets, h.sum, h.min, h.max),
-                )
-            })
+            .map(|(k, h)| (k, Histogram::from_sparse(&h.buckets, h.sum, h.min, h.max)))
             .collect();
         for (k, h) in &other.histograms {
             let theirs = Histogram::from_sparse(&h.buckets, h.sum, h.min, h.max);
-            histograms
-                .entry(k.clone())
-                .or_default()
-                .merge(&theirs);
+            histograms.entry(k.clone()).or_default().merge(&theirs);
         }
         self.histograms = histograms
             .into_iter()
@@ -1160,7 +1152,10 @@ mod tests {
         assert!(json.contains("\"name\":\"check\""), "{json}");
         assert!(json.contains("\"check.verdict\""), "{json}");
         assert!(json.contains("\"msg\":\"consistent\""), "{json}");
-        assert!(!json.contains("check.solve"), "record_span is aggregate-only");
+        assert!(
+            !json.contains("check.solve"),
+            "record_span is aggregate-only"
+        );
         assert_eq!(
             json.matches("\"ph\":\"B\"").count(),
             json.matches("\"ph\":\"E\"").count()
@@ -1216,7 +1211,10 @@ mod tests {
         b.gauge_set("other", -5);
         let mut m = a.snapshot();
         m.merge(&b.snapshot());
-        assert_eq!(m.gauges, vec![("depth".to_string(), 3), ("other".to_string(), -5)]);
+        assert_eq!(
+            m.gauges,
+            vec![("depth".to_string(), 3), ("other".to_string(), -5)]
+        );
     }
 
     #[test]
@@ -1265,7 +1263,11 @@ mod tests {
         let run = m.spans.child("run").expect("run under root");
         assert_eq!(run.count, 2, "same-named spans aggregate");
         let names: Vec<&str> = run.children.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, vec!["check", "check.solve", "lint"], "name-sorted union");
+        assert_eq!(
+            names,
+            vec!["check", "check.solve", "lint"],
+            "name-sorted union"
+        );
         assert_eq!(run.child("check").unwrap().count, 2);
         assert_eq!(run.child("lint").unwrap().count, 1);
         assert_eq!(run.child("check.solve").unwrap().total_ns, 20);
@@ -1282,7 +1284,11 @@ mod tests {
         let mut ba = b.snapshot();
         ba.merge(&a.snapshot());
         assert_eq!(ab.events.len(), 2);
-        assert_eq!(ab.to_json(), ba.to_json(), "event order is merge-order-free");
+        assert_eq!(
+            ab.to_json(),
+            ba.to_json(),
+            "event order is merge-order-free"
+        );
     }
 
     #[test]

@@ -402,7 +402,11 @@ impl TraceCtx {
             g.events.len(),
             g.dropped
         );
-        let _ = writeln!(out, "{:>12} {:>12} {:>7}  span", "total(us)", "self(us)", "count");
+        let _ = writeln!(
+            out,
+            "{:>12} {:>12} {:>7}  span",
+            "total(us)", "self(us)", "count"
+        );
         for (name, a) in &rows {
             let _ = writeln!(
                 out,

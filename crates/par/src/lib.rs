@@ -345,9 +345,7 @@ mod tests {
         // Parallel path: every item sees some worker slot within range.
         let workers = 4;
         let par = Pool::new(workers).par_map(&items, |_, _| current_worker());
-        assert!(par
-            .iter()
-            .all(|w| w.is_some_and(|w| w < workers)));
+        assert!(par.iter().all(|w| w.is_some_and(|w| w < workers)));
     }
 
     #[test]

@@ -368,7 +368,9 @@ pub fn call_stream(
         if let Some(pos) = raw.windows(4).position(|w| w == b"\r\n\r\n") {
             break pos;
         }
-        let n = stream.read(&mut chunk).map_err(|e| format!("read {addr}: {e}"))?;
+        let n = stream
+            .read(&mut chunk)
+            .map_err(|e| format!("read {addr}: {e}"))?;
         if n == 0 {
             return Err(format!("read {addr}: connection closed mid-head"));
         }
@@ -402,7 +404,9 @@ pub fn call_stream(
             if let Some(pos) = buf.windows(2).position(|w| w == b"\r\n") {
                 break pos;
             }
-            let n = stream.read(&mut chunk).map_err(|e| format!("read {addr}: {e}"))?;
+            let n = stream
+                .read(&mut chunk)
+                .map_err(|e| format!("read {addr}: {e}"))?;
             if n == 0 {
                 return Err(format!("read {addr}: stream ended mid-chunk-size"));
             }
@@ -417,7 +421,9 @@ pub fn call_stream(
             break;
         }
         while buf.len() < size + 2 {
-            let n = stream.read(&mut chunk).map_err(|e| format!("read {addr}: {e}"))?;
+            let n = stream
+                .read(&mut chunk)
+                .map_err(|e| format!("read {addr}: {e}"))?;
             if n == 0 {
                 return Err(format!("read {addr}: stream ended mid-chunk"));
             }

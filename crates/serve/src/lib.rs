@@ -1568,8 +1568,7 @@ check
         assert_eq!(apply.as_deref(), Some("clear C2 in\n"));
 
         // Markers with empty sections: explicit "no rebase, no edits".
-        let (intent, base, apply) =
-            parse_shard_body("check\n#shard-base\n#shard-apply\n").unwrap();
+        let (intent, base, apply) = parse_shard_body("check\n#shard-base\n#shard-apply\n").unwrap();
         assert_eq!(intent, "check\n");
         assert_eq!(base.as_deref(), Some(""));
         assert_eq!(apply.as_deref(), Some(""));
@@ -1794,13 +1793,17 @@ check
 
     #[test]
     fn multi_lint_body_rejects_malformed_inputs() {
-        assert!(parse_multi_lint_body("").unwrap_err().contains("no #tenant"));
+        assert!(parse_multi_lint_body("")
+            .unwrap_err()
+            .contains("no #tenant"));
         assert!(parse_multi_lint_body("scope A:*\n")
             .unwrap_err()
             .contains("before the first #tenant"));
-        assert!(parse_multi_lint_body("#tenant a\ncheck\n#tenant a\ncheck\n")
-            .unwrap_err()
-            .contains("duplicate tenant"));
+        assert!(
+            parse_multi_lint_body("#tenant a\ncheck\n#tenant a\ncheck\n")
+                .unwrap_err()
+                .contains("duplicate tenant")
+        );
         assert!(parse_multi_lint_body("#tenant a\ncheck\n#priority b\n")
             .unwrap_err()
             .contains("unknown tenant"));

@@ -926,7 +926,11 @@ check
         let doc = json::parse(r.body_text().trim()).unwrap();
         assert_eq!(doc.get("status").unwrap().as_u64(), Some(502));
         assert!(
-            doc.get("error").unwrap().as_str().unwrap().contains("shard 1/2"),
+            doc.get("error")
+                .unwrap()
+                .as_str()
+                .unwrap()
+                .contains("shard 1/2"),
             "{}",
             r.body_text()
         );
@@ -993,7 +997,11 @@ check
 
         let r = call(&coord_addr, "GET", "/healthz", "");
         assert_eq!(r.status, 200);
-        assert!(r.body_text().contains("\"backends\":1"), "{}", r.body_text());
+        assert!(
+            r.body_text().contains("\"backends\":1"),
+            "{}",
+            r.body_text()
+        );
 
         let r = call(&coord_addr, "GET", "/nope", "");
         assert_eq!(r.status, 404);

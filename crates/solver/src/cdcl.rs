@@ -424,10 +424,7 @@ impl Solver {
     /// decision levels among its literals, computed while those levels are
     /// still current (i.e. before backjumping).
     fn compute_lbd(&self, lits: &[Lit]) -> u32 {
-        let mut levels: Vec<u32> = lits
-            .iter()
-            .map(|l| self.level[l.var().index()])
-            .collect();
+        let mut levels: Vec<u32> = lits.iter().map(|l| self.level[l.var().index()]).collect();
         levels.sort_unstable();
         levels.dedup();
         levels.len() as u32

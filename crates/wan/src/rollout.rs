@@ -48,8 +48,11 @@ pub enum RolloutKind {
 
 impl RolloutKind {
     /// All kinds, feasible first.
-    pub const ALL: [RolloutKind; 3] =
-        [RolloutKind::Drain, RolloutKind::StagedSwap, RolloutKind::NoOrder];
+    pub const ALL: [RolloutKind; 3] = [
+        RolloutKind::Drain,
+        RolloutKind::StagedSwap,
+        RolloutKind::NoOrder,
+    ];
 
     /// Display label used by the figures harness.
     pub fn label(self) -> &'static str {

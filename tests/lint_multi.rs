@@ -286,8 +286,8 @@ fn examples_dir() -> PathBuf {
 
 fn example_tenant(name: &str) -> TenantIntent {
     let path = examples_dir().join(format!("tenant-{name}.lai"));
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let text =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     TenantIntent::new(name, program(&text))
 }
 

@@ -228,7 +228,10 @@ fn canon_plan(plan: &RolloutPlan) -> String {
             }
         }
         PlanOutcome::Infeasible { core } => {
-            let devs: Vec<&str> = core.iter().map(|&i| plan.steps[i].device.as_str()).collect();
+            let devs: Vec<&str> = core
+                .iter()
+                .map(|&i| plan.steps[i].device.as_str())
+                .collect();
             out.push_str(&format!("core [{}];", devs.join(",")));
         }
     }
@@ -600,4 +603,3 @@ fn synthesis_is_deterministic() {
         );
     }
 }
-

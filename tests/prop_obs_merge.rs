@@ -41,8 +41,7 @@ fn op() -> impl Strategy<Value = Op> {
         (name.clone(), 0u64..10_000).prop_map(|(n, v)| Op::Histogram(n, v)),
         (name.clone(), any::<bool>()).prop_map(|(n, warn)| Op::Event(n, warn)),
         (name.clone(), 1u64..50, 1u64..100_000).prop_map(|(n, c, t)| Op::Span(n, c, t)),
-        (name.clone(), 0..NAMES.len(), 1u64..100_000)
-            .prop_map(|(p, c, t)| Op::Nested(p, c, t)),
+        (name.clone(), 0..NAMES.len(), 1u64..100_000).prop_map(|(p, c, t)| Op::Nested(p, c, t)),
     ]
 }
 

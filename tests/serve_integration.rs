@@ -539,8 +539,7 @@ fn multi_tenant_lint_renders_the_cli_golden_byte_for_byte() {
     };
     let read = |name: &str| {
         let path = examples.join(format!("tenant-{name}.lai"));
-        std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
     };
     let body = format!(
         "#priority alpha,beta\n#tenant alpha\n{}#tenant beta\n{}",
@@ -560,9 +559,9 @@ fn multi_tenant_lint_renders_the_cli_golden_byte_for_byte() {
 
     // Malformed bodies are a client error, not a daemon wound.
     for bad in [
-        "check\n",                          // content before any #tenant
-        "#tenant\ncheck\n",                 // nameless section
-        "#tenant a\ncheck\n#tenant a\n",    // duplicate tenant
+        "check\n",                                         // content before any #tenant
+        "#tenant\ncheck\n",                                // nameless section
+        "#tenant a\ncheck\n#tenant a\n",                   // duplicate tenant
         "#priority nosuch\n#tenant a\nscope A:*\ncheck\n", // unknown priority name
     ] {
         let r = post(&addr, "/v1/lint/multi", bad);
@@ -597,8 +596,7 @@ fn plan_endpoint_renders_the_cli_goldens_byte_for_byte() {
     };
     let read = |name: &str| {
         let path = examples.join(name);
-        std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
     };
     // Mirrors `tests/cli_golden.rs` (PLAN_INTENT + the --target fixtures).
     let intent = "scope A:*, B:*, C:*, D:*\ncheck\n";
@@ -621,7 +619,11 @@ fn plan_endpoint_renders_the_cli_goldens_byte_for_byte() {
         golden("plan_infeasible.json"),
         "infeasible plan drifted from golden"
     );
-    assert_eq!(r.exit_code(), 3, "unorderable update gates like a failed check");
+    assert_eq!(
+        r.exit_code(),
+        3,
+        "unorderable update gates like a failed check"
+    );
 
     // A wave budget is honored: one wave cannot host the ordered pair.
     let body = format!(
@@ -634,9 +636,9 @@ fn plan_endpoint_renders_the_cli_goldens_byte_for_byte() {
 
     // Malformed bodies are a client error, not a daemon wound.
     for bad in [
-        "",                                        // no intent at all
-        "scope A:*\ncheck\n#target\n#target\n",    // duplicate #target
-        "scope A:*\ncheck\n#max-waves x\n",        // bad number
+        "",                                                         // no intent at all
+        "scope A:*\ncheck\n#target\n#target\n",                     // duplicate #target
+        "scope A:*\ncheck\n#max-waves x\n",                         // bad number
         "scope A:*\ncheck\n#target\nset nosuch:1 default permit\n", // bad delta
     ] {
         let r = post(&addr, "/v1/plan", bad);

@@ -91,8 +91,9 @@ fn incremental_agrees_with_scratch_across_db_reductions() {
 
         let mut history: Vec<(Vec<Lit>, SolveResult)> = Vec::new();
         for sweep in 0..12 {
-            let mut assumptions: Vec<Lit> =
-                (0..rng.below(4)).map(|_| random_lit(&mut rng, nvars)).collect();
+            let mut assumptions: Vec<Lit> = (0..rng.below(4))
+                .map(|_| random_lit(&mut rng, nvars))
+                .collect();
             assumptions.sort();
             assumptions.dedup();
             let got = live.solve_with(&assumptions);

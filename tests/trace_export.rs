@@ -169,7 +169,10 @@ fn capture_contains_every_layer() {
         "worker-0",
         "solver.conflicts",
     ] {
-        assert!(needle.is_empty() || json.contains(needle), "missing {needle}");
+        assert!(
+            needle.is_empty() || json.contains(needle),
+            "missing {needle}"
+        );
     }
     assert!(
         json.contains(&format!("\"trace_id\":\"{}\"", trace_id_of(INTENT))),
