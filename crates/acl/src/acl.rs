@@ -161,7 +161,7 @@ impl Acl {
     /// `default <action>` — the form [`crate::parse::parse_acl`] reads
     /// back, and what every plan, spec and delta script carries.
     pub fn lines(&self) -> Vec<String> {
-        let mut lines: Vec<String> = self.rules.iter().map(|r| r.to_string()).collect();
+        let mut lines: Vec<String> = self.rules.iter().map(ToString::to_string).collect();
         lines.push(format!("default {}", self.default_action));
         lines
     }

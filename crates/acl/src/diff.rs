@@ -285,8 +285,8 @@ mod tests {
     }
 }
 
-/// Property-style tests over a deterministic xorshift stream (so they run
-/// in the dependency-free offline build too, unlike the proptest suites).
+/// Property-style tests over a deterministic xorshift stream (this crate
+/// has no dependencies, `rand` included).
 #[cfg(test)]
 mod prop_tests {
     use super::*;
@@ -422,8 +422,7 @@ mod prop_tests {
         }
     }
 
-    /// Historical proptest shrink (was pinned in
-    /// `tests/prop_acl_semantics.proptest-regressions`): two *empty* ACLs
+    /// A shrunken `tests/prop_acl_semantics.rs` failure, pinned: two *empty* ACLs
     /// whose only difference is the default action. There are no rule
     /// pairs to relate, so the default-action flip must be covered
     /// explicitly — the cover is all of header space and the reduced pair

@@ -245,8 +245,12 @@ fn depth() {
     }
 }
 
-/// Every table, in print order; the flag is `--large` (only `fig4b` reads it).
-const TABLES: [(&str, fn(bool)); 6] = [
+/// A subcommand and what prints it; the flag is `--large` (only `fig4b`
+/// reads it).
+type Table = (&'static str, fn(bool));
+
+/// Every table, in print order.
+const TABLES: [Table; 6] = [
     ("fig4a", |_| fig4a()),
     ("fig4b", fig4b),
     ("fig4c", |_| fig4c()),

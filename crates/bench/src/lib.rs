@@ -3,29 +3,25 @@
 
 //! # jinjing-bench
 //!
-//! The paper's evaluation: Criterion benches for every figure of §8, plus
-//! the [`figures`](../src/bin/figures.rs) binary that regenerates the
-//! tables/series themselves (`cargo run --release -p jinjing-bench --bin
-//! figures -- all`). Everything the paper does not measure — sessions, the
-//! daemon, shards, thread scaling, tracing cost — belongs to the
-//! repository's ruler, `benchmark/run.sh`, not to this crate.
+//! The paper's evaluation: the [`figures`](../src/bin/figures.rs) binary
+//! regenerates the tables/series of §8 (`cargo run --release -p
+//! jinjing-bench --bin figures -- all`). Everything the paper does not
+//! measure — sessions, the daemon, shards, thread scaling, tracing cost —
+//! belongs to the repository's ruler, `benchmark/run.sh`, not to this crate.
 //!
 //! Mapping to the paper:
 //!
-//! | bench / subcommand   | reproduces                                     |
+//! | subcommand           | reproduces                                     |
 //! |----------------------|------------------------------------------------|
-//! | `fig4a_check`        | Fig. 4a — check turnaround, ±differential      |
-//! | `fig4b_fix`          | Fig. 4b — fix turnaround, ±optimizations       |
-//! | `fig4c_generate`     | Fig. 4c — migration phases, ±optimizations     |
-//! | `fig4d_control`      | Fig. 4d — control-open generate, k ∈ {1,2,4}   |
-//! | `encoding_ablation`  | §9 — solver search-effort reduction            |
-//! | `substrates`         | micro-benchmarks of the set algebra / CDCL     |
-//! | `figures fig4a`–`4d` | the same four figures as markdown tables       |
+//! | `figures fig4a`      | Fig. 4a — check turnaround, ±differential      |
+//! | `figures fig4b`      | Fig. 4b — fix turnaround, ±optimizations       |
+//! | `figures fig4c`      | Fig. 4c — migration phases, ±optimizations     |
+//! | `figures fig4d`      | Fig. 4d — control-open generate, k ∈ {1,2,4}   |
 //! | `figures table5`     | Table 5 — LAI program sizes                    |
 //! | `figures depth`      | §9 — solver effort per encoding                |
 //!
-//! This module hosts the workload constructors shared by all of them, so a
-//! bench never pays WAN construction inside the measured closure.
+//! This module hosts the workload constructors the subcommands share, so
+//! none pays WAN construction inside the measured closure.
 
 use jinjing_core::Task;
 use jinjing_lai::Command;
@@ -35,7 +31,7 @@ use jinjing_wan::{build_wan, scenarios, NetSize, Wan, WanParams};
 /// The perturbation fractions of Figure 4a/4b.
 pub const PERTURBATIONS: [f64; 3] = [0.01, 0.03, 0.05];
 
-/// Deterministic seed base for all bench workloads.
+/// Deterministic seed base for all figure workloads.
 pub const SEED: u64 = 0xBE7C_0000;
 
 /// Build (and route-warm) a preset WAN.

@@ -26,16 +26,12 @@
 //! processes or parsing spec files. Every subcommand checks its flags
 //! against what the usage text lists for it, answers through the query
 //! layer shared with the daemon, and returns the exit code of that
-//! layer's [`Answer`]. The loaders themselves need `serde`; under
-//! `--cfg jinjing_offline` (the registry-free build) they and the two
-//! subcommands that read raw spec JSON (`lint`, `convert`) are compiled
-//! out, while everything else still builds and tests.
+//! layer's [`Answer`]. Every error about a spec file names the file and
+//! where in the document it is.
 
 use jinjing_core::engine::EngineConfig;
 use jinjing_core::query::Answer;
-#[cfg(not(jinjing_offline))]
 use jinjing_core::query::{lint_multi_query, lint_query, QueryError};
-#[cfg(not(jinjing_offline))]
 use jinjing_net::spec::{AclConfigSpec, NetworkSpec};
 use jinjing_net::{AclConfig, Network};
 
@@ -69,22 +65,27 @@ fn err(e: impl std::fmt::Display) -> CliError {
     CliError(e.to_string())
 }
 
+/// An error about the file at `path`.
+fn in_file(path: &str) -> impl Fn(jinjing_net::spec::SpecError) -> CliError + '_ {
+    move |e| CliError(format!("{path}: {e}"))
+}
+
+fn read_network_spec(path: &str) -> Result<NetworkSpec, CliError> {
+    NetworkSpec::from_json(&read_file(path)?).map_err(in_file(path))
+}
+
+fn read_acl_spec(path: &str) -> Result<AclConfigSpec, CliError> {
+    AclConfigSpec::from_json(&read_file(path)?).map_err(in_file(path))
+}
+
 /// Load a network from a JSON spec file.
-#[cfg(not(jinjing_offline))]
 pub fn load_network(path: &str) -> Result<Network, CliError> {
-    let text = std::fs::read_to_string(path)?;
-    let spec: NetworkSpec =
-        serde_json::from_str(&text).map_err(|e| CliError(format!("{path}: {e}")))?;
-    spec.build().map_err(err)
+    read_network_spec(path)?.build().map_err(in_file(path))
 }
 
 /// Load an ACL configuration from a JSON spec file.
-#[cfg(not(jinjing_offline))]
 pub fn load_acls(path: &str, net: &Network) -> Result<AclConfig, CliError> {
-    let text = std::fs::read_to_string(path)?;
-    let spec: AclConfigSpec =
-        serde_json::from_str(&text).map_err(|e| CliError(format!("{path}: {e}")))?;
-    spec.build(net).map_err(err)
+    read_acl_spec(path)?.build(net).map_err(in_file(path))
 }
 
 /// How [`run_cli`] turns `--network` / `--acls` paths into a network and
@@ -125,7 +126,6 @@ impl RunOptions {
     }
 
     /// The same two knobs for a lint run.
-    #[cfg(not(jinjing_offline))]
     fn lint_config(&self) -> jinjing_lint::LintConfig {
         let mut cfg = jinjing_lint::LintConfig {
             threads: self.threads,
@@ -249,7 +249,6 @@ const WATCH_FLAGS: &str =
 const TRACE_FLAGS: &str = "--network --acls --intent --trace-out --threads";
 const PLAN_FLAGS: &str = "--network --acls --intent --target --max-waves --format --metrics-out \
                           --trace --threads";
-#[cfg(not(jinjing_offline))]
 const LINT_FLAGS: &str = "--network --acls --intent --priority --format --deny --metrics-out \
                           --trace --threads";
 // `--max-body` is the pre-`--max-body-bytes` spelling; it stays accepted.
@@ -400,7 +399,6 @@ pub fn run_cli(args: &[String], usage: &str, loaders: &Loaders) -> i32 {
         "run" | "watch" => run_or_watch(args, loaders),
         "trace" => trace(args, loaders),
         "plan" => plan(args, loaders),
-        #[cfg(not(jinjing_offline))]
         "lint" => lint(args),
         "audit" => Flags::parse(args, "--network --acls").and_then(|flags| {
             let (net, config) = load_specs(&flags, loaders)?;
@@ -417,7 +415,6 @@ pub fn run_cli(args: &[String], usage: &str, loaders: &Loaders) -> i32 {
             print!("{}", simplify_acl_text(&text)?);
             Ok(0)
         }),
-        #[cfg(not(jinjing_offline))]
         "convert" => convert(args),
         "serve" => Flags::parse(args, SERVE_FLAGS).and_then(|flags| {
             let (net, config) = load_specs(&flags, loaders)?;
@@ -521,11 +518,10 @@ fn plan(args: &[String], loaders: &Loaders) -> Result<i32, CliError> {
 /// (every value must then carry a tenant name). Error-severity findings
 /// always gate; `--deny` (repeatable: exact `JL301`, family glob `JL3*`,
 /// or `all`) escalates codes.
-#[cfg(not(jinjing_offline))]
 fn lint(args: &[String]) -> Result<i32, CliError> {
     let flags = Flags::parse(args, LINT_FLAGS)?;
-    let net_text = read_file(flags.require("--network")?)?;
-    let acls_text = read_file(flags.require("--acls")?)?;
+    let net_spec = read_network_spec(flags.require("--network")?)?;
+    let acl_spec = read_acl_spec(flags.require("--acls")?)?;
     let opts = flags.run_options()?;
     let intents: Vec<&str> = flags.all("--intent").collect();
     let out = if intents.iter().any(|v| v.contains('=')) {
@@ -545,7 +541,7 @@ fn lint(args: &[String]) -> Result<i32, CliError> {
             .get("--priority")
             .map(|p| p.split(',').map(str::to_string).collect())
             .unwrap_or_default();
-        lint_multi_command(&net_text, &acls_text, &tenants, &priority, &opts)?
+        lint_multi_command(&net_spec, &acl_spec, &tenants, &priority, &opts)?
     } else {
         if intents.len() > 1 {
             return Err(CliError(
@@ -553,7 +549,7 @@ fn lint(args: &[String]) -> Result<i32, CliError> {
             ));
         }
         let intent_text = intents.first().copied().map(read_file).transpose()?;
-        lint_command(&net_text, &acls_text, intent_text.as_deref(), &opts)?
+        lint_command(&net_spec, &acl_spec, intent_text.as_deref(), &opts)?
     };
     match flags.get("--format") {
         Some("json") => print!("{}", Answer::of_lint(&out.report).body),
@@ -575,7 +571,6 @@ fn lint(args: &[String]) -> Result<i32, CliError> {
 }
 
 /// `jinjing convert`.
-#[cfg(not(jinjing_offline))]
 fn convert(args: &[String]) -> Result<i32, CliError> {
     let flags = Flags::parse(args, "--cisco-config --map --out")?;
     let text = read_file(flags.require("--cisco-config")?)?;
@@ -705,7 +700,6 @@ pub fn shard_command(
 /// request fans out over the listed backends directly
 /// ([`jinjing_shard::lint_sharded`]) and the merged report is printed:
 /// the same bytes an unsharded `jinjing lint --format json` renders.
-/// Serde-free: the offline build verifies the whole client path.
 pub fn call_command(args: &[String]) -> Result<i32, CliError> {
     let flags = Flags::parse(args, CALL_FLAGS)?;
     let addr = flags.get("--addr").unwrap_or("127.0.0.1:8080");
@@ -754,14 +748,13 @@ pub fn call_command(args: &[String]) -> Result<i32, CliError> {
 }
 
 /// The spec layer both lint commands start with: JL201/JL202 run first
-/// on the raw JSON, collecting *every* dangling reference and invalid
+/// on the unbuilt specs, collecting *every* dangling reference and invalid
 /// binding; if any are errors the network cannot be built, so that
 /// report is returned alone. Otherwise `analyse` sees the built network +
 /// configuration and its report is merged with the spec layer's.
-#[cfg(not(jinjing_offline))]
 fn lint_from_specs(
-    net_text: &str,
-    acls_text: &str,
+    net_spec: &NetworkSpec,
+    acl_spec: &AclConfigSpec,
     opts: &RunOptions,
     analyse: impl FnOnce(
         &Network,
@@ -769,12 +762,8 @@ fn lint_from_specs(
         &jinjing_lint::LintConfig,
     ) -> Result<LintOutput, QueryError>,
 ) -> Result<LintOutput, CliError> {
-    let net_spec: NetworkSpec =
-        serde_json::from_str(net_text).map_err(|e| CliError(format!("network spec: {e}")))?;
-    let acl_spec: AclConfigSpec =
-        serde_json::from_str(acls_text).map_err(|e| CliError(format!("acl spec: {e}")))?;
     let cfg = opts.lint_config();
-    let mut spec_report = jinjing_lint::lint_specs(&net_spec, &acl_spec, &cfg);
+    let mut spec_report = jinjing_lint::lint_specs(net_spec, acl_spec, &cfg);
     if spec_report.has_errors() {
         spec_report.sort();
         return Ok(LintOutput {
@@ -790,33 +779,31 @@ fn lint_from_specs(
     Ok(out)
 }
 
-/// Run the static analysis pass (`jinjing lint`) over raw spec texts and an
+/// Run the static analysis pass (`jinjing lint`) over unbuilt specs and an
 /// optional LAI intent program: the spec layer, then the rule, intent and
 /// network layers via [`jinjing_core::query::lint_query`] — the path the
 /// daemon's `POST /v1/lint` runs.
-#[cfg(not(jinjing_offline))]
 pub fn lint_command(
-    net_text: &str,
-    acls_text: &str,
+    net_spec: &NetworkSpec,
+    acl_spec: &AclConfigSpec,
     intent_text: Option<&str>,
     opts: &RunOptions,
 ) -> Result<LintOutput, CliError> {
-    lint_from_specs(net_text, acls_text, opts, |net, config, cfg| {
+    lint_from_specs(net_spec, acl_spec, opts, |net, config, cfg| {
         lint_query(net, config, intent_text, cfg)
     })
 }
 
 /// Run the multi-tenant static analysis pass (`jinjing lint --intent
-/// tenant=FILE ...`) over raw spec texts and a set of named tenant
+/// tenant=FILE ...`) over unbuilt specs and a set of named tenant
 /// intents: the spec layer, then
 /// [`jinjing_core::query::lint_multi_query`] — the per-tenant
 /// single-program layers plus the cross-tenant JL3xx layer with the given
 /// `priority` order. Tenant names must be unique and every name in
 /// `priority` must belong to a tenant.
-#[cfg(not(jinjing_offline))]
 pub fn lint_multi_command(
-    net_text: &str,
-    acls_text: &str,
+    net_spec: &NetworkSpec,
+    acl_spec: &AclConfigSpec,
     tenants: &[(String, String)],
     priority: &[String],
     opts: &RunOptions,
@@ -831,7 +818,7 @@ pub fn lint_multi_command(
             return Err(CliError(format!("--priority names unknown tenant {p:?}")));
         }
     }
-    lint_from_specs(net_text, acls_text, opts, |net, config, cfg| {
+    lint_from_specs(net_spec, acl_spec, opts, |net, config, cfg| {
         lint_multi_query(net, config, tenants, priority, cfg)
     })
 }
@@ -918,7 +905,6 @@ pub fn rollback_document(net: &Network, original: &AclConfig, plan: &PlanDocumen
 /// Convert a Cisco IOS configuration fragment into an
 /// [`AclConfigSpec`] JSON document. `mappings` bind list names to slots:
 /// `("EDGE-IN", "A:1", "in")`.
-#[cfg(not(jinjing_offline))]
 pub fn convert_cisco(
     config_text: &str,
     mappings: &[(String, String, String)],
@@ -936,8 +922,7 @@ pub fn convert_cisco(
             acl: found.acl.lines(),
         });
     }
-    let spec = AclConfigSpec { slots };
-    serde_json::to_string_pretty(&spec).map_err(|e| CliError(format!("serialize: {e}")))
+    Ok(AclConfigSpec { slots }.to_json_pretty())
 }
 
 /// Audit the input data (the §7 deployment tool): returns the rendered
@@ -967,7 +952,7 @@ pub fn show_network(net: &Network) -> String {
     out
 }
 
-#[cfg(all(test, not(jinjing_offline)))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Write;
@@ -992,6 +977,12 @@ mod tests {
     const ACLS_JSON: &str = r#"{"slots": [
         {"interface": "A:0", "acl": ["deny dst 1.2.0.0/16", "default permit"]}
     ]}"#;
+
+    fn lint_texts(net: &str, acls: &str, intent: Option<&str>) -> LintOutput {
+        let net = NetworkSpec::from_json(net).unwrap();
+        let acls = AclConfigSpec::from_json(acls).unwrap();
+        lint_command(&net, &acls, intent, &RunOptions::default()).unwrap()
+    }
 
     #[test]
     fn end_to_end_check_flow() {
@@ -1048,7 +1039,7 @@ mod tests {
         let bad_acls = r#"{"slots": [
             {"interface": "Z:9", "acl": ["default permit"]}
         ]}"#;
-        let out = lint_command(NET_JSON, bad_acls, None, &RunOptions::default()).unwrap();
+        let out = lint_texts(NET_JSON, bad_acls, None);
         assert!(out.report.has_errors());
         assert!(out.report.has_code("JL201"), "{}", out.report.render_text());
     }
@@ -1060,7 +1051,7 @@ mod tests {
                 "deny dst 1.0.0.0/8", "deny dst 1.2.0.0/16", "default permit"
             ]}
         ]}"#;
-        let out = lint_command(NET_JSON, shadowed, None, &RunOptions::default()).unwrap();
+        let out = lint_texts(NET_JSON, shadowed, None);
         let d = out
             .report
             .diagnostics()
@@ -1076,14 +1067,121 @@ mod tests {
         let intent = "acl Unused { permit all }\nacl X { deny dst 1.2.0.0/16\n permit all\n}\n\
                       scope A:*, B:*\nallow A:*\nmodify A:0 to X\ncheck\n";
         let run = || {
-            lint_command(NET_JSON, ACLS_JSON, Some(intent), &RunOptions::default())
-                .unwrap()
+            lint_texts(NET_JSON, ACLS_JSON, Some(intent))
                 .report
                 .to_json()
         };
         let json = run();
         assert!(json.contains("JL104"), "{json}");
         assert_eq!(json, run(), "lint JSON must be deterministic");
+    }
+
+    #[test]
+    fn committed_figure1_files_load_to_the_fixture() {
+        use jinjing_core::figure1::Figure1;
+        let data =
+            |file: &str| format!("{}/../../examples/data/{file}", env!("CARGO_MANIFEST_DIR"));
+        let net = load_network(&data("figure1-network.json")).unwrap();
+        let config = load_acls(&data("figure1-acls.json"), &net).unwrap();
+        let fig = Figure1::new();
+        assert_eq!(config, fig.config, "same ACLs on the same slot ids");
+        assert_eq!(net.topology().to_string(), fig.net.topology().to_string());
+        assert_eq!(net.announced(), fig.net.announced());
+        // Packet sets compare as sets (the export merges sibling prefixes).
+        for &iface in fig.ifaces.values() {
+            assert!(net.entering_at(iface).same_set(&fig.net.entering_at(iface)));
+        }
+        // Forwarding is the fixture's plus the shortest-path routes `build`
+        // computes from the announcements before it applies the static
+        // ones — never less.
+        for dev in fig.net.topology().devices() {
+            let loaded = net.forwarding_predicates(dev);
+            for (out, set) in fig.net.forwarding_predicates(dev).iter() {
+                assert!(set.is_subset(&loaded[out]), "forwarding out of {out:?}");
+            }
+        }
+        // The same canonical bytes the goldens pin on the fixture.
+        let running_example = read_file(&data("running-example.lai")).unwrap();
+        let generate = "acl PermitAll { permit all }\nscope A:*, B:*, C:*, D:*\n\
+                        allow C:1-in, C:2-in, D:1-in\nmodify A:1 to PermitAll\n\
+                        modify D:2 to PermitAll\ngenerate\n";
+        let fix = running_example.replace("\ncheck\n", "\nfix\n");
+        for intent in [running_example.as_str(), fix.as_str(), generate] {
+            let opts = RunOptions::default();
+            let loaded = run_command_with(&net, &config, intent, &opts).unwrap();
+            let fixture = run_command_with(&fig.net, &fig.config, intent, &opts).unwrap();
+            assert_eq!(loaded.answer().body, fixture.answer().body);
+        }
+    }
+
+    #[test]
+    fn spec_file_errors_name_the_file_and_the_place() {
+        let bad_type = write_temp("bad-type.json", r#"{"devices": [{"name": "A"}, 7]}"#);
+        let e = load_network(&bad_type).unwrap_err().to_string();
+        assert_eq!(
+            e,
+            format!("{bad_type}: devices[0].interfaces: missing field")
+        );
+        let dangling = NET_JSON.replace("\"B:0\"]]", "\"B:7\"]]");
+        let dangling = write_temp("dangling.json", &dangling);
+        let e = load_network(&dangling).unwrap_err().to_string();
+        assert_eq!(
+            e,
+            format!("{dangling}: links[0]: unknown interface \"B:7\"")
+        );
+        let truncated = write_temp("truncated.json", &NET_JSON[..NET_JSON.len() / 2]);
+        let e = load_network(&truncated).unwrap_err().to_string();
+        assert!(
+            e.starts_with(&format!("{truncated}: invalid JSON: ")),
+            "{e}"
+        );
+        assert!(e.contains(" at offset "), "{e}");
+
+        let net = load_network(&write_temp("net5.json", NET_JSON)).unwrap();
+        let pasted = write_temp("pasted.json", r#"{"slots": [], "slots": []}"#);
+        let e = load_acls(&pasted, &net).unwrap_err().to_string();
+        assert_eq!(e, format!("{pasted}: slots: duplicate field"));
+        // Not UTF-8 at all: an error about the file, from both loaders and
+        // through the dispatcher (`lint` reads the raw specs itself).
+        let latin1 = std::env::temp_dir().join("jinjing-cli-test-latin1.json");
+        std::fs::write(
+            &latin1,
+            b"{\"devices\": [{\"name\": \"caf\xe9\", \"interfaces\": []}]}",
+        )
+        .unwrap();
+        let latin1 = latin1.to_string_lossy().into_owned();
+        let e = load_network(&latin1).unwrap_err().to_string();
+        assert!(
+            e.starts_with(&format!("{latin1}: ")) && e.contains("UTF-8"),
+            "{e}"
+        );
+        let e = load_acls(&latin1, &net).unwrap_err().to_string();
+        assert!(
+            e.starts_with(&format!("{latin1}: ")) && e.contains("UTF-8"),
+            "{e}"
+        );
+        let loaders = Loaders {
+            network: load_network,
+            acls: load_acls,
+        };
+        for command in ["lint", "show", "audit", "run"] {
+            let args = [
+                command,
+                "--network",
+                &latin1,
+                "--acls",
+                &pasted,
+                "--intent",
+                "x",
+            ];
+            let args: Vec<String> = args.iter().map(ToString::to_string).collect();
+            let args = if command == "show" {
+                &args[..3]
+            } else {
+                &args[..]
+            };
+            assert_eq!(run_cli(args, "usage", &loaders), 1, "{command}");
+        }
     }
 
     #[test]
@@ -1096,10 +1194,9 @@ mod tests {
     }
 }
 
-/// Registry-free tests: everything here runs under `--cfg jinjing_offline`
-/// too (no serde, no spec files — the Figure 1 network is programmatic).
+/// Tests over the programmatic Figure 1 fixture (no spec files).
 #[cfg(test)]
-mod offline_tests {
+mod fixture_tests {
     use super::*;
     use jinjing_core::figure1::Figure1;
 
@@ -1131,7 +1228,7 @@ check
             network: |_| Ok(Figure1::new().net),
             acls: |_, _| Ok(Figure1::new().config),
         };
-        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        let args: Vec<String> = args.iter().map(ToString::to_string).collect();
         run_cli(&args, "usage text", &loaders)
     }
 
@@ -1221,7 +1318,7 @@ check
     #[test]
     fn unknown_flags_are_errors_not_ignored() {
         let parse = |args: &[&str], allowed: &str| {
-            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let args: Vec<String> = args.iter().map(ToString::to_string).collect();
             Flags::parse(&args, allowed).map(|_| ()).map_err(|e| e.0)
         };
         // The three ways the old parser lost input: a misspelt flag, a
@@ -1375,7 +1472,7 @@ step noop
             "--drain-on-stdin-eof",
         ]
         .iter()
-        .map(|s| s.to_string())
+        .map(ToString::to_string)
         .collect();
         let cfg = serve_config_from_args(&args).unwrap();
         assert_eq!(cfg.addr, "127.0.0.1:0");
@@ -1391,7 +1488,7 @@ step noop
 
         let bad: Vec<String> = ["serve", "--queue", "nope"]
             .iter()
-            .map(|s| s.to_string())
+            .map(ToString::to_string)
             .collect();
         assert!(serve_config_from_args(&bad).is_err());
     }
@@ -1400,14 +1497,14 @@ step noop
     fn serve_config_accepts_max_body_bytes_spelling() {
         let args: Vec<String> = ["serve", "--max-body-bytes", "4194304"]
             .iter()
-            .map(|s| s.to_string())
+            .map(ToString::to_string)
             .collect();
         let cfg = serve_config_from_args(&args).unwrap();
         assert_eq!(cfg.max_body, 4 << 20);
         // The new spelling wins when both are given.
         let both: Vec<String> = ["serve", "--max-body", "1024", "--max-body-bytes", "2048"]
             .iter()
-            .map(|s| s.to_string())
+            .map(ToString::to_string)
             .collect();
         assert_eq!(serve_config_from_args(&both).unwrap().max_body, 2048);
     }
@@ -1426,7 +1523,7 @@ step noop
             "5000",
         ]
         .iter()
-        .map(|s| s.to_string())
+        .map(ToString::to_string)
         .collect();
         let cfg = shard_config_from_args(&args).unwrap();
         assert_eq!(cfg.addr, "127.0.0.1:0");
@@ -1435,11 +1532,11 @@ step noop
         assert_eq!(cfg.timeout_ms, 5000);
         assert!(!cfg.trace);
 
-        let missing: Vec<String> = ["shard"].iter().map(|s| s.to_string()).collect();
+        let missing: Vec<String> = ["shard"].iter().map(ToString::to_string).collect();
         assert!(shard_config_from_args(&missing).is_err());
         let empty: Vec<String> = ["shard", "--backends", " , "]
             .iter()
-            .map(|s| s.to_string())
+            .map(ToString::to_string)
             .collect();
         assert!(shard_config_from_args(&empty).is_err());
     }
@@ -1467,7 +1564,7 @@ step noop
             "20000",
         ]
         .iter()
-        .map(|s| s.to_string())
+        .map(ToString::to_string)
         .collect();
         assert_eq!(call_command(&args).unwrap(), 0);
         // Verdict-bearing endpoints need the coordinator.
@@ -1479,7 +1576,7 @@ step noop
             &format!("{a1},{a2}"),
         ]
         .iter()
-        .map(|s| s.to_string())
+        .map(ToString::to_string)
         .collect();
         let e = call_command(&bad).unwrap_err();
         assert!(e.to_string().contains("only --path /v1/lint"), "{e}");
@@ -1518,7 +1615,7 @@ step noop
                 "20000",
             ]
             .iter()
-            .map(|s| s.to_string())
+            .map(ToString::to_string)
             .collect()
         };
         // A failing bare check maps to the CLI's exit 3.
@@ -1587,7 +1684,7 @@ step noop
     }
 }
 
-#[cfg(all(test, not(jinjing_offline)))]
+#[cfg(test)]
 mod convert_tests {
     use super::*;
 
@@ -1595,7 +1692,7 @@ mod convert_tests {
     fn cisco_conversion_binds_lists_to_slots() {
         let cfg = "ip access-list extended EDGE-IN\n deny ip any 10.1.1.0 0.0.0.255\n permit ip any any\n";
         let json = convert_cisco(cfg, &[("EDGE-IN".into(), "A:0".into(), "in".into())]).unwrap();
-        let spec: jinjing_net::spec::AclConfigSpec = serde_json::from_str(&json).unwrap();
+        let spec = AclConfigSpec::from_json(&json).unwrap();
         assert_eq!(spec.slots.len(), 1);
         assert_eq!(spec.slots[0].interface, "A:0");
         assert!(spec.slots[0].acl.iter().any(|l| l.contains("10.1.1.0/24")));

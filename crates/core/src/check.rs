@@ -1374,8 +1374,7 @@ mod per_acl_tests {
         )
     }
 
-    /// Tiny xorshift64* PRNG: the fuzz below must run under bare rustc with
-    /// no registry access, so no proptest/rand here.
+    /// Tiny xorshift64* PRNG for the fuzz below.
     struct XorShift(u64);
     impl XorShift {
         fn next(&mut self) -> u64 {

@@ -27,6 +27,7 @@
 
 use jinjing_acl::{AclBuilder, PacketSet};
 use jinjing_net::fib::{pfx, prefix_set};
+use jinjing_net::spec::{AclConfigSpec, NetworkSpec, RouteSpec};
 use jinjing_net::{AclConfig, IfaceId, Network, Scope, Slot, TopologyBuilder};
 use std::collections::HashMap;
 
@@ -172,6 +173,26 @@ impl Figure1 {
         prefix_set(&pfx(&format!("{n}.0.0.0/8")))
     }
 
+    /// The example as the two on-disk documents the `jinjing` CLI loads
+    /// (`examples/data/figure1-{network,acls}.json` are their rendering).
+    /// Figure 1's multipath routing is hand-crafted, so the FIBs go out as
+    /// static routes: recomputed shortest paths alone would not reproduce
+    /// the figure's per-edge traffic labels.
+    pub fn specs(&self) -> (NetworkSpec, AclConfigSpec) {
+        let mut net = NetworkSpec::from_network(&self.net);
+        let topo = self.net.topology();
+        for dev in topo.devices() {
+            for entry in self.net.fib(dev).entries() {
+                net.routes.push(RouteSpec {
+                    device: topo.device(dev).name.clone(),
+                    prefix: entry.prefix.to_string(),
+                    out: topo.iface_name(entry.out),
+                });
+            }
+        }
+        (net, AclConfigSpec::from_config(&self.net, &self.config))
+    }
+
     /// The §3.2 update: clean up C and D, moving their deny rules to A.
     /// Returns the post-update configuration `L'_Ω`.
     pub fn bad_update(&self) -> AclConfig {
@@ -226,6 +247,21 @@ mod tests {
         let distinct: std::collections::HashSet<usize> =
             [1, 2, 4, 5, 7].into_iter().map(class_of).collect();
         assert_eq!(distinct.len(), 5);
+    }
+
+    #[test]
+    fn specs_render_to_the_committed_files() {
+        // What `examples/export_figure1` writes: regenerating must not move
+        // a byte of the files the CLI smokes and the docs load.
+        let (net, acls) = Figure1::new().specs();
+        assert_eq!(
+            net.to_json_pretty(),
+            include_str!("../../../examples/data/figure1-network.json")
+        );
+        assert_eq!(
+            acls.to_json_pretty(),
+            include_str!("../../../examples/data/figure1-acls.json")
+        );
     }
 
     #[test]

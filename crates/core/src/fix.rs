@@ -559,7 +559,7 @@ fn apply_placement(
         while j < adds.len() && adds[j].0 == slot {
             j += 1;
         }
-        let rules: Vec<Rule> = adds[i..j].iter().map(|(_, r)| r.clone()).collect();
+        let rules: Vec<Rule> = adds[i..j].iter().map(|&(_, r)| r).collect();
         let acl = current
             .get(slot)
             .cloned()
@@ -683,23 +683,22 @@ fn fix_batch(
             .collect();
         let pool = Pool::new(jinjing_par::resolve_threads(cfg.check.threads));
         let base = &current;
-        let solved: Vec<(Result<Vec<(Slot, Rule)>, FixError>, Duration)> =
-            pool.par_map(&jobs, |_, job| {
-                let t0 = Instant::now();
-                let r = solve_placement(
-                    net,
-                    task,
-                    before,
-                    base,
-                    controls,
-                    allow,
-                    cfg,
-                    &job.specs,
-                    &job.region,
-                    &job.h,
-                );
-                (r, t0.elapsed())
-            });
+        let solved = pool.par_map(&jobs, |_, job| {
+            let t0 = Instant::now();
+            let r = solve_placement(
+                net,
+                task,
+                before,
+                base,
+                controls,
+                allow,
+                cfg,
+                &job.specs,
+                &job.region,
+                &job.h,
+            );
+            (r, t0.elapsed())
+        });
         let mut t_place = Duration::ZERO;
         let mut folded = 0u64;
         let mut first_err = None;

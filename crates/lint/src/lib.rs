@@ -33,7 +33,6 @@ pub mod multi;
 pub mod network;
 pub mod rules;
 pub mod sarif;
-#[cfg(feature = "spec")]
 pub mod spec;
 
 pub use crate::diag::{Certainty, Diagnostic, LintReport, Severity, SCHEMA_VERSION};
@@ -42,7 +41,6 @@ pub use crate::multi::{cross_conflicts, lint_multi, Conflict, TenantIntent};
 pub use crate::network::lint_config;
 pub use crate::rules::lint_acl;
 pub use crate::sarif::to_sarif;
-#[cfg(feature = "spec")]
 pub use crate::spec::lint_specs;
 
 /// Tunables for a lint run.

@@ -4,8 +4,8 @@
 //! traversing a single ACL.
 //!
 //! (The dangling-reference checks over raw JSON specs live in
-//! [`crate::spec`], behind the `spec` feature, because a dangling reference
-//! by definition prevents the network from being built at all.)
+//! [`crate::spec`], because a dangling reference by definition prevents
+//! the network from being built at all.)
 
 use crate::diag::{record, Diagnostic, LintReport, Severity};
 use crate::rules::lint_acl;

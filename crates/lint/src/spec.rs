@@ -38,7 +38,7 @@ fn invalid(loc: String, message: String) -> Diagnostic {
 pub fn lint_specs(net: &NetworkSpec, acls: &AclConfigSpec, cfg: &LintConfig) -> LintReport {
     let span = cfg.obs.span("lint.spec");
     let mut report = LintReport::new();
-    let mut push = |report: &mut LintReport, d: Diagnostic| {
+    let push = |report: &mut LintReport, d: Diagnostic| {
         record(&cfg.obs, &d);
         report.push(d);
     };

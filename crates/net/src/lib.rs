@@ -29,7 +29,6 @@ pub mod fec;
 pub mod fib;
 pub mod ids;
 pub mod network;
-#[cfg(feature = "spec")]
 pub mod spec;
 pub mod topology;
 

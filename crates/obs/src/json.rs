@@ -1,10 +1,12 @@
-//! A hand-rolled JSON writer.
+//! The workspace's JSON: a hand-rolled writer, value type and reader.
 //!
-//! The obs crate must stay dependency-free (the build is offline), so the
-//! snapshot serializer is written by hand. It produces strict JSON:
-//! RFC 8259 string escaping, no trailing commas, and — because snapshots
-//! are meant to be diffed in tests and CI — *stable key ordering* (callers
-//! insert keys in sorted order; the writer preserves insertion order).
+//! There is no registry, so nothing here leans on an external crate. The
+//! writer produces strict JSON: RFC 8259 string escaping, no trailing
+//! commas, and — because snapshots are meant to be diffed in tests and CI —
+//! *stable key ordering* (callers insert keys in sorted order; the writer
+//! preserves insertion order). [`parse`] is the strict reader behind every
+//! document that comes back in: shard reports, snapshots, and the
+//! operator's `--network` / `--acls` spec files.
 
 use std::fmt::Write;
 
@@ -143,8 +145,8 @@ impl JsonWriter {
 
 /// A parsed JSON value.
 ///
-/// Counterpart to [`JsonWriter`] for the handful of places that must *read*
-/// canonical JSON back (merging shard snapshots, the coordinator's fan-in).
+/// Counterpart to [`JsonWriter`] for the places that must *read* JSON back
+/// (merging shard snapshots, the coordinator's fan-in, the spec files).
 /// Object keys keep document order; numbers keep their raw spelling so a
 /// parse → render round-trip of canonical output is byte-exact.
 #[derive(Debug, Clone, PartialEq)]
@@ -219,39 +221,96 @@ impl Json {
             _ => None,
         }
     }
+
+    /// Render for people and diffs: two-space indent, `": "` after keys,
+    /// one member or element per line, `{}` / `[]` when empty, no trailing
+    /// newline. This is the shape the committed spec files have.
+    pub fn to_pretty(&self) -> String {
+        let mut out = String::new();
+        self.pretty_into(&mut out, 0);
+        out
+    }
+
+    fn pretty_into(&self, out: &mut String, indent: usize) {
+        /// Start line `i` of a container's body, or its closing line.
+        fn line(out: &mut String, i: usize, indent: usize) {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('\n');
+            out.push_str(&"  ".repeat(indent));
+        }
+        match self {
+            Json::Object(members) if !members.is_empty() => {
+                out.push('{');
+                for (i, (key, value)) in members.iter().enumerate() {
+                    line(out, i, indent + 1);
+                    write_escaped(out, key);
+                    out.push_str(": ");
+                    value.pretty_into(out, indent + 1);
+                }
+                line(out, 0, indent);
+                out.push('}');
+            }
+            Json::Array(elems) if !elems.is_empty() => {
+                out.push('[');
+                for (i, elem) in elems.iter().enumerate() {
+                    line(out, i, indent + 1);
+                    elem.pretty_into(out, indent + 1);
+                }
+                line(out, 0, indent);
+                out.push(']');
+            }
+            Json::Object(_) => out.push_str("{}"),
+            Json::Array(_) => out.push_str("[]"),
+            Json::Str(s) => write_escaped(out, s),
+            Json::Num(raw) => out.push_str(raw),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Null => out.push_str("null"),
+        }
+    }
 }
 
-/// Parse a complete JSON document. Rejects trailing garbage.
+/// Deepest container nesting [`parse`] accepts. The parser recurses per
+/// level, so without a cap a hostile document (`[[[[…`) overflows the
+/// stack and aborts the process; canonical output nests less than 10 deep.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse a complete JSON document, strictly by RFC 8259: no trailing
+/// garbage, no malformed numbers (`-`, `01`, `1.`, `1e`), no raw control
+/// bytes or lone surrogates in strings, at most [`MAX_DEPTH`] levels of
+/// nesting. Every error names the byte offset it was found at.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        text,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != text.len() {
         return Err(format!("trailing bytes at offset {}", p.pos));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -264,7 +323,7 @@ impl Parser<'_> {
     }
 
     fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -274,8 +333,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at offset {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -337,103 +410,113 @@ impl Parser<'_> {
     }
 
     fn string(&mut self) -> Result<String, String> {
+        let opened = self.pos;
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let b = self
-                .peek()
-                .ok_or_else(|| "unterminated string".to_string())?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = self
-                        .peek()
-                        .ok_or_else(|| "unterminated escape".to_string())?;
+            // A run of plain bytes. It starts after and ends at an ASCII
+            // byte, so both ends are char boundaries of the `str`.
+            let start = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[start..self.pos]);
+            match self.peek() {
+                None => return Err(format!("unterminated string at offset {opened}")),
+                Some(b'"') => {
                     self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{08}'),
-                        b'f' => out.push('\u{0c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "non-ascii \\u escape".to_string())?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            self.pos += 4;
-                            // Surrogate pairs: canonical snapshots never emit
-                            // them (the writer escapes only controls), so a
-                            // lone surrogate maps to U+FFFD rather than erroring.
-                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(format!("bad escape at offset {}", self.pos)),
-                    }
+                    return Ok(out);
                 }
-                _ => {
-                    // Re-sync to char boundaries for multi-byte UTF-8.
-                    let start = self.pos - 1;
-                    let s = &self.bytes[start..];
-                    let ch_len = utf8_len(b);
-                    let chunk = s
-                        .get(..ch_len)
-                        .ok_or_else(|| "truncated utf-8".to_string())?;
-                    let ch = std::str::from_utf8(chunk)
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    out.push_str(ch);
-                    self.pos = start + ch_len;
+                Some(b'\\') => {
+                    self.pos += 1;
+                    out.push(self.escape()?);
+                }
+                Some(_) => {
+                    return Err(format!("raw control byte in string at offset {}", self.pos))
                 }
             }
         }
     }
 
+    /// The character an escape stands for; `pos` is just past the `\`.
+    fn escape(&mut self) -> Result<char, String> {
+        let at = self.pos;
+        let e = self
+            .peek()
+            .ok_or_else(|| format!("unterminated escape at offset {at}"))?;
+        self.pos += 1;
+        Ok(match e {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'b' => '\u{08}',
+            b'f' => '\u{0c}',
+            b'u' => {
+                let mut cp = self.hex4()?;
+                // A high surrogate is only half a character: the low half
+                // must follow as its own `\u` escape.
+                if (0xD800..0xDC00).contains(&cp)
+                    && self.text.as_bytes()[self.pos..].starts_with(b"\\u")
+                {
+                    self.pos += 2;
+                    let lo = self.hex4()?;
+                    if (0xDC00..0xE000).contains(&lo) {
+                        cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                    }
+                }
+                char::from_u32(cp)
+                    .ok_or_else(|| format!("lone surrogate in \\u escape at offset {at}"))?
+            }
+            _ => return Err(format!("bad escape at offset {at}")),
+        })
+    }
+
+    fn hex4(&mut self) -> Result<u32, String> {
+        let hex = self
+            .text
+            .get(self.pos..self.pos + 4)
+            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+            .ok_or_else(|| format!("bad \\u escape at offset {}", self.pos))?;
+        self.pos += 4;
+        Ok(u32::from_str_radix(hex, 16).expect("four hex digits"))
+    }
+
+    /// Skip a run of digits; how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
+        let leading_zero = self.peek() == Some(b'0');
+        let int_digits = self.digits();
+        let mut ok = int_digits == 1 || (int_digits > 1 && !leading_zero);
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            ok &= self.digits() > 0;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            ok &= self.digits() > 0;
         }
-        if self.pos == start {
+        if !ok {
             return Err(format!("bad number at offset {start}"));
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("digits are ascii")
-            .to_string();
-        Ok(Json::Num(raw))
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
+        Ok(Json::Num(self.text[start..self.pos].to_string()))
     }
 }
 
@@ -538,5 +621,100 @@ mod tests {
         let v = parse("[1.50, 0, -0.0]").unwrap();
         assert_eq!(v.elements()[0], Json::Num("1.50".to_string()));
         assert_eq!(v.elements()[2].as_f64(), Some(-0.0));
+    }
+
+    #[test]
+    fn nesting_is_capped_not_recursed_into_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let e = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            e,
+            format!("nesting deeper than {MAX_DEPTH} at offset {MAX_DEPTH}")
+        );
+        // Unclosed, object-shaped and far past any thread's stack: still an
+        // `Err`, from a worker-sized (2 MiB) stack as the daemon parses on.
+        let worker = std::thread::Builder::new().stack_size(2 << 20);
+        let deep = worker.spawn(|| {
+            let arrays = parse(&"[".repeat(200_000)).unwrap_err();
+            let objects = parse(&"{\"k\":".repeat(200_000)).unwrap_err();
+            (arrays, objects)
+        });
+        let (arrays, objects) = deep.unwrap().join().expect("no overflow, no panic");
+        assert!(arrays.starts_with("nesting deeper than"), "{arrays}");
+        assert!(objects.starts_with("nesting deeper than"), "{objects}");
+        // Siblings do not count as depth.
+        assert!(parse(&format!("[{}1]", "[],".repeat(10_000))).is_ok());
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_grammar() {
+        for ok in [
+            "0", "-0", "7", "10", "-12", "0.5", "-0.0", "1.50", "1e5", "1E+5", "2.5e-3", "0e0",
+        ] {
+            assert_eq!(parse(ok), Ok(Json::Num(ok.to_string())), "{ok}");
+        }
+        for bad in [
+            "-", "01", "-01", "00", "1.", "1.e5", ".5", "1e", "1e+", "1E-", "+1", "0x10", "1.2.3",
+            "--1", "1-", "NaN", "Infinity",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must not parse");
+            assert!(
+                parse(&format!("[{bad}]")).is_err(),
+                "[{bad}] must not parse"
+            );
+        }
+    }
+
+    #[test]
+    fn strings_reject_raw_controls_and_lone_surrogates() {
+        // (document, the string it holds) — escapes, pairs, plain UTF-8.
+        for (doc, want) in [
+            (r#""\ud83d\ude00""#, "\u{1f600}"),
+            (r#""a\uD83D\uDE00b""#, "a\u{1f600}b"),
+            (r#""\u00e9\u2192""#, "é→"),
+            (r#""\u0000\u001f""#, "\u{0}\u{1f}"),
+            (r#""\"\\\/\b\f\n\r\t""#, "\"\\/\u{8}\u{c}\n\r\t"),
+            ("\"😀 é \u{7f}\"", "😀 é \u{7f}"),
+        ] {
+            assert_eq!(parse(doc), Ok(Json::Str(want.to_string())), "{doc}");
+        }
+        for bad in [
+            "\"a\nb\"",          // raw newline
+            "\"a\tb\"",          // raw tab
+            "\"\u{0}\"",         // raw NUL
+            "\"\u{1f}\"",        // raw unit separator
+            r#""\ud83d""#,       // lone high surrogate
+            r#""\ud83dx""#,      // high surrogate, then a plain char
+            r#""\ude00""#,       // lone low surrogate
+            r#""\ud83d\u0041""#, // high surrogate, then a non-surrogate escape
+            r#""\ud83d\ud83d""#, // two high surrogates
+            r#""\u12""#,         // truncated escape
+            r#""\u+123""#,       // sign is not a hex digit
+            r#""\u12é4""#,       // multi-byte char inside the escape
+            r#""\x41""#,         // unknown escape
+            r#""\"#,             // escape at end of input
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must not parse");
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_document_is_an_error() {
+        let doc = r#"{"a":[1,-2.5e3,"x\n\ud83d\ude00"],"b":{"c":null,"d":true},"e":false}"#;
+        assert!(parse(doc).is_ok());
+        for cut in (0..doc.len()).filter(|&i| doc.is_char_boundary(i)) {
+            assert!(parse(&doc[..cut]).is_err(), "prefix of {cut} bytes parsed");
+        }
+    }
+
+    #[test]
+    fn pretty_rendering_has_the_committed_spec_shape() {
+        let doc = parse(r#"{"a":[1,"x\ny",[]],"o":{},"n":{"t":true,"z":null}}"#).unwrap();
+        let pretty = "{\n  \"a\": [\n    1,\n    \"x\\ny\",\n    []\n  ],\n  \"o\": {},\n  \
+                      \"n\": {\n    \"t\": true,\n    \"z\": null\n  }\n}";
+        assert_eq!(doc.to_pretty(), pretty);
+        assert_eq!(parse(pretty), Ok(doc));
+        assert_eq!(Json::Array(Vec::new()).to_pretty(), "[]");
     }
 }

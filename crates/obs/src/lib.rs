@@ -9,8 +9,9 @@
 //! order-of-magnitude solver-effort reductions — so the engine needs
 //! first-class instrumentation rather than ad-hoc stopwatches.
 //!
-//! Four pieces, all built on `std` alone (the build environment is
-//! offline; this crate must never grow an external dependency):
+//! Four pieces, all built on `std` alone (the solver, the network
+//! model, the linter and the engine all sit on this crate, so it sits on
+//! nothing):
 //!
 //! - **Spans** ([`SpanGuard`]): RAII guard timers with parent/child
 //!   nesting. Same-named spans under the same parent aggregate (count +

@@ -268,8 +268,7 @@ impl Pool {
 
         thread::scope(|s| {
             let deques = &deques;
-            let buckets = &buckets;
-            for w in 0..workers {
+            for (w, bucket) in buckets.iter().enumerate() {
                 s.spawn(move || {
                     CURRENT_WORKER.with(|c| c.set(Some(w)));
                     let mut local: Vec<(usize, R)> = Vec::new();
@@ -278,7 +277,7 @@ impl Pool {
                             local.push((i, f(i, &items[i])));
                         }
                     }
-                    *buckets[w].lock().expect("par: result bucket poisoned") = local;
+                    *bucket.lock().expect("par: result bucket poisoned") = local;
                 });
             }
         });
@@ -483,7 +482,7 @@ mod tests {
 
     #[test]
     fn pool_scope_spawns_borrowed_workers() {
-        let data = vec![1u32, 2, 3, 4];
+        let data = [1u32, 2, 3, 4];
         let total = AtomicU64::new(0);
         let pool = Pool::new(2);
         pool.scope(|s| {

@@ -978,16 +978,20 @@ fn lint_endpoint(ctx: Ctx<'_, '_>, call: Call<'_>) -> Result<Answer, Reject> {
     Ok(Answer::of_lint(&out.report))
 }
 
+/// A `POST /v1/lint/multi` body, parsed: `(tenant, program-text)` pairs
+/// and the priority order.
+type MultiLintBody = (Vec<(String, String)>, Vec<String>);
+
 /// Parse the `POST /v1/lint/multi` wire body into `(tenant, program-text)`
 /// pairs and a priority order.
 ///
-/// The body is plain text sectioned by directives (chosen so the
-/// serde-free daemon needs no JSON body): a `#tenant NAME` line starts
+/// The body is plain text sectioned by directives (so a request is LAI
+/// text with comments, never a JSON envelope): a `#tenant NAME` line starts
 /// that tenant's intent program, and an optional `#priority a,b,c` line
 /// (anywhere) gives the tenant priority order. `#` already starts a
 /// comment in LAI, so the directives are invisible to the intent parser;
 /// everything else is passed through verbatim.
-fn parse_multi_lint_body(text: &str) -> Result<(Vec<(String, String)>, Vec<String>), String> {
+fn parse_multi_lint_body(text: &str) -> Result<MultiLintBody, String> {
     let mut tenants: Vec<(String, String)> = Vec::new();
     let mut priority: Vec<String> = Vec::new();
     for line in text.lines() {
@@ -1054,8 +1058,8 @@ fn lint_multi_endpoint(ctx: Ctx<'_, '_>, call: Call<'_>) -> Result<Answer, Rejec
 /// Parse the `POST /v1/plan` wire body into the intent program text and
 /// the optional target delta script.
 ///
-/// Like `/v1/lint/multi`, the body is plain text sectioned by directives
-/// so the serde-free daemon needs no JSON body: everything up to an
+/// Like `/v1/lint/multi`, the body is plain text sectioned by
+/// directives: everything up to an
 /// optional `#target` line is the intent program; everything after it is
 /// a delta script describing the target configuration (the same syntax
 /// `jinjing plan --target` reads). An optional `#max-waves N` line caps
@@ -1693,8 +1697,8 @@ check
             let doc = wire(CHECK_INTENT, Some((i, 2)));
             let p = doc.get("pair").unwrap();
             if let (Some(c), Some(pi)) = (
-                p.get("class").and_then(|v| v.as_u64()),
-                p.get("path").and_then(|v| v.as_u64()),
+                p.get("class").and_then(jinjing_obs::json::Json::as_u64),
+                p.get("path").and_then(jinjing_obs::json::Json::as_u64),
             ) {
                 let candidate = (c, pi);
                 if best.map_or(true, |b| candidate < b) {

@@ -1,12 +1,8 @@
 //! Generation parameters and the §8 size presets.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 /// The three evaluation network sizes of §8 (8% / 30% / 80% WAN slices,
 /// scaled to a single-machine reproduction).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum NetSize {
     /// The "small" testbed.
     Small,
@@ -32,7 +28,6 @@ impl NetSize {
 
 /// Knobs for the WAN generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct WanParams {
     /// Core routers (each with one backbone uplink).
     pub cores: usize,

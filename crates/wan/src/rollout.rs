@@ -130,7 +130,7 @@ fn scrub_config(cfg: &AclConfig, regions: &[IpPrefix]) -> AclConfig {
             .iter()
             .enumerate()
             .filter(|(i, _)| !hit.contains(i))
-            .map(|(_, r)| r.clone())
+            .map(|(_, r)| *r)
             .collect();
         out.set(slot, Acl::new(rules, acl.default_action()));
     }

@@ -10,7 +10,6 @@
 //! ```
 
 use jinjing_core::figure1::Figure1;
-use jinjing_net::spec::{AclConfigSpec, NetworkSpec, RouteSpec};
 
 const INTENT: &str = r#"# The paper's Figure 3 intent: clean up C and D, with `check`.
 # Change the last line to `fix` to let Jinjing repair the plan.
@@ -36,30 +35,14 @@ check
 "#;
 
 fn main() {
-    let fig = Figure1::new();
-    let mut spec = NetworkSpec::from_network(&fig.net);
-    // Figure 1's multipath routing is hand-crafted, so export the FIBs as
-    // static routes (recomputed shortest paths alone would not reproduce
-    // the figure's per-edge traffic labels).
-    let topo = fig.net.topology();
-    for dev in topo.devices() {
-        for entry in fig.net.fib(dev).entries() {
-            spec.routes.push(RouteSpec {
-                device: topo.device(dev).name.clone(),
-                prefix: entry.prefix.to_string(),
-                out: topo.iface_name(entry.out),
-            });
-        }
-    }
-    let acls = AclConfigSpec::from_config(&fig.net, &fig.config);
+    let (spec, acls) = Figure1::new().specs();
 
     std::fs::create_dir_all("examples/data").expect("create examples/data");
     let net_path = "examples/data/figure1-network.json";
     let acl_path = "examples/data/figure1-acls.json";
     let lai_path = "examples/data/running-example.lai";
-    std::fs::write(net_path, serde_json::to_string_pretty(&spec).unwrap())
-        .expect("write network spec");
-    std::fs::write(acl_path, serde_json::to_string_pretty(&acls).unwrap()).expect("write acl spec");
+    std::fs::write(net_path, spec.to_json_pretty()).expect("write network spec");
+    std::fs::write(acl_path, acls.to_json_pretty()).expect("write acl spec");
     std::fs::write(lai_path, INTENT).expect("write intent");
 
     // Round-trip sanity: the rebuilt network reproduces the figure's paths.

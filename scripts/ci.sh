@@ -1,19 +1,12 @@
 #!/usr/bin/env bash
-# CI entry point: build, test, format, lint.
+# CI entry point: build, test, smokes, ruler, format, lint.
 #
-# The full pipeline needs the crates.io registry (dev-dependencies:
-# proptest / criterion / serde_json). On an offline machine `cargo` cannot
-# even compute the lockfile, so we probe first and fall back to
-# scripts/offline_check.sh, which builds and tests the internal
-# (registry-free) dependency chain with bare rustc.
+# cargo is the only build route and it needs no network: every dependency
+# is a path crate inside this repository and Cargo.lock is committed, so
+# every cargo call runs --locked --offline — here, in GitHub's runner and
+# on an air-gapped machine alike.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-probe_registry() {
-    # `cargo metadata` resolves the dependency graph; it fails fast when the
-    # registry is unreachable and no lockfile/cache can satisfy it.
-    cargo metadata --format-version 1 >/dev/null 2>&1
-}
 
 # expect_exit N cmd...: run cmd and require exit status N — the gates
 # below (3 = inconsistent / rejected / infeasible, 4 = lint) are part of
@@ -28,23 +21,32 @@ expect_exit() {
     fi
 }
 
-if ! probe_registry; then
-    echo "ci.sh: crates.io registry unavailable — running offline checks only" >&2
-    exec "$(dirname "$0")/offline_check.sh"
+# The `jinjing` binary, as every smoke below runs it.
+jinjing() { cargo run --locked --offline --release -q -p jinjing-cli --bin jinjing -- "$@"; }
+
+echo "==> Cargo.lock names no registry"
+if grep -n '^source = ' Cargo.lock; then
+    echo "ci.sh: Cargo.lock has a non-path dependency; the workspace must build with no registry" >&2
+    exit 1
 fi
 
 echo "==> cargo build --release --workspace"
-cargo build --release --workspace
+cargo build --locked --offline --release --workspace
 
+# Twice: the determinism contract says every report is byte-identical for
+# every thread count, so the same suites (oracles, goldens, daemon bytes)
+# run again with a 4-worker default.
 echo "==> cargo test --workspace -q"
-cargo test --workspace -q
+cargo test --locked --offline --workspace -q
+echo "==> JINJING_THREADS=4 cargo test --workspace -q"
+JINJING_THREADS=4 cargo test --locked --offline --workspace -q
 
 echo "==> jinjing lint (examples/data fixtures)"
 # Static analysis over the shipped example specs: warnings/notes are
 # expected (the running example is deliberately broken), but any
 # error-severity finding — or a failure to parse the fixtures at all —
 # fails CI (`lint` exits 4 on errors, 1 on bad input).
-cargo run --release -p jinjing-cli --bin jinjing -- lint \
+jinjing lint \
     --network examples/data/figure1-network.json \
     --acls examples/data/figure1-acls.json \
     --intent examples/data/running-example.lai \
@@ -52,7 +54,7 @@ cargo run --release -p jinjing-cli --bin jinjing -- lint \
 
 echo "==> jinjing lint --intent tenant=FILE (cross-tenant examples)"
 # The disjoint pair is clean: gating on JL301 must still exit 0.
-cargo run --release -p jinjing-cli --bin jinjing -- lint \
+jinjing lint \
     --network examples/data/figure1-network.json \
     --acls examples/data/figure1-acls.json \
     --intent alpha=examples/data/tenant-alpha.lai \
@@ -60,7 +62,7 @@ cargo run --release -p jinjing-cli --bin jinjing -- lint \
     --deny JL301 --format json >/dev/null
 # The conflicting pair carries a solver-certified JL301: denying the
 # JL3xx family must gate with exit 4.
-expect_exit 4 cargo run --release -p jinjing-cli --bin jinjing -- lint \
+expect_exit 4 jinjing lint \
     --network examples/data/figure1-network.json \
     --acls examples/data/figure1-acls.json \
     --intent alpha=examples/data/tenant-alpha.lai \
@@ -73,7 +75,7 @@ echo "==> rollout-plan smoke (certified update sequencing)"
 # (A:3-out must tighten before C:1 clears): `plan` must exit 0 and emit
 # one wave certificate per wave, with every decomposed step scheduled.
 plan_dir="$(mktemp -d)"
-cargo run --release -q -p jinjing-cli --bin jinjing -- plan \
+jinjing plan \
     --network examples/data/figure1-network.json \
     --acls examples/data/figure1-acls.json \
     --intent examples/data/rollout-scope.lai \
@@ -96,7 +98,7 @@ else
 fi
 # The impossible target (clear D:2 leaks traffic 1/2 in any order) must
 # gate with exit 3 and name the infeasibility core.
-expect_exit 3 cargo run --release -q -p jinjing-cli --bin jinjing -- plan \
+expect_exit 3 jinjing plan \
     --network examples/data/figure1-network.json \
     --acls examples/data/figure1-acls.json \
     --intent examples/data/rollout-scope.lai \
@@ -116,7 +118,7 @@ serve_smoke() {
     local threads="$1" dir pid addr sid
     dir="$(mktemp -d)"
     printf 'step open-d2\nset D:2 default permit\n' >"$dir/edit.deltas"
-    JINJING_THREADS="$threads" cargo run --release -p jinjing-cli --bin jinjing -- serve \
+    JINJING_THREADS="$threads" jinjing serve \
         --network examples/data/figure1-network.json \
         --acls examples/data/figure1-acls.json \
         --addr 127.0.0.1:0 --port-file "$dir/port" >"$dir/serve.log" 2>&1 &
@@ -124,7 +126,7 @@ serve_smoke() {
     for _ in $(seq 1 100); do [ -s "$dir/port" ] && break; sleep 0.1; done
     [ -s "$dir/port" ] || { cat "$dir/serve.log" >&2; return 1; }
     addr="$(cat "$dir/port")"
-    jj() { cargo run --release -q -p jinjing-cli --bin jinjing -- call --addr "$addr" "$@"; }
+    jj() { jinjing call --addr "$addr" "$@"; }
 
     expect_exit 3 jj --path /v1/check --body-file examples/data/running-example.lai \
         >"$dir/check.json"
@@ -160,7 +162,7 @@ shard_smoke() {
     local dir bpid1 bpid2 cpid addr1 caddr
     dir="$(mktemp -d)"
     for i in 1 2; do
-        cargo run --release -q -p jinjing-cli --bin jinjing -- serve \
+        jinjing serve \
             --network examples/data/figure1-network.json \
             --acls examples/data/figure1-acls.json \
             --addr 127.0.0.1:0 --port-file "$dir/b$i.port" >"$dir/b$i.log" 2>&1 &
@@ -169,7 +171,7 @@ shard_smoke() {
     for _ in $(seq 1 100); do [ -s "$dir/b1.port" ] && [ -s "$dir/b2.port" ] && break; sleep 0.1; done
     [ -s "$dir/b1.port" ] && [ -s "$dir/b2.port" ] || { cat "$dir"/b*.log >&2; return 1; }
     addr1="$(cat "$dir/b1.port")"
-    cargo run --release -q -p jinjing-cli --bin jinjing -- shard \
+    jinjing shard \
         --network examples/data/figure1-network.json \
         --acls examples/data/figure1-acls.json \
         --backends "$(cat "$dir/b1.port"),$(cat "$dir/b2.port")" \
@@ -178,7 +180,7 @@ shard_smoke() {
     for _ in $(seq 1 100); do [ -s "$dir/coord.port" ] && break; sleep 0.1; done
     [ -s "$dir/coord.port" ] || { cat "$dir/coord.log" >&2; return 1; }
     caddr="$(cat "$dir/coord.port")"
-    jj() { cargo run --release -q -p jinjing-cli --bin jinjing -- call "$@"; }
+    jj() { jinjing call "$@"; }
 
     # Byte-parity: coordinator vs lone daemon, both gating with exit 3.
     expect_exit 3 jj --addr "$caddr" --path /v1/check \
@@ -238,9 +240,16 @@ EOF
 }
 shard_smoke
 
-# The ruler: every workload once through every front door, answers judged
-# by the harness's oracles. Shared with scripts/offline_check.sh.
-scripts/ruler_smoke.sh
+# The ruler: the harness's own unit tests, then every workload once through
+# the query, session, daemon and shard front doors. `--quick` exits non-zero
+# on any failed op, oracle disagreement or cross-door byte mismatch; of its
+# metric lines only the per-workload `failed_share` verdicts are shown.
+# Correctness only: CI hosts are too noisy for a timing gate
+# (`benchmark/run.sh compare` is the tool for that).
+echo "==> ruler: benchmark/build.sh --test"
+bash benchmark/build.sh --test >/dev/null
+echo "==> ruler: benchmark/run.sh --quick"
+bash benchmark/run.sh --quick | grep ' failed_share '
 
 echo "==> cargo fmt --all --check"
 if cargo fmt --version >/dev/null 2>&1; then
@@ -251,7 +260,7 @@ fi
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 if cargo clippy --version >/dev/null 2>&1; then
-    cargo clippy --workspace --all-targets -- -D warnings
+    cargo clippy --locked --offline --workspace --all-targets -- -D warnings
 else
     echo "ci.sh: clippy not installed — skipping lint" >&2
 fi

@@ -1,14 +1,27 @@
-//! Registry-free build stub for the `rand` facade.
+//! The workspace's `rand`.
 //!
-//! `scripts/offline_check.sh` compiles this as `--crate-name rand` on
-//! machines without crates.io access, so the synthetic-WAN layers
-//! (`jinjing-wan`, `jinjing-bench`) build and run offline. It provides
-//! exactly the surface those crates use — `rngs::StdRng`,
-//! `SeedableRng::seed_from_u64`, `RngExt::{random, random_range}` — over
-//! a splitmix64 core: deterministic per seed and statistically fine for
-//! workload generation, but **not** the real `rand` crate (different
-//! streams, no cryptographic claims). The online build (`cargo`) never
-//! sees this file.
+//! This file *is* the `rand` crate of the workspace: `[workspace.dependencies]`
+//! points `rand` at the manifest beside it, so `cargo` compiles it for
+//! `jinjing-wan`, `jinjing-bench` and the `prop_*` suites, and
+//! `benchmark/build.sh` compiles the same file (by this path, as
+//! `--crate-name rand`) for the ruler. One source, one stream per seed on
+//! every build route. It spells exactly the surface those callers use —
+//! `rngs::StdRng`, `SeedableRng::seed_from_u64`,
+//! `RngExt::{random, random_range}` — as the published crate spells it,
+//! over a splitmix64 core: deterministic per seed and statistically fine
+//! for workload generation, but **not** the published `rand` (different
+//! streams, no cryptographic claims).
+//!
+//! **The streams are frozen.** The synthetic WANs, perturbations and
+//! rollout scripts drawn from them are pinned bit for bit by
+//! `benchmark/expected/*`, the committed figures and the suites' fixed
+//! seeds, so no existing draw may ever change: not the seeding constant,
+//! not the mixer, not how a range or a `Random` type maps a 64-bit draw.
+//! New surface is fine — `impl_range!` may gain integer types, `Random`
+//! may gain implementors — as long as every draw that exists today stays
+//! bit-identical. (It lives under `scripts/stubs/` because
+//! `benchmark/build.sh` names that path and only a `[benchmark]` change
+//! may edit `benchmark/`.)
 
 #![forbid(unsafe_code)]
 

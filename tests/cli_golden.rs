@@ -15,7 +15,6 @@
 //!
 //! ```text
 //! JINJING_BLESS=1 cargo test --test cli_golden
-//! # or offline: JINJING_BLESS=1 <offline test binary>
 //! ```
 //!
 //! and review the diff like any other code change.
@@ -76,8 +75,8 @@ set D:2 default permit
 step noop
 "#;
 
-/// Locate `tests/golden/` from either the repo root (offline harness) or
-/// the `crates/tests` package dir (cargo).
+/// Locate `tests/golden/` from either the repo root or the `crates/tests`
+/// package dir (where cargo runs this suite).
 fn golden_dir() -> PathBuf {
     for cand in ["tests/golden", "../../tests/golden"] {
         let p = PathBuf::from(cand);

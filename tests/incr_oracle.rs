@@ -22,9 +22,6 @@
 //! A fourth test pins the observability contract: a session re-check
 //! emits the same span tree as a cold check modulo the `incr.*` spans,
 //! plus the `check.incr_*` counters.
-//!
-//! The whole file is std-only (hand-rolled xorshift, no proptest/serde)
-//! so `scripts/offline_check.sh` runs it with bare rustc.
 
 use jinjing_acl::{Acl, Action, IpPrefix, Packet, PacketSet, Rule};
 use jinjing_core::check::{check_configs, CheckConfig, CheckOutcome, CheckReport};

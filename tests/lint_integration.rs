@@ -1,10 +1,6 @@
 //! Cross-crate integration tests for jinjing-lint: at least one fixture per
 //! diagnostic code, byte-stable JSON, solver-confirmed vs heuristic shadow
 //! findings, and the engine/CLI packaging.
-//!
-//! The spec-layer tests (JL201/JL202) need `jinjing-net`'s `spec` feature
-//! (serde); they are compiled out under `--cfg jinjing_offline`, where the
-//! dependency-free build disables that feature.
 
 use jinjing_acl::AclBuilder;
 use jinjing_core::engine::ReportKind;
@@ -176,7 +172,6 @@ fn configured_slot_is_rule_linted_under_its_slot_name() {
 
 // ---------------------------------------------------------------- spec layer
 
-#[cfg(not(jinjing_offline))]
 mod spec_layer {
     use super::*;
     use jinjing_lint::lint_specs;
@@ -194,10 +189,11 @@ mod spec_layer {
 
     #[test]
     fn jl201_dangling_reference() {
-        let net: NetworkSpec = serde_json::from_str(NET_JSON).unwrap();
-        let acls: AclConfigSpec =
-            serde_json::from_str(r#"{"slots": [{"interface": "Z:9", "acl": ["default permit"]}]}"#)
-                .unwrap();
+        let net = NetworkSpec::from_json(NET_JSON).unwrap();
+        let acls = AclConfigSpec::from_json(
+            r#"{"slots": [{"interface": "Z:9", "acl": ["default permit"]}]}"#,
+        )
+        .unwrap();
         let r = lint_specs(&net, &acls, &LintConfig::default());
         let d = r.diagnostics().iter().find(|d| d.code == "JL201").unwrap();
         assert_eq!(d.severity, Severity::Error);
@@ -206,8 +202,8 @@ mod spec_layer {
 
     #[test]
     fn jl202_invalid_binding() {
-        let net: NetworkSpec = serde_json::from_str(NET_JSON).unwrap();
-        let acls: AclConfigSpec = serde_json::from_str(
+        let net = NetworkSpec::from_json(NET_JSON).unwrap();
+        let acls = AclConfigSpec::from_json(
             r#"{"slots": [
                 {"interface": "A:0", "direction": "sideways", "acl": ["default permit"]}
             ]}"#,
@@ -275,11 +271,9 @@ fn diagnostics_json_shape_is_stable() {
         json.contains("\"certainty\":\"solver-confirmed\""),
         "{json}"
     );
-    // And it parses as strict JSON (online builds only).
-    #[cfg(not(jinjing_offline))]
-    {
-        let v: serde_json::Value = serde_json::from_str(&json).expect("strict JSON");
-        assert!(v["diagnostics"].is_array());
-        assert_eq!(v["summary"]["total"].as_u64().unwrap(), r.len() as u64);
-    }
+    // And it parses as strict JSON.
+    let v = jinjing_obs::json::parse(&json).expect("strict JSON");
+    assert_eq!(v.get("diagnostics").unwrap().elements().len(), r.len());
+    let total = v.get("summary").unwrap().get("total").unwrap();
+    assert_eq!(total.as_u64().unwrap(), r.len() as u64);
 }

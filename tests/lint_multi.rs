@@ -272,8 +272,8 @@ fn random_programs_always_yield_witnessed_deterministic_conflicts() {
 
 // ------------------------------------------------------- committed examples
 
-/// Locate `examples/data/` from the repo root (offline harness) or the
-/// `crates/tests` package dir (cargo).
+/// Locate `examples/data/` from the repo root or the `crates/tests`
+/// package dir (where cargo runs this suite).
 fn examples_dir() -> PathBuf {
     for cand in ["examples/data", "../../examples/data"] {
         let p = PathBuf::from(cand);

@@ -1,13 +1,14 @@
 //! Integration tests for the observability subsystem on the Figure 1
 //! running example: the engine's span tree has the expected shape, the
 //! solver counters are consistent with `CheckReport::solver_stats`, and the
-//! `--metrics-out` JSON is strict enough for serde_json to parse.
+//! `--metrics-out` JSON is strict enough for the RFC 8259 reader to parse.
 
 use jinjing_core::check::CheckOutcome;
 use jinjing_core::engine::{run, EngineConfig, ReportKind};
 use jinjing_core::figure1::Figure1;
 use jinjing_core::resolve::resolve;
 use jinjing_lai::{parse_program, validate};
+use jinjing_obs::json::{self, Json};
 
 const RUNNING_EXAMPLE_BODY: &str = r#"
 acl PermitAll { permit all }
@@ -167,52 +168,45 @@ generate
     assert_eq!(aec_hist.sum, g.aec_count as u64);
 }
 
-// `scripts/offline_check.sh` compiles this file with bare rustc and no
-// registry access; the serde_json round-trip is the one test that needs an
-// external crate, so it is compiled out under `--cfg jinjing_offline`.
-#[cfg(not(jinjing_offline))]
 #[test]
 fn snapshot_json_is_strict_and_complete() {
     let report = run_with_obs(&format!("{RUNNING_EXAMPLE_BODY}check\n"));
-    let json = report.obs.to_json();
+    let text = report.obs.to_json();
+    let name_of = |v: &Json| v.get("name").and_then(Json::as_str).map(str::to_string);
+    let children = |v: &Json| v.get("children").expect("children key").elements().to_vec();
 
-    // The acceptance bar: a real JSON parser (serde_json) accepts the
-    // hand-rolled writer's output and finds the full span tree in it.
-    let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
+    // The acceptance bar: the strict reader accepts the hand-rolled
+    // writer's output and finds the full span tree in it.
+    let v = json::parse(&text).expect("valid JSON");
     let spans = v.get("spans").expect("spans key");
-    assert_eq!(spans["name"], "root");
-    let engine = &spans["children"][0];
-    assert_eq!(engine["name"], "engine.run");
-    assert_eq!(engine["count"], 1);
-    let check = engine["children"]
-        .as_array()
-        .unwrap()
-        .iter()
-        .find(|c| c["name"] == "check")
+    assert_eq!(name_of(spans).as_deref(), Some("root"));
+    let engine = &children(spans)[0];
+    assert_eq!(name_of(engine).as_deref(), Some("engine.run"));
+    assert_eq!(engine.get("count").and_then(Json::as_u64), Some(1));
+    let check = children(engine)
+        .into_iter()
+        .find(|c| name_of(c).as_deref() == Some("check"))
         .expect("check span in JSON");
-    let names: Vec<&str> = check["children"]
-        .as_array()
-        .unwrap()
-        .iter()
-        .map(|c| c["name"].as_str().unwrap())
-        .collect();
-    assert!(names.contains(&"check.solve"), "{names:?}");
+    let names: Vec<String> = children(&check).iter().filter_map(name_of).collect();
+    assert!(names.iter().any(|n| n == "check.solve"), "{names:?}");
 
     // Metric sections exist with the documented shapes.
-    assert!(v["counters"]["solver.queries"].as_u64().unwrap() >= 1);
-    let dec = &v["histograms"]["solver.decisions"];
-    assert!(dec["count"].as_u64().unwrap() >= 1);
-    assert!(dec["p50"].is_u64() || dec["p50"].is_number());
-    assert!(v["events"].is_array());
+    let section = |name: &str, key: &str| v.get(name).and_then(|s| s.get(key)).cloned();
+    let queries = section("counters", "solver.queries").expect("solver.queries");
+    assert!(queries.as_u64().unwrap() >= 1);
+    let dec = section("histograms", "solver.decisions").expect("solver.decisions");
+    assert!(dec.get("count").and_then(Json::as_u64).unwrap() >= 1);
+    assert!(dec.get("p50").and_then(Json::as_f64).is_some());
+    let events = v.get("events").expect("events key");
+    assert!(matches!(events, Json::Array(_)));
     // Events carry the check verdict.
-    assert!(v["events"]
-        .as_array()
-        .unwrap()
+    assert!(events
+        .elements()
         .iter()
-        .any(|e| e["name"] == "check.verdict"));
+        .any(|e| name_of(e).as_deref() == Some("check.verdict")));
 
     // Stable output: serializing the same snapshot twice is byte-identical.
-    assert_eq!(json, report.obs.to_json());
+    assert_eq!(text, report.obs.to_json());
 }
 
 /// Duration-accounting regression: the old per-iteration loop `+=`-ed path

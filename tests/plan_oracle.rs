@@ -24,9 +24,6 @@
 //!    {1, 4} × query store {private, one shared across every instance};
 //!    all four plans (waves, certificates, cores, search stats) must be
 //!    identical.
-//!
-//! The whole file is std-only (hand-rolled xorshift, no proptest/serde)
-//! so `scripts/offline_check.sh` runs it with bare rustc.
 
 use jinjing_acl::{Acl, Action, IpPrefix, PacketSet, Rule};
 use jinjing_core::check::{check_configs, CheckConfig, CheckReport};

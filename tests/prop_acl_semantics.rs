@@ -2,6 +2,8 @@
 //! permit-sets, simplification, the differential-rule machinery (Theorem
 //! 4.1), and both solver encodings against concrete evaluation.
 
+mod cases;
+
 use jinjing_acl::diff::AclDiff;
 use jinjing_acl::parse::{parse_acl, parse_rule};
 use jinjing_acl::simplify::simplify;
@@ -9,163 +11,220 @@ use jinjing_acl::{Acl, Action, IpPrefix, MatchSpec, Packet, PortRange, Proto, Ru
 use jinjing_solver::aclenc::{encode, Encoding};
 use jinjing_solver::cdcl::SolveResult;
 use jinjing_solver::{CircuitBuilder, HeaderVars};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::RngExt;
 
-#[allow(dead_code)]
-fn prefix() -> impl Strategy<Value = IpPrefix> {
-    (any::<u32>(), 0u32..=32).prop_map(|(a, l)| IpPrefix::new(a, l))
+const SUITE: &str = "prop_acl_semantics";
+const CASES: u64 = 64;
+
+/// True `weight` times out of `total`.
+fn chance(rng: &mut StdRng, weight: u32, total: u32) -> bool {
+    rng.random_range(0..total) < weight
 }
 
 /// Prefixes clustered in a small space so rules overlap (like real ACLs).
-fn clustered_prefix() -> impl Strategy<Value = IpPrefix> {
-    (0u32..16, 8u32..=24).prop_map(|(n, l)| IpPrefix::new(n << 24 | 0x0001_0000, l))
+fn clustered_prefix(rng: &mut StdRng) -> IpPrefix {
+    let n = rng.random_range(0..16u32);
+    IpPrefix::new(n << 24 | 0x0001_0000, rng.random_range(8..=24u32))
 }
 
-fn match_spec() -> impl Strategy<Value = MatchSpec> {
-    (
-        prop_oneof![3 => Just(IpPrefix::any()), 1 => clustered_prefix()],
-        prop_oneof![1 => Just(IpPrefix::any()), 3 => clustered_prefix()],
-        prop_oneof![3 => Just(PortRange::any()), 1 => (0u16..100).prop_map(|l| PortRange::new(l, l + 900))],
-        prop_oneof![3 => Just(PortRange::any()), 1 => (0u16..1000).prop_map(|l| PortRange::new(l, l + 23))],
-        prop_oneof![4 => Just(None), 1 => Just(Some(Proto::Tcp)), 1 => Just(Some(Proto::Udp))],
-    )
-        .prop_map(|(src, dst, sport, dport, proto)| MatchSpec {
-            src,
-            dst,
-            sport,
-            dport,
-            proto,
-        })
+fn match_spec(rng: &mut StdRng) -> MatchSpec {
+    MatchSpec {
+        src: if chance(rng, 3, 4) {
+            IpPrefix::any()
+        } else {
+            clustered_prefix(rng)
+        },
+        dst: if chance(rng, 1, 4) {
+            IpPrefix::any()
+        } else {
+            clustered_prefix(rng)
+        },
+        sport: if chance(rng, 3, 4) {
+            PortRange::any()
+        } else {
+            let lo = rng.random_range(0..100u32) as u16;
+            PortRange::new(lo, lo + 900)
+        },
+        dport: if chance(rng, 3, 4) {
+            PortRange::any()
+        } else {
+            let lo = rng.random_range(0..1000u32) as u16;
+            PortRange::new(lo, lo + 23)
+        },
+        proto: match rng.random_range(0..6u32) {
+            0 => Some(Proto::Tcp),
+            1 => Some(Proto::Udp),
+            _ => None,
+        },
+    }
 }
 
-fn rule() -> impl Strategy<Value = Rule> {
-    (any::<bool>(), match_spec()).prop_map(|(permit, m)| Rule::new(Action::from_bool(permit), m))
+fn rule(rng: &mut StdRng) -> Rule {
+    Rule::new(Action::from_bool(rng.random()), match_spec(rng))
 }
 
-fn acl() -> impl Strategy<Value = Acl> {
-    (prop::collection::vec(rule(), 0..8), any::<bool>())
-        .prop_map(|(rules, dp)| Acl::new(rules, Action::from_bool(dp)))
+fn acl(rng: &mut StdRng) -> Acl {
+    let rules = rng.random_range(0..8usize);
+    let rules = (0..rules).map(|_| rule(rng)).collect();
+    Acl::new(rules, Action::from_bool(rng.random()))
+}
+
+/// An address biased into the clustered space so it actually hits rules.
+fn address(rng: &mut StdRng) -> u32 {
+    if chance(rng, 1, 3) {
+        rng.random_range(0..=u32::MAX)
+    } else {
+        rng.random_range(0..16u32) << 24 | 0x0001_0000 | rng.random_range(0..=0xffffu32)
+    }
 }
 
 /// Packets biased into the clustered space so they actually hit rules.
-fn packet() -> impl Strategy<Value = Packet> {
-    (
-        prop_oneof![1 => any::<u32>(), 2 => (0u32..16, any::<u16>()).prop_map(|(n, x)| n << 24 | 0x0001_0000 | x as u32)],
-        prop_oneof![1 => any::<u32>(), 2 => (0u32..16, any::<u16>()).prop_map(|(n, x)| n << 24 | 0x0001_0000 | x as u32)],
-        any::<u16>(),
-        0u16..1100,
-        prop_oneof![Just(6u8), Just(17u8), any::<u8>()],
+fn packet(rng: &mut StdRng) -> Packet {
+    Packet::new(
+        address(rng),
+        address(rng),
+        rng.random_range(0..=0xffffu32) as u16,
+        rng.random_range(0..1100u32) as u16,
+        match rng.random_range(0..3u32) {
+            0 => 6,
+            1 => 17,
+            _ => rng.random_range(0..=0xffu32) as u8,
+        },
     )
-        .prop_map(|(s, d, sp, dp, pr)| Packet::new(s, d, sp, dp, pr))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+fn acl_and_packet(rng: &mut StdRng) -> (Acl, Packet) {
+    (acl(rng), packet(rng))
+}
 
-    /// Display → parse is the identity for rules.
-    #[test]
-    fn rule_roundtrip(r in rule()) {
+/// Display → parse is the identity for rules.
+#[test]
+fn rule_roundtrip() {
+    cases::run(SUITE, "rule_roundtrip", CASES, rule, |r| {
         let printed = r.to_string();
         let back = parse_rule(&printed).expect("printed rule parses");
-        prop_assert_eq!(back, r, "{}", printed);
-    }
+        assert_eq!(&back, r, "{printed}");
+    });
+}
 
-    /// Display → parse is the identity for whole ACLs.
-    #[test]
-    fn acl_roundtrip(a in acl()) {
-        let printed = a.to_string().replace("(default ", "default ").replace(')', "");
+/// Display → parse is the identity for whole ACLs.
+#[test]
+fn acl_roundtrip() {
+    cases::run(SUITE, "acl_roundtrip", CASES, acl, |a| {
+        let printed = a
+            .to_string()
+            .replace("(default ", "default ")
+            .replace(')', "");
         let back = parse_acl(&printed).expect("printed acl parses");
-        prop_assert_eq!(back.rules(), a.rules());
-        prop_assert_eq!(back.default_action(), a.default_action());
-    }
+        assert_eq!(back.rules(), a.rules());
+        assert_eq!(back.default_action(), a.default_action());
+    });
+}
 
-    /// The compiled permit-set agrees with first-match evaluation.
-    #[test]
-    fn permit_set_matches_eval(a in acl(), p in packet()) {
-        prop_assert_eq!(a.permit_set().contains(&p), a.permits(&p));
-    }
+/// The compiled permit-set agrees with first-match evaluation.
+#[test]
+fn permit_set_matches_eval() {
+    let name = "permit_set_matches_eval";
+    cases::run(SUITE, name, CASES, acl_and_packet, |(a, p)| {
+        assert_eq!(a.permit_set().contains(p), a.permits(p));
+    });
+}
 
-    /// Simplification preserves the decision model and never grows.
-    #[test]
-    fn simplify_preserves_semantics(a in acl(), p in packet()) {
-        let (s, stats) = simplify(&a);
-        prop_assert!(s.len() <= a.len());
-        prop_assert_eq!(stats.after, s.len());
-        prop_assert_eq!(s.eval(&p), a.eval(&p));
-        prop_assert!(s.equivalent(&a));
-    }
+/// Simplification preserves the decision model and never grows.
+#[test]
+fn simplify_preserves_semantics() {
+    let name = "simplify_preserves_semantics";
+    cases::run(SUITE, name, CASES, acl_and_packet, |(a, p)| {
+        let (s, stats) = simplify(a);
+        assert!(s.len() <= a.len());
+        assert_eq!(stats.after, s.len());
+        assert_eq!(s.eval(p), a.eval(p));
+        assert!(s.equivalent(a));
+    });
+}
 
-    /// Simplification is idempotent.
-    #[test]
-    fn simplify_idempotent(a in acl()) {
-        let (s1, _) = simplify(&a);
+/// Simplification is idempotent.
+#[test]
+fn simplify_idempotent() {
+    cases::run(SUITE, "simplify_idempotent", CASES, acl, |a| {
+        let (s1, _) = simplify(a);
         let (s2, _) = simplify(&s1);
-        prop_assert_eq!(s1.rules(), s2.rules());
-    }
+        assert_eq!(s1.rules(), s2.rules());
+    });
+}
 
-    /// Theorem 4.1, concretely: wherever the full pair disagrees, the
-    /// packet lies in the differential cover, and the reduced pair
-    /// reproduces the disagreement pattern on the cover.
-    #[test]
-    fn theorem_4_1(a in acl(), b in acl(), p in packet()) {
-        let d = AclDiff::compute(&a, &b);
-        let full_agree = a.permits(&p) == b.permits(&p);
+/// Theorem 4.1, concretely: wherever the full pair disagrees, the
+/// packet lies in the differential cover, and the reduced pair
+/// reproduces the disagreement pattern on the cover.
+#[test]
+fn theorem_4_1() {
+    let generate = |rng: &mut StdRng| (acl(rng), acl(rng), packet(rng));
+    cases::run(SUITE, "theorem_4_1", CASES, generate, |(a, b, p)| {
+        let d = AclDiff::compute(a, b);
+        let full_agree = a.permits(p) == b.permits(p);
         if !full_agree {
-            prop_assert!(d.cover.contains(&p), "disagreement outside cover");
+            assert!(d.cover.contains(p), "disagreement outside cover");
         }
-        if d.cover.contains(&p) {
+        if d.cover.contains(p) {
             // Inside the cover, reduced decisions equal full decisions.
-            prop_assert_eq!(d.reduced_before.permits(&p), a.permits(&p));
-            prop_assert_eq!(d.reduced_after.permits(&p), b.permits(&p));
+            assert_eq!(d.reduced_before.permits(p), a.permits(p));
+            assert_eq!(d.reduced_after.permits(p), b.permits(p));
         } else {
             // Outside, the reduced pair agrees with itself.
-            prop_assert_eq!(
-                d.reduced_before.permits(&p),
-                d.reduced_after.permits(&p)
-            );
+            assert_eq!(d.reduced_before.permits(p), d.reduced_after.permits(p));
         }
-    }
+    });
+}
 
-    /// An ACL diffed with itself is unchanged.
-    #[test]
-    fn self_diff_is_empty(a in acl()) {
-        let d = AclDiff::compute(&a, &a.clone());
-        prop_assert!(d.is_unchanged());
-        prop_assert!(d.cover.is_empty());
-    }
+/// An ACL diffed with itself is unchanged.
+#[test]
+fn self_diff_is_empty() {
+    cases::run(SUITE, "self_diff_is_empty", CASES, acl, |a| {
+        let d = AclDiff::compute(a, &a.clone());
+        assert!(d.is_unchanged());
+        assert!(d.cover.is_empty());
+    });
+}
 
-    /// Both circuit encodings agree with concrete evaluation.
-    #[test]
-    fn encodings_match_eval(a in acl(), p in packet()) {
+/// Both circuit encodings agree with concrete evaluation.
+#[test]
+fn encodings_match_eval() {
+    let name = "encodings_match_eval";
+    cases::run(SUITE, name, CASES, acl_and_packet, |(a, p)| {
         for enc in [Encoding::Sequential, Encoding::Tree] {
             let mut c = CircuitBuilder::new();
             let h = HeaderVars::new(&mut c);
-            let g = encode(&mut c, &h, &a, enc);
-            h.assert_packet(&mut c, &p);
-            prop_assert_eq!(c.solve(), SolveResult::Sat);
-            prop_assert_eq!(c.model_value(g), a.permits(&p), "{:?} on {}", enc, p);
+            let g = encode(&mut c, &h, a, enc);
+            h.assert_packet(&mut c, p);
+            assert_eq!(c.solve(), SolveResult::Sat);
+            assert_eq!(c.model_value(g), a.permits(p), "{enc:?} on {p}");
         }
-    }
+    });
+}
 
-    /// The two encodings are equisatisfiable (solver-proved equivalence).
-    #[test]
-    fn encodings_equivalent(a in acl()) {
+/// The two encodings are equisatisfiable (solver-proved equivalence).
+#[test]
+fn encodings_equivalent() {
+    cases::run(SUITE, "encodings_equivalent", CASES, acl, |a| {
         let mut c = CircuitBuilder::new();
         let h = HeaderVars::new(&mut c);
-        let s = jinjing_solver::aclenc::encode_sequential(&mut c, &h, &a);
-        let t = jinjing_solver::aclenc::encode_tree(&mut c, &h, &a);
+        let s = jinjing_solver::aclenc::encode_sequential(&mut c, &h, a);
+        let t = jinjing_solver::aclenc::encode_tree(&mut c, &h, a);
         let eq = c.iff(s, t);
         c.assert(!eq);
-        prop_assert_eq!(c.solve(), SolveResult::Unsat);
-    }
+        assert_eq!(c.solve(), SolveResult::Unsat);
+    });
+}
 
-    /// `hit_rules` returns exactly the first-match rules of the members.
-    #[test]
-    fn hit_rules_sound(a in acl(), p in packet()) {
-        let hits = a.hit_rules(&jinjing_acl::PacketSet::singleton(&p));
-        match a.first_match(&p) {
-            Some(i) => prop_assert_eq!(hits, vec![i]),
-            None => prop_assert!(hits.is_empty()),
+/// `hit_rules` returns exactly the first-match rules of the members.
+#[test]
+fn hit_rules_sound() {
+    cases::run(SUITE, "hit_rules_sound", CASES, acl_and_packet, |(a, p)| {
+        let hits = a.hit_rules(&jinjing_acl::PacketSet::singleton(p));
+        match a.first_match(p) {
+            Some(i) => assert_eq!(hits, vec![i]),
+            None => assert!(hits.is_empty()),
         }
-    }
+    });
 }

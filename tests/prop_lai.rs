@@ -2,181 +2,190 @@
 //! parsing it back is the identity, and the Table 5 statement count is
 //! stable under the roundtrip.
 
+mod cases;
+
 use jinjing_acl::{Acl, Action, IpPrefix, Rule};
 use jinjing_lai::printer::{line_count, statement_count};
 use jinjing_lai::{
     parse_program, print_program, AclDef, Command, ControlStmt, ControlVerb, DirSpec, HeaderSel,
     IfaceSel, Modify, Program, SlotPattern,
 };
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::RngExt;
 
-fn ident() -> impl Strategy<Value = String> {
-    "[A-Za-z][A-Za-z0-9_]{0,6}".prop_map(|s| s)
+const SUITE: &str = "prop_lai";
+
+const LETTERS: &str = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz";
+const IDENT_TAIL: &str = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_";
+
+/// One of `xs`, uniformly.
+fn pick<T: Clone>(rng: &mut StdRng, xs: &[T]) -> T {
+    xs[rng.random_range(0..xs.len())].clone()
 }
 
-fn pattern() -> impl Strategy<Value = SlotPattern> {
-    (
-        ident(),
-        prop_oneof![Just(IfaceSel::Star), ident().prop_map(IfaceSel::Named)],
-        prop_oneof![
-            Just(None),
-            Just(Some(DirSpec::In)),
-            Just(Some(DirSpec::Out))
-        ],
-    )
-        .prop_map(|(device, iface, dir)| SlotPattern { device, iface, dir })
+/// `len` items drawn by `item`.
+fn several<T>(rng: &mut StdRng, len: usize, mut item: impl FnMut(&mut StdRng) -> T) -> Vec<T> {
+    (0..len).map(|_| item(rng)).collect()
 }
 
-fn prefix() -> impl Strategy<Value = IpPrefix> {
-    (any::<u32>(), 0u32..=32).prop_map(|(a, l)| IpPrefix::new(a, l))
+/// Up to `max_len` characters of `alphabet`.
+fn text_over(rng: &mut StdRng, alphabet: &str, max_len: usize) -> String {
+    let alphabet: Vec<char> = alphabet.chars().collect();
+    let len = rng.random_range(0..=max_len);
+    (0..len).map(|_| pick(rng, &alphabet)).collect()
 }
 
-fn acl_def(idx: usize) -> impl Strategy<Value = AclDef> {
-    (prop::collection::vec(prefix(), 0..4), any::<bool>()).prop_map(move |(ps, dp)| AclDef {
+/// `[A-Za-z][A-Za-z0-9_]{0,6}`
+fn ident(rng: &mut StdRng) -> String {
+    let head = pick(rng, &LETTERS.chars().collect::<Vec<_>>());
+    format!("{head}{}", text_over(rng, IDENT_TAIL, 6))
+}
+
+fn pattern(rng: &mut StdRng) -> SlotPattern {
+    SlotPattern {
+        device: ident(rng),
+        iface: if rng.random() {
+            IfaceSel::Star
+        } else {
+            IfaceSel::Named(ident(rng))
+        },
+        dir: pick(rng, &[None, Some(DirSpec::In), Some(DirSpec::Out)]),
+    }
+}
+
+fn prefix(rng: &mut StdRng) -> IpPrefix {
+    let addr = rng.random_range(0..=u32::MAX);
+    IpPrefix::new(addr, rng.random_range(0..=32u32))
+}
+
+fn acl_def(rng: &mut StdRng, idx: usize) -> AclDef {
+    let denies = rng.random_range(0..4usize);
+    let rules = several(rng, denies, |rng| Rule::on_dst(Action::Deny, prefix(rng)));
+    AclDef {
         name: format!("Acl{idx}"),
-        acl: Acl::new(
-            ps.into_iter()
-                .map(|p| Rule::on_dst(Action::Deny, p))
-                .collect(),
-            Action::from_bool(dp),
+        acl: Acl::new(rules, Action::from_bool(rng.random())),
+    }
+}
+
+fn header_sel(rng: &mut StdRng) -> HeaderSel {
+    match rng.random_range(0..3u32) {
+        0 => HeaderSel::All,
+        1 => HeaderSel::Src(prefix(rng)),
+        _ => HeaderSel::Dst(prefix(rng)),
+    }
+}
+
+fn control(rng: &mut StdRng) -> ControlStmt {
+    let (from, to) = (rng.random_range(1..3usize), rng.random_range(1..3usize));
+    ControlStmt {
+        from: several(rng, from, pattern),
+        to: several(rng, to, pattern),
+        verb: pick(
+            rng,
+            &[
+                ControlVerb::Isolate,
+                ControlVerb::Open,
+                ControlVerb::Maintain,
+            ],
         ),
-    })
+        header: header_sel(rng),
+    }
 }
 
-fn header_sel() -> impl Strategy<Value = HeaderSel> {
-    prop_oneof![
-        Just(HeaderSel::All),
-        prefix().prop_map(HeaderSel::Src),
-        prefix().prop_map(HeaderSel::Dst),
-    ]
-}
-
-fn control() -> impl Strategy<Value = ControlStmt> {
-    (
-        prop::collection::vec(pattern(), 1..3),
-        prop::collection::vec(pattern(), 1..3),
-        prop_oneof![
-            Just(ControlVerb::Isolate),
-            Just(ControlVerb::Open),
-            Just(ControlVerb::Maintain)
-        ],
-        header_sel(),
-    )
-        .prop_map(|(from, to, verb, header)| ControlStmt {
-            from,
-            to,
-            verb,
-            header,
+fn program(rng: &mut StdRng) -> Program {
+    let defs = rng.random_range(0..3usize);
+    let acl_defs: Vec<AclDef> = (0..defs).map(|idx| acl_def(rng, idx)).collect();
+    let modify_refs = rng.random_range(0..=defs.min(3));
+    let modify_refs = several(rng, modify_refs, |rng| rng.random_range(0..defs.max(1)));
+    let modifies = modify_refs
+        .into_iter()
+        .filter(|&i| i < acl_defs.len())
+        .map(|i| Modify {
+            target: SlotPattern::named("Dev", "1"),
+            acl: acl_defs[i].name.clone(),
         })
+        .collect();
+    let (scope, allow) = (rng.random_range(1..4usize), rng.random_range(0..4usize));
+    let controls = rng.random_range(0..4usize);
+    Program {
+        acl_defs,
+        scope: several(rng, scope, pattern),
+        allow: several(rng, allow, pattern),
+        modifies,
+        controls: several(rng, controls, control),
+        command: Some(pick(
+            rng,
+            &[Command::Check, Command::Fix, Command::Generate],
+        )),
+    }
 }
 
-fn program() -> impl Strategy<Value = Program> {
-    (
-        prop::collection::vec(Just(()), 0..3),
-        prop::collection::vec(pattern(), 1..4),
-        prop::collection::vec(pattern(), 0..4),
-        prop::collection::vec(control(), 0..4),
-        prop_oneof![
-            Just(Command::Check),
-            Just(Command::Fix),
-            Just(Command::Generate)
-        ],
-    )
-        .prop_flat_map(|(defs, scope, allow, controls, command)| {
-            let n = defs.len();
-            let defs_strategy: Vec<_> = (0..n).map(acl_def).collect();
-            (
-                defs_strategy,
-                prop::collection::vec(0..n.max(1), 0..=n.min(3)),
-            )
-                .prop_map(move |(acl_defs, modify_refs)| {
-                    let modifies: Vec<Modify> = modify_refs
-                        .iter()
-                        .filter(|&&i| i < acl_defs.len())
-                        .map(|&i| Modify {
-                            target: SlotPattern::named("Dev", "1"),
-                            acl: acl_defs[i].name.clone(),
-                        })
-                        .collect();
-                    Program {
-                        acl_defs: acl_defs.clone(),
-                        scope: scope.clone(),
-                        allow: allow.clone(),
-                        modifies,
-                        controls: controls.clone(),
-                        command: Some(command),
-                    }
-                })
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// print → parse is the identity on the AST.
-    #[test]
-    fn print_parse_roundtrip(p in program()) {
-        let printed = print_program(&p);
+/// print → parse is the identity on the AST.
+#[test]
+fn print_parse_roundtrip() {
+    cases::run(SUITE, "print_parse_roundtrip", 128, program, |p| {
+        let printed = print_program(p);
         let back = parse_program(&printed)
             .unwrap_or_else(|e| panic!("reparse failed: {e}\n---\n{printed}"));
-        prop_assert_eq!(back, p, "printed:\n{}", printed);
-    }
+        assert_eq!(&back, p, "printed:\n{printed}");
+    });
+}
 
-    /// Statement counts are roundtrip-stable and bounded by line counts.
-    #[test]
-    fn statement_count_stable(p in program()) {
-        let printed = print_program(&p);
+/// Statement counts are roundtrip-stable and bounded by line counts.
+#[test]
+fn statement_count_stable() {
+    cases::run(SUITE, "statement_count_stable", 128, program, |p| {
+        let printed = print_program(p);
         let back = parse_program(&printed).expect("reparse");
-        prop_assert_eq!(statement_count(&back), statement_count(&p));
-        prop_assert!(statement_count(&p) <= line_count(&p));
-    }
+        assert_eq!(statement_count(&back), statement_count(p));
+        assert!(statement_count(p) <= line_count(p));
+    });
 }
 
 /// Spec round-trips: a network exported to its JSON spec and rebuilt keeps
 /// its topology, announcements and traffic matrix semantics.
-#[cfg(test)]
 mod spec_roundtrip {
+    use super::{cases, SUITE};
     use jinjing_net::spec::{AclConfigSpec, NetworkSpec};
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::RngExt;
 
     /// Random small chain/star networks.
-    fn arbitrary_network() -> impl Strategy<Value = NetworkSpec> {
-        (2usize..5, 1usize..4).prop_map(|(n, prefixes)| {
-            let mut spec = NetworkSpec::default();
-            for i in 0..n {
-                spec.devices.push(jinjing_net::spec::DeviceSpec {
-                    name: format!("R{i}"),
-                    interfaces: vec!["l".into(), "r".into(), "x".into()],
+    fn arbitrary_network(rng: &mut StdRng) -> NetworkSpec {
+        let (n, prefixes) = (rng.random_range(2..5usize), rng.random_range(1..4usize));
+        let mut spec = NetworkSpec::default();
+        for i in 0..n {
+            spec.devices.push(jinjing_net::spec::DeviceSpec {
+                name: format!("R{i}"),
+                interfaces: vec!["l".into(), "r".into(), "x".into()],
+            });
+        }
+        for i in 0..n - 1 {
+            spec.links
+                .push((format!("R{i}:r"), format!("R{}:l", i + 1)));
+        }
+        for k in 0..prefixes {
+            spec.announcements
+                .push(jinjing_net::spec::AnnouncementSpec {
+                    prefix: format!("{}.0.0.0/8", k + 1),
+                    interface: format!("R{}:x", k % n),
                 });
-            }
-            for i in 0..n - 1 {
-                spec.links
-                    .push((format!("R{i}:r"), format!("R{}:l", i + 1)));
-            }
-            for k in 0..prefixes {
-                spec.announcements
-                    .push(jinjing_net::spec::AnnouncementSpec {
-                        prefix: format!("{}.0.0.0/8", k + 1),
-                        interface: format!("R{}:x", k % n),
-                    });
-            }
-            spec
-        })
+        }
+        spec
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        #[test]
-        fn network_spec_roundtrip(spec in arbitrary_network()) {
+    #[test]
+    fn network_spec_roundtrip() {
+        let name = "spec_roundtrip::network_spec_roundtrip";
+        cases::run(SUITE, name, 32, arbitrary_network, |spec| {
             let net = spec.build().expect("buildable");
             let exported = NetworkSpec::from_network(&net);
             let rebuilt = exported.build().expect("rebuildable");
-            prop_assert_eq!(
+            assert_eq!(
                 rebuilt.topology().device_count(),
                 net.topology().device_count()
             );
-            prop_assert_eq!(rebuilt.announced().len(), net.announced().len());
+            assert_eq!(rebuilt.announced().len(), net.announced().len());
             // Forwarding agrees on a sample of each announced prefix.
             for (p, _) in net.announced() {
                 let pkt = jinjing_acl::Packet::to_dst(p.addr() | 1);
@@ -185,22 +194,26 @@ mod spec_roundtrip {
                     let mut b = rebuilt.fib(d).lookup(&pkt);
                     a.sort();
                     b.sort();
-                    prop_assert_eq!(a, b);
+                    assert_eq!(a, b);
                 }
             }
             // JSON round-trip is the identity on the document.
-            let json = serde_json::to_string(&exported).unwrap();
-            let back: NetworkSpec = serde_json::from_str(&json).unwrap();
-            prop_assert_eq!(back, exported);
-        }
+            let json = exported.to_json_pretty();
+            let back = NetworkSpec::from_json(&json).unwrap();
+            assert_eq!(back, exported);
+        });
+    }
 
-        #[test]
-        fn acl_spec_roundtrip(spec in arbitrary_network(), deny_count in 0usize..5) {
+    #[test]
+    fn acl_spec_roundtrip() {
+        let generate = |rng: &mut StdRng| (arbitrary_network(rng), rng.random_range(0..5usize));
+        let name = "spec_roundtrip::acl_spec_roundtrip";
+        cases::run(SUITE, name, 32, generate, |(spec, deny_count)| {
             let net = spec.build().expect("buildable");
             // Configure a random-ish ACL on the first device's ingress.
             let iface = net.topology().iface_by_name("R0", "l").unwrap();
             let mut acl = jinjing_acl::AclBuilder::default_permit();
-            for i in 0..deny_count {
+            for i in 0..*deny_count {
                 acl = acl.deny_dst(&format!("{}.1.0.0/16", i + 1));
             }
             let mut config = jinjing_net::AclConfig::new();
@@ -208,50 +221,106 @@ mod spec_roundtrip {
             let exported = AclConfigSpec::from_config(&net, &config);
             let rebuilt = exported.build(&net).expect("rebuildable");
             for slot in config.slots() {
-                prop_assert!(rebuilt
+                assert!(rebuilt
                     .get(slot)
                     .unwrap()
                     .equivalent(config.get(slot).unwrap()));
             }
-        }
+            // JSON round-trip is the identity on the document.
+            let back = AclConfigSpec::from_json(&exported.to_json_pretty()).unwrap();
+            assert_eq!(back, exported);
+        });
     }
 }
 
 /// Robustness: the parsers are total — arbitrary input yields `Err`, never
 /// a panic.
-#[cfg(test)]
 mod no_panic {
-    use proptest::prelude::*;
+    use super::{cases, pick, text_over, SUITE};
+    use rand::rngs::StdRng;
+    use rand::RngExt;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+    const CASES: u64 = 256;
 
-        #[test]
-        fn lai_parser_never_panics(input in "\\PC{0,200}") {
-            let _ = jinjing_lai::parse_program(&input);
-        }
+    /// Up to `max_len` characters, each any Unicode scalar value that is
+    /// not a control character (a superset of the `\PC` the suite used to
+    /// draw from); half of them ASCII.
+    fn printable(rng: &mut StdRng, max_len: usize) -> String {
+        let len = rng.random_range(0..=max_len);
+        (0..len)
+            .map(|_| loop {
+                let hi = if rng.random() { 0x7f } else { 0x10_ffff };
+                // `None` on a surrogate.
+                match char::from_u32(rng.random_range(0..=hi)) {
+                    Some(c) if !c.is_control() => break c,
+                    _ => {}
+                }
+            })
+            .collect()
+    }
 
-        #[test]
-        fn lai_parser_never_panics_on_structured(
-            head in "(scope|allow|modify|control|acl|check|fix|generate)",
-            body in "[ A-Za-z0-9:*,.>/{}-]{0,80}",
-        ) {
+    #[test]
+    fn lai_parser_never_panics() {
+        let name = "no_panic::lai_parser_never_panics";
+        cases::run(
+            SUITE,
+            name,
+            CASES,
+            |rng| printable(rng, 200),
+            |input| {
+                let _ = jinjing_lai::parse_program(input);
+            },
+        );
+    }
+
+    #[test]
+    fn lai_parser_never_panics_on_structured() {
+        const HEADS: [&str; 8] = [
+            "scope", "allow", "modify", "control", "acl", "check", "fix", "generate",
+        ];
+        const BODY: &str =
+            " ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789:*,.>/{}-";
+        let generate = |rng: &mut StdRng| (pick(rng, &HEADS), text_over(rng, BODY, 80));
+        let name = "no_panic::lai_parser_never_panics_on_structured";
+        cases::run(SUITE, name, CASES, generate, |(head, body)| {
             let _ = jinjing_lai::parse_program(&format!("{head} {body}\n"));
-        }
+        });
+    }
 
-        #[test]
-        fn rule_parser_never_panics(input in "\\PC{0,120}") {
-            let _ = jinjing_acl::parse::parse_rule(&input);
-        }
+    #[test]
+    fn rule_parser_never_panics() {
+        let name = "no_panic::rule_parser_never_panics";
+        cases::run(
+            SUITE,
+            name,
+            CASES,
+            |rng| printable(rng, 120),
+            |input| {
+                let _ = jinjing_acl::parse::parse_rule(input);
+            },
+        );
+    }
 
-        #[test]
-        fn acl_parser_never_panics(input in "\\PC{0,200}") {
-            let _ = jinjing_acl::parse::parse_acl(&input);
-        }
+    #[test]
+    fn acl_parser_never_panics() {
+        let name = "no_panic::acl_parser_never_panics";
+        cases::run(
+            SUITE,
+            name,
+            CASES,
+            |rng| printable(rng, 200),
+            |input| {
+                let _ = jinjing_acl::parse::parse_acl(input);
+            },
+        );
+    }
 
-        #[test]
-        fn prefix_parser_never_panics(input in "[0-9./]{0,24}") {
-            let _ = jinjing_acl::parse::parse_prefix(&input);
-        }
+    #[test]
+    fn prefix_parser_never_panics() {
+        let name = "no_panic::prefix_parser_never_panics";
+        let generate = |rng: &mut StdRng| text_over(rng, "0123456789./", 24);
+        cases::run(SUITE, name, CASES, generate, |input| {
+            let _ = jinjing_acl::parse::parse_prefix(input);
+        });
     }
 }

@@ -8,6 +8,8 @@
 //! - **generate** (optimized and not) preserves the desired reachability
 //!   whenever it returns a plan.
 
+mod cases;
+
 use jinjing_acl::{Acl, Action, IpPrefix, Rule};
 use jinjing_core::check::{check_configs, check_exact, CheckConfig};
 use jinjing_core::control::ResolvedControl;
@@ -18,29 +20,41 @@ use jinjing_core::{Encoding, Task};
 use jinjing_lai::{Command, ControlVerb};
 use jinjing_net::fib::prefix_set;
 use jinjing_net::{AclConfig, Slot};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::RngExt;
 use std::collections::HashSet;
 
+const SUITE: &str = "prop_primitives";
+const CASES: u64 = 24;
+
 /// A rule over the example's traffic space: dst n.0.0.0/8 or a /16 subset.
-fn fig_rule() -> impl Strategy<Value = Rule> {
-    (1u32..=8, any::<bool>(), any::<bool>(), 0u32..4).prop_map(|(n, permit, narrow, sub)| {
-        let prefix = if narrow {
-            IpPrefix::new(n << 24 | sub << 16, 16)
-        } else {
-            IpPrefix::new(n << 24, 8)
-        };
-        Rule::on_dst(Action::from_bool(permit), prefix)
-    })
+fn fig_rule(rng: &mut StdRng) -> Rule {
+    let n = rng.random_range(1..=8u32);
+    let (permit, narrow): (bool, bool) = (rng.random(), rng.random());
+    let sub = rng.random_range(0..4u32);
+    let prefix = if narrow {
+        IpPrefix::new(n << 24 | sub << 16, 16)
+    } else {
+        IpPrefix::new(n << 24, 8)
+    };
+    Rule::on_dst(Action::from_bool(permit), prefix)
 }
 
-fn fig_acl() -> impl Strategy<Value = Acl> {
-    prop::collection::vec(fig_rule(), 0..5).prop_map(|rules| Acl::new(rules, Action::Permit))
+fn fig_acl(rng: &mut StdRng) -> Acl {
+    let rules = rng.random_range(0..5usize);
+    Acl::new((0..rules).map(|_| fig_rule(rng)).collect(), Action::Permit)
 }
 
 /// Raw configuration material: one optional ACL per filtering slot of the
 /// example (A1-in, C1-in, D2-in, B1-in, A3-out).
-fn fig_config_raw() -> impl Strategy<Value = Vec<Option<Acl>>> {
-    prop::collection::vec(prop::option::of(fig_acl()), 5)
+fn fig_config_raw(rng: &mut StdRng) -> Vec<Option<Acl>> {
+    (0..5)
+        .map(|_| rng.random::<bool>().then(|| fig_acl(rng)))
+        .collect()
+}
+
+fn two_configs(rng: &mut StdRng) -> (Vec<Option<Acl>>, Vec<Option<Acl>>) {
+    (fig_config_raw(rng), fig_config_raw(rng))
 }
 
 /// Bind raw material to the example's slots.
@@ -75,33 +89,34 @@ fn all_check_configs() -> Vec<CheckConfig> {
     out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// All four check variants agree with the exact oracle on arbitrary
-    /// configuration pairs.
-    #[test]
-    fn check_agrees_with_oracle(b in fig_config_raw(), a in fig_config_raw()) {
+/// All four check variants agree with the exact oracle on arbitrary
+/// configuration pairs.
+#[test]
+fn check_agrees_with_oracle() {
+    let name = "check_agrees_with_oracle";
+    cases::run(SUITE, name, CASES, two_configs, |(b, a)| {
         let fig = Figure1::new();
-        let before = bind_config(&fig, &b);
-        let after = bind_config(&fig, &a);
-        let oracle = check_exact(&fig.net, &fig.scope(), &before, &after, &[])
-            .is_consistent();
+        let before = bind_config(&fig, b);
+        let after = bind_config(&fig, a);
+        let oracle = check_exact(&fig.net, &fig.scope(), &before, &after, &[]).is_consistent();
         for cfg in all_check_configs() {
             let got = check_configs(&fig.net, &fig.scope(), &before, &after, &[], &cfg)
                 .expect("check")
                 .outcome
                 .is_consistent();
-            prop_assert_eq!(got, oracle, "{:?}", cfg);
+            assert_eq!(got, oracle, "{cfg:?}");
         }
-    }
+    });
+}
 
-    /// Fix either repairs (oracle-certified) or declares unfixability.
-    #[test]
-    fn fix_repairs_or_reports(b in fig_config_raw(), a in fig_config_raw()) {
+/// Fix either repairs (oracle-certified) or declares unfixability.
+#[test]
+fn fix_repairs_or_reports() {
+    let name = "fix_repairs_or_reports";
+    cases::run(SUITE, name, CASES, two_configs, |(b, a)| {
         let fig = Figure1::new();
-        let before = bind_config(&fig, &b);
-        let after = bind_config(&fig, &a);
+        let before = bind_config(&fig, b);
+        let after = bind_config(&fig, a);
         let mut allow = Vec::new();
         for name in ["A1", "A2", "A3", "A4", "B1", "B2", "C1", "D2"] {
             allow.push(Slot::ingress(fig.iface(name)));
@@ -118,31 +133,33 @@ proptest! {
         };
         match fix(&fig.net, &task, &FixConfig::default()) {
             Ok(plan) => {
-                let verdict =
-                    check_exact(&fig.net, &fig.scope(), &before, &plan.fixed, &[]);
-                prop_assert!(verdict.is_consistent(), "plan not consistent");
+                let verdict = check_exact(&fig.net, &fig.scope(), &before, &plan.fixed, &[]);
+                assert!(verdict.is_consistent(), "plan not consistent");
                 // Added rules stay within the allow list.
                 for (slot, _) in &plan.added_rules {
-                    prop_assert!(task.allow.contains(slot));
+                    assert!(task.allow.contains(slot));
                 }
                 // Neighborhoods pairwise disjoint.
                 for (i, a) in plan.neighborhoods.iter().enumerate() {
                     for b in &plan.neighborhoods[i + 1..] {
-                        prop_assert!(!a.overlaps(b));
+                        assert!(!a.overlaps(b));
                     }
                 }
             }
             Err(FixError::Unfixable { .. }) => {}
-            Err(e) => return Err(TestCaseError::fail(format!("{e}"))),
+            Err(e) => panic!("{e}"),
         }
-    }
+    });
+}
 
-    /// Generate preserves reachability in both optimization modes, and the
-    /// two modes produce semantically equivalent plans.
-    #[test]
-    fn generate_preserves_reachability(b in fig_config_raw()) {
+/// Generate preserves reachability in both optimization modes, and the
+/// two modes produce semantically equivalent plans.
+#[test]
+fn generate_preserves_reachability() {
+    let name = "generate_preserves_reachability";
+    cases::run(SUITE, name, CASES, fig_config_raw, |b| {
         let fig = Figure1::new();
-        let before = bind_config(&fig, &b);
+        let before = bind_config(&fig, b);
         // Migrate everything off the configured slots onto C/D ingress.
         let mut after = before.clone();
         for slot in before.slots() {
@@ -150,7 +167,12 @@ proptest! {
         }
         let task = Task {
             scope: fig.scope(),
-            allow: vec![fig.slot("C1"), fig.slot("C2"), fig.slot("C4"), fig.slot("D1")],
+            allow: vec![
+                fig.slot("C1"),
+                fig.slot("C2"),
+                fig.slot("C4"),
+                fig.slot("D1"),
+            ],
             before: before.clone(),
             after,
             modified: before.slots(),
@@ -165,66 +187,76 @@ proptest! {
             };
             match generate(&fig.net, &task, &cfg) {
                 Ok(report) => {
-                    let verdict = check_exact(
-                        &fig.net,
-                        &fig.scope(),
-                        &before,
-                        &report.generated,
-                        &[],
-                    );
-                    prop_assert!(
-                        verdict.is_consistent(),
-                        "optimize={optimize}: {verdict:?}"
-                    );
+                    let verdict =
+                        check_exact(&fig.net, &fig.scope(), &before, &report.generated, &[]);
+                    assert!(verdict.is_consistent(), "optimize={optimize}: {verdict:?}");
                     results.push(Some(report));
                 }
                 Err(_) => results.push(None),
             }
         }
         // Both modes agree on feasibility.
-        prop_assert_eq!(results[0].is_some(), results[1].is_some());
-    }
+        assert_eq!(results[0].is_some(), results[1].is_some());
+    });
+}
 
-    /// Generate under random isolate/open controls achieves the desired
-    /// reachability whenever it succeeds.
-    #[test]
-    fn generate_achieves_controls(
-        n in 1u32..=8,
-        isolate in any::<bool>(),
-        to_c3 in any::<bool>(),
-    ) {
-        let fig = Figure1::new();
-        let to = if to_c3 { fig.iface("C3") } else { fig.iface("D3") };
-        let controls = vec![ResolvedControl {
-            from: HashSet::from([fig.iface("A1")]),
-            to: HashSet::from([to]),
-            verb: if isolate { ControlVerb::Isolate } else { ControlVerb::Open },
-            region: prefix_set(&IpPrefix::new(n << 24, 8)),
-        }];
-        // Allow every ingress slot inside the scope (maximal freedom).
-        let mut allow = Vec::new();
-        for name in ["A1", "A2", "A3", "A4", "B1", "B2", "C1", "C2", "C4", "D1", "D2"] {
-            allow.push(Slot::ingress(fig.iface(name)));
-            allow.push(Slot::egress(fig.iface(name)));
-        }
-        let task = Task {
-            scope: fig.scope(),
-            allow,
-            before: fig.config.clone(),
-            after: fig.config.clone(),
-            modified: Vec::new(),
-            controls: controls.clone(),
-            command: Command::Generate,
-        };
-        if let Ok(report) = generate(&fig.net, &task, &GenerateConfig::default()) {
-            let verdict = check_exact(
-                &fig.net,
-                &fig.scope(),
-                &fig.config,
-                &report.generated,
-                &controls,
-            );
-            prop_assert!(verdict.is_consistent(), "{verdict:?}");
-        }
-    }
+/// Generate under random isolate/open controls achieves the desired
+/// reachability whenever it succeeds.
+#[test]
+fn generate_achieves_controls() {
+    let generate_input = |rng: &mut StdRng| -> (u32, bool, bool) {
+        (rng.random_range(1..=8u32), rng.random(), rng.random())
+    };
+    let name = "generate_achieves_controls";
+    cases::run(
+        SUITE,
+        name,
+        CASES,
+        generate_input,
+        |&(n, isolate, to_c3)| {
+            let fig = Figure1::new();
+            let to = if to_c3 {
+                fig.iface("C3")
+            } else {
+                fig.iface("D3")
+            };
+            let controls = vec![ResolvedControl {
+                from: HashSet::from([fig.iface("A1")]),
+                to: HashSet::from([to]),
+                verb: if isolate {
+                    ControlVerb::Isolate
+                } else {
+                    ControlVerb::Open
+                },
+                region: prefix_set(&IpPrefix::new(n << 24, 8)),
+            }];
+            // Allow every ingress slot inside the scope (maximal freedom).
+            let mut allow = Vec::new();
+            for name in [
+                "A1", "A2", "A3", "A4", "B1", "B2", "C1", "C2", "C4", "D1", "D2",
+            ] {
+                allow.push(Slot::ingress(fig.iface(name)));
+                allow.push(Slot::egress(fig.iface(name)));
+            }
+            let task = Task {
+                scope: fig.scope(),
+                allow,
+                before: fig.config.clone(),
+                after: fig.config.clone(),
+                modified: Vec::new(),
+                controls: controls.clone(),
+                command: Command::Generate,
+            };
+            if let Ok(report) = generate(&fig.net, &task, &GenerateConfig::default()) {
+                let verdict = check_exact(
+                    &fig.net,
+                    &fig.scope(),
+                    &fig.config,
+                    &report.generated,
+                    &controls,
+                );
+                assert!(verdict.is_consistent(), "{verdict:?}");
+            }
+        },
+    );
 }

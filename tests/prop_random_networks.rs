@@ -4,6 +4,8 @@
 //! is compared against the exact set-algebra oracle, and every produced
 //! plan is oracle-certified.
 
+mod cases;
+
 use jinjing_acl::{Acl, Action, IpPrefix, Rule};
 use jinjing_core::check::{check_configs, check_exact, CheckConfig};
 use jinjing_core::fix::{fix, FixConfig, FixError, FixStrategy};
@@ -11,7 +13,11 @@ use jinjing_core::{Encoding, Task};
 use jinjing_lai::Command;
 use jinjing_net::spec::{AnnouncementSpec, DeviceSpec, NetworkSpec};
 use jinjing_net::{AclConfig, Network, Scope, Slot};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::RngExt;
+
+const SUITE: &str = "prop_random_networks";
+const CASES: u64 = 32;
 
 /// Parameters of a generated scenario.
 #[derive(Debug, Clone)]
@@ -28,41 +34,41 @@ struct ScenarioSpec {
     mutations: Vec<(usize, u8, u32)>,
 }
 
-fn rule_strategy() -> impl Strategy<Value = Rule> {
-    (
-        1u32..=4,
-        any::<bool>(),
-        prop_oneof![Just(8u32), Just(16)],
-        0u32..4,
-    )
-        .prop_map(|(n, permit, len, sub)| {
-            let addr = if len == 8 {
-                n << 24
-            } else {
-                n << 24 | sub << 16
-            };
-            Rule::on_dst(Action::from_bool(permit), IpPrefix::new(addr, len))
-        })
+fn rule(rng: &mut StdRng) -> Rule {
+    let n = rng.random_range(1..=4u32);
+    let permit: bool = rng.random();
+    let len = if rng.random() { 8 } else { 16 };
+    let sub = rng.random_range(0..4u32);
+    let addr = if len == 8 {
+        n << 24
+    } else {
+        n << 24 | sub << 16
+    };
+    Rule::on_dst(Action::from_bool(permit), IpPrefix::new(addr, len))
 }
 
-fn scenario_strategy() -> impl Strategy<Value = ScenarioSpec> {
-    (
-        2usize..=4,
-        any::<bool>(),
-        1usize..=4,
-        prop::collection::vec(
-            (0usize..8, prop::collection::vec(rule_strategy(), 1..4)),
-            1..4,
-        ),
-        prop::collection::vec((0usize..3, 0u8..3, any::<u32>()), 0..4),
-    )
-        .prop_map(|(chain, diamond, prefixes, acls, mutations)| ScenarioSpec {
-            chain,
-            diamond,
-            prefixes,
-            acls,
-            mutations,
-        })
+fn scenario(rng: &mut StdRng) -> ScenarioSpec {
+    let acls = rng.random_range(1..4usize);
+    let mutations = rng.random_range(0..4usize);
+    ScenarioSpec {
+        chain: rng.random_range(2..=4usize),
+        diamond: rng.random(),
+        prefixes: rng.random_range(1..=4usize),
+        acls: (0..acls)
+            .map(|_| {
+                let rules = rng.random_range(1..4usize);
+                let slot = rng.random_range(0..8usize);
+                (slot, (0..rules).map(|_| rule(rng)).collect())
+            })
+            .collect(),
+        mutations: (0..mutations)
+            .map(|_| {
+                let acl = rng.random_range(0..3usize);
+                let kind = rng.random_range(0..3u32) as u8;
+                (acl, kind, rng.random_range(0..=u32::MAX))
+            })
+            .collect(),
+    }
 }
 
 /// Materialize the scenario: network, before-config, after-config.
@@ -155,13 +161,11 @@ fn build(spec: &ScenarioSpec) -> (Network, AclConfig, AclConfig) {
     (net, before, after)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Check (all four variants) agrees with the oracle on random networks.
-    #[test]
-    fn check_matches_oracle(spec in scenario_strategy()) {
-        let (net, before, after) = build(&spec);
+/// Check (all four variants) agrees with the oracle on random networks.
+#[test]
+fn check_matches_oracle() {
+    cases::run(SUITE, "check_matches_oracle", CASES, scenario, |spec| {
+        let (net, before, after) = build(spec);
         let scope = Scope::whole(net.topology());
         let oracle = check_exact(&net, &scope, &before, &after, &[]).is_consistent();
         for differential in [false, true] {
@@ -175,16 +179,18 @@ proptest! {
                     .expect("check")
                     .outcome
                     .is_consistent();
-                prop_assert_eq!(got, oracle, "diff={} enc={:?}", differential, encoding);
+                assert_eq!(got, oracle, "diff={differential} enc={encoding:?}");
             }
         }
-    }
+    });
+}
 
-    /// Both fix strategies repair (oracle-certified) or report unfixable,
-    /// and they agree on feasibility.
-    #[test]
-    fn fix_strategies_agree(spec in scenario_strategy()) {
-        let (net, before, after) = build(&spec);
+/// Both fix strategies repair (oracle-certified) or report unfixable,
+/// and they agree on feasibility.
+#[test]
+fn fix_strategies_agree() {
+    cases::run(SUITE, "fix_strategies_agree", CASES, scenario, |spec| {
+        let (net, before, after) = build(spec);
         let scope = Scope::whole(net.topology());
         // Allow every ingress/egress slot of every device: maximal freedom.
         let mut allow = Vec::new();
@@ -212,13 +218,16 @@ proptest! {
             match fix(&net, &task, &cfg) {
                 Ok(plan) => {
                     let verdict = check_exact(&net, &scope, &before, &plan.fixed, &[]);
-                    prop_assert!(verdict.is_consistent(), "{:?}", strategy);
+                    assert!(verdict.is_consistent(), "{strategy:?}");
                     feasibility.push(true);
                 }
                 Err(FixError::Unfixable { .. }) => feasibility.push(false),
-                Err(e) => return Err(TestCaseError::fail(format!("{e}"))),
+                Err(e) => panic!("{e}"),
             }
         }
-        prop_assert_eq!(feasibility[0], feasibility[1], "strategies disagree on feasibility");
-    }
+        assert_eq!(
+            feasibility[0], feasibility[1],
+            "strategies disagree on feasibility"
+        );
+    });
 }

@@ -1,129 +1,160 @@
 //! Property tests for the exact packet-set algebra — the foundation every
-//! primitive builds on. The strategies generate structured cubes (prefix-
+//! primitive builds on. The generators produce structured cubes (prefix-
 //! and range-shaped, like real rules) as well as arbitrary intervals.
+
+mod cases;
 
 use jinjing_acl::cube::Cube;
 use jinjing_acl::decompose::{matchspecs_to_set, set_to_matchspecs};
 use jinjing_acl::interval::Interval;
 use jinjing_acl::packet::{Field, Packet};
 use jinjing_acl::set::PacketSet;
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::RngExt;
+
+const SUITE: &str = "prop_set_algebra";
+const CASES: u64 = 48;
 
 /// An arbitrary interval within a field's domain.
-fn interval(field: Field) -> impl Strategy<Value = Interval> {
-    let max = field.max_value();
-    (0..=max).prop_flat_map(move |lo| (lo..=max).prop_map(move |hi| Interval::new(lo, hi)))
+fn interval(rng: &mut StdRng, field: Field) -> Interval {
+    let lo = rng.random_range(0..=field.max_value());
+    Interval::new(lo, rng.random_range(lo..=field.max_value()))
 }
 
 /// A biased interval: often the full domain (like real rules).
-fn field_interval(field: Field) -> impl Strategy<Value = Interval> {
-    prop_oneof![
-        3 => Just(Interval::full(field)),
-        2 => interval(field),
-    ]
-}
-
-fn cube() -> impl Strategy<Value = Cube> {
-    (
-        field_interval(Field::SrcIp),
-        field_interval(Field::DstIp),
-        field_interval(Field::SrcPort),
-        field_interval(Field::DstPort),
-        field_interval(Field::Proto),
-    )
-        .prop_map(|(s, d, sp, dp, pr)| Cube::from_fields([s, d, sp, dp, pr]))
-}
-
-fn packet_set() -> impl Strategy<Value = PacketSet> {
-    prop::collection::vec(cube(), 0..3).prop_map(PacketSet::from_cubes)
-}
-
-fn packet() -> impl Strategy<Value = Packet> {
-    (
-        any::<u32>(),
-        any::<u32>(),
-        any::<u16>(),
-        any::<u16>(),
-        any::<u8>(),
-    )
-        .prop_map(|(s, d, sp, dp, pr)| Packet::new(s, d, sp, dp, pr))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Membership distributes over the boolean operations.
-    #[test]
-    fn membership_laws(a in packet_set(), b in packet_set(), p in packet()) {
-        let in_a = a.contains(&p);
-        let in_b = b.contains(&p);
-        prop_assert_eq!(a.union(&b).contains(&p), in_a || in_b);
-        prop_assert_eq!(a.intersect(&b).contains(&p), in_a && in_b);
-        prop_assert_eq!(a.subtract(&b).contains(&p), in_a && !in_b);
-        prop_assert_eq!(a.complement().contains(&p), !in_a);
+fn field_interval(rng: &mut StdRng, field: Field) -> Interval {
+    if rng.random_range(0..5u32) < 3 {
+        Interval::full(field)
+    } else {
+        interval(rng, field)
     }
+}
 
-    /// De Morgan over the exact representation.
-    #[test]
-    fn de_morgan(a in packet_set(), b in packet_set()) {
-        let lhs = a.union(&b).complement();
+fn cube(rng: &mut StdRng) -> Cube {
+    let fields = [
+        Field::SrcIp,
+        Field::DstIp,
+        Field::SrcPort,
+        Field::DstPort,
+        Field::Proto,
+    ];
+    Cube::from_fields(fields.map(|f| field_interval(rng, f)))
+}
+
+fn packet_set(rng: &mut StdRng) -> PacketSet {
+    let cubes = rng.random_range(0..3usize);
+    PacketSet::from_cubes((0..cubes).map(|_| cube(rng)).collect())
+}
+
+fn packet(rng: &mut StdRng) -> Packet {
+    Packet::new(
+        rng.random_range(0..=u32::MAX),
+        rng.random_range(0..=u32::MAX),
+        rng.random_range(0..=u32::from(u16::MAX)) as u16,
+        rng.random_range(0..=u32::from(u16::MAX)) as u16,
+        rng.random_range(0..=u32::from(u8::MAX)) as u8,
+    )
+}
+
+fn two_sets(rng: &mut StdRng) -> (PacketSet, PacketSet) {
+    (packet_set(rng), packet_set(rng))
+}
+
+/// Membership distributes over the boolean operations.
+#[test]
+fn membership_laws() {
+    let generate = |rng: &mut StdRng| (packet_set(rng), packet_set(rng), packet(rng));
+    cases::run(SUITE, "membership_laws", CASES, generate, |(a, b, p)| {
+        let in_a = a.contains(p);
+        let in_b = b.contains(p);
+        assert_eq!(a.union(b).contains(p), in_a || in_b);
+        assert_eq!(a.intersect(b).contains(p), in_a && in_b);
+        assert_eq!(a.subtract(b).contains(p), in_a && !in_b);
+        assert_eq!(a.complement().contains(p), !in_a);
+    });
+}
+
+/// De Morgan over the exact representation.
+#[test]
+fn de_morgan() {
+    cases::run(SUITE, "de_morgan", CASES, two_sets, |(a, b)| {
+        let lhs = a.union(b).complement();
         let rhs = a.complement().intersect(&b.complement());
-        prop_assert!(lhs.same_set(&rhs));
-    }
+        assert!(lhs.same_set(&rhs));
+    });
+}
 
-    /// |A| + |B| = |A ∪ B| + |A ∩ B|.
-    #[test]
-    fn inclusion_exclusion(a in packet_set(), b in packet_set()) {
-        let union = a.union(&b).count();
-        let inter = a.intersect(&b).count();
-        prop_assert_eq!(a.count() + b.count(), union + inter);
-    }
+/// |A| + |B| = |A ∪ B| + |A ∩ B|.
+#[test]
+fn inclusion_exclusion() {
+    cases::run(SUITE, "inclusion_exclusion", CASES, two_sets, |(a, b)| {
+        let union = a.union(b).count();
+        let inter = a.intersect(b).count();
+        assert_eq!(a.count() + b.count(), union + inter);
+    });
+}
 
-    /// Subtraction partitions: A = (A∖B) ⊎ (A∩B).
-    #[test]
-    fn subtract_partitions(a in packet_set(), b in packet_set()) {
-        let diff = a.subtract(&b);
-        let inter = a.intersect(&b);
-        prop_assert!(!diff.intersects(&inter) || inter.is_empty());
-        prop_assert!(diff.union(&inter).same_set(&a));
-        prop_assert_eq!(diff.count() + inter.count(), a.count());
-    }
+/// Subtraction partitions: A = (A∖B) ⊎ (A∩B).
+#[test]
+fn subtract_partitions() {
+    cases::run(SUITE, "subtract_partitions", CASES, two_sets, |(a, b)| {
+        let diff = a.subtract(b);
+        let inter = a.intersect(b);
+        assert!(!diff.intersects(&inter) || inter.is_empty());
+        assert!(diff.union(&inter).same_set(a));
+        assert_eq!(diff.count() + inter.count(), a.count());
+    });
+}
 
-    /// Subset is a partial order consistent with subtraction emptiness.
-    #[test]
-    fn subset_consistency(a in packet_set(), b in packet_set()) {
-        prop_assert_eq!(a.is_subset(&b), a.subtract(&b).is_empty());
-        prop_assert!(a.intersect(&b).is_subset(&a));
-        prop_assert!(a.is_subset(&a.union(&b)));
-    }
+/// Subset is a partial order consistent with subtraction emptiness.
+#[test]
+fn subset_consistency() {
+    cases::run(SUITE, "subset_consistency", CASES, two_sets, |(a, b)| {
+        assert_eq!(a.is_subset(b), a.subtract(b).is_empty());
+        assert!(a.intersect(b).is_subset(a));
+        assert!(a.is_subset(&a.union(b)));
+    });
+}
 
-    /// A non-empty set yields a witness that is a member.
-    #[test]
-    fn sample_soundness(a in packet_set()) {
+/// A non-empty set yields a witness that is a member.
+#[test]
+fn sample_soundness() {
+    cases::run(SUITE, "sample_soundness", CASES, packet_set, |a| {
         match a.sample() {
-            Some(p) => prop_assert!(a.contains(&p)),
-            None => prop_assert!(a.is_empty()),
+            Some(p) => assert!(a.contains(&p)),
+            None => assert!(a.is_empty()),
         }
-    }
+    });
+}
 
-    /// Coalescing never changes the denoted set and never grows it.
-    #[test]
-    fn coalesce_preserves(a in packet_set()) {
+/// Coalescing never changes the denoted set and never grows it.
+#[test]
+fn coalesce_preserves() {
+    cases::run(SUITE, "coalesce_preserves", CASES, packet_set, |a| {
         let c = a.coalesce();
-        prop_assert!(c.same_set(&a));
-        prop_assert!(c.cube_count() <= a.subtract(&PacketSet::empty()).cube_count().max(a.cube_count()));
-    }
+        assert!(c.same_set(a));
+        assert!(
+            c.cube_count()
+                <= a.subtract(&PacketSet::empty())
+                    .cube_count()
+                    .max(a.cube_count())
+        );
+    });
+}
 
-    /// Decomposing into rule tuples and reassembling is the identity.
-    #[test]
-    fn decompose_roundtrip(a in packet_set()) {
-        let specs = set_to_matchspecs(&a);
-        prop_assert!(matchspecs_to_set(&specs).same_set(&a));
-    }
+/// Decomposing into rule tuples and reassembling is the identity.
+#[test]
+fn decompose_roundtrip() {
+    cases::run(SUITE, "decompose_roundtrip", CASES, packet_set, |a| {
+        let specs = set_to_matchspecs(a);
+        assert!(matchspecs_to_set(&specs).same_set(a));
+    });
+}
 
-    /// Double complement is the identity.
-    #[test]
-    fn double_complement(a in packet_set()) {
-        prop_assert!(a.complement().complement().same_set(&a));
-    }
+/// Double complement is the identity.
+#[test]
+fn double_complement() {
+    cases::run(SUITE, "double_complement", CASES, packet_set, |a| {
+        assert!(a.complement().complement().same_set(a));
+    });
 }

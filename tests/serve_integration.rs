@@ -5,10 +5,9 @@
 //! which may wound the daemon), session LRU eviction, rejected-delta
 //! parity with the in-process session API, and graceful drain.
 //!
-//! Everything runs over real loopback sockets against `tests/golden/*`.
-//! Registry-free: std + the internal crates only, so the offline harness
-//! runs this file too (and re-runs it under `JINJING_THREADS=4` — the
-//! goldens must not care).
+//! Everything runs over real loopback sockets against `tests/golden/*`;
+//! `scripts/ci.sh` runs it again under `JINJING_THREADS=4` — the goldens
+//! must not care.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -117,7 +116,7 @@ fn shutdown(addr: &str, handle: std::thread::JoinHandle<ServeSummary>) -> ServeS
 /// endpoint and every response body must be byte-identical to the
 /// committed CLI golden — same renderer, same bytes, no matter how many
 /// clients race or how many engine threads run (`JINJING_THREADS` is
-/// honored daemon-side; the offline harness re-runs this at 4).
+/// honored daemon-side; `scripts/ci.sh` re-runs this at 4).
 #[test]
 fn concurrent_clients_render_the_cli_goldens_byte_for_byte() {
     let (addr, handle) = start(ServeConfig {

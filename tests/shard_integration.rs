@@ -6,9 +6,8 @@
 //!
 //! Everything runs over real loopback sockets: one coordinator fronting
 //! N `jinjing-serve` backends, all on the Figure 1 network, pinned to
-//! `tests/golden/*`. Registry-free: std + the internal crates only, so
-//! the offline harness runs this file too (and re-runs it under
-//! `JINJING_THREADS=4` — the goldens must not care).
+//! `tests/golden/*`; `scripts/ci.sh` runs it again under
+//! `JINJING_THREADS=4` — the goldens must not care.
 
 use std::path::PathBuf;
 use std::time::Duration;

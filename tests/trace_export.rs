@@ -3,14 +3,11 @@
 //! timestamps), byte-identity of the report with tracing on vs off at 1
 //! and 4 worker threads, and layer coverage (engine, pool worker, solver
 //! spans all present in one capture).
-//!
-//! Registry-free: std + the internal crates only, so the offline harness
-//! runs this file too. The serde-backed strict-JSON parse of the export
-//! additionally runs under the online build.
 
 use jinjing_core::engine::EngineConfig;
 use jinjing_core::figure1::Figure1;
 use jinjing_core::query::run_query;
+use jinjing_obs::json::{self, Json};
 use jinjing_obs::{trace_id_of, TraceCtx};
 
 const INTENT: &str = "\
@@ -180,30 +177,36 @@ fn capture_contains_every_layer() {
     );
 }
 
-/// Strict-JSON parse of the export (online build only: serde_json is a
-/// registry dependency). Offline, the tests above hold the same shape on
-/// the rendered text.
-#[cfg(not(jinjing_offline))]
+/// Strict-JSON parse of the export: the tests above hold the same shape
+/// on the rendered text.
 #[test]
 fn chrome_export_parses_as_strict_json() {
-    let (_, json) = capture(4);
-    let v: serde_json::Value = serde_json::from_str(&json).expect("strict JSON");
-    assert_eq!(v["displayTimeUnit"], "ms");
-    assert_eq!(v["otherData"]["dropped_events"], 0);
-    let evs = v["traceEvents"].as_array().expect("traceEvents array");
+    let (_, text) = capture(4);
+    let v = json::parse(&text).expect("strict JSON");
+    let str_at = |v: &Json, key: &str| v.get(key).and_then(Json::as_str).map(str::to_string);
+    assert_eq!(str_at(&v, "displayTimeUnit").as_deref(), Some("ms"));
+    let dropped = v.get("otherData").and_then(|o| o.get("dropped_events"));
+    assert_eq!(dropped.and_then(Json::as_u64), Some(0));
+    let Some(Json::Array(evs)) = v.get("traceEvents") else {
+        panic!("traceEvents is not an array: {v:?}");
+    };
     assert!(!evs.is_empty());
     for e in evs {
-        assert_eq!(e["pid"], 1, "one process: {e}");
-        assert!(e["name"].is_string(), "{e}");
-        assert!(e["ph"].is_string(), "{e}");
-        assert!(e["tid"].is_u64(), "{e}");
+        assert_eq!(
+            e.get("pid").and_then(Json::as_u64),
+            Some(1),
+            "one process: {e:?}"
+        );
+        assert!(str_at(e, "name").is_some(), "{e:?}");
+        assert!(str_at(e, "ph").is_some(), "{e:?}");
+        assert!(e.get("tid").and_then(Json::as_u64).is_some(), "{e:?}");
     }
     // Metadata names the driver and worker tracks.
-    let names: Vec<&str> = evs
+    let names: Vec<String> = evs
         .iter()
-        .filter(|e| e["name"] == "thread_name")
-        .filter_map(|e| e["args"]["name"].as_str())
+        .filter(|e| str_at(e, "name").as_deref() == Some("thread_name"))
+        .filter_map(|e| str_at(e.get("args")?, "name"))
         .collect();
-    assert!(names.contains(&"driver"), "{names:?}");
+    assert!(names.iter().any(|n| n == "driver"), "{names:?}");
     assert!(names.iter().any(|n| n.starts_with("worker-")), "{names:?}");
 }

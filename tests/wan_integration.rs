@@ -76,7 +76,10 @@ fn migration_scenario_preserves_reachability() {
     // Sources drained, targets populated.
     for group in &wan.acl_slots {
         for &s in group {
-            assert!(report.generated.get(s).map_or(true, |a| a.is_permit_all()));
+            assert!(report
+                .generated
+                .get(s)
+                .map_or(true, jinjing_acl::Acl::is_permit_all));
         }
     }
     assert!(report.rules_final > 0);
