@@ -51,14 +51,12 @@ impl std::fmt::Display for ClassExplosion {
 
 impl std::error::Error for ClassExplosion {}
 
-/// One equivalence class: the packets plus the bit-signature of which
-/// predicates hold on it (in the order the predicates were supplied).
+/// One equivalence class: the packets on which every supplied predicate is
+/// constant.
 #[derive(Debug, Clone)]
 pub struct AtomClass {
     /// The packets in the class.
     pub set: PacketSet,
-    /// `signature[i]` = does predicate `i` hold on this class?
-    pub signature: Vec<bool>,
 }
 
 /// Drop duplicate predicates (syntactically identical cube lists). Two
@@ -72,7 +70,7 @@ pub fn dedupe_predicates(predicates: Vec<PacketSet>) -> Vec<PacketSet> {
     let mut out = Vec::with_capacity(predicates.len());
     for p in predicates {
         let mut key = p.cubes().to_vec();
-        key.sort_by_key(|c| format!("{c:?}"));
+        key.sort_unstable();
         if seen.insert(key) {
             out.push(p);
         }
@@ -95,44 +93,27 @@ pub fn refine(
     }
     classes.push(AtomClass {
         set: universe.clone(),
-        signature: Vec::new(),
     });
     for (pi, pred) in predicates.iter().enumerate() {
         let mut next: Vec<AtomClass> = Vec::with_capacity(classes.len());
         for class in classes {
             let inside = class.set.intersect(pred);
             if inside.is_empty() {
-                let mut sig = class.signature;
-                sig.push(false);
-                next.push(AtomClass {
-                    set: class.set,
-                    signature: sig,
-                });
+                next.push(class);
                 continue;
             }
             let outside = class.set.subtract(pred);
             if outside.is_empty() {
-                let mut sig = class.signature;
-                sig.push(true);
-                next.push(AtomClass {
-                    set: class.set,
-                    signature: sig,
-                });
+                next.push(class);
             } else {
                 // Splitting fragments representations; keep them compact
                 // (coalesce is exact) so later passes and consumers stay
                 // fast.
-                let mut sig_in = class.signature.clone();
-                sig_in.push(true);
                 next.push(AtomClass {
                     set: compact(inside),
-                    signature: sig_in,
                 });
-                let mut sig_out = class.signature;
-                sig_out.push(false);
                 next.push(AtomClass {
                     set: compact(outside),
-                    signature: sig_out,
                 });
             }
             if next.len() > limits.max_classes {
@@ -156,17 +137,6 @@ fn compact(set: PacketSet) -> PacketSet {
     }
 }
 
-/// Further split each class of an existing partition by another family of
-/// predicates — how DECs are carved out of unsolved AECs (§5.3: "DEC is
-/// working as a conjunction of FEC and AEC").
-pub fn refine_class(
-    class: &PacketSet,
-    predicates: &[PacketSet],
-    limits: RefineLimits,
-) -> Result<Vec<AtomClass>, ClassExplosion> {
-    refine(class, predicates, limits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,7 +154,6 @@ mod tests {
         let classes = refine(&u, &[], RefineLimits::default()).unwrap();
         assert_eq!(classes.len(), 1);
         assert!(classes[0].set.same_set(&u));
-        assert!(classes[0].signature.is_empty());
     }
 
     #[test]
@@ -193,8 +162,8 @@ mod tests {
         let p = dst(30, 60);
         let classes = refine(&u, std::slice::from_ref(&p), RefineLimits::default()).unwrap();
         assert_eq!(classes.len(), 2);
-        let inside = classes.iter().find(|c| c.signature == [true]).unwrap();
-        let outside = classes.iter().find(|c| c.signature == [false]).unwrap();
+        let inside = classes.iter().find(|c| c.set.is_subset(&p)).unwrap();
+        let outside = classes.iter().find(|c| !c.set.intersects(&p)).unwrap();
         assert!(inside.set.same_set(&dst(30, 60)));
         assert!(outside.set.same_set(&dst(0, 29).union(&dst(61, 100))));
     }
@@ -212,12 +181,8 @@ mod tests {
                 assert!(!c.set.intersects(&d.set));
             }
             cover = cover.union(&c.set);
-            for (pi, p) in preds.iter().enumerate() {
-                if c.signature[pi] {
-                    assert!(c.set.is_subset(p));
-                } else {
-                    assert!(!c.set.intersects(p));
-                }
+            for p in &preds {
+                assert!(c.set.is_subset(p) || !c.set.intersects(p));
             }
         }
         assert!(cover.same_set(&u));
@@ -271,8 +236,10 @@ mod tests {
 
     #[test]
     fn refine_class_subdivides() {
+        // How DECs are carved out of an unsolved AEC (§5.3): the class is
+        // the universe of a second refinement.
         let class = dst(0, 99);
-        let sub = refine_class(&class, &[dst(0, 49)], RefineLimits::default()).unwrap();
+        let sub = refine(&class, &[dst(0, 49)], RefineLimits::default()).unwrap();
         assert_eq!(sub.len(), 2);
     }
 }

@@ -11,7 +11,7 @@ use crate::packet::{Field, Packet};
 use std::fmt;
 
 /// A non-empty product of five intervals, one per header field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Cube {
     fields: [Interval; 5],
 }

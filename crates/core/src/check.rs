@@ -35,28 +35,30 @@
 //! [`check_exact`] is the set-algebra reference oracle: slower but purely
 //! exact, used to cross-validate the solver path in tests.
 //!
-//! **Session reuse.** The internal [`check_inner`] entry point optionally
-//! takes a [`SessionMemo`] — config-independent state (FEC classes, lazily
-//! enumerated per-class paths) that [`crate::incr`]'s `CheckSession` keeps
-//! alive across a stream of deltas. The memoized values are produced by
-//! the very same deterministic code (`derive_classes`,
-//! `all_paths_for_class`), so a session re-check is byte-identical to a
-//! cold check of the same pair of configurations.
+//! **One scope model.** Everything check derives from the scope rather
+//! than from the configurations — the entering-traffic universe, the
+//! forwarding family, the FEC partition and each class's paths — is read
+//! from a [`ScopeModel`], which derives each part on first use and replays
+//! it afterwards. [`check_configs`] builds a fresh model and probes it
+//! once; [`crate::incr`]'s `CheckSession` keeps one model alive across a
+//! stream of deltas and probes it per delta. Both run the same body on the
+//! same kind of model, so a session re-check is byte-identical to a cold
+//! check of the same pair of configurations.
 
 use crate::control::{control_regions, desired_decision, desired_permit_set, ResolvedControl};
 use crate::qcache::{CachedSolve, QueryCache};
 use crate::task::Task;
-use jinjing_acl::atoms::{refine, ClassExplosion, RefineLimits};
+use jinjing_acl::atoms::{AtomClass, ClassExplosion, RefineLimits};
 use jinjing_acl::diff::AclDiff;
 use jinjing_acl::{Acl, Packet, PacketSet};
 use jinjing_lai::ControlVerb;
-use jinjing_net::{AclConfig, Network, Path, Scope, Slot};
+use jinjing_net::{AclConfig, Network, Path, Scope, ScopeModel, Slot};
 use jinjing_par::{Cancel, Pool};
 use jinjing_solver::aclenc::{encode, Encoding};
 use jinjing_solver::cdcl::SolveResult;
 use jinjing_solver::{CircuitBuilder, HeaderVars, SolverStats};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Tunables for check.
@@ -242,17 +244,16 @@ pub(crate) struct SlotPair {
 /// and the cover (their packets can be inconsistent without any ACL edit).
 ///
 /// The fourth return value counts the `AclDiff::compute` invocations pass 1
-/// actually performed. Under a session the per-slot diffs are memoized in
-/// the [`SessionMemo`] (keyed by the exact ACL pair), so a stream of
-/// re-checks or plan probes touching the same `(before, after)` pair at a
-/// slot diffs it once; the count surfaces as the session-only
-/// `incr.cover_rebuilds` counter.
+/// actually performed. The per-slot diffs are memoized in `covers` (keyed
+/// by the exact ACL pair), so a stream of re-checks or plan probes touching
+/// the same `(before, after)` pair at a slot diffs it once; under a session
+/// the count surfaces as the `incr.cover_rebuilds` counter.
 pub(crate) fn preprocess(
     before: &AclConfig,
     after: &AclConfig,
     controls: &[ResolvedControl],
     differential: bool,
-    session: Option<&SessionMemo>,
+    covers: &CoverMemo,
 ) -> (HashMap<Slot, SlotPair>, PacketSet, usize, usize) {
     let mut slots: Vec<Slot> = before.slots();
     for s in after.slots() {
@@ -291,13 +292,7 @@ pub(crate) fn preprocess(
         if b == a {
             continue;
         }
-        let d: Arc<AclDiff> = match session {
-            Some(memo) => memo.diff_for(slot, &b, &a, &mut cover_rebuilds),
-            None => {
-                cover_rebuilds += 1;
-                Arc::new(AclDiff::compute(&b, &a))
-            }
-        };
+        let d = covers.diff_for(slot, b, a, &mut cover_rebuilds);
         cover = cover.union(&d.cover);
         for r in &d.diff {
             if !global_diff.contains(r) {
@@ -361,7 +356,19 @@ pub fn check_configs(
     controls: &[ResolvedControl],
     cfg: &CheckConfig,
 ) -> Result<CheckReport, CheckError> {
-    check_inner(net, scope, before, after, controls, cfg, None).map(|(r, _)| r)
+    let model = scope_model(net, scope.clone(), controls, cfg.refine_limits);
+    check_inner(&model, before, after, controls, cfg, &CoverMemo::default()).map(|c| c.report)
+}
+
+/// The model of `scope` every primitive reads: `control` regions join the
+/// forwarding family, so classes are control-uniform (§6).
+pub(crate) fn scope_model<'n>(
+    net: &'n Network,
+    scope: Scope,
+    controls: &[ResolvedControl],
+    limits: RefineLimits,
+) -> ScopeModel<'n> {
+    ScopeModel::new(net, scope, control_regions(controls), limits)
 }
 
 /// Dirty/clean workload split of one check run.
@@ -390,144 +397,74 @@ struct CoverEntry {
     diff: Arc<AclDiff>,
 }
 
-/// Config-independent state a [`crate::incr::CheckSession`] keeps alive
-/// across re-checks: the scope's FEC partition and, per class, the lazily
-/// enumerated (and then memoized) path set.
-///
-/// The partition and paths are pure functions of `(net, scope, controls,
-/// refine_limits)` — never of the ACL configurations — so replaying them
-/// under a different before/after pair is exact, not approximate. The
-/// `covers` memo *is* keyed by ACL content (the exact pair diffed), which
-/// keeps it equally exact: a lookup only ever replays the diff of the very
-/// ACLs being preprocessed.
-pub(crate) struct SessionMemo {
-    /// `derive_classes` output, computed once per session.
-    pub(crate) classes: Vec<jinjing_acl::atoms::AtomClass>,
-    /// `paths[i]` memoizes `net.all_paths_for_class(scope, classes[i])`;
-    /// filled on first use (a class disjoint from every cover so far has
-    /// never needed its paths).
-    pub(crate) paths: Vec<std::sync::Mutex<Option<Arc<Vec<Path>>>>>,
-    /// Per-slot `AclDiff` memo (one entry per slot: the last pair seen).
-    /// A re-check stream — and, above all, a plan search probing many
-    /// subsets of the same step set — diffs the same `(before, after)`
-    /// pair at a slot over and over; this collapses those to one compute.
-    covers: std::sync::Mutex<HashMap<Slot, CoverEntry>>,
-}
+/// Per-slot `AclDiff` memo (one entry per slot: the last pair seen). A
+/// re-check stream — and, above all, a plan search probing many subsets of
+/// the same step set — diffs the same `(before, after)` pair at a slot over
+/// and over; this collapses those to one compute. Keyed by ACL content (the
+/// exact pair diffed), so a lookup only ever replays the diff of the very
+/// ACLs being preprocessed. A cold check brings an empty one.
+#[derive(Default)]
+pub(crate) struct CoverMemo(Mutex<HashMap<Slot, CoverEntry>>);
 
-impl SessionMemo {
-    /// Derive the FEC partition and empty path/cover memos.
-    pub(crate) fn build(
-        net: &Network,
-        scope: &Scope,
-        controls: &[ResolvedControl],
-        limits: RefineLimits,
-    ) -> Result<SessionMemo, ClassExplosion> {
-        let classes = derive_classes(net, scope, controls, limits)?;
-        let paths = classes
-            .iter()
-            .map(|_| std::sync::Mutex::new(None))
-            .collect();
-        Ok(SessionMemo {
-            classes,
-            paths,
-            covers: std::sync::Mutex::new(HashMap::new()),
-        })
-    }
-
+impl CoverMemo {
     /// The differential of `(b, a)` at `slot`, replayed from the memo when
     /// the exact pair was diffed before; `rebuilds` counts actual computes.
-    fn diff_for(&self, slot: Slot, b: &Acl, a: &Acl, rebuilds: &mut usize) -> Arc<AclDiff> {
-        let mut map = self
-            .covers
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+    fn diff_for(&self, slot: Slot, b: Acl, a: Acl, rebuilds: &mut usize) -> Arc<AclDiff> {
+        let mut map = self.0.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(e) = map.get(&slot) {
-            if &e.before == b && &e.after == a {
+            if e.before == b && e.after == a {
                 return Arc::clone(&e.diff);
             }
         }
         *rebuilds += 1;
-        let diff = Arc::new(AclDiff::compute(b, a));
+        let diff = Arc::new(AclDiff::compute(&b, &a));
         map.insert(
             slot,
             CoverEntry {
-                before: b.clone(),
-                after: a.clone(),
+                before: b,
+                after: a,
                 diff: Arc::clone(&diff),
             },
         );
         diff
     }
-
-    /// Paths for class `i`, enumerating and memoizing on first use.
-    pub(crate) fn paths_for(&self, net: &Network, scope: &Scope, i: usize) -> Arc<Vec<Path>> {
-        let mut slot = self.paths[i]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match &*slot {
-            Some(p) => Arc::clone(p),
-            None => {
-                let p = Arc::new(net.all_paths_for_class(scope, &self.classes[i].set));
-                *slot = Some(Arc::clone(&p));
-                p
-            }
-        }
-    }
 }
 
-/// The scope's forwarding-equivalence partition: traffic universe entering
-/// the scope, refined by the forwarding predicates plus the `control`
-/// regions (so classes are control-uniform). Deterministic — the session
-/// memo and the cold path call this same function.
-pub(crate) fn derive_classes(
-    net: &Network,
-    scope: &Scope,
-    controls: &[ResolvedControl],
-    limits: RefineLimits,
-) -> Result<Vec<jinjing_acl::atoms::AtomClass>, ClassExplosion> {
-    let mut universe = PacketSet::empty();
-    for (_, t) in net.entering_traffic(scope) {
-        universe = universe.union(&t);
-    }
-    let mut preds: Vec<PacketSet> = net
-        .scope_predicates(scope)
-        .into_iter()
-        .map(|(_, g)| g)
-        .collect();
-    preds.extend(control_regions(controls));
-    let preds = jinjing_acl::atoms::dedupe_predicates(preds);
-    refine(&universe, &preds, limits)
+/// What one run of the check body produced.
+pub(crate) struct Checked {
+    pub(crate) report: CheckReport,
+    pub(crate) incr: IncrStats,
+    /// Per-slot diffs computed rather than replayed from the [`CoverMemo`].
+    pub(crate) cover_rebuilds: usize,
 }
 
-/// The body shared by [`check_configs`] (cold, `session: None`) and
-/// [`crate::incr::CheckSession::recheck`] (warm, `session: Some`). The two
-/// paths run the same preprocessing, the same Theorem 4.1 class filter,
-/// the same two-stage queries and the same deterministic fold; a session
-/// merely *replays* memoized FECs/paths and re-uses the persistent query
-/// cache, so the returned [`CheckReport`] is byte-identical either way.
+/// The body of every check: [`check_configs`] runs it once on a fresh model
+/// and an empty cover memo, [`crate::incr::CheckSession`] runs it per delta
+/// on the model and memo it keeps, fix runs it to certify on the model it
+/// searched. Same preprocessing, same Theorem 4.1 class filter, same
+/// two-stage queries, same deterministic fold: what the model and the memo
+/// already hold only decides what is replayed instead of recomputed, never
+/// the returned [`CheckReport`].
 pub(crate) fn check_inner(
-    net: &Network,
-    scope: &Scope,
+    model: &ScopeModel<'_>,
     before: &AclConfig,
     after: &AclConfig,
     controls: &[ResolvedControl],
     cfg: &CheckConfig,
-    session: Option<&SessionMemo>,
-) -> Result<(CheckReport, IncrStats), CheckError> {
+    covers: &CoverMemo,
+) -> Result<Checked, CheckError> {
     let total_rules = before.total_rules() + after.total_rules();
     let _check_span = cfg.obs.span("check");
     let sp = cfg.obs.span("check.preprocess");
     let (pairs, cover, encoded_rules, cover_rebuilds) =
-        preprocess(before, after, controls, cfg.differential, session);
+        preprocess(before, after, controls, cfg.differential, covers);
     let t_preprocess = sp.finish();
+    let checked = |report, incr| Checked {
+        report,
+        incr,
+        cover_rebuilds,
+    };
     cfg.obs.counter_add("check.runs", 1);
-    // Session-only ledger: how many per-slot diffs pass 1 actually had to
-    // compute (misses of the session's cover memo). Cold runs never emit
-    // it, keeping cold obs snapshots free of `incr`-family counters.
-    if session.is_some() {
-        cfg.obs
-            .counter_add("incr.cover_rebuilds", cover_rebuilds as u64);
-    }
     cfg.obs
         .histogram_record("check.encoded_rules", encoded_rules as u64);
     let mut report = CheckReport {
@@ -543,7 +480,8 @@ pub(crate) fn check_inner(
         t_solve: Default::default(),
         violation_pair: None,
     };
-    // Fast path: nothing changed and nothing is controlled.
+    // Fast path: nothing changed and nothing is controlled. Nothing is
+    // derived for it: every class the model already knows is clean.
     if cfg.differential && cover.is_empty() {
         cfg.obs.event(
             jinjing_obs::Level::Debug,
@@ -552,27 +490,15 @@ pub(crate) fn check_inner(
         );
         let incr = IncrStats {
             dirty_classes: 0,
-            clean_classes: session.map_or(0, |m| m.classes.len()),
+            clean_classes: model.known_classes(),
             dirty_pairs: 0,
         };
-        if session.is_some() {
-            record_incr_counters(cfg, incr);
-        }
-        return Ok((report, incr));
+        return Ok(checked(report, incr));
     }
 
-    // FEC partition: replayed from the session memo when warm, derived
-    // fresh otherwise — by the *same* deterministic `derive_classes`, so
-    // the partitions (and everything downstream) are identical.
+    // FEC partition: derived by the model on first use, replayed after.
     let sp = cfg.obs.span("check.refine");
-    let fresh_classes;
-    let classes: &[jinjing_acl::atoms::AtomClass] = match session {
-        Some(memo) => &memo.classes,
-        None => {
-            fresh_classes = derive_classes(net, scope, controls, cfg.refine_limits)?;
-            &fresh_classes
-        }
-    };
+    let classes = model.classes()?;
     report.t_refine = sp.finish();
     report.fec_count = classes.len();
     cfg.obs
@@ -580,13 +506,13 @@ pub(crate) fn check_inner(
 
     // Theorem 4.1: classes disjoint from the differential cover meet
     // identical rule subsequences before and after — skip them outright.
-    // Under a session these are the *clean* classes of the delta.
+    // Across a stream of deltas these are the *clean* classes of each.
     //
     // The shard filter composes after enumeration, so the `usize` in each
     // candidate stays the *global* class index whatever slice this process
     // owns — per-shard verdicts therefore name coordinates every other
     // shard (and the coordinator) agrees on.
-    let candidates: Vec<(usize, &jinjing_acl::atoms::AtomClass)> = classes
+    let candidates: Vec<(usize, &AtomClass)> = classes
         .iter()
         .enumerate()
         .filter(|(_, class)| !cfg.differential || class.set.intersects(&cover))
@@ -599,18 +525,13 @@ pub(crate) fn check_inner(
 
     let pool = Pool::new(cfg.threads);
 
-    // Phase A: enumerate paths per candidate (dirty) class — replaying the
-    // session's memoized enumeration when warm. Workers time their own
+    // Phase A: enumerate paths per candidate (dirty) class — the model
+    // replays an enumeration it already holds. Workers time their own
     // lookups; the driver folds the measurements below.
-    let enumerated: Vec<(Arc<Vec<Path>>, Duration)> =
-        pool.par_map(&candidates, |_, &(gi, class)| {
-            let t0 = Instant::now();
-            let paths = match session {
-                Some(memo) => memo.paths_for(net, scope, gi),
-                None => Arc::new(net.all_paths_for_class(scope, &class.set)),
-            };
-            (paths, t0.elapsed())
-        });
+    let enumerated: Vec<(&[Path], Duration)> = pool.par_map(&candidates, |_, &(gi, _)| {
+        let t0 = Instant::now();
+        (model.paths_for(gi), t0.elapsed())
+    });
 
     // Phase B: one two-stage solver query per (class, path) pair, in
     // class-major order. Stage 1 is class-independent (and cacheable
@@ -625,7 +546,7 @@ pub(crate) fn check_inner(
     }
     let mut jobs: Vec<PairJob<'_>> = Vec::new();
     for (ci, (_, class)) in candidates.iter().enumerate() {
-        let paths = &enumerated[ci].0;
+        let paths = enumerated[ci].0;
         if paths.is_empty() {
             continue;
         }
@@ -645,10 +566,6 @@ pub(crate) fn check_inner(
         clean_classes: classes.len() - candidates.len(),
         dirty_pairs: jobs.len(),
     };
-    if session.is_some() {
-        record_incr_counters(cfg, incr);
-    }
-
     let region = if cfg.differential { Some(&cover) } else { None };
     // Flight recorder: workers emit onto their own track (`1 + slot`; the
     // serial path uses track 1) so a trace shows per-worker solver
@@ -734,7 +651,7 @@ pub(crate) fn check_inner(
                 }
                 cfg.obs
                     .event(jinjing_obs::Level::Info, "check.verdict", "consistent");
-                return Ok((report, incr));
+                return Ok(checked(report, incr));
             }
             Some((gi, pi)) => {
                 let i = jobs
@@ -761,7 +678,7 @@ pub(crate) fn check_inner(
                     report.t_paths += *t;
                     report.paths_checked += paths.len();
                 }
-                let paths = &enumerated[jobs[i].class_idx].0;
+                let paths = enumerated[jobs[i].class_idx].0;
                 let violation = locate_violation(before, after, controls, paths, &packet)
                     .expect("solver model must correspond to a concrete violation");
                 cfg.obs.event(
@@ -771,7 +688,7 @@ pub(crate) fn check_inner(
                 );
                 report.violation_pair = Some((gi, pi));
                 report.outcome = CheckOutcome::Inconsistent(violation);
-                return Ok((report, incr));
+                return Ok(checked(report, incr));
             }
         }
     }
@@ -835,7 +752,7 @@ pub(crate) fn check_inner(
     report.t_solve = t_solve;
 
     if let Some((i, packet)) = violation_at {
-        let paths = &enumerated[jobs[i].class_idx].0;
+        let paths = enumerated[jobs[i].class_idx].0;
         let violation = locate_violation(before, after, controls, paths, &packet)
             .expect("solver model must correspond to a concrete violation");
         cfg.obs.event(
@@ -845,24 +762,11 @@ pub(crate) fn check_inner(
         );
         report.violation_pair = Some((candidates[jobs[i].class_idx].0, jobs[i].path_idx));
         report.outcome = CheckOutcome::Inconsistent(violation);
-        return Ok((report, incr));
+        return Ok(checked(report, incr));
     }
     cfg.obs
         .event(jinjing_obs::Level::Info, "check.verdict", "consistent");
-    Ok((report, incr))
-}
-
-/// Session-only counters: the incremental ledger in the obs stream. A cold
-/// run never emits these, so a cold snapshot and a warm one differ by
-/// exactly this family (plus cache hit/miss counts) — the shape contract
-/// `tests/incr_oracle.rs` pins.
-fn record_incr_counters(cfg: &CheckConfig, incr: IncrStats) {
-    cfg.obs
-        .counter_add("check.incr_dirty", incr.dirty_classes as u64);
-    cfg.obs
-        .counter_add("check.incr_clean", incr.clean_classes as u64);
-    cfg.obs
-        .counter_add("check.incr_dirty_pairs", incr.dirty_pairs as u64);
+    Ok(checked(report, incr))
 }
 
 /// Per-`(class, path)` worker result.
@@ -994,7 +898,8 @@ pub fn check_per_acl(before: &AclConfig, after: &AclConfig, cfg: &CheckConfig) -
     let total_rules = before.total_rules() + after.total_rules();
     let _check_span = cfg.obs.span("check");
     let sp = cfg.obs.span("check.preprocess");
-    let (pairs, cover, encoded_rules, _) = preprocess(before, after, &[], cfg.differential, None);
+    let (pairs, cover, encoded_rules, _) =
+        preprocess(before, after, &[], cfg.differential, &CoverMemo::default());
     let t_preprocess = sp.finish();
     let mut report = CheckReport {
         outcome: CheckOutcome::Consistent,

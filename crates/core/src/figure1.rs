@@ -228,7 +228,7 @@ mod tests {
     use super::*;
     use jinjing_acl::atoms::RefineLimits;
     use jinjing_acl::Packet;
-    use jinjing_net::derive_fecs;
+    use jinjing_net::ScopeModel;
 
     #[test]
     fn fec_structure_matches_section_4_1() {
@@ -236,7 +236,12 @@ mod tests {
         let universe: PacketSet = (1..=7)
             .map(|n| f.traffic(n))
             .fold(PacketSet::empty(), |a, b| a.union(&b));
-        let fecs = derive_fecs(&f.net, &f.scope(), &universe, RefineLimits::default()).unwrap();
+        // §4.1 lists the classes of traffic 1–7; leave the background
+        // prefix out of the matrix.
+        let mut net = f.net.clone();
+        net.set_entering(f.iface("A1"), universe);
+        let model = ScopeModel::new(&net, f.scope(), Vec::new(), RefineLimits::default());
+        let fecs = model.classes().unwrap();
         assert_eq!(fecs.len(), 5, "exactly five FECs");
         let class_of = |n: u32| {
             let p = Packet::to_dst(n << 24 | 1);
@@ -326,5 +331,171 @@ mod tests {
             assert!(f.config.path_permits(p0, &pkt));
             assert!(!after.path_permits(p0, &pkt), "update blocks traffic {n}");
         }
+    }
+}
+
+/// Model purity: a [`ScopeModel`](jinjing_net::ScopeModel) is a function of
+/// the scope, never of what was asked of it before.
+#[cfg(test)]
+mod model_purity {
+    use super::*;
+    use crate::check::{
+        check, check_inner, scope_model, CheckConfig, CheckOutcome, CheckReport, CoverMemo,
+    };
+    use crate::control::ResolvedControl;
+    use crate::fix::{fix, fix_in, FixConfig, FixError, FixPlan};
+    use crate::generate::{generate, generate_in, GenerateConfig, GenerateError, GenerateReport};
+    use crate::task::Task;
+    use jinjing_acl::atoms::RefineLimits;
+    use jinjing_lai::{Command, ControlVerb};
+    use std::collections::HashSet;
+
+    fn canon_check(r: &CheckReport) -> String {
+        format!(
+            "{:?}|{}|{}|{:?}|{}|{}|{:?}",
+            r.outcome,
+            r.fec_count,
+            r.paths_checked,
+            r.solver_stats,
+            r.encoded_rules,
+            r.total_rules,
+            r.violation_pair
+        )
+    }
+
+    fn assert_same_fix(
+        shared: &Result<FixPlan, FixError>,
+        fresh: &Result<FixPlan, FixError>,
+        label: &str,
+    ) {
+        match (shared, fresh) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.fixed, b.fixed, "{label}: fixed configuration");
+                assert_eq!(a.added_rules, b.added_rules, "{label}: added rules");
+                assert_eq!(a.neighborhoods, b.neighborhoods, "{label}: neighborhoods");
+                assert_eq!(
+                    canon_check(&a.final_check),
+                    canon_check(&b.final_check),
+                    "{label}: certification report"
+                );
+            }
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{label}"),
+            _ => panic!("{label}: fix verdicts differ: {shared:?} vs {fresh:?}"),
+        }
+    }
+
+    fn assert_same_generate(
+        shared: &Result<GenerateReport, GenerateError>,
+        fresh: &Result<GenerateReport, GenerateError>,
+        label: &str,
+    ) {
+        match (shared, fresh) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.generated, b.generated, "{label}: generated configuration");
+                assert_eq!(
+                    (a.aec_count, a.aecs_split, a.dec_count, a.rows),
+                    (b.aec_count, b.aecs_split, b.dec_count, b.rows),
+                    "{label}: class counts"
+                );
+                assert_eq!(
+                    (a.rules_emitted, a.rules_final),
+                    (b.rules_emitted, b.rules_final),
+                    "{label}: rule counts"
+                );
+            }
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{label}"),
+            _ => panic!("{label}: generate verdicts differ: {shared:?} vs {fresh:?}"),
+        }
+    }
+
+    /// check → fix → generate → check again through *one* model answers
+    /// what each answers through a model of its own — for a violating
+    /// update, a consistent rewrite and a task under a `control` — so
+    /// neither the partition, the path memo nor the topological path set
+    /// carries anything from one primitive into the next.
+    #[test]
+    fn one_model_serves_every_primitive_like_a_fresh_one() {
+        let f = Figure1::new();
+        let ab_slots: Vec<Slot> = ["A1", "A2", "A3", "A4", "B1", "B2"]
+            .into_iter()
+            .flat_map(|n| [Slot::ingress(f.iface(n)), Slot::egress(f.iface(n))])
+            .collect();
+        let mut rewrite = f.config.clone();
+        rewrite.set(
+            f.slot("D2"),
+            AclBuilder::default_permit()
+                .deny_dst("2.0.0.0/8")
+                .deny_dst("1.0.0.0/8")
+                .permit_dst("3.0.0.0/8")
+                .build(),
+        );
+        let isolate = ResolvedControl {
+            from: HashSet::from([f.iface("A1")]),
+            to: HashSet::from([f.iface("D3")]),
+            verb: ControlVerb::Isolate,
+            region: f.traffic(3),
+        };
+        let task = |after: AclConfig, allow: Vec<Slot>, controls: Vec<ResolvedControl>| Task {
+            scope: f.scope(),
+            allow,
+            before: f.config.clone(),
+            after,
+            modified: Vec::new(),
+            controls,
+            command: Command::Check,
+        };
+        let scenarios = [
+            ("bad update", task(f.bad_update(), ab_slots.clone(), vec![])),
+            ("consistent rewrite", task(rewrite, ab_slots, vec![])),
+            (
+                "isolate control",
+                task(
+                    f.config.clone(),
+                    vec![f.slot("D1"), f.slot("D2")],
+                    vec![isolate],
+                ),
+            ),
+        ];
+        let mut verdicts = Vec::new();
+        for (label, task) in &scenarios {
+            let model = scope_model(
+                &f.net,
+                task.scope.clone(),
+                &task.controls,
+                RefineLimits::default(),
+            );
+            let check_shared = || {
+                check_inner(
+                    &model,
+                    &task.before,
+                    &task.after,
+                    &task.controls,
+                    &CheckConfig::default(),
+                    &CoverMemo::default(),
+                )
+                .unwrap()
+                .report
+            };
+            let fresh = check(&f.net, task, &CheckConfig::default()).unwrap();
+            let first = check_shared();
+            assert_eq!(canon_check(&first), canon_check(&fresh), "{label}: check");
+            assert_same_fix(
+                &fix_in(&model, task, &FixConfig::default()),
+                &fix(&f.net, task, &FixConfig::default()),
+                label,
+            );
+            assert_same_generate(
+                &generate_in(&model, task, &GenerateConfig::default()),
+                &generate(&f.net, task, &GenerateConfig::default()),
+                label,
+            );
+            assert_eq!(
+                canon_check(&check_shared()),
+                canon_check(&fresh),
+                "{label}: check after fix and generate"
+            );
+            verdicts.push(matches!(first.outcome, CheckOutcome::Consistent));
+        }
+        assert_eq!(verdicts, [false, true, false], "the scenarios differ");
     }
 }

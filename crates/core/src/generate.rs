@@ -20,13 +20,14 @@
 //!    the row count and the final ACLs are simplified
 //!    (decision-preserving), reproducing the §5.5 run-time/length savings.
 
+use crate::check::scope_model;
 use crate::control::control_regions;
 use crate::task::Task;
-use jinjing_acl::atoms::{refine, refine_class, ClassExplosion, RefineLimits};
+use jinjing_acl::atoms::{refine, ClassExplosion, RefineLimits};
 use jinjing_acl::decompose::set_to_matchspecs;
 use jinjing_acl::simplify::simplify;
 use jinjing_acl::{Acl, Action, PacketSet, Rule};
-use jinjing_net::{AclConfig, Network, Path, Slot};
+use jinjing_net::{AclConfig, Network, Path, ScopeModel, Slot};
 use jinjing_solver::cdcl::SolveResult;
 use jinjing_solver::lit::Lit;
 use jinjing_solver::CircuitBuilder;
@@ -139,7 +140,18 @@ pub fn generate(
     task: &Task,
     cfg: &GenerateConfig,
 ) -> Result<GenerateReport, GenerateError> {
-    let scope = &task.scope;
+    let model = scope_model(net, task.scope.clone(), &task.controls, cfg.refine_limits);
+    generate_in(&model, task, cfg)
+}
+
+/// [`generate`] on the caller's model of `task.scope`: the universe, the
+/// forwarding family and the topological paths are read from it; its FEC
+/// partition is never asked for.
+pub(crate) fn generate_in(
+    model: &ScopeModel<'_>,
+    task: &Task,
+    cfg: &GenerateConfig,
+) -> Result<GenerateReport, GenerateError> {
     let targets: Vec<Slot> = {
         let mut t = task.allow.clone();
         t.sort();
@@ -151,10 +163,6 @@ pub fn generate(
 
     // ---- Phase 1: derive AECs. ----
     let sp = cfg.obs.span("generate.aec");
-    let mut universe = PacketSet::empty();
-    for (_, t) in net.entering_traffic(scope) {
-        universe = universe.union(&t);
-    }
     let mut predicates: Vec<PacketSet> = task
         .before
         .slots()
@@ -163,7 +171,7 @@ pub fn generate(
         .collect();
     predicates.extend(control_regions(&task.controls));
     let predicates = jinjing_acl::atoms::dedupe_predicates(predicates);
-    let aecs = refine(&universe, &predicates, cfg.refine_limits)?;
+    let aecs = refine(model.universe(), &predicates, cfg.refine_limits)?;
     let derive_aec = sp.finish();
     cfg.obs
         .histogram_record("generate.aec_count", aecs.len() as u64);
@@ -171,13 +179,7 @@ pub fn generate(
     // ---- Phase 2: solve AECs (DEC-split on unsat). ----
     let sp = cfg.obs.span("generate.solve");
     // Topological paths: every path some entering packet can take.
-    let all_paths = net.all_paths_for_class(scope, &universe);
-    let fwd_predicates: Vec<PacketSet> = jinjing_acl::atoms::dedupe_predicates(
-        net.scope_predicates(scope)
-            .into_iter()
-            .map(|(_, g)| g)
-            .collect(),
-    );
+    let all_paths = model.topological_paths();
     // AEC-level solves are independent of one another (Eq. 10 constrains
     // each class in isolation), so the sweep fans out across the worker
     // pool; results fold back in AEC order. Each worker's solver telemetry
@@ -187,7 +189,7 @@ pub fn generate(
     // and each is cheap relative to the AEC sweep.
     let pool = jinjing_par::Pool::new(jinjing_par::resolve_threads(cfg.threads));
     let aec_solutions: Vec<Option<HashMap<Slot, bool>>> = pool.par_map(&aecs, |_, aec| {
-        solve_class(net, task, cfg, &targets, &all_paths, &aec.set, false)
+        solve_class(task, cfg, &targets, all_paths, &aec.set, false)
     });
     let mut units: Vec<(usize, Vec<Unit>)> = Vec::new(); // (aec index, units)
     let mut aecs_split = 0usize;
@@ -204,11 +206,11 @@ pub fn generate(
             None => {
                 // DEC refinement (§5.3).
                 aecs_split += 1;
-                let decs = refine_class(&aec.set, &fwd_predicates, cfg.refine_limits)?;
+                let decs = refine(&aec.set, model.forwarding(), cfg.refine_limits)?;
                 let mut dec_units = Vec::with_capacity(decs.len());
                 for dec in decs {
                     dec_count += 1;
-                    match solve_class(net, task, cfg, &targets, &all_paths, &dec.set, true) {
+                    match solve_class(task, cfg, &targets, all_paths, &dec.set, true) {
                         Some(decisions) => dec_units.push(Unit {
                             region: dec.set,
                             decisions,
@@ -389,7 +391,6 @@ pub fn generate(
 /// at DEC level only the paths carrying it do. Returns the decision per
 /// target slot, or `None` when unsatisfiable.
 fn solve_class(
-    _net: &Network,
     task: &Task,
     cfg: &GenerateConfig,
     targets: &[Slot],

@@ -1,12 +1,12 @@
 //! The **incremental re-check engine**: Theorem 4.1 applied across *time*.
 //!
 //! The paper's target workload is a stream of small ACL edits against a
-//! mostly-stable WAN. A cold [`crate::check_configs`] re-derives the FEC
-//! partition, re-enumerates every class's paths and re-solves every
-//! `(class, path)` query on each invocation — even though consecutive
-//! edits touch a handful of slots and their differential covers miss
-//! almost every class. [`CheckSession`] keeps the config-independent work
-//! alive between invocations:
+//! mostly-stable WAN. A cold [`check_configs`](crate::check::check_configs)
+//! re-derives the FEC partition, re-enumerates every class's paths and
+//! re-solves every `(class, path)` query on each invocation — even though
+//! consecutive edits touch a handful of slots and their differential covers
+//! miss almost every class. [`CheckSession`] keeps the config-independent
+//! work alive between invocations:
 //!
 //! 1. **Dirty-set derivation.** Each delta's differential rules (Def. 4.1
 //!    computed against the session base) yield a packet cover `H`; a class
@@ -22,17 +22,20 @@
 //!    growing without bound.
 //! 3. **Structural memoization.** The FEC partition and per-class path
 //!    sets are pure functions of `(net, scope, controls)`; the session
-//!    computes them once (paths lazily, per class) and replays them.
+//!    holds the one [`ScopeModel`] that derives them (paths lazily, per
+//!    class) and probes it per delta, where a cold check builds a fresh
+//!    model for its single probe.
 //!
 //! **Equivalence contract.** `session.recheck(delta)` produces a
 //! [`CheckReport`] *byte-identical* to a cold
 //! `check_configs(net, scope, base, base ⊕ delta, controls, cfg)` —
 //! same verdict and witness, same FEC/path/rule counts, same folded solver
-//! statistics — because both run the same [`crate::check`] inner body; the
-//! session merely substitutes memoized inputs produced by the same
-//! deterministic functions. Wall-clock splits differ (that is the point),
-//! and the obs stream additionally carries the `check.incr_dirty` /
-//! `check.incr_clean` / `check.incr_dirty_pairs` counters.
+//! statistics — because both run the same [`mod@crate::check`] body on a
+//! scope model; the session's model merely already holds what the cold
+//! one derives. Wall-clock splits differ (that is the point), and the
+//! session adds the `check.incr_dirty` / `check.incr_clean` /
+//! `check.incr_dirty_pairs` / `incr.cover_rebuilds` counters to the obs
+//! stream from the ledger the body returns.
 //! `tests/incr_oracle.rs` pins the contract over random 50-step edit
 //! sequences across thread counts, with a private and a shared store.
 //!
@@ -41,13 +44,15 @@
 //! sessions via [`CheckSession::config`]'s `cache` handle, since its keys
 //! are structural over ACL chains, not over the topology).
 
-use crate::check::{check_inner, CheckConfig, CheckReport, IncrStats, SessionMemo};
+use crate::check::{
+    check_inner, scope_model, CheckConfig, CheckError, CheckReport, CoverMemo, IncrStats,
+};
 use crate::control::ResolvedControl;
 use crate::qcache::QueryCache;
 use crate::task::Task;
 use jinjing_acl::atoms::ClassExplosion;
 use jinjing_acl::Acl;
-use jinjing_net::{AclConfig, Dir, Network, Scope, Slot};
+use jinjing_net::{AclConfig, Dir, Network, Scope, ScopeModel, Slot};
 use std::fmt;
 
 /// Session tunables (the check itself is tuned by [`CheckConfig`]).
@@ -170,13 +175,12 @@ pub struct RecheckReport {
 /// and control set. See the module docs for the reuse structure and the
 /// equivalence contract.
 pub struct CheckSession<'n> {
-    net: &'n Network,
-    scope: Scope,
+    model: ScopeModel<'n>,
+    covers: CoverMemo,
     controls: Vec<ResolvedControl>,
     base: AclConfig,
     cfg: CheckConfig,
     incr: IncrConfig,
-    memo: SessionMemo,
     steps: u64,
 }
 
@@ -227,21 +231,21 @@ impl<'n> CheckSession<'n> {
         incr: IncrConfig,
     ) -> Result<CheckSession<'n>, ClassExplosion> {
         let sp = cfg.obs.span("incr.init");
-        let memo = SessionMemo::build(net, &scope, &controls, cfg.refine_limits)?;
+        let model = scope_model(net, scope, &controls, cfg.refine_limits);
+        let classes = model.classes()?.len();
         sp.finish();
         cfg.obs.event(
             jinjing_obs::Level::Info,
             "incr.open",
-            &format!("session open: {} classes", memo.classes.len()),
+            &format!("session open: {classes} classes"),
         );
         Ok(CheckSession {
-            net,
-            scope,
+            model,
+            covers: CoverMemo::default(),
             controls,
             base,
             cfg,
             incr,
-            memo,
             steps: 0,
         })
     }
@@ -264,7 +268,7 @@ impl<'n> CheckSession<'n> {
 
     /// Number of FEC classes in the memoized partition.
     pub fn class_count(&self) -> usize {
-        self.memo.classes.len()
+        self.model.known_classes()
     }
 
     /// Total `(class, path)` pairs over *all* classes — the full workload
@@ -272,30 +276,22 @@ impl<'n> CheckSession<'n> {
     /// memoizes) path enumeration for every class; the dirty-pair counts
     /// in [`RecheckReport::incr`] are measured against this ceiling.
     pub fn total_pairs(&self) -> usize {
-        (0..self.memo.classes.len())
-            .map(|i| self.memo.paths_for(self.net, &self.scope, i).len())
+        (0..self.class_count())
+            .map(|i| self.model.paths_for(i).len())
             .sum()
     }
 
     /// Re-check the session base against `base ⊕ delta`.
     ///
-    /// Advances the cache generation, runs the shared check body with the
-    /// session memo (clean classes replayed, dirty stage-1 queries served
+    /// Advances the cache generation, runs the shared check body on the
+    /// session's model (clean classes replayed, dirty stage-1 queries served
     /// from the persistent cache where possible), evicts stale cache
     /// entries, and — when the delta is accepted — folds it into the base
     /// so the next `recheck` is measured against it.
-    pub fn recheck(&mut self, delta: &Delta) -> Result<RecheckReport, crate::check::CheckError> {
+    pub fn recheck(&mut self, delta: &Delta) -> Result<RecheckReport, CheckError> {
         let after = delta.applied_to(&self.base);
         let generation = self.cfg.cache.advance_generation();
-        let (report, incr) = check_inner(
-            self.net,
-            &self.scope,
-            &self.base,
-            &after,
-            &self.controls,
-            &self.cfg,
-            Some(&self.memo),
-        )?;
+        let (report, incr) = self.probe(&after)?;
         let evicted = self.cfg.cache.evict_stale(self.incr.keep_generations);
         let applied = report.outcome.is_consistent() || self.incr.apply_inconsistent;
         if applied {
@@ -335,27 +331,34 @@ impl<'n> CheckSession<'n> {
     /// step counter and store generation stay put, and nothing is
     /// evicted. The report is byte-identical to a cold
     /// `check_configs(net, scope, base, after, controls, cfg)` — the same
-    /// shared body runs, merely replaying the session memo — which is the
-    /// contract `crate::plan`'s prefix-state certification leans on: every
+    /// shared body runs, merely on a model that already holds the
+    /// partition — which is the contract `crate::plan`'s prefix-state certification leans on: every
     /// intermediate rollout state is judged against the *fixed* deployed
     /// base, not against a previously probed candidate.
     ///
     /// Sound to interleave freely with [`CheckSession::recheck`]: the query
     /// store keys on ACL-chain *content*, so entries recorded under one
     /// candidate configuration can never answer for a different one.
-    pub fn probe(
-        &self,
-        after: &AclConfig,
-    ) -> Result<(CheckReport, IncrStats), crate::check::CheckError> {
-        check_inner(
-            self.net,
-            &self.scope,
+    pub fn probe(&self, after: &AclConfig) -> Result<(CheckReport, IncrStats), CheckError> {
+        let checked = check_inner(
+            &self.model,
             &self.base,
             after,
             &self.controls,
             &self.cfg,
-            Some(&self.memo),
-        )
+            &self.covers,
+        )?;
+        // The session-only ledger in the obs stream. A cold run never emits
+        // these, so a cold snapshot and a session one differ by exactly this
+        // family (plus cache hit/miss counts) — the shape contract
+        // `tests/incr_oracle.rs` pins.
+        let obs = &self.cfg.obs;
+        let incr = checked.incr;
+        obs.counter_add("incr.cover_rebuilds", checked.cover_rebuilds as u64);
+        obs.counter_add("check.incr_dirty", incr.dirty_classes as u64);
+        obs.counter_add("check.incr_clean", incr.clean_classes as u64);
+        obs.counter_add("check.incr_dirty_pairs", incr.dirty_pairs as u64);
+        Ok((checked.report, incr))
     }
 
     /// Handle to the persistent query store.

@@ -28,8 +28,8 @@
 //!   structural `Eq`, fingerprint-routed `Hash`) behind a sharded mutex
 //!   map, generation-tagged for session eviction.
 //! - [`mod@incr`] — the incremental re-check engine: a
-//!   [`CheckSession`](incr::CheckSession) keeps the FEC partition,
-//!   per-class paths and a generation-tagged query cache alive across a
+//!   [`CheckSession`] keeps the scope model (FEC partition, per-class
+//!   paths) and a generation-tagged query cache alive across a
 //!   stream of deltas, re-solving only the (class, path) pairs each
 //!   delta dirties while staying byte-identical to a cold check.
 //! - [`mod@plan`] — safe update sequencing: decompose a base→target diff

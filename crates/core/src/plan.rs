@@ -5,7 +5,7 @@
 //! per-device steps and searches for an ordering such that **every
 //! intermediate network state** satisfies the intent. Each candidate
 //! prefix state is verified through a persistent
-//! [`CheckSession`](crate::incr::CheckSession) probe — dirty-set pruning
+//! [`CheckSession`] probe — dirty-set pruning
 //! (Theorem 4.1) plus the session's query store make the N intermediate
 //! checks cheap — and violation witnesses are generalized into
 //! counterexamples that prune the ordering search CEGIS-style.

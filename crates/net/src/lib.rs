@@ -20,8 +20,9 @@
 //! - [`config`] — [`config::AclConfig`]: the assignment of ACLs to
 //!   interface slots (`L_Ω`), with path decision-model evaluation
 //!   (`c_p`, Eq. 1) in exact set form.
-//! - [`fec`] — forwarding equivalence classes (Eq. 2) derived by predicate
-//!   refinement over the `g` family.
+//! - [`fec`] — [`fec::ScopeModel`]: the entering-traffic universe, the
+//!   forwarding-predicate family, the forwarding equivalence classes (Eq. 2)
+//!   refined from it and their paths, each derived once per scope.
 
 pub mod audit;
 pub mod config;
@@ -33,7 +34,7 @@ pub mod spec;
 pub mod topology;
 
 pub use crate::config::AclConfig;
-pub use crate::fec::derive_fecs;
+pub use crate::fec::ScopeModel;
 pub use crate::fib::{Fib, FibEntry};
 pub use crate::ids::{DeviceId, Dir, IfaceId, Slot};
 pub use crate::network::{Network, Path, Scope};

@@ -77,7 +77,7 @@ const MAX_THREADS: usize = 256;
 /// * `0` means "auto": consult [`THREADS_ENV`], defaulting to `1`
 ///   (serial) when unset or unparsable. Serial-by-default keeps the
 ///   out-of-the-box behavior identical to the historical implementation.
-/// * Any other value is used as-is, clamped to [`MAX_THREADS`].
+/// * Any other value is used as-is, clamped to the private `MAX_THREADS`.
 #[must_use]
 pub fn resolve_threads(requested: usize) -> usize {
     let n = if requested == 0 {

@@ -902,7 +902,7 @@ fn dispatch(ctx: Ctx<'_, '_>, req: &Request, endpoint: &Endpoint, admitted: Inst
 /// The stateless engine endpoints as a function of the resident network
 /// and the wire body: `/v1/check|fix|generate` run the intent and demand
 /// its command matches the endpoint; `/v1/plan` splits the body with
-/// [`parse_plan_body`] and synthesizes the rollout. `engine_config`
+/// `parse_plan_body` and synthesizes the rollout. `engine_config`
 /// receives the intent text and returns the configuration to run it
 /// under — the daemon hands over the request's private one, the
 /// `jinjing-shard` coordinator one whose check fan-out ships that intent

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI entry point: build, test, smokes, ruler, format, lint.
+# CI entry point: build, test, smokes, ruler, format, lint, rustdoc.
 #
 # cargo is the only build route and it needs no network: every dependency
 # is a path crate inside this repository and Cargo.lock is committed, so
@@ -264,5 +264,10 @@ if cargo clippy --version >/dev/null 2>&1; then
 else
     echo "ci.sh: clippy not installed — skipping lint" >&2
 fi
+
+# The module docs state contracts (session vs cold check, determinism,
+# exit codes); a link to an item that moved or went private fails here.
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --locked --offline --workspace --no-deps
 
 echo "ci.sh: all checks passed"

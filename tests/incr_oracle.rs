@@ -460,7 +460,7 @@ fn session_span_tree_matches_cold_check_modulo_incr() {
 
 // ---------------------------------------------------------------------------
 // Cover-memo contract: per-slot differential covers are hoisted into the
-// session (`SessionMemo`), so re-probing a state with the same per-slot
+// session (`CoverMemo`), so re-probing a state with the same per-slot
 // `(before, after)` ACL pairs must not recompute any diff — pinned by the
 // session-only `incr.cover_rebuilds` counter.
 // ---------------------------------------------------------------------------
