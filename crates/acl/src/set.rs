@@ -161,6 +161,39 @@ impl PacketSet {
             .any(|a| other.cubes.iter().any(|b| a.intersect(b).is_some()))
     }
 
+    /// `true` iff `cube` shares at least one packet with the set.
+    pub fn meets(&self, cube: &Cube) -> bool {
+        self.cubes.iter().any(|c| c.intersect(cube).is_some())
+    }
+
+    /// `true` iff every packet of `cube` is in the set: `is_subset` for one
+    /// cube, without building a set. The cube is carved by the first cube
+    /// of the representation it meets and every piece left over must be
+    /// covered by the cubes after that one; the answer is `false` as soon
+    /// as a piece meets none. Nothing is allocated while one cube of the
+    /// representation covers what is left.
+    pub fn covers(&self, cube: &Cube) -> bool {
+        // Pieces still to cover, each with the index of the first cube of
+        // the representation it has not been shown disjoint from.
+        let mut pending: Vec<(Cube, usize)> = Vec::new();
+        let (mut piece, mut from) = (*cube, 0);
+        loop {
+            let Some(i) =
+                (from..self.cubes.len()).find(|&i| piece.intersect(&self.cubes[i]).is_some())
+            else {
+                return false;
+            };
+            if !piece.is_subset(&self.cubes[i]) {
+                let rest = piece.subtract(&self.cubes[i]);
+                pending.extend(rest.into_iter().map(|r| (r, i + 1)));
+            }
+            match pending.pop() {
+                Some(job) => (piece, from) = job,
+                None => return true,
+            }
+        }
+    }
+
     /// An arbitrary member, if any.
     pub fn sample(&self) -> Option<Packet> {
         self.cubes.first().map(Cube::sample)
@@ -357,6 +390,37 @@ mod tests {
         // Two different representations of the same set.
         let split = dst(10, 15).union(&dst(16, 20));
         assert!(split.same_set(&small));
+    }
+
+    #[test]
+    fn single_cube_covers_and_meets_agree_with_the_set_operations() {
+        let port = |lo, hi| Cube::full().with(Field::DstPort, Interval::new(lo, hi));
+        let at = |c: Cube, lo, hi| c.with(Field::DstIp, Interval::new(lo, hi));
+        // Overlapping, non-disjoint representation with a hole at dst 50..59
+        // for ports above 1023.
+        let s = PacketSet::from_cubes_raw(vec![
+            at(Cube::full(), 0, 49),
+            at(port(0, 1023), 40, 99),
+            at(port(512, 65535), 60, 99),
+        ]);
+        let candidates = [
+            at(Cube::full(), 0, 49),
+            at(Cube::full(), 0, 50),
+            at(port(0, 80), 0, 99),
+            at(port(0, 2000), 45, 70),
+            at(port(0, 2000), 60, 70),
+            at(port(1024, 1024), 50, 59),
+            at(port(1024, 1024), 49, 60),
+            at(Cube::full(), 100, 200),
+            Cube::full(),
+        ];
+        for c in candidates {
+            let as_set = PacketSet::from_cube(c);
+            assert_eq!(s.covers(&c), as_set.is_subset(&s), "covers {c}");
+            assert_eq!(s.meets(&c), as_set.intersects(&s), "meets {c}");
+        }
+        assert!(!PacketSet::empty().covers(&Cube::full()));
+        assert!(!PacketSet::empty().meets(&Cube::full()));
     }
 
     #[test]

@@ -17,9 +17,19 @@
 //!    per-field bit-prefix expansion whose packets all share `h`'s
 //!    forwarding class, every ACL decision (before *and* after), and every
 //!    control region. The expansion is found by binary search on each
-//!    field's prefix length, validated exactly with the set algebra. The
-//!    neighborhood is excluded and check re-runs until no counterexample
-//!    remains.
+//!    field's prefix length. A candidate cube is accepted iff it is
+//!    *uniform* under every predicate — inside the predicate when `h` is,
+//!    disjoint from it otherwise — and disjoint from every earlier
+//!    neighborhood: exact cube-against-cube-list tests
+//!    ([`PacketSet::covers`], [`PacketSet::meets`]) that build no set. That
+//!    is membership in `h`'s equivalence region (the intersection of `h`'s
+//!    side of every predicate, minus the earlier neighborhoods) without the
+//!    region. The permit sets tested are those of `before` and of the
+//!    *original* update, each distinct ACL compiled once per request:
+//!    fixing rules match their own — excluded — neighborhood only, so on
+//!    any cube clear of the earlier neighborhoods the repaired
+//!    configuration decides exactly as the update did. The neighborhood is
+//!    excluded and check re-runs until no counterexample remains.
 //! 2. **Fixing plan generation** — per neighborhood, a boolean placement
 //!    problem (Eq. 7 within Eq. 3's schema): one decision variable `D(ξ)`
 //!    per slot on the neighborhood's paths, constrained so every path's
@@ -41,7 +51,7 @@ use jinjing_acl::cube::Cube;
 use jinjing_acl::interval::Interval;
 use jinjing_acl::packet::Field;
 use jinjing_acl::simplify::simplify;
-use jinjing_acl::{Action, IpPrefix, MatchSpec, Packet, PacketSet, PortRange, Rule};
+use jinjing_acl::{Acl, Action, IpPrefix, MatchSpec, Packet, PacketSet, PortRange, Rule};
 use jinjing_net::{AclConfig, Network, Path, ScopeModel, Slot};
 use jinjing_par::Pool;
 use jinjing_solver::card::{at_most_assumption, counter_outputs};
@@ -298,14 +308,15 @@ fn fix_iterative(model: &ScopeModel<'_>, task: &Task, cfg: &FixConfig) -> Result
     let (before, controls) = (&task.before, &task.controls);
     let mut phases = FixPhases::default();
     let mut current = task.after.clone();
-    let mut excluded = PacketSet::empty();
+    // The cubes of `neighborhoods`: pairwise disjoint.
+    let mut excluded: Vec<Cube> = Vec::new();
     let mut neighborhoods: Vec<MatchSpec> = Vec::new();
     let mut added_rules: Vec<(Slot, Rule)> = Vec::new();
-    // Permit-set caches: compiling an ACL into its exact permit set is the
-    // dominant cost of neighborhood expansion, and the `before` side never
-    // changes; the `current` side is invalidated per repaired slot.
-    let mut before_sets: HashMap<Slot, PacketSet> = HashMap::new();
-    let mut current_sets: HashMap<Slot, PacketSet> = HashMap::new();
+    // The ACL predicates of Eq. 6, compiled at the first counterexample (a
+    // consistent update pays nothing) and good for the whole run: `before`
+    // never changes, and `current` departs from `task.after` only inside
+    // `excluded`, where no candidate reaches (see `expand_neighborhood`).
+    let mut acl_sets: Option<Vec<PacketSet>> = None;
 
     // Preprocess ONCE against the original update: Theorem 4.1 confines
     // violations to the differential cover, and fixing rules only ever
@@ -318,7 +329,6 @@ fn fix_iterative(model: &ScopeModel<'_>, task: &Task, cfg: &FixConfig) -> Result
         cfg.check.differential,
         &CoverMemo::default(),
     );
-    let slots_union = slots_union(task);
 
     let skip_cover = |class: &PacketSet| cfg.check.differential && !class.intersects(&cover);
     for (ci, class) in model.classes()?.iter().enumerate() {
@@ -398,38 +408,32 @@ fn fix_iterative(model: &ScopeModel<'_>, task: &Task, cfg: &FixConfig) -> Result
 
             // Phase 1: enlarge h into its neighborhood (Eq. 6).
             let sp = obs.span("fix.enlarge");
-            for &slot in &slots_union {
-                before_sets
-                    .entry(slot)
-                    .or_insert_with(|| before.slot_permit_set(slot));
-                current_sets
-                    .entry(slot)
-                    .or_insert_with(|| current.slot_permit_set(slot));
-            }
-            let m = expand_neighborhood(
-                model.family(),
-                &slots_union,
-                &before_sets,
-                &current_sets,
-                &excluded,
-                &h,
-            );
+            let sets = acl_sets.get_or_insert_with(|| distinct_permit_sets(before, &task.after));
+            let m = expand_neighborhood(sets.iter().chain(model.family()), &excluded, &h);
             phases.enlarge += sp.finish();
+            #[cfg(test)]
+            tests::check_enlargement(model, task, &current, &excluded, &h, &m);
             obs.event(
                 jinjing_obs::Level::Debug,
                 "fix.neighborhood",
                 &format!("counterexample {h} enlarged to {m}"),
             );
-            let region = PacketSet::from_cube(m.cube());
-            excluded = excluded.union(&region);
+            let cube = m.cube();
+            let region = PacketSet::from_cube(cube);
+            excluded.push(cube);
             neighborhoods.push(m);
 
             // Phase 2: placement solve for this neighborhood (§4.2 "Fixing
             // plan generation"), its rules prepended to `current`.
             let sp = obs.span("fix.place");
             let adds = solve_placement(model, task, &current, cfg, &[m], &region, &h)?;
-            apply_placement(&mut current, &mut current_sets, &mut added_rules, &adds);
+            apply_placement(&mut current, &mut added_rules, &adds);
             phases.place += sp.finish();
+            // What keeps `acl_sets` current: a placement rewrites decisions
+            // inside its own neighborhood and nowhere else.
+            debug_assert!(adds.iter().all(|&(slot, rule)| {
+                rule.matches == m && agree_outside(&current, &task.after, slot, &excluded)
+            }));
 
             // Exclude the repaired region from further enumeration.
             let blocked = hvars.in_set(&mut builder, &region);
@@ -561,12 +565,19 @@ fn solve_placement(
     Ok(adds)
 }
 
+/// `true` iff `slot` decides every packet outside `excluded` alike in both
+/// configurations.
+fn agree_outside(a: &AclConfig, b: &AclConfig, slot: Slot, excluded: &[Cube]) -> bool {
+    let (a, b) = (a.slot_permit_set(slot), b.slot_permit_set(slot));
+    let differ = a.subtract(&b).union(&b.subtract(&a));
+    differ.is_subset(&PacketSet::from_cubes_raw(excluded.to_vec()))
+}
+
 /// Apply a solved placement: prepend each slot's fixing rules (in spec
-/// order, as one batch per slot) and invalidate the slot's permit-set
-/// cache. `adds` is slot-major as produced by [`solve_placement`].
+/// order, as one batch per slot). `adds` is slot-major as produced by
+/// [`solve_placement`].
 fn apply_placement(
     current: &mut AclConfig,
-    current_sets: &mut HashMap<Slot, PacketSet>,
     added_rules: &mut Vec<(Slot, Rule)>,
     adds: &[(Slot, Rule)],
 ) {
@@ -578,12 +589,8 @@ fn apply_placement(
             j += 1;
         }
         let rules: Vec<Rule> = adds[i..j].iter().map(|&(_, r)| r).collect();
-        let acl = current
-            .get(slot)
-            .cloned()
-            .unwrap_or_else(jinjing_acl::Acl::permit_all);
+        let acl = current.get(slot).cloned().unwrap_or_else(Acl::permit_all);
         current.set(slot, acl.with_prepended(&rules));
-        current_sets.remove(&slot);
         added_rules.extend_from_slice(&adds[i..j]);
         i = j;
     }
@@ -599,7 +606,6 @@ fn fix_batch(model: &ScopeModel<'_>, task: &Task, cfg: &FixConfig) -> Result<Rep
     let mut current = task.after.clone();
     let mut neighborhoods: Vec<MatchSpec> = Vec::new();
     let mut added_rules: Vec<(Slot, Rule)> = Vec::new();
-    let mut current_sets: HashMap<Slot, PacketSet> = HashMap::new();
 
     // Slot permit-set caches for cheap path-set evaluation.
     let slots_union = slots_union(task);
@@ -693,7 +699,7 @@ fn fix_batch(model: &ScopeModel<'_>, task: &Task, cfg: &FixConfig) -> Result<Rep
             match result {
                 Ok(adds) => {
                     neighborhoods.extend(job.specs.iter().copied());
-                    apply_placement(&mut current, &mut current_sets, &mut added_rules, &adds);
+                    apply_placement(&mut current, &mut added_rules, &adds);
                 }
                 Err(e) => {
                     first_err = Some(e);
@@ -717,56 +723,61 @@ fn fix_batch(model: &ScopeModel<'_>, task: &Task, cfg: &FixConfig) -> Result<Rep
     })
 }
 
+/// The permit set of every distinct ACL of `before` and of the update, each
+/// compiled once: slots that share an ACL (one policy on many interfaces,
+/// or a slot the update left alone) ask Eq. 6 the same question.
+fn distinct_permit_sets(before: &AclConfig, after: &AclConfig) -> Vec<PacketSet> {
+    let mut acls: Vec<&Acl> = Vec::new();
+    for config in [before, after] {
+        for slot in config.slots() {
+            let acl = config.get(slot).expect("listed by slots()");
+            if !acls.contains(&acl) {
+                acls.push(acl);
+            }
+        }
+    }
+    acls.into_iter().map(Acl::permit_set).collect()
+}
+
 /// Enlarge a counterexample into its neighborhood (Eq. 6): the largest
 /// per-field prefix expansion whose packets all behave exactly like `h` —
-/// same side of every member of the scope's predicate `family` (forwarding
-/// everywhere in scope, and the control regions: §6, r functions
-/// participate in neighborhoods), same decision under every ACL of both
-/// configurations (supplied as precompiled permit sets) — and that avoids
-/// previously excluded neighborhoods (keeping neighborhoods pairwise
-/// disjoint).
-fn expand_neighborhood(
-    family: &[PacketSet],
-    slots: &[Slot],
-    before_sets: &HashMap<Slot, PacketSet>,
-    after_sets: &HashMap<Slot, PacketSet>,
-    excluded: &PacketSet,
+/// on `h`'s side of every predicate of `preds` — and that avoids the
+/// `excluded` earlier neighborhoods (keeping neighborhoods pairwise
+/// disjoint). `preds` is the scope's predicate family (forwarding
+/// everywhere in scope, and the control regions: §6, r functions participate
+/// in neighborhoods) and the permit set of every ACL of `before` and of the
+/// update.
+///
+/// The update's sets stand in for the repaired configuration's: the two
+/// decide alike outside `excluded`, a candidate that touches `excluded` is
+/// rejected on that ground alone, and `h` — a fresh counterexample — lies
+/// outside it. No set is built: each candidate cube is tested against the
+/// cube lists as they are, first failure wins.
+fn expand_neighborhood<'a>(
+    preds: impl Iterator<Item = &'a PacketSet>,
+    excluded: &[Cube],
     h: &Packet,
 ) -> MatchSpec {
-    // Keep the region representation compact: side_of fragments it, and
-    // with dozens of predicates the fragmentation compounds quadratically.
-    let compact = |r: PacketSet| if r.cube_count() > 48 { r.coalesce() } else { r };
-    // The equivalence region E of h. Refine from the full space first —
-    // the ACL predicates shrink E to rule-sized regions quickly — and only
-    // subtract the (potentially very fragmented) exclusion set at the end.
-    let mut region = PacketSet::full();
-    // ACL decision models of both configurations.
-    for slot in slots {
-        region = compact(side_of(region, &before_sets[slot], h));
-        region = compact(side_of(region, &after_sets[slot], h));
-    }
-    // Forwarding predicates and control regions.
-    for g in family {
-        region = compact(side_of(region, g, h));
-        debug_assert!(region.contains(h));
-    }
-    // Exclude already-repaired neighborhoods last (keeps neighborhoods
-    // pairwise disjoint); counterexamples never lie inside them.
-    region = compact(region.subtract(excluded));
-    debug_assert!(region.contains(h));
+    let sides: Vec<(&PacketSet, bool)> = preds.map(|p| (p, p.contains(h))).collect();
+    let behaves_like_h = |c: &Cube| {
+        excluded.iter().all(|e| e.intersect(c).is_none())
+            && sides
+                .iter()
+                .all(|&(p, inside)| if inside { p.covers(c) } else { !p.meets(c) })
+    };
 
     // Binary-search the largest prefix expansion per field.
     let mut cube = Cube::singleton(h);
+    debug_assert!(behaves_like_h(&cube), "{h} is a fresh counterexample");
     for f in Field::ALL {
         let w = f.width();
         let value = h.field(f);
-        // Smallest prefix length (= widest interval) that stays within E.
+        // Smallest prefix length (= widest interval) that stays uniform.
         let mut lo = 0u32; // candidate length (widest)
         let mut hi = w; // current known-good length (narrowest)
         while lo < hi {
             let mid = (lo + hi) / 2;
-            let candidate = cube.with(f, Interval::from_prefix(value, mid, w));
-            if PacketSet::from_cube(candidate).is_subset(&region) {
+            if behaves_like_h(&cube.with(f, Interval::from_prefix(value, mid, w))) {
                 hi = mid;
             } else {
                 lo = mid + 1;
@@ -775,15 +786,6 @@ fn expand_neighborhood(
         cube = cube.with(f, Interval::from_prefix(value, hi, w));
     }
     cube_to_matchspec(&cube, h)
-}
-
-/// Keep the side of `pred` that contains `h`.
-fn side_of(region: PacketSet, pred: &PacketSet, h: &Packet) -> PacketSet {
-    if pred.contains(h) {
-        region.intersect(pred)
-    } else {
-        region.subtract(pred)
-    }
 }
 
 /// Convert a prefix-aligned cube back into a rule tuple. `h` supplies the
@@ -819,6 +821,8 @@ mod tests {
     use crate::check::check_exact;
     use crate::figure1::Figure1;
     use jinjing_lai::Command;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn fig1_task() -> (Figure1, Task) {
         let f = Figure1::new();
@@ -838,6 +842,288 @@ mod tests {
             command: Command::Fix,
         };
         (f, task)
+    }
+
+    /// Eq. 6 as the engine computed it before it stopped building sets,
+    /// kept as the reference [`expand_neighborhood`] must agree with: build
+    /// `h`'s equivalence region — `h`'s side of every slot's permit set in
+    /// both configurations and of every family predicate, minus the earlier
+    /// neighborhoods — then binary-search prefix lengths by `is_subset`.
+    fn expand_by_region(
+        family: &[PacketSet],
+        slots: &[Slot],
+        before_sets: &HashMap<Slot, PacketSet>,
+        after_sets: &HashMap<Slot, PacketSet>,
+        excluded: &PacketSet,
+        h: &Packet,
+    ) -> MatchSpec {
+        let compact = |r: PacketSet| if r.cube_count() > 48 { r.coalesce() } else { r };
+        let side_of = |region: PacketSet, pred: &PacketSet| {
+            compact(if pred.contains(h) {
+                region.intersect(pred)
+            } else {
+                region.subtract(pred)
+            })
+        };
+        let mut region = PacketSet::full();
+        for slot in slots {
+            region = side_of(region, &before_sets[slot]);
+            region = side_of(region, &after_sets[slot]);
+        }
+        for g in family {
+            region = side_of(region, g);
+        }
+        region = compact(region.subtract(excluded));
+        assert!(region.contains(h));
+
+        let mut cube = Cube::singleton(h);
+        for f in Field::ALL {
+            let w = f.width();
+            let value = h.field(f);
+            let mut lo = 0u32;
+            let mut hi = w;
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                let candidate = cube.with(f, Interval::from_prefix(value, mid, w));
+                if PacketSet::from_cube(candidate).is_subset(&region) {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            cube = cube.with(f, Interval::from_prefix(value, hi, w));
+        }
+        cube_to_matchspec(&cube, h)
+    }
+
+    /// [`expand_by_region`] with every permit set compiled afresh, over
+    /// every slot either configuration fills.
+    fn reference(
+        family: &[PacketSet],
+        before: &AclConfig,
+        current: &AclConfig,
+        excluded: &[Cube],
+        h: &Packet,
+    ) -> MatchSpec {
+        let mut slots = before.slots();
+        slots.extend(current.slots());
+        slots.sort();
+        slots.dedup();
+        let compile = |config: &AclConfig| -> HashMap<Slot, PacketSet> {
+            (slots.iter().map(|&s| (s, config.slot_permit_set(s)))).collect()
+        };
+        let earlier = excluded.iter().fold(PacketSet::empty(), |set, c| {
+            set.union(&PacketSet::from_cube(*c))
+        });
+        expand_by_region(
+            family,
+            &slots,
+            &compile(before),
+            &compile(current),
+            &earlier,
+            h,
+        )
+    }
+
+    /// The 32 corners of `cube` and `interior` packets drawn inside it.
+    fn probes(cube: &Cube, interior: usize, rng: &mut StdRng) -> Vec<Packet> {
+        let mut out = Vec::new();
+        for corner in 0..32u32 {
+            let mut p = cube.sample();
+            for f in Field::ALL {
+                if corner >> f.index() & 1 == 1 {
+                    p.set_field(f, cube.get(f).hi());
+                }
+            }
+            out.push(p);
+        }
+        for _ in 0..interior {
+            let mut p = cube.sample();
+            for f in Field::ALL {
+                let iv = cube.get(f);
+                p.set_field(f, rng.random_range(iv.lo()..=iv.hi()));
+            }
+            out.push(p);
+        }
+        out
+    }
+
+    /// Called by `fix_iterative` on every counterexample of every unit test
+    /// in this crate, before the placement: `m` is what the reference
+    /// returns with every permit set — the repaired configuration's
+    /// included — compiled afresh; and, packet by packet with first-match
+    /// evaluation only, `m`'s corners and some interior packets get `h`'s
+    /// decision from every ACL of `before` and of `current`, sit on `h`'s
+    /// side of every family predicate and in no earlier neighborhood.
+    pub(super) fn check_enlargement(
+        model: &ScopeModel<'_>,
+        task: &Task,
+        current: &AclConfig,
+        excluded: &[Cube],
+        h: &Packet,
+        m: &MatchSpec,
+    ) {
+        let reference = reference(model.family(), &task.before, current, excluded, h);
+        assert_eq!(*m, reference, "enlarging {h}");
+
+        let mut rng = StdRng::seed_from_u64(u64::from(h.sip) << 32 | u64::from(h.dip));
+        for p in probes(&m.cube(), 8, &mut rng) {
+            for config in [&task.before, current] {
+                for slot in config.slots() {
+                    assert_eq!(
+                        config.slot_permits(slot, &p),
+                        config.slot_permits(slot, h),
+                        "{p} in {m} leaves {h} at {slot:?}"
+                    );
+                }
+            }
+            for g in model.family() {
+                assert_eq!(g.contains(&p), g.contains(h), "{p} in {m} leaves {h}");
+            }
+            assert!(!excluded.iter().any(|e| e.contains(&p)), "{p} in {m}");
+        }
+    }
+
+    /// A rule-shaped tuple over a handful of prefixes and port ranges, so
+    /// that independently drawn tuples nest and overlap. One protocol only:
+    /// a `MatchSpec` names one protocol or all of them, so an enlargement
+    /// must end on one of the two (`cube_to_matchspec` asserts it).
+    fn random_match(rng: &mut StdRng) -> MatchSpec {
+        const NETS: [u32; 4] = [0x0a00_0000, 0x0a01_0000, 0x0a01_0200, 0xc0a8_0000];
+        const PORTS: [(u16, u16); 4] = [(0, 1023), (80, 80), (443, 8080), (1024, 65535)];
+        let prefix = |rng: &mut StdRng| {
+            let len = [0, 8, 16, 24][rng.random_range(0..4usize)];
+            IpPrefix::new(NETS[rng.random_range(0..4usize)], len)
+        };
+        let ports = |rng: &mut StdRng| {
+            if rng.random() {
+                PortRange::any()
+            } else {
+                let (lo, hi) = PORTS[rng.random_range(0..4usize)];
+                PortRange::new(lo, hi)
+            }
+        };
+        MatchSpec {
+            src: prefix(rng),
+            dst: prefix(rng),
+            sport: ports(rng),
+            dport: ports(rng),
+            proto: rng
+                .random::<bool>()
+                .then(|| jinjing_acl::Proto::from_number(6)),
+        }
+    }
+
+    fn random_acl(rng: &mut StdRng) -> Acl {
+        let rules = (0..rng.random_range(0..6usize))
+            .map(|_| Rule::new(Action::from_bool(rng.random()), random_match(rng)))
+            .collect();
+        Acl::new(rules, Action::from_bool(rng.random()))
+    }
+
+    /// A packet of that protocol on or next to the boundaries
+    /// [`random_match`] draws.
+    fn random_packet(rng: &mut StdRng) -> Packet {
+        let m = random_match(rng);
+        let mut p = probes(&m.cube(), 0, rng)[rng.random_range(0..32usize)];
+        if rng.random() {
+            let f = Field::ALL[rng.random_range(0..4usize)];
+            p.set_field(f, (p.field(f) + 1) & f.max_value());
+        }
+        p.proto = 6;
+        p
+    }
+
+    /// Old and new enlargement agree on random instances — ACL pairs per
+    /// slot (some slots untouched by the update, some sharing an ACL), a
+    /// predicate family, and a run of counterexamples each enlarged against
+    /// the neighborhoods before it, with fixing rules prepended in between
+    /// as a placement would.
+    #[test]
+    fn enlargement_matches_the_region_reference_on_random_instances() {
+        let mut enlarged = 0;
+        for case in 0..300u64 {
+            let rng = &mut StdRng::seed_from_u64(0x0e96_0000 + case);
+            let slots: Vec<Slot> = (0..rng.random_range(1..4u32))
+                .map(|i| Slot::ingress(jinjing_net::IfaceId(i)))
+                .collect();
+            let mut before = AclConfig::new();
+            let mut after = AclConfig::new();
+            let shared = random_acl(rng);
+            for &slot in &slots {
+                let acl = if rng.random() {
+                    shared.clone()
+                } else {
+                    random_acl(rng)
+                };
+                after.set(
+                    slot,
+                    if rng.random() {
+                        acl.clone()
+                    } else {
+                        random_acl(rng)
+                    },
+                );
+                before.set(slot, acl);
+            }
+            let family: Vec<PacketSet> = (0..rng.random_range(0..3usize))
+                .map(|_| {
+                    let cubes = (0..rng.random_range(1..4usize)).map(|_| random_match(rng).cube());
+                    PacketSet::from_cubes(cubes.collect())
+                })
+                .collect();
+
+            let acl_sets = distinct_permit_sets(&before, &after);
+            let mut current = after.clone();
+            let mut excluded: Vec<Cube> = Vec::new();
+            for _ in 0..6 {
+                let h = random_packet(rng);
+                if excluded.iter().any(|e| e.contains(&h)) {
+                    continue;
+                }
+                let m = expand_neighborhood(acl_sets.iter().chain(&family), &excluded, &h);
+                let expected = reference(&family, &before, &current, &excluded, &h);
+                assert_eq!(m, expected, "case {case}: enlarging {h} after {excluded:?}");
+                enlarged += 1;
+                excluded.push(m.cube());
+                let adds: Vec<(Slot, Rule)> = slots
+                    .iter()
+                    .filter_map(|&slot| {
+                        let action = Action::from_bool(rng.random());
+                        rng.random::<bool>().then(|| (slot, Rule::new(action, m)))
+                    })
+                    .collect();
+                apply_placement(&mut current, &mut Vec::new(), &adds);
+            }
+        }
+        assert!(enlarged > 1000, "only {enlarged} enlargements compared");
+    }
+
+    /// [`check_enlargement`] on every counterexample of a generated WAN's
+    /// repair (Figure 1's are covered by every other test of this module).
+    #[test]
+    fn small_wan_enlargements_match_the_region_reference() {
+        use jinjing_wan::{build_wan, scenarios, NetSize, WanParams};
+        let wan = build_wan(&WanParams::preset(NetSize::Small));
+        // The scenario carries the library build's `Task`; this test build
+        // has its own, made of the same `jinjing-net` / `jinjing-lai` parts.
+        let t = scenarios::checkfix(&wan, 0.05, 11, Command::Fix).task;
+        let task = Task {
+            scope: t.scope,
+            allow: t.allow,
+            before: t.before,
+            after: t.after,
+            modified: t.modified,
+            controls: Vec::new(),
+            command: t.command,
+        };
+        let plan = fix(&wan.net, &task, &FixConfig::default()).unwrap();
+        assert!(plan.neighborhoods.len() > 10, "{:?}", plan.neighborhoods);
+        for (i, a) in plan.neighborhoods.iter().enumerate() {
+            for b in &plan.neighborhoods[i + 1..] {
+                assert!(!a.overlaps(b), "{a} overlaps {b}");
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,101 @@
+#!/usr/bin/env bash
+# Alternating parent/change pairs through the ruler (ROADMAP ground rule (i)).
+#
+#   scripts/pairs.sh PARENT_TREE CHANGE_TREE WORKLOAD [PAIRS] [SECONDS] [SEED]
+#
+# Each tree is a checkout; each is measured by its *own*
+# `benchmark/run.sh --workload W --seed S --seconds T --trace 0` (which
+# builds what it runs from that checkout). The side that runs first flips
+# every pair. Every run is printed, failed operations included; then, per
+# end-to-end metric of BENCHMARK.json, both medians, both quartile pairs and
+# the pair-wise wins (ties count for neither side). A gain holds when the
+# change wins at least nine tenths of the pairs and the medians differ by
+# more than the parent's own inter-quartile distance — the script prints the
+# numbers, the reader draws the conclusion.
+#
+# Defaults: 10 pairs, BENCHMARK.json's run_seconds, the ruler's default seed.
+set -euo pipefail
+
+if [ $# -lt 3 ]; then
+    sed -n '2,5p' "$0" >&2
+    exit 2
+fi
+parent="$(cd "$1" && pwd)"
+change="$(cd "$2" && pwd)"
+workload="$3"
+pairs="${4:-10}"
+manifest="$change/BENCHMARK.json"
+seconds="${5:-$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' "$manifest")}"
+seed="${6:-0xBE7C0000}"
+
+runs="$(mktemp)"
+trap 'rm -f "$runs"' EXIT
+
+one_run() { # one_run <pair> <side> <tree>
+    local line
+    line="$(bash "$3/benchmark/run.sh" --workload "$workload" --seed "$seed" \
+        --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1)"
+    printf '%s\t%s\t%s\n' "$1" "$2" "$line" >>"$runs"
+    printf 'pair %2d %-6s %s\n' "$1" "$2" "$(summary "$line")"
+}
+
+summary() { # the end-to-end metrics and the op counts of one result line
+    python3 - "$manifest" "$1" <<'EOF'
+import json, sys
+names = [m["name"] for m in json.load(open(sys.argv[1]))["end_to_end"]]
+r = json.loads(sys.argv[2])
+cells = [f"{n} {r['metrics'][n]['value']:.4g}" for n in names]
+print("  ".join(cells + [f"ops {r['attempted']} failed {r['failed']}"]))
+EOF
+}
+
+echo "pairs.sh: $workload, $pairs pairs, $seconds s, seed $seed"
+echo "pairs.sh: parent $parent"
+echo "pairs.sh: change $change"
+for ((i = 1; i <= pairs; i++)); do
+    if ((i % 2)); then
+        one_run "$i" parent "$parent"
+        one_run "$i" change "$change"
+    else
+        one_run "$i" change "$change"
+        one_run "$i" parent "$parent"
+    fi
+done
+
+python3 - "$manifest" "$runs" <<'EOF'
+import json, sys
+
+def quantile(sorted_values, q):
+    # Linear interpolation between order statistics.
+    at = q * (len(sorted_values) - 1)
+    lo = int(at)
+    hi = min(lo + 1, len(sorted_values) - 1)
+    return sorted_values[lo] + (sorted_values[hi] - sorted_values[lo]) * (at - lo)
+
+metrics = json.load(open(sys.argv[1]))["end_to_end"]
+by_pair = {}
+for line in open(sys.argv[2]):
+    pair, side, result = line.rstrip("\n").split("\t", 2)
+    by_pair.setdefault(int(pair), {})[side] = json.loads(result)
+pairs = [by_pair[k] for k in sorted(by_pair)]
+failed = {s: sum(p[s]["failed"] for p in pairs) for s in ("parent", "change")}
+attempted = {s: sum(p[s]["attempted"] for p in pairs) for s in ("parent", "change")}
+print(f"\nfailed ops: parent {failed['parent']}/{attempted['parent']}, "
+      f"change {failed['change']}/{attempted['change']}")
+for m in metrics:
+    name, lower = m["name"], m["better"] == "lower"
+    side = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in ("parent", "change")}
+    wins = {"parent": 0, "change": 0}
+    for a, b in zip(side["parent"], side["change"]):
+        if a != b:
+            wins["change" if (b < a) == lower else "parent"] += 1
+    print(f"{name} ({m['unit']}, {m['better']} is better, bound {m['bound']:.0%})")
+    for s in ("parent", "change"):
+        v = sorted(side[s])
+        print(f"  {s}: median {quantile(v, 0.5):.4g}  quartiles {quantile(v, 0.25):.4g} .. "
+              f"{quantile(v, 0.75):.4g}  range {v[0]:.4g} .. {v[-1]:.4g}")
+    p, c = quantile(sorted(side["parent"]), 0.5), quantile(sorted(side["change"]), 0.5)
+    ratio = f"{c / p:.3f}" if p else "n/a"
+    print(f"  change/parent {ratio}; pairs won: change {wins['change']}, "
+          f"parent {wins['parent']}, of {len(pairs)}")
+EOF

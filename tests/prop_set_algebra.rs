@@ -113,6 +113,16 @@ fn subset_consistency() {
         assert_eq!(a.is_subset(b), a.subtract(b).is_empty());
         assert!(a.intersect(b).is_subset(a));
         assert!(a.is_subset(&a.union(b)));
+        // The single-cube forms answer as the set forms do, also against a
+        // representation no single cube of which covers the candidate.
+        let shattered = a.subtract(b).union(&a.intersect(b));
+        for c in a.cubes() {
+            let alone = PacketSet::from_cube(*c);
+            assert_eq!(b.covers(c), alone.is_subset(b));
+            assert_eq!(b.meets(c), alone.intersects(b));
+            assert!(shattered.covers(c));
+        }
+        assert!(a.subtract(b).cubes().iter().all(|c| !b.meets(c)));
     });
 }
 
