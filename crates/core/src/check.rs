@@ -1378,6 +1378,43 @@ mod per_acl_tests {
             .all(|s| s.len() == stores[0].len() && !s.is_empty()));
     }
 
+    /// The circuit sharing, pinned by the solver's own deterministic
+    /// counters: an Eq. 3 query over a two-hop chain whose first hop swaps
+    /// two disjoint neighbours across a tree-pair boundary (an equivalent
+    /// rewrite) and whose second hop is untouched, inside the swapped
+    /// rules' cover. With one hash-consed builder the sides differ in a
+    /// handful of gates. Before gates were shared and aligned blocks were
+    /// prefixes the same call read vars 6483, clauses 23551, conflicts 15.
+    #[test]
+    fn equivalent_rewrite_counters_are_pinned() {
+        use jinjing_acl::parse::parse_rule;
+        let ladder = |third_octet: u32| -> Vec<jinjing_acl::Rule> {
+            (0..48u32)
+                .map(|i| {
+                    let action = if i % 3 == 0 { "permit" } else { "deny" };
+                    let (lo, hi) = (1000 + 10 * i, 2000 + 10 * i);
+                    let text = format!("{action} dst 10.{i}.{third_octet}.0/24 dport {lo}-{hi}");
+                    parse_rule(&text).unwrap()
+                })
+                .collect()
+        };
+        let rules = ladder(0);
+        let mut swapped = rules.clone();
+        swapped.swap(5, 6);
+        let cover = PacketSet::from_cubes(vec![rules[5].matches.cube(), rules[6].matches.cube()]);
+        let permit = jinjing_acl::Action::Permit;
+        let (before, after) = (Acl::new(rules, permit), Acl::new(swapped, permit));
+        let untouched = Acl::new(ladder(1), permit);
+        let chain = [(&before, &after), (&untouched, &untouched)];
+
+        let solved = run_query(&chain, None, Encoding::Tree, Some(&cover), None);
+        assert_eq!(solved.result, SolveResult::Unsat);
+        assert_eq!(
+            (solved.vars, solved.clauses, solved.stats.conflicts),
+            (1575, 6625, 3)
+        );
+    }
+
     /// Fuzz the store at report level: for random before/after config
     /// pairs, `check_per_acl` with a private store per run (every query
     /// solved), with one store shared across cases (so cross-case replays

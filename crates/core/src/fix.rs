@@ -783,9 +783,21 @@ fn expand_neighborhood<'a>(
                 lo = mid + 1;
             }
         }
-        cube = cube.with(f, Interval::from_prefix(value, hi, w));
+        cube = cube.with(f, Interval::from_prefix(value, rule_shaped(f, hi), w));
     }
     cube_to_matchspec(&cube, h)
+}
+
+/// The prefix length Eq. 6's search on `f` may end at: any for addresses and
+/// ports, but a rule names one protocol or all of them, so a protocol block
+/// in between (ACLs name some protocols, `h` carries another) narrows to
+/// `h`'s protocol alone — always uniform, `h` is one packet.
+fn rule_shaped(f: Field, len: u32) -> u32 {
+    if f == Field::Proto && len != 0 {
+        f.width()
+    } else {
+        len
+    }
 }
 
 /// Convert a prefix-aligned cube back into a rule tuple. `h` supplies the
@@ -806,12 +818,7 @@ fn cube_to_matchspec(cube: &Cube, h: &Packet) -> MatchSpec {
         dst,
         sport: PortRange::new(sp.lo() as u16, sp.hi() as u16),
         dport: PortRange::new(dp.lo() as u16, dp.hi() as u16),
-        proto: if pr.is_full(Field::Proto) {
-            None
-        } else {
-            debug_assert_eq!(pr.lo(), pr.hi());
-            Some(jinjing_acl::Proto::from_number(pr.lo() as u8))
-        },
+        proto: (!pr.is_full(Field::Proto)).then(|| jinjing_acl::Proto::from_number(h.proto)),
     }
 }
 
@@ -891,7 +898,7 @@ mod tests {
                     lo = mid + 1;
                 }
             }
-            cube = cube.with(f, Interval::from_prefix(value, hi, w));
+            cube = cube.with(f, Interval::from_prefix(value, rule_shaped(f, hi), w));
         }
         cube_to_matchspec(&cube, h)
     }
@@ -984,10 +991,13 @@ mod tests {
         }
     }
 
+    /// Rules name one of the first three; packets carry any of the four.
+    const PROTOS: [u8; 4] = [1, 6, 17, 47];
+
     /// A rule-shaped tuple over a handful of prefixes and port ranges, so
-    /// that independently drawn tuples nest and overlap. One protocol only:
-    /// a `MatchSpec` names one protocol or all of them, so an enlargement
-    /// must end on one of the two (`cube_to_matchspec` asserts it).
+    /// that independently drawn tuples nest and overlap. Protocols are named
+    /// too, so Eq. 6's search on the protocol field can stop at a block that
+    /// is neither one protocol nor all of them.
     fn random_match(rng: &mut StdRng) -> MatchSpec {
         const NETS: [u32; 4] = [0x0a00_0000, 0x0a01_0000, 0x0a01_0200, 0xc0a8_0000];
         const PORTS: [(u16, u16); 4] = [(0, 1023), (80, 80), (443, 8080), (1024, 65535)];
@@ -1010,7 +1020,7 @@ mod tests {
             dport: ports(rng),
             proto: rng
                 .random::<bool>()
-                .then(|| jinjing_acl::Proto::from_number(6)),
+                .then(|| jinjing_acl::Proto::from_number(PROTOS[rng.random_range(0..3usize)])),
         }
     }
 
@@ -1021,8 +1031,8 @@ mod tests {
         Acl::new(rules, Action::from_bool(rng.random()))
     }
 
-    /// A packet of that protocol on or next to the boundaries
-    /// [`random_match`] draws.
+    /// A packet on or next to the boundaries [`random_match`] draws, of a
+    /// protocol the rules name or of one they never do.
     fn random_packet(rng: &mut StdRng) -> Packet {
         let m = random_match(rng);
         let mut p = probes(&m.cube(), 0, rng)[rng.random_range(0..32usize)];
@@ -1030,7 +1040,7 @@ mod tests {
             let f = Field::ALL[rng.random_range(0..4usize)];
             p.set_field(f, (p.field(f) + 1) & f.max_value());
         }
-        p.proto = 6;
+        p.proto = PROTOS[rng.random_range(0..4usize)];
         p
     }
 
@@ -1084,6 +1094,7 @@ mod tests {
                 let m = expand_neighborhood(acl_sets.iter().chain(&family), &excluded, &h);
                 let expected = reference(&family, &before, &current, &excluded, &h);
                 assert_eq!(m, expected, "case {case}: enlarging {h} after {excluded:?}");
+                assert!(m.matches(&h), "case {case}: {m} lost {h}");
                 enlarged += 1;
                 excluded.push(m.cube());
                 let adds: Vec<(Slot, Rule)> = slots

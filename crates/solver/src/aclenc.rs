@@ -191,6 +191,28 @@ mod tests {
         assert_eq!(c.solve(), SolveResult::Unsat);
     }
 
+    /// Two same-action neighbours swapped inside one tree pair leave the
+    /// circuit untouched: both sides are one literal and Eq. 3's miter is
+    /// the constant, no solver call needed.
+    #[test]
+    fn swap_inside_a_tree_pair_folds_the_miter() {
+        let before = sample_acl();
+        let mut rules = before.rules().to_vec();
+        assert_eq!(rules[2].action, rules[3].action);
+        rules.swap(2, 3);
+        let after = Acl::new(rules, before.default_action());
+        assert_ne!(before, after);
+
+        let mut c = CircuitBuilder::new();
+        let h = HeaderVars::new(&mut c);
+        let a = encode_tree(&mut c, &h, &before);
+        let size = (c.solver().num_vars(), c.solver().num_clauses());
+        let b = encode_tree(&mut c, &h, &after);
+        assert_eq!(a, b);
+        assert_eq!(c.iff(a, b), c.t());
+        assert_eq!((c.solver().num_vars(), c.solver().num_clauses()), size);
+    }
+
     #[test]
     fn empty_acl_encodes_to_default_constant() {
         for (acl, expect_true) in [(Acl::permit_all(), true), (Acl::deny_all(), false)] {

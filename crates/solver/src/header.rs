@@ -36,19 +36,7 @@ impl HeaderVars {
 
     /// Circuit: field equals the constant `value`.
     pub fn field_eq(&self, c: &mut CircuitBuilder, f: Field, value: u64) -> Lit {
-        let w = f.width();
-        let lits: Vec<Lit> = (0..w)
-            .map(|i| {
-                let bit = (value >> (w - 1 - i)) & 1 == 1;
-                let l = self.bits[f.index()][i as usize];
-                if bit {
-                    l
-                } else {
-                    !l
-                }
-            })
-            .collect();
-        c.and(&lits)
+        self.field_prefix(c, f, value, f.width())
     }
 
     /// Circuit: the top `len` bits of the field equal those of `value`
@@ -115,7 +103,18 @@ impl HeaderVars {
     }
 
     /// Circuit: `lo <= field <= hi`.
+    ///
+    /// A 2ᵏ-aligned block (one value and the whole field included) is the
+    /// prefix conjunction it is, so a port match, an `in_set` cube and a
+    /// [`field_prefix`](Self::field_prefix) naming the same block are one
+    /// gate; only ragged ranges pay for the two comparator ladders.
     pub fn field_range(&self, c: &mut CircuitBuilder, f: Field, lo: u64, hi: u64) -> Lit {
+        if lo <= hi && hi <= f.max_value() {
+            let size = hi - lo + 1;
+            if size.is_power_of_two() && lo % size == 0 {
+                return self.field_prefix(c, f, lo, f.width() - size.trailing_zeros());
+            }
+        }
         let ge = self.field_geq(c, f, lo);
         let le = self.field_leq(c, f, hi);
         c.and(&[ge, le])
@@ -325,6 +324,31 @@ mod tests {
         let eq = c.iff(a, b);
         c.assert(!eq);
         assert_eq!(c.solve(), SolveResult::Unsat);
+    }
+
+    /// An aligned block is the prefix gate, whoever asks for it: a range, a
+    /// single value, a rule's match or the same rule's cube in a set.
+    #[test]
+    fn aligned_blocks_are_the_prefix_gate() {
+        let mut c = CircuitBuilder::new();
+        let h = HeaderVars::new(&mut c);
+        let slash8 = h.field_prefix(&mut c, Field::DstIp, 0x0100_0000, 8);
+        let block = h.field_range(&mut c, Field::DstIp, 0x0100_0000, 0x01ff_ffff);
+        assert_eq!(block, slash8);
+        let low_ports = h.field_range(&mut c, Field::SrcPort, 0, 1023);
+        assert_eq!(low_ports, h.field_prefix(&mut c, Field::SrcPort, 0, 6));
+        let port = h.field_range(&mut c, Field::DstPort, 80, 80);
+        assert_eq!(port, h.field_eq(&mut c, Field::DstPort, 80));
+        assert_eq!(h.field_range(&mut c, Field::Proto, 0, 255), c.t());
+
+        let rule =
+            parse_rule("permit src 10.0.0.0/8 dst 1.0.0.0/8 sport 0-1023 dport 80 proto tcp")
+                .unwrap();
+        let matched = h.matches(&mut c, &rule.matches);
+        let size = (c.solver().num_vars(), c.solver().num_clauses());
+        let member = h.in_set(&mut c, &PacketSet::from_cube(rule.matches.cube()));
+        assert_eq!(member, matched);
+        assert_eq!((c.solver().num_vars(), c.solver().num_clauses()), size);
     }
 
     #[test]

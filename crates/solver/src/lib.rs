@@ -14,7 +14,8 @@
 //!   propagations, conflicts, maximum decision depth) that §9 of the paper
 //!   uses to explain *why* the optimizations work.
 //! - [`circuit`] — a Tseitin gate builder layering AND/OR/NOT/XOR/ITE/IFF
-//!   circuits (with constant folding) on top of the CNF database.
+//!   circuits (constant-folded and structurally hashed) on top of the CNF
+//!   database.
 //! - [`header`] — the 104-bit packet-header bit-blasting: per-field bit
 //!   vectors, prefix-match, range-comparator and match-spec circuits, and
 //!   model-to-[`Packet`](jinjing_acl::Packet) decoding.

@@ -11,7 +11,9 @@
 # the pair-wise wins (ties count for neither side). A gain holds when the
 # change wins at least nine tenths of the pairs and the medians differ by
 # more than the parent's own inter-quartile distance — the script prints the
-# numbers, the reader draws the conclusion.
+# numbers, the reader draws the conclusion. Last, one `--trace 1` run per
+# tree: every count-unit per-layer metric side by side, the ones that differ
+# marked — the deterministic counters a claim is read next to.
 #
 # Defaults: 10 pairs, BENCHMARK.json's run_seconds, the ruler's default seed.
 set -euo pipefail
@@ -98,4 +100,24 @@ for m in metrics:
     ratio = f"{c / p:.3f}" if p else "n/a"
     print(f"  change/parent {ratio}; pairs won: change {wins['change']}, "
           f"parent {wins['parent']}, of {len(pairs)}")
+EOF
+
+traced() { # traced <tree>: the result line of one traced run
+    bash "$1/benchmark/run.sh" --workload "$workload" --seed "$seed" \
+        --seconds "$seconds" --trace 1 2>/dev/null | tail -n 1
+}
+
+echo
+echo "counters: count-unit per-layer metrics, one --trace 1 run per tree (* = differs)"
+python3 - "$manifest" "$(traced "$parent")" "$(traced "$change")" <<'EOF'
+import json, sys
+
+names = [m["name"] for m in json.load(open(sys.argv[1]))["per_layer"] if m["unit"] == "count"]
+parent, change = (json.loads(arg)["metrics"] for arg in sys.argv[2:4])
+cell = lambda v: "-" if v is None else f"{v:.10g}"
+print(f"    {'metric':<28} {'parent':>14} {'change':>14}")
+for name in names:
+    a, b = (side.get(name, {}).get("value") for side in (parent, change))
+    if a is not None or b is not None:
+        print(f"  {'*' if a != b else ' '} {name:<28} {cell(a):>14} {cell(b):>14}")
 EOF

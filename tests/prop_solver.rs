@@ -1,11 +1,14 @@
 //! Property tests for the CDCL solver and circuit layer: the solver agrees
 //! with brute-force enumeration on random small formulas, models always
-//! satisfy the formula, and the arithmetic circuits (comparators,
-//! cardinality counters) agree with concrete arithmetic.
+//! satisfy the formula, the arithmetic circuits (comparators, cardinality
+//! counters) agree with concrete arithmetic, and circuits that share one
+//! hash-consed builder each keep their own meaning.
 
 mod cases;
 
 use jinjing_acl::packet::{Field, Packet};
+use jinjing_acl::{Acl, Action, IpPrefix, MatchSpec, PacketSet, PortRange, Proto, Rule};
+use jinjing_solver::aclenc::{encode_sequential, encode_tree};
 use jinjing_solver::card::counter_outputs;
 use jinjing_solver::cdcl::{SolveResult, Solver};
 use jinjing_solver::lit::{Lit, Var};
@@ -208,5 +211,119 @@ fn decode_inverts_assert() {
         h.assert_packet(&mut c, packet);
         assert_eq!(c.solve(), SolveResult::Sat);
         assert_eq!(&h.decode(&c), packet);
+    });
+}
+
+/// A rule tuple over small pools of prefixes, port ranges (aligned blocks,
+/// single ports and ragged ranges) and protocols, so that independently
+/// drawn tuples repeat each other's fields and their circuits share gates.
+fn pooled_match(rng: &mut StdRng) -> MatchSpec {
+    const NETS: [u32; 3] = [0x0a00_0000, 0x0a01_0000, 0x0a01_0200];
+    const PORTS: [(u16, u16); 6] = [
+        (0, 65535),
+        (0, 1023),
+        (80, 80),
+        (443, 8080),
+        (1024, 65535),
+        (8080, 8087),
+    ];
+    let prefix = |rng: &mut StdRng| {
+        let len = [0, 8, 16, 24][rng.random_range(0..4usize)];
+        IpPrefix::new(NETS[rng.random_range(0..3usize)], len)
+    };
+    let ports = |rng: &mut StdRng| {
+        let (lo, hi) = PORTS[rng.random_range(0..6usize)];
+        PortRange::new(lo, hi)
+    };
+    MatchSpec {
+        src: prefix(rng),
+        dst: prefix(rng),
+        sport: ports(rng),
+        dport: ports(rng),
+        proto: [None, Some(Proto::Tcp), Some(Proto::Udp)][rng.random_range(0..3usize)],
+    }
+}
+
+/// What one case encodes into a single builder.
+#[derive(Debug)]
+struct SharedCircuits {
+    acls: Vec<Acl>,
+    sets: Vec<PacketSet>,
+    packets: Vec<Packet>,
+}
+
+fn shared_circuits(rng: &mut StdRng) -> SharedCircuits {
+    let rule = |rng: &mut StdRng| Rule::new(Action::from_bool(rng.random()), pooled_match(rng));
+    let first: Vec<Rule> = (0..rng.random_range(1..9usize))
+        .map(|_| rule(rng))
+        .collect();
+    let mut acls = vec![Acl::new(first.clone(), Action::from_bool(rng.random()))];
+    // Edits of the first ACL (what an update looks like) and strangers.
+    for _ in 0..rng.random_range(1..4usize) {
+        let mut rules = first.clone();
+        let at = rng.random_range(0..rules.len());
+        match rng.random_range(0..4u32) {
+            0 => rules.swap(at, rng.random_range(0..first.len())),
+            1 => drop(rules.remove(at)),
+            2 => rules.insert(at, rule(rng)),
+            _ => rules = (0..at).map(|_| rule(rng)).collect(),
+        }
+        acls.push(Acl::new(rules, Action::from_bool(rng.random())));
+    }
+    let sets: Vec<PacketSet> = (0..rng.random_range(1..4usize))
+        .map(|_| {
+            let cubes = (0..rng.random_range(0..4usize)).map(|_| pooled_match(rng).cube());
+            PacketSet::from_cubes(cubes.collect())
+        })
+        .collect();
+    // Random packets, and the corners of a drawn tuple with a step outside.
+    let mut packets: Vec<Packet> = (0..3).map(|_| packet(rng)).collect();
+    let cube = pooled_match(rng).cube();
+    for corner in [0u32, 0b11111, rng.random_range(0..32u32)] {
+        let mut p = cube.sample();
+        for f in Field::ALL {
+            if corner >> f.index() & 1 == 1 {
+                p.set_field(f, cube.get(f).hi());
+            }
+        }
+        packets.push(p);
+        let f = Field::ALL[rng.random_range(0..5usize)];
+        p.set_field(f, (p.field(f) + 1) & f.max_value());
+        packets.push(p);
+    }
+    SharedCircuits {
+        acls,
+        sets,
+        packets,
+    }
+}
+
+/// Several ACLs in both encodings and several `in_set` memberships, all in
+/// one builder — so every gate two of them have in common is shared — still
+/// decide each packet as `Acl::permits` / `PacketSet::contains` do.
+#[test]
+fn circuits_sharing_a_builder_keep_their_meaning() {
+    let name = "circuits_sharing_a_builder_keep_their_meaning";
+    cases::run(SUITE, name, CASES, shared_circuits, |case| {
+        for p in &case.packets {
+            let mut c = CircuitBuilder::new();
+            let h = HeaderVars::new(&mut c);
+            let mut outputs: Vec<(Lit, bool, String)> = Vec::new();
+            for (i, acl) in case.acls.iter().enumerate() {
+                let tree = encode_tree(&mut c, &h, acl);
+                let seq = encode_sequential(&mut c, &h, acl);
+                outputs.push((tree, acl.permits(p), format!("tree of ACL {i}")));
+                outputs.push((seq, acl.permits(p), format!("chain of ACL {i}")));
+            }
+            for (i, set) in case.sets.iter().enumerate() {
+                let member = h.in_set(&mut c, set);
+                outputs.push((member, set.contains(p), format!("set {i}")));
+            }
+            h.assert_packet(&mut c, p);
+            assert_eq!(c.solve(), SolveResult::Sat);
+            for (lit, expected, what) in outputs {
+                assert_eq!(c.model_value(lit), expected, "{what} on {p}");
+            }
+        }
     });
 }
