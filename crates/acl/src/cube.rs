@@ -83,32 +83,36 @@ impl Cube {
     /// `self` that fall outside `other` in that field while being inside
     /// `other` in all previous fields. Produces at most 2 cubes per field
     /// (10 total); returns `vec![self]` untouched when the cubes are
-    /// disjoint.
+    /// disjoint. See [`Cube::subtract_into`] for the allocation-free form.
     pub fn subtract(&self, other: &Cube) -> Vec<Cube> {
-        let overlap = match self.intersect(other) {
-            Some(o) => o,
-            None => return vec![*self],
-        };
         let mut out = Vec::new();
+        self.subtract_into(other, &mut out);
+        out
+    }
+
+    /// Append the pieces of [`Cube::subtract`] to `out`, in the same order.
+    /// A disjoint pair pushes `self` and allocates nothing else.
+    pub fn subtract_into(&self, other: &Cube, out: &mut Vec<Cube>) {
+        let Some(overlap) = self.intersect(other) else {
+            out.push(*self);
+            return;
+        };
         // `carry` is the portion of `self` that matches `other` on all
-        // fields processed so far.
+        // fields processed so far. The cubes overlap in every field, so the
+        // parts of `self` outside `other` in `f` are at most one interval
+        // below `other` and one above it.
         let mut carry = *self;
         for f in Field::ALL {
-            let self_iv = carry.get(f);
-            let other_iv = other.get(f);
-            for outside in other_iv.complement(f) {
-                if let Some(piece) = self_iv.intersect(&outside) {
-                    out.push(carry.with(f, piece));
-                }
+            let (mine, theirs) = (self.get(f), other.get(f));
+            if mine.lo() < theirs.lo() {
+                out.push(carry.with(f, Interval::new(mine.lo(), theirs.lo() - 1)));
             }
-            // Narrow the carry to the overlapping part of this field.
-            let inner = self_iv
-                .intersect(&other_iv)
-                .expect("non-disjoint by overlap check");
-            carry = carry.with(f, inner);
+            if mine.hi() > theirs.hi() {
+                out.push(carry.with(f, Interval::new(theirs.hi() + 1, mine.hi())));
+            }
+            carry = carry.with(f, overlap.get(f));
         }
         debug_assert_eq!(carry, overlap);
-        out
     }
 
     /// Exact number of packets in the cube.

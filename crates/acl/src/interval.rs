@@ -110,6 +110,20 @@ impl Interval {
     pub fn is_full(&self, field: Field) -> bool {
         self.lo == 0 && self.hi == field.max_value()
     }
+
+    /// The maximal runs of a union of intervals: sorted, pairwise disjoint
+    /// and non-adjacent (overlapping and adjacent inputs are merged).
+    pub(crate) fn runs(mut ivs: Vec<Interval>) -> Vec<Interval> {
+        ivs.sort_unstable();
+        let mut runs: Vec<Interval> = Vec::with_capacity(ivs.len());
+        for iv in ivs {
+            match runs.last_mut() {
+                Some(last) if iv.lo <= last.hi.saturating_add(1) => last.hi = last.hi.max(iv.hi),
+                _ => runs.push(iv),
+            }
+        }
+        runs
+    }
 }
 
 impl fmt::Display for Interval {

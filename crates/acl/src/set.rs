@@ -118,12 +118,13 @@ impl PacketSet {
     /// `self \ other`. The result's cubes are pairwise disjoint.
     pub fn subtract(&self, other: &PacketSet) -> PacketSet {
         let mut current: Vec<Cube> = disjoin(&self.cubes);
+        let mut next = Vec::with_capacity(current.len());
         for b in &other.cubes {
-            let mut next = Vec::with_capacity(current.len());
-            for a in current {
-                next.extend(a.subtract(b));
+            for a in &current {
+                a.subtract_into(b, &mut next);
             }
-            current = next;
+            std::mem::swap(&mut current, &mut next);
+            next.clear();
             if current.is_empty() {
                 break;
             }
@@ -237,20 +238,8 @@ impl PacketSet {
                     groups.entry(key).or_default().push(c.get(f));
                 }
                 let mut next = Vec::with_capacity(cubes.len());
-                for (key, mut ivs) in groups {
-                    ivs.sort();
-                    let mut merged: Vec<Interval> = Vec::with_capacity(ivs.len());
-                    for iv in ivs {
-                        match merged.last_mut() {
-                            Some(last) if iv.lo() <= last.hi().saturating_add(1) => {
-                                if iv.hi() > last.hi() {
-                                    *last = Interval::new(last.lo(), iv.hi());
-                                }
-                            }
-                            _ => merged.push(iv),
-                        }
-                    }
-                    for iv in merged {
+                for (key, ivs) in groups {
+                    for iv in Interval::runs(ivs) {
                         let mut c = Cube::full().with(f, iv);
                         let mut ki = 0;
                         for g in Field::ALL {
@@ -299,19 +288,20 @@ impl PacketSet {
 /// Rewrite a cube union into an equivalent pairwise-disjoint union.
 fn disjoin(cubes: &[Cube]) -> Vec<Cube> {
     let mut out: Vec<Cube> = Vec::with_capacity(cubes.len());
+    let (mut pieces, mut next) = (Vec::new(), Vec::new());
     for c in cubes {
-        let mut pieces = vec![*c];
+        pieces.push(*c);
         for seen in &out {
-            let mut next = Vec::with_capacity(pieces.len());
-            for p in pieces {
-                next.extend(p.subtract(seen));
+            for p in &pieces {
+                p.subtract_into(seen, &mut next);
             }
-            pieces = next;
+            std::mem::swap(&mut pieces, &mut next);
+            next.clear();
             if pieces.is_empty() {
                 break;
             }
         }
-        out.extend(pieces);
+        out.append(&mut pieces);
     }
     out
 }

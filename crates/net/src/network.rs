@@ -11,6 +11,7 @@ use crate::fib::{prefix_set, Fib};
 use crate::ids::{DeviceId, Dir, IfaceId, Slot};
 use crate::topology::Topology;
 use jinjing_acl::{IpPrefix, PacketSet};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex};
 
@@ -292,13 +293,18 @@ impl Network {
     /// The traffic admitted at one interface: its explicit matrix entry, or
     /// (when no matrix was declared) the full announced universe.
     pub fn entering_at(&self, iface: IfaceId) -> PacketSet {
+        self.admitted_at(iface).into_owned()
+    }
+
+    /// [`Network::entering_at`], borrowing an explicit matrix entry.
+    fn admitted_at(&self, iface: IfaceId) -> Cow<'_, PacketSet> {
         if self.entering.is_empty() {
-            return self.announced_universe();
+            return Cow::Owned(self.announced_universe());
         }
         self.entering
             .iter()
             .find(|(i, _)| *i == iface)
-            .map_or_else(PacketSet::empty, |(_, s)| s.clone())
+            .map_or(Cow::Owned(PacketSet::empty()), |(_, s)| Cow::Borrowed(s))
     }
 
     /// The traffic entering a scope — the `X_Ω` of Algorithm 1: per ingress
@@ -347,18 +353,16 @@ impl Network {
         paths: &mut Vec<Path>,
     ) {
         visited.insert(dev);
-        let mut preds: Vec<(IfaceId, PacketSet)> = self
-            .forwarding_predicates(dev)
-            .iter()
-            .map(|(i, g)| (*i, g.clone()))
-            .collect();
+        let predicates = self.forwarding_predicates(dev);
+        let mut preds: Vec<(IfaceId, &PacketSet)> =
+            predicates.iter().map(|(i, g)| (*i, g)).collect();
         preds.sort_by_key(|(i, _)| *i);
         let in_iface = slots.last().expect("at least the ingress slot").iface;
         for (out, g) in preds {
             if out == in_iface {
                 continue;
             }
-            let narrowed = carried.intersect(&g);
+            let narrowed = carried.intersect(g);
             if narrowed.is_empty() {
                 continue;
             }
@@ -367,16 +371,7 @@ impl Network {
                 dir: Dir::Out,
             });
             match self.topo.peer(out) {
-                // Exits the scope (external, or peer outside scope).
-                None => paths.push(Path {
-                    slots: slots.clone(),
-                    carried: narrowed.clone(),
-                }),
-                Some(peer) if !scope.contains(self.topo.owner(peer)) => paths.push(Path {
-                    slots: slots.clone(),
-                    carried: narrowed.clone(),
-                }),
-                Some(peer) => {
+                Some(peer) if scope.contains(self.topo.owner(peer)) => {
                     let nd = self.topo.owner(peer);
                     if !visited.contains(&nd) {
                         slots.push(Slot {
@@ -387,6 +382,11 @@ impl Network {
                         slots.pop();
                     }
                 }
+                // Exits the scope (external, or peer outside scope).
+                _ => paths.push(Path {
+                    slots: slots.clone(),
+                    carried: narrowed,
+                }),
             }
             slots.pop();
         }
@@ -399,7 +399,7 @@ impl Network {
     pub fn all_paths_for_class(&self, scope: &Scope, class: &PacketSet) -> Vec<Path> {
         let mut out = Vec::new();
         for b in self.border_ifaces(scope) {
-            let admitted = class.intersect(&self.entering_at(b));
+            let admitted = class.intersect(&self.admitted_at(b));
             if admitted.is_empty() {
                 continue;
             }

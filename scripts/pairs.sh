@@ -13,7 +13,9 @@
 # more than the parent's own inter-quartile distance — the script prints the
 # numbers, the reader draws the conclusion. Last, one `--trace 1` run per
 # tree: every count-unit per-layer metric side by side, the ones that differ
-# marked — the deterministic counters a claim is read next to.
+# marked — the deterministic counters a claim is read next to — and every
+# ms-unit per-layer metric side by side with change/parent, where the time
+# a per-layer claim names is read (one run each: timings, not evidence).
 #
 # Defaults: 10 pairs, BENCHMARK.json's run_seconds, the ruler's default seed.
 set -euo pipefail
@@ -112,12 +114,25 @@ echo "counters: count-unit per-layer metrics, one --trace 1 run per tree (* = di
 python3 - "$manifest" "$(traced "$parent")" "$(traced "$change")" <<'EOF'
 import json, sys
 
-names = [m["name"] for m in json.load(open(sys.argv[1]))["per_layer"] if m["unit"] == "count"]
+per_layer = json.load(open(sys.argv[1]))["per_layer"]
 parent, change = (json.loads(arg)["metrics"] for arg in sys.argv[2:4])
 cell = lambda v: "-" if v is None else f"{v:.10g}"
+
+def rows(unit):
+    for m in per_layer:
+        if m["unit"] == unit:
+            a, b = (side.get(m["name"], {}).get("value") for side in (parent, change))
+            if a is not None or b is not None:
+                yield m["name"], a, b
+
 print(f"    {'metric':<28} {'parent':>14} {'change':>14}")
-for name in names:
-    a, b = (side.get(name, {}).get("value") for side in (parent, change))
-    if a is not None or b is not None:
-        print(f"  {'*' if a != b else ' '} {name:<28} {cell(a):>14} {cell(b):>14}")
+for name, a, b in rows("count"):
+    print(f"  {'*' if a != b else ' '} {name:<28} {cell(a):>14} {cell(b):>14}")
+print("\ntimings: ms-unit per-layer metrics the workload uses, the same two runs")
+print(f"    {'metric':<28} {'parent':>14} {'change':>14} {'change/parent':>14}")
+for name, a, b in rows("ms"):
+    if not a and not b:
+        continue
+    ratio = f"{b / a:.3f}" if a and b is not None else "-"
+    print(f"    {name:<28} {cell(a and round(a, 3)):>14} {cell(b and round(b, 3)):>14} {ratio:>14}")
 EOF

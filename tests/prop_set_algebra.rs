@@ -3,7 +3,9 @@
 //! and range-shaped, like real rules) as well as arbitrary intervals.
 
 mod cases;
+mod refine_reference;
 
+use jinjing_acl::atoms::{refine, RefineLimits};
 use jinjing_acl::cube::Cube;
 use jinjing_acl::decompose::{matchspecs_to_set, set_to_matchspecs};
 use jinjing_acl::interval::Interval;
@@ -167,4 +169,138 @@ fn double_complement() {
     cases::run(SUITE, "double_complement", CASES, packet_set, |a| {
         assert!(a.complement().complement().same_set(a));
     });
+}
+
+/// An interval whose ends are drawn from a few landmarks of the field (its
+/// ends, its middle and their neighbours), so that random intervals often
+/// touch, abut, nest and coincide.
+fn landmark_interval(rng: &mut StdRng, field: Field) -> Interval {
+    let max = field.max_value();
+    let marks = [
+        0,
+        1,
+        max / 4,
+        max / 4 + 1,
+        max / 2,
+        max / 2 + 1,
+        max - 1,
+        max,
+    ];
+    let (a, b) = (
+        marks[rng.random_range(0..marks.len())],
+        marks[rng.random_range(0..marks.len())],
+    );
+    Interval::new(a.min(b), a.max(b))
+}
+
+/// A cube constraining a random subset of the fields on landmarks.
+fn landmark_cube(rng: &mut StdRng) -> Cube {
+    Field::ALL.iter().fold(Cube::full(), |c, &f| {
+        if rng.random_range(0..2u32) == 0 {
+            c.with(f, landmark_interval(rng, f))
+        } else {
+            c
+        }
+    })
+}
+
+/// A predicate of the shape `D × full` on one field: dst like a forwarding
+/// predicate, but also sport or proto.
+fn one_field_predicate(rng: &mut StdRng) -> PacketSet {
+    let field = [Field::DstIp, Field::SrcPort, Field::Proto][rng.random_range(0..3usize)];
+    let n = rng.random_range(0..4usize);
+    PacketSet::from_cubes(
+        (0..n)
+            .map(|_| Cube::full().with(field, landmark_interval(rng, field)))
+            .collect(),
+    )
+}
+
+/// A universe over several fields and a family mixing one-field predicates
+/// with predicates on several fields, and a class limit that is sometimes
+/// small enough to trip.
+fn refinement(rng: &mut StdRng) -> (PacketSet, Vec<PacketSet>, usize) {
+    let universe = (0..rng.random_range(1..4usize))
+        .map(|_| landmark_cube(rng).with(Field::DstIp, landmark_interval(rng, Field::DstIp)))
+        .collect();
+    let family = (0..rng.random_range(1..9usize))
+        .map(|_| {
+            if rng.random_range(0..3u32) == 0 {
+                PacketSet::from_cubes(
+                    (0..rng.random_range(1..3usize))
+                        .map(|_| landmark_cube(rng))
+                        .collect(),
+                )
+            } else {
+                one_field_predicate(rng)
+            }
+        })
+        .collect();
+    let limit = if rng.random_range(0..2u32) == 0 {
+        rng.random_range(1..12usize)
+    } else {
+        usize::MAX
+    };
+    (PacketSet::from_cubes(universe), family, limit)
+}
+
+/// Refinement derives the plain loop's partition: the same classes in the
+/// same order with the same cube lists, and the same guard trip.
+#[test]
+fn refinement_is_the_plain_loop() {
+    cases::run(
+        SUITE,
+        "refinement_is_the_plain_loop",
+        CASES * 8,
+        refinement,
+        |(u, family, limit)| {
+            let limits = RefineLimits {
+                max_classes: *limit,
+            };
+            let got = refine(u, family, limits)
+                .map(|classes| classes.into_iter().map(|c| c.set).collect::<Vec<_>>())
+                .map_err(|e| e.predicates_done);
+            assert_eq!(got, refine_reference::refine(u, family, *limit));
+        },
+    );
+}
+
+/// `Cube::subtract` as it was written before `subtract_into`: per field, the
+/// parts of the carry inside the field complement of `other`.
+fn reference_subtract(a: &Cube, b: &Cube) -> Vec<Cube> {
+    if a.intersect(b).is_none() {
+        return vec![*a];
+    }
+    let mut out = Vec::new();
+    let mut carry = *a;
+    for f in Field::ALL {
+        for outside in b.get(f).complement(f) {
+            if let Some(piece) = carry.get(f).intersect(&outside) {
+                out.push(carry.with(f, piece));
+            }
+        }
+        carry = carry.with(f, carry.get(f).intersect(&b.get(f)).unwrap());
+    }
+    out
+}
+
+/// `subtract_into` appends exactly the pieces `subtract` returns, which are
+/// the pieces of the complement-based carve.
+#[test]
+fn subtract_into_is_subtract() {
+    let generate = |rng: &mut StdRng| (landmark_cube(rng), landmark_cube(rng), cube(rng));
+    cases::run(
+        SUITE,
+        "subtract_into_is_subtract",
+        CASES * 4,
+        generate,
+        |(a, b, before)| {
+            let pieces = a.subtract(b);
+            assert_eq!(pieces, reference_subtract(a, b));
+            let mut out = vec![*before];
+            a.subtract_into(b, &mut out);
+            assert_eq!(out[0], *before);
+            assert_eq!(out[1..], pieces[..]);
+        },
+    );
 }

@@ -2,6 +2,9 @@
 //! experiment scenario runs through the public API on the small preset and
 //! its result is certified by the exact checker.
 
+mod refine_reference;
+
+use jinjing_acl::atoms::RefineLimits;
 use jinjing_core::check::{
     check, check_configs, check_exact, CheckConfig, CheckOutcome, CheckReport,
 };
@@ -10,6 +13,7 @@ use jinjing_core::generate::{generate, GenerateConfig};
 use jinjing_core::{CheckSession, Delta, Encoding, IncrConfig};
 use jinjing_lai::printer::statement_count;
 use jinjing_lai::Command;
+use jinjing_net::ScopeModel;
 use jinjing_wan::{build_wan, scenarios, NetSize, WanParams};
 
 fn small() -> jinjing_wan::Wan {
@@ -265,4 +269,24 @@ fn session_replay_matches_cold_checks_and_prunes_most_pairs() {
         dirty_pairs * 2 < pairs_ceiling,
         "incremental pruning regressed: {dirty_pairs} dirty pairs vs ceiling {pairs_ceiling}"
     );
+}
+
+/// The pin that keeps refinement work byte-identical: the FEC partition of
+/// the medium preset is the plain loop's, cube for cube and in order. Class
+/// order and cube lists reach shard ownership, the stage-2 class constraint
+/// and every witness, so any future refinement must keep this green.
+#[test]
+fn medium_partition_is_the_plain_loop_cube_for_cube() {
+    let wan = build_wan(&WanParams::preset(NetSize::Medium));
+    let model = ScopeModel::new(&wan.net, wan.scope(), Vec::new(), RefineLimits::default());
+    let classes: Vec<_> = model
+        .classes()
+        .expect("partition")
+        .iter()
+        .map(|c| c.set.clone())
+        .collect();
+    let reference =
+        refine_reference::refine(model.universe(), model.family(), usize::MAX).expect("no limit");
+    assert!(classes.len() > 1, "{} classes", classes.len());
+    assert_eq!(classes, reference);
 }
