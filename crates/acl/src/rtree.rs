@@ -8,8 +8,20 @@
 //! O(log n + hits) instead of O(n), which is what makes the
 //! differential-rule preprocessing and the grouping overlap computations
 //! cheap on rule sets with thousands of entries.
+//!
+//! Both queries walk the tree by recursion and allocate nothing but
+//! [`RuleTree::overlapping`]'s answer. [`RuleTree::overlaps_any`] — the
+//! differential reduction asks it once per configured rule, and almost
+//! every answer is "no" — first looks the query's destination up in the
+//! maximal runs of the indexed destinations (`Interval::runs`): a query
+//! meeting no run meets no spec, and one binary search says so. The runs
+//! are built by the first `overlaps_any`, so a tree only ever asked
+//! `overlapping` (`simplify` builds one per removed rule) never pays for
+//! them.
 
+use crate::interval::Interval;
 use crate::rule::MatchSpec;
+use std::sync::OnceLock;
 
 /// A static overlap index over a fixed list of match specs.
 ///
@@ -25,6 +37,9 @@ use crate::rule::MatchSpec;
 pub struct RuleTree {
     specs: Vec<MatchSpec>,
     root: Option<Box<Node>>,
+    /// The maximal runs of the specs' dst intervals, built on first use by
+    /// [`RuleTree::overlaps_any`].
+    dst_runs: OnceLock<Vec<Interval>>,
 }
 
 #[derive(Debug, Clone)]
@@ -44,18 +59,20 @@ fn dst_bounds(m: &MatchSpec) -> (u64, u64) {
     (iv.lo(), iv.hi())
 }
 
+/// The midpoint of a spec's dst interval: always inside it (`lo/2 + hi/2`
+/// is not, for an odd host route, which then never settles at a node).
+fn dst_mid(m: &MatchSpec) -> u64 {
+    let (lo, hi) = dst_bounds(m);
+    lo + (hi - lo) / 2
+}
+
 fn build_node(specs: &[MatchSpec], mut idxs: Vec<usize>) -> Option<Box<Node>> {
     if idxs.is_empty() {
         return None;
     }
     // Median of interval midpoints as the center.
-    idxs.sort_by_key(|&i| {
-        let (lo, hi) = dst_bounds(&specs[i]);
-        lo / 2 + hi / 2
-    });
-    let mid = idxs[idxs.len() / 2];
-    let (mlo, mhi) = dst_bounds(&specs[mid]);
-    let center = mlo / 2 + mhi / 2;
+    idxs.sort_by_key(|&i| dst_mid(&specs[i]));
+    let center = dst_mid(&specs[idxs[idxs.len() / 2]]);
     let mut here = Vec::new();
     let mut left = Vec::new();
     let mut right = Vec::new();
@@ -82,12 +99,53 @@ fn build_node(specs: &[MatchSpec], mut idxs: Vec<usize>) -> Option<Box<Node>> {
     }))
 }
 
+impl Node {
+    /// Offer every spec of this subtree overlapping `query` (whose dst
+    /// interval is `[qlo, qhi]`) to `hit`, until `hit` returns `true`;
+    /// returns whether it did.
+    fn visit(
+        &self,
+        specs: &[MatchSpec],
+        query: &MatchSpec,
+        (qlo, qhi): (u64, u64),
+        hit: &mut impl FnMut(usize) -> bool,
+    ) -> bool {
+        let mut offer = |&i: &usize| specs[i].overlaps(query) && hit(i);
+        let stopped = if qhi < self.center {
+            // Only intervals starting at or below qhi can overlap.
+            self.by_lo
+                .iter()
+                .take_while(|&&i| dst_bounds(&specs[i]).0 <= qhi)
+                .any(&mut offer)
+        } else if qlo > self.center {
+            // Only intervals ending at or above qlo can overlap.
+            self.by_hi
+                .iter()
+                .take_while(|&&i| dst_bounds(&specs[i]).1 >= qlo)
+                .any(&mut offer)
+        } else {
+            // The query spans the center: every centered interval's dst
+            // overlaps; the remaining fields decide.
+            self.by_lo.iter().any(&mut offer)
+        };
+        stopped
+            || (qlo <= self.center
+                && (self.left.as_deref()).is_some_and(|n| n.visit(specs, query, (qlo, qhi), hit)))
+            || (qhi >= self.center
+                && (self.right.as_deref()).is_some_and(|n| n.visit(specs, query, (qlo, qhi), hit)))
+    }
+}
+
 impl RuleTree {
     /// Build the index. O(n log n).
     pub fn build(specs: Vec<MatchSpec>) -> RuleTree {
         let idxs: Vec<usize> = (0..specs.len()).collect();
         let root = build_node(&specs, idxs);
-        RuleTree { specs, root }
+        RuleTree {
+            specs,
+            root,
+            dst_runs: OnceLock::new(),
+        }
     }
 
     /// Number of indexed specs.
@@ -104,98 +162,29 @@ impl RuleTree {
     /// `query`, in unspecified order.
     pub fn overlapping(&self, query: &MatchSpec) -> Vec<usize> {
         let mut out = Vec::new();
-        let (qlo, qhi) = dst_bounds(query);
-        let mut stack: Vec<&Node> = self.root.as_deref().into_iter().collect();
-        while let Some(node) = stack.pop() {
-            if qhi < node.center {
-                // Only intervals starting at or below qhi can overlap.
-                for &i in &node.by_lo {
-                    if dst_bounds(&self.specs[i]).0 > qhi {
-                        break;
-                    }
-                    if self.specs[i].overlaps(query) {
-                        out.push(i);
-                    }
-                }
-                if let Some(l) = node.left.as_deref() {
-                    stack.push(l);
-                }
-            } else if qlo > node.center {
-                for &i in &node.by_hi {
-                    if dst_bounds(&self.specs[i]).1 < qlo {
-                        break;
-                    }
-                    if self.specs[i].overlaps(query) {
-                        out.push(i);
-                    }
-                }
-                if let Some(r) = node.right.as_deref() {
-                    stack.push(r);
-                }
-            } else {
-                // The query spans the center: every centered interval's dst
-                // overlaps; verify the remaining fields.
-                for &i in &node.by_lo {
-                    if self.specs[i].overlaps(query) {
-                        out.push(i);
-                    }
-                }
-                if let Some(l) = node.left.as_deref() {
-                    stack.push(l);
-                }
-                if let Some(r) = node.right.as_deref() {
-                    stack.push(r);
-                }
-            }
+        if let Some(root) = &self.root {
+            root.visit(&self.specs, query, dst_bounds(query), &mut |i| {
+                out.push(i);
+                false
+            });
         }
         out
     }
 
-    /// Does any indexed spec overlap `query`?
+    /// Does any indexed spec overlap `query`? Allocation-free after the
+    /// first call, which builds the dst runs.
     pub fn overlaps_any(&self, query: &MatchSpec) -> bool {
-        // Same traversal with early exit.
         let (qlo, qhi) = dst_bounds(query);
-        let mut stack: Vec<&Node> = self.root.as_deref().into_iter().collect();
-        while let Some(node) = stack.pop() {
-            if qhi < node.center {
-                for &i in &node.by_lo {
-                    if dst_bounds(&self.specs[i]).0 > qhi {
-                        break;
-                    }
-                    if self.specs[i].overlaps(query) {
-                        return true;
-                    }
-                }
-                if let Some(l) = node.left.as_deref() {
-                    stack.push(l);
-                }
-            } else if qlo > node.center {
-                for &i in &node.by_hi {
-                    if dst_bounds(&self.specs[i]).1 < qlo {
-                        break;
-                    }
-                    if self.specs[i].overlaps(query) {
-                        return true;
-                    }
-                }
-                if let Some(r) = node.right.as_deref() {
-                    stack.push(r);
-                }
-            } else {
-                for &i in &node.by_lo {
-                    if self.specs[i].overlaps(query) {
-                        return true;
-                    }
-                }
-                if let Some(l) = node.left.as_deref() {
-                    stack.push(l);
-                }
-                if let Some(r) = node.right.as_deref() {
-                    stack.push(r);
-                }
-            }
-        }
-        false
+        let runs = self
+            .dst_runs
+            .get_or_init(|| Interval::runs(self.specs.iter().map(|m| m.dst.interval()).collect()));
+        // Only the last run starting at or before the query's end can meet
+        // it; every earlier run ends before that one starts.
+        let at = runs.partition_point(|r| r.lo() <= qhi);
+        at > 0
+            && runs[at - 1].hi() >= qlo
+            && (self.root.as_deref())
+                .is_some_and(|n| n.visit(&self.specs, query, (qlo, qhi), &mut |_| true))
     }
 }
 
@@ -252,6 +241,58 @@ mod tests {
             .collect();
         let tree = RuleTree::build(specs);
         assert_eq!(tree.overlapping(&MatchSpec::any()).len(), 50);
+    }
+
+    /// `overlaps_any` (run filter, then the tree) against a scan, on specs
+    /// whose dst runs touch the ends of the address space and merge across
+    /// adjacent prefixes, and whose other fields make some dst hits miss.
+    /// Queries probe one address either side of every run boundary, the
+    /// gaps, and `/0`, each with and without a constraining protocol.
+    #[test]
+    fn overlaps_any_agrees_with_a_scan_at_run_boundaries() {
+        let specs = vec![
+            spec("dst 0.0.0.0/8 proto tcp"),
+            spec("dst 10.0.0.0/9"),
+            spec("dst 10.128.0.0/9 proto udp"), // adjacent: one run 10/8
+            spec("dst 12.0.0.0/8 dport 80"),
+            spec("dst 12.1.0.0/16 proto udp"),
+            spec("dst 255.255.255.255/32 proto tcp"),
+        ];
+        let tree = RuleTree::build(specs.clone());
+        let mut edges: Vec<u32> = Vec::new();
+        for m in &specs {
+            let iv = m.dst.interval();
+            let (lo, hi) = (iv.lo() as u32, iv.hi() as u32);
+            edges.extend([lo, hi, lo.wrapping_sub(1), hi.wrapping_add(1)]);
+        }
+        edges.extend([0, u32::MAX, 0x0b00_0000, 0x8000_0000]);
+        let mut queries = vec![MatchSpec::any(), spec("proto icmp"), spec("proto udp")];
+        for ip in edges {
+            let host = crate::rule::IpPrefix::host(ip);
+            for extra in ["", " proto tcp", " proto udp", " dport 443"] {
+                queries.push(spec(&format!("dst {host}{extra}")));
+            }
+            queries.push(MatchSpec::dst(crate::rule::IpPrefix::new(ip, 7)));
+        }
+        let (mut hits, mut misses) = (0, 0);
+        for q in &queries {
+            let want = specs.iter().any(|s| s.overlaps(q));
+            assert_eq!(tree.overlaps_any(q), want, "query {q}");
+            if want {
+                hits += 1;
+            } else {
+                misses += 1;
+            }
+        }
+        assert!(hits > 10 && misses > 10, "{hits} hits, {misses} misses");
+        assert!(tree.overlaps_any(&MatchSpec::any()), "/0 meets everything");
+        assert!(!tree.overlaps_any(&spec("dst 11.0.0.0/8")), "a gap");
+        assert!(
+            !tree.overlaps_any(&spec("dst 12.1.0.0/16 proto icmp dport 22")),
+            "inside a run, but every dst hit misses on another field"
+        );
+        let empty = RuleTree::build(Vec::new());
+        assert!(queries.iter().all(|q| !empty.overlaps_any(q)));
     }
 
     #[test]

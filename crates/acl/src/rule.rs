@@ -71,6 +71,13 @@ impl IpPrefix {
         self.len <= other.len && self.contains(other.addr)
     }
 
+    /// `true` if the prefixes share an address. Prefixes nest or are
+    /// disjoint, so they meet iff they agree on the shorter one's bits.
+    pub fn overlaps(&self, other: &IpPrefix) -> bool {
+        let len = self.len.min(other.len);
+        len == 0 || (self.addr ^ other.addr) >> (32 - len) == 0
+    }
+
     /// Intersection of two prefixes: the longer one if nested, else `None`
     /// (prefixes are laminar — they nest or are disjoint).
     pub fn intersect(&self, other: &IpPrefix) -> Option<IpPrefix> {
@@ -291,9 +298,18 @@ impl MatchSpec {
     }
 
     /// `true` if some packet matches both specs — the satisfiability of
-    /// `m_k ∧ m_k'` from Definition 4.2.
+    /// `m_k ∧ m_k'` from Definition 4.2. Decided field by field, with the
+    /// truth table of intersecting the two [`MatchSpec::cube`]s: every field
+    /// must meet, and an unconstrained protocol meets every protocol.
     pub fn overlaps(&self, other: &MatchSpec) -> bool {
-        self.cube().intersect(&other.cube()).is_some()
+        self.dst.overlaps(&other.dst)
+            && self.src.overlaps(&other.src)
+            && self.dport.intersect(&other.dport).is_some()
+            && self.sport.intersect(&other.sport).is_some()
+            && match (self.proto, other.proto) {
+                (Some(a), Some(b)) => a.number() == b.number(),
+                _ => true,
+            }
     }
 
     /// Field-wise intersection, if non-empty (used by the synthesis "overlap
@@ -473,6 +489,87 @@ mod tests {
         assert!(a.overlaps(&b));
         assert!(!a.overlaps(&c));
         assert!(MatchSpec::any().overlaps(&c));
+    }
+
+    #[test]
+    fn prefix_overlap_is_nesting() {
+        let any = IpPrefix::any();
+        let host = IpPrefix::host(u32::MAX);
+        for (a, b, want) in [
+            (pfx("10.0.0.0/8"), pfx("10.1.0.0/16"), true),
+            (pfx("10.0.0.0/8"), pfx("11.0.0.0/8"), false),
+            (pfx("10.0.0.0/9"), pfx("10.128.0.0/9"), false),
+            (any, host, true),
+            (host, IpPrefix::host(u32::MAX - 1), false),
+            (host, host, true),
+        ] {
+            assert_eq!(a.overlaps(&b), want, "{a} ~ {b}");
+            assert_eq!(b.overlaps(&a), want, "{b} ~ {a}");
+            assert_eq!(a.overlaps(&b), a.intersect(&b).is_some());
+        }
+    }
+
+    /// The field-wise test against the cube-based one it replaced, on
+    /// random specs: `/0` through `/32` prefixes (near the ends of the
+    /// address space too), full, single and ragged port ranges, and every
+    /// `None`/`Some` mix of protocols.
+    #[test]
+    fn overlaps_matches_the_cube_test() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut spec = || {
+            let mut prefix = || {
+                let len = [0, 1, 8, 16, 31, 32][next(6) as usize];
+                let addr = match next(3) {
+                    0 => 0,
+                    1 => u32::MAX,
+                    // Few distinct high bits, so nesting is common.
+                    _ => ((next(4) as u32) << 30) | next(2) as u32,
+                };
+                IpPrefix::new(addr, len)
+            };
+            let (src, dst) = (prefix(), prefix());
+            let mut ports = || match next(3) {
+                0 => PortRange::any(),
+                1 => PortRange::single(next(4) as u16 * 1000),
+                _ => {
+                    let lo = next(3000) as u16;
+                    PortRange::new(lo, lo + next(3000) as u16)
+                }
+            };
+            let (sport, dport) = (ports(), ports());
+            let proto = [
+                None,
+                Some(Proto::Tcp),
+                Some(Proto::Udp),
+                Some(Proto::Other(6)),
+            ][next(4) as usize];
+            MatchSpec {
+                src,
+                dst,
+                sport,
+                dport,
+                proto,
+            }
+        };
+        let (mut met, mut missed) = (0, 0);
+        for _ in 0..4000 {
+            let (a, b) = (spec(), spec());
+            let want = a.cube().intersect(&b.cube()).is_some();
+            assert_eq!(a.overlaps(&b), want, "{a} ~ {b}");
+            assert_eq!(b.overlaps(&a), want, "{b} ~ {a}");
+            if want {
+                met += 1;
+            } else {
+                missed += 1;
+            }
+        }
+        assert!(met > 200 && missed > 200, "{met} met, {missed} missed");
     }
 
     #[test]

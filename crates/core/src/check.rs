@@ -15,7 +15,13 @@
 //!   the solver is additionally confined to the differential packet cover
 //!   `H` (packets outside `H` meet identical rule subsequences before and
 //!   after, so they cannot witness an inconsistency; `control`ed regions
-//!   join the cover per §6).
+//!   join the cover per §6). [`preprocess`] costs per edited slot: only
+//!   slots whose ACL an update touched ([`AclConfig::same_at`], a pointer
+//!   compare for the ACLs an update shares with its base) are diffed, an
+//!   untouched slot is reduced once for both sides, and each rule's
+//!   relatedness is mostly one binary search. Each [`SlotPair`] carries
+//!   its fingerprint and the cover is fingerprinted once per run, so a
+//!   query key mixes words it already has.
 //! - **Tree decision-model encoding** (§4.1 "ACL decision model
 //!   optimization"): balanced tournament-tree circuits instead of the
 //!   sequential first-match chain.
@@ -46,7 +52,7 @@
 //! check of the same pair of configurations.
 
 use crate::control::{control_regions, desired_decision, desired_permit_set, ResolvedControl};
-use crate::qcache::{CachedSolve, QueryCache};
+use crate::qcache::{region_fingerprint, CachedSolve, QueryCache};
 use crate::task::Task;
 use jinjing_acl::atoms::{AtomClass, ClassExplosion, RefineLimits};
 use jinjing_acl::diff::AclDiff;
@@ -222,10 +228,80 @@ pub struct CheckReport {
     pub violation_pair: Option<(usize, usize)>,
 }
 
-/// Per-slot preprocessed encoding inputs.
-pub(crate) struct SlotPair {
-    pub(crate) before: Acl,
-    pub(crate) after: Acl,
+/// One slot's encoding inputs: its before/after ACLs — reduced to the rules
+/// related to `Diff_Ω`, or whole without the differential reduction — and
+/// the pair's fingerprint under the run's query store, computed here once
+/// and mixed into every key whose path crosses the slot.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SlotPair {
+    /// The ACL before the update, as encoded.
+    pub before: Acl,
+    /// The ACL after the update, as encoded.
+    pub after: Acl,
+    /// [`QueryCache::pair_fingerprint`] of `(before, after)`.
+    pub fingerprint: u64,
+}
+
+impl SlotPair {
+    fn new(before: Acl, after: Acl, cache: &QueryCache) -> SlotPair {
+        let fingerprint = cache.pair_fingerprint(&before, &after);
+        SlotPair {
+            before,
+            after,
+            fingerprint,
+        }
+    }
+
+    /// The pair of an untouched slot: one ACL on both sides, fingerprinted
+    /// once.
+    fn same(acl: Acl, cache: &QueryCache) -> SlotPair {
+        let fingerprint = cache.pair_fingerprint(&acl, &acl);
+        SlotPair {
+            before: acl.clone(),
+            after: acl,
+            fingerprint,
+        }
+    }
+}
+
+/// What [`preprocess`] hands the rest of a check.
+#[derive(Debug, Clone)]
+pub struct Preprocessed {
+    /// Encoding inputs of every slot configured before or after.
+    pub pairs: HashMap<Slot, SlotPair>,
+    /// The differential packet cover `H` (the full space without the
+    /// reduction).
+    pub cover: PacketSet,
+    /// ACL rules fed to the encoder, summed over both sides of every pair.
+    pub encoded_rules: usize,
+    /// `AclDiff::compute` invocations pass 1 actually performed.
+    pub cover_rebuilds: usize,
+}
+
+impl Preprocessed {
+    fn add(&mut self, slot: Slot, pair: SlotPair) {
+        self.encoded_rules += pair.before.len() + pair.after.len();
+        self.pairs.insert(slot, pair);
+    }
+}
+
+/// Every slot configured in `before` or `after`: `before`'s in order, then
+/// the ones only `after` configures, in order — one merge of the two sorted
+/// slot lists.
+pub(crate) fn slots_union(before: &AclConfig, after: &AclConfig) -> Vec<Slot> {
+    let mut slots = before.slots();
+    let mut at = 0;
+    let mut after_only = Vec::new();
+    for s in after.slots() {
+        while at < slots.len() && slots[at] < s {
+            at += 1;
+        }
+        if slots.get(at) != Some(&s) {
+            after_only.push(s);
+        }
+    }
+    slots.extend(after_only);
+    slots
 }
 
 /// Preprocess the configurations: per-slot diffs are unioned into the
@@ -243,56 +319,54 @@ pub(crate) struct SlotPair {
 /// Per §6, `isolate`/`open` control regions join both the relatedness test
 /// and the cover (their packets can be inconsistent without any ACL edit).
 ///
-/// The fourth return value counts the `AclDiff::compute` invocations pass 1
-/// actually performed. The per-slot diffs are memoized in `covers` (keyed
-/// by the exact ACL pair), so a stream of re-checks or plan probes touching
-/// the same `(before, after)` pair at a slot diffs it once; under a session
-/// the count surfaces as the `incr.cover_rebuilds` counter.
-pub(crate) fn preprocess(
+/// **In proportion to the edit.** Whether a slot is *touched* — its ACL
+/// differs structurally between the two configurations
+/// ([`AclConfig::same_at`], a pointer compare for the ACLs an update
+/// shares with its base) — is decided once per slot. Only touched slots
+/// are diffed (pass 1). An untouched slot is reduced once, and that one
+/// reduced ACL serves both sides (pass 2). Nothing is cloned but the
+/// reduced ACLs, and each rule's relatedness is mostly one binary search
+/// ([`jinjing_acl::rtree::RuleTree::overlaps_any`]).
+///
+/// The per-slot diffs are memoized in `covers` (keyed by the exact ACL
+/// pair), so a stream of re-checks or plan probes touching the same
+/// `(before, after)` pair at a slot diffs it once; under a session
+/// [`Preprocessed::cover_rebuilds`] surfaces as the `incr.cover_rebuilds`
+/// counter. Each pair is fingerprinted with `cache`'s ACL fingerprint.
+pub fn preprocess(
     before: &AclConfig,
     after: &AclConfig,
     controls: &[ResolvedControl],
     differential: bool,
     covers: &CoverMemo,
-) -> (HashMap<Slot, SlotPair>, PacketSet, usize, usize) {
-    let mut slots: Vec<Slot> = before.slots();
-    for s in after.slots() {
-        if !slots.contains(&s) {
-            slots.push(s);
-        }
-    }
-    let mut pairs = HashMap::new();
-    let mut encoded_rules = 0usize;
-    let mut cover_rebuilds = 0usize;
+    cache: &QueryCache,
+) -> Preprocessed {
+    let permit_all = Acl::permit_all();
+    let acl_at = |cfg: &AclConfig, slot| cfg.get(slot).unwrap_or(&permit_all).clone();
+    let slots = slots_union(before, after);
+    let mut out = Preprocessed {
+        pairs: HashMap::with_capacity(slots.len()),
+        cover: PacketSet::full(),
+        encoded_rules: 0,
+        cover_rebuilds: 0,
+    };
     if !differential {
         for slot in slots {
-            let b = before.get(slot).cloned().unwrap_or_else(Acl::permit_all);
-            let a = after.get(slot).cloned().unwrap_or_else(Acl::permit_all);
-            encoded_rules += b.len() + a.len();
-            pairs.insert(
-                slot,
-                SlotPair {
-                    before: b,
-                    after: a,
-                },
-            );
+            let pair = SlotPair::new(acl_at(before, slot), acl_at(after, slot), cache);
+            out.add(slot, pair);
         }
-        return (pairs, PacketSet::full(), encoded_rules, cover_rebuilds);
+        return out;
     }
-    // Pass 1: global differential rules and their packet cover. Untouched
-    // slots (`b == a`) are skipped outright — a self-diff has no
-    // differential rules and an empty cover, so it contributes nothing —
-    // which makes this pass proportional to the *edit*, not the
-    // configuration (the property `incr`'s per-delta re-checks lean on).
+    let touched: Vec<bool> = slots.iter().map(|&s| !before.same_at(after, s)).collect();
+    // Pass 1: global differential rules and their packet cover, from the
+    // touched slots only — an untouched slot's self-diff has no
+    // differential rules and an empty cover.
     let mut global_diff: Vec<jinjing_acl::Rule> = Vec::new();
     let mut cover = PacketSet::empty();
-    for &slot in &slots {
-        let b = before.get(slot).cloned().unwrap_or_else(Acl::permit_all);
-        let a = after.get(slot).cloned().unwrap_or_else(Acl::permit_all);
-        if b == a {
-            continue;
-        }
-        let d = covers.diff_for(slot, b, a, &mut cover_rebuilds);
+    for (&slot, _) in slots.iter().zip(&touched).filter(|(_, &t)| t) {
+        let b = before.get(slot).unwrap_or(&permit_all);
+        let a = after.get(slot).unwrap_or(&permit_all);
+        let d = covers.diff_for(slot, b, a, &mut out.cover_rebuilds);
         cover = cover.union(&d.cover);
         for r in &d.diff {
             if !global_diff.contains(r) {
@@ -301,11 +375,11 @@ pub(crate) fn preprocess(
         }
     }
     // §6: isolate/open regions participate in relatedness and the cover.
-    let mut control_sets: Vec<PacketSet> = Vec::new();
+    let mut control_sets: Vec<&PacketSet> = Vec::new();
     for c in controls {
         if matches!(c.verb, ControlVerb::Isolate | ControlVerb::Open) {
             cover = cover.union(&c.region);
-            control_sets.push(c.region.clone());
+            control_sets.push(&c.region);
         }
     }
     // Pass 2: reduce every slot against the global set, via the §5.5
@@ -314,25 +388,23 @@ pub(crate) fn preprocess(
         jinjing_acl::rtree::RuleTree::build(global_diff.iter().map(|r| r.matches).collect());
     let keep = |rule: &jinjing_acl::Rule| -> bool {
         diff_tree.overlaps_any(&rule.matches)
-            || control_sets
-                .iter()
-                .any(|s| s.intersects(&PacketSet::from_cube(rule.matches.cube())))
+            || control_sets.iter().any(|s| s.meets(&rule.matches.cube()))
     };
-    for slot in slots {
-        let b = before.get(slot).cloned().unwrap_or_else(Acl::permit_all);
-        let a = after.get(slot).cloned().unwrap_or_else(Acl::permit_all);
-        let rb: Vec<jinjing_acl::Rule> = b.rules().iter().filter(|r| keep(r)).copied().collect();
-        let ra: Vec<jinjing_acl::Rule> = a.rules().iter().filter(|r| keep(r)).copied().collect();
-        encoded_rules += rb.len() + ra.len();
-        pairs.insert(
-            slot,
-            SlotPair {
-                before: Acl::new(rb, b.default_action()),
-                after: Acl::new(ra, a.default_action()),
-            },
-        );
+    let reduce = |cfg: &AclConfig, slot| {
+        let acl = cfg.get(slot).unwrap_or(&permit_all);
+        let kept = acl.rules().iter().filter(|r| keep(r)).copied().collect();
+        Acl::new(kept, acl.default_action())
+    };
+    for (slot, touched) in slots.into_iter().zip(touched) {
+        let pair = if touched {
+            SlotPair::new(reduce(before, slot), reduce(after, slot), cache)
+        } else {
+            SlotPair::same(reduce(before, slot), cache)
+        };
+        out.add(slot, pair);
     }
-    (pairs, cover, encoded_rules, cover_rebuilds)
+    out.cover = cover;
+    out
 }
 
 /// Run check on a resolved task.
@@ -404,25 +476,26 @@ struct CoverEntry {
 /// exact pair diffed), so a lookup only ever replays the diff of the very
 /// ACLs being preprocessed. A cold check brings an empty one.
 #[derive(Default)]
-pub(crate) struct CoverMemo(Mutex<HashMap<Slot, CoverEntry>>);
+pub struct CoverMemo(Mutex<HashMap<Slot, CoverEntry>>);
 
 impl CoverMemo {
     /// The differential of `(b, a)` at `slot`, replayed from the memo when
-    /// the exact pair was diffed before; `rebuilds` counts actual computes.
-    fn diff_for(&self, slot: Slot, b: Acl, a: Acl, rebuilds: &mut usize) -> Arc<AclDiff> {
+    /// the exact pair was diffed before; `rebuilds` counts actual computes,
+    /// and only a compute clones the pair.
+    fn diff_for(&self, slot: Slot, b: &Acl, a: &Acl, rebuilds: &mut usize) -> Arc<AclDiff> {
         let mut map = self.0.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(e) = map.get(&slot) {
-            if e.before == b && e.after == a {
+            if e.before == *b && e.after == *a {
                 return Arc::clone(&e.diff);
             }
         }
         *rebuilds += 1;
-        let diff = Arc::new(AclDiff::compute(&b, &a));
+        let diff = Arc::new(AclDiff::compute(b, a));
         map.insert(
             slot,
             CoverEntry {
-                before: b,
-                after: a,
+                before: b.clone(),
+                after: a.clone(),
                 diff: Arc::clone(&diff),
             },
         );
@@ -456,8 +529,19 @@ pub(crate) fn check_inner(
     let total_rules = before.total_rules() + after.total_rules();
     let _check_span = cfg.obs.span("check");
     let sp = cfg.obs.span("check.preprocess");
-    let (pairs, cover, encoded_rules, cover_rebuilds) =
-        preprocess(before, after, controls, cfg.differential, covers);
+    let Preprocessed {
+        pairs,
+        cover,
+        encoded_rules,
+        cover_rebuilds,
+    } = preprocess(
+        before,
+        after,
+        controls,
+        cfg.differential,
+        covers,
+        &cfg.cache,
+    );
     let t_preprocess = sp.finish();
     let checked = |report, incr| Checked {
         report,
@@ -566,7 +650,11 @@ pub(crate) fn check_inner(
         clean_classes: classes.len() - candidates.len(),
         dirty_pairs: jobs.len(),
     };
-    let region = if cfg.differential { Some(&cover) } else { None };
+    // The cover is fingerprinted once per run; every key mixes the word.
+    let region = cfg
+        .differential
+        .then(|| (&cover, region_fingerprint(&cover)));
+    let region_set = region.map(|(set, _)| set);
     // Flight recorder: workers emit onto their own track (`1 + slot`; the
     // serial path uses track 1) so a trace shows per-worker solver
     // timelines. A disabled context makes every call below a no-op.
@@ -585,18 +673,15 @@ pub(crate) fn check_inner(
             ],
         );
         let path = &enumerated[job.class_idx].0[job.path_idx];
-        let chain: Vec<(&Acl, &Acl)> = path
-            .slots
-            .iter()
-            .filter_map(|s| pairs.get(s))
-            .map(|p| (&p.before, &p.after))
-            .collect();
+        let links: Vec<&SlotPair> = path.slots.iter().filter_map(|s| pairs.get(s)).collect();
+        let chain: Vec<(&Acl, &Acl)> = links.iter().map(|p| (&p.before, &p.after)).collect();
+        let words: Vec<u64> = links.iter().map(|p| p.fingerprint).collect();
         let mut queries: Vec<CachedSolve> = Vec::new();
         // Stage 1: ∃h (∈ cover): desired chain ≠ updated chain. The
         // class constraint is deliberately absent so the query is shared
         // verbatim by every FEC routed through the same ACL chain.
         let s1_span = tr.span_with(tid, "solver.query", &[("stage", 1)]);
-        let stage1 = cached_query(cfg, &chain, job.verb, region);
+        let stage1 = keyed_query(cfg, &chain, &words, job.verb, region);
         stage1
             .stats
             .trace_query(s1_span, stage1.vars, stage1.clauses);
@@ -619,7 +704,13 @@ pub(crate) fn check_inner(
                     // Stage 2: re-ask with the witness pinned inside the
                     // class. Never cached (class sets rarely recur).
                     let s2_span = tr.span_with(tid, "solver.query", &[("stage", 2)]);
-                    let s2 = run_query(&chain, job.verb, cfg.encoding, region, Some(job.class_set));
+                    let s2 = run_query(
+                        &chain,
+                        job.verb,
+                        cfg.encoding,
+                        region_set,
+                        Some(job.class_set),
+                    );
                     s2.stats.trace_query(s2_span, s2.vars, s2.clauses);
                     let w = match s2.result {
                         SolveResult::Sat => Some(s2.model.expect("Sat query stores its model")),
@@ -782,15 +873,21 @@ struct PairResult {
 /// Run one class-free decision-model comparison through the query store,
 /// bumping the `check.cache_hit` / `check.cache_miss` counters; a miss
 /// builds and solves the circuit ([`run_query`]) and remembers the result.
-/// Class-pinned questions are not part of the key, so they never come
-/// through here (stage 2 calls [`run_query`] directly).
-fn cached_query(
+/// The key is built from words computed once per run: `words[i]` is the
+/// [`SlotPair::fingerprint`] of `chain[i]`, and `region` comes with its
+/// [`region_fingerprint`]. Class-pinned questions are not part of the key,
+/// so they never come through here (stage 2 calls [`run_query`] directly).
+fn keyed_query(
     cfg: &CheckConfig,
     chain: &[(&Acl, &Acl)],
+    words: &[u64],
     verb: Option<ControlVerb>,
-    region: Option<&PacketSet>,
+    region: Option<(&PacketSet, u64)>,
 ) -> CachedSolve {
-    let key = cfg.cache.key(chain, verb, cfg.encoding, region);
+    let key = cfg
+        .cache
+        .key_fingerprinted(chain, words, verb, cfg.encoding, region);
+    let region = region.map(|(set, _)| set);
     let (v, hit) = cfg
         .cache
         .get_or_solve(key, || run_query(chain, verb, cfg.encoding, region, None));
@@ -898,8 +995,19 @@ pub fn check_per_acl(before: &AclConfig, after: &AclConfig, cfg: &CheckConfig) -
     let total_rules = before.total_rules() + after.total_rules();
     let _check_span = cfg.obs.span("check");
     let sp = cfg.obs.span("check.preprocess");
-    let (pairs, cover, encoded_rules, _) =
-        preprocess(before, after, &[], cfg.differential, &CoverMemo::default());
+    let Preprocessed {
+        pairs,
+        cover,
+        encoded_rules,
+        ..
+    } = preprocess(
+        before,
+        after,
+        &[],
+        cfg.differential,
+        &CoverMemo::default(),
+        &cfg.cache,
+    );
     let t_preprocess = sp.finish();
     let mut report = CheckReport {
         outcome: CheckOutcome::Consistent,
@@ -921,7 +1029,9 @@ pub fn check_per_acl(before: &AclConfig, after: &AclConfig, cfg: &CheckConfig) -
     slots.sort();
     let pool = Pool::new(cfg.threads);
     let cancel = Cancel::new();
-    let region = if cfg.differential { Some(&cover) } else { None };
+    let region = cfg
+        .differential
+        .then(|| (&cover, region_fingerprint(&cover)));
     // One per-slot equivalence query per work item; identical ACL
     // templates on different slots share a cache entry.
     let tr = cfg.obs.trace_ctx();
@@ -931,7 +1041,7 @@ pub fn check_per_acl(before: &AclConfig, after: &AclConfig, cfg: &CheckConfig) -
         let tid = 1 + jinjing_par::current_worker().unwrap_or(0) as u64;
         let q_span = tr.span_with(tid, "solver.query", &[("slot", i as u64)]);
         let chain = [(&pair.before, &pair.after)];
-        let solved = cached_query(cfg, &chain, None, region);
+        let solved = keyed_query(cfg, &chain, &[pair.fingerprint], None, region);
         solved
             .stats
             .trace_query(q_span, solved.vars, solved.clauses);
@@ -1312,6 +1422,21 @@ mod per_acl_tests {
             ));
         }
         Acl::new(rules, jinjing_acl::Action::Permit)
+    }
+
+    /// [`keyed_query`] with the key words computed from the ACLs.
+    fn cached_query(
+        cfg: &CheckConfig,
+        chain: &[(&Acl, &Acl)],
+        verb: Option<ControlVerb>,
+        region: Option<&PacketSet>,
+    ) -> CachedSolve {
+        let words: Vec<u64> = chain
+            .iter()
+            .map(|(b, a)| cfg.cache.pair_fingerprint(b, a))
+            .collect();
+        let region = region.map(|set| (set, region_fingerprint(set)));
+        keyed_query(cfg, chain, &words, verb, region)
     }
 
     /// Every field of a [`CachedSolve`], for field-for-field comparison.

@@ -42,7 +42,8 @@
 //!    are optionally simplified (§4.2 extensions).
 
 use crate::check::{
-    check_inner, preprocess, scope_model, CheckConfig, CheckOutcome, CheckReport, CoverMemo,
+    check_inner, preprocess, scope_model, slots_union, CheckConfig, CheckOutcome, CheckReport,
+    CoverMemo, Preprocessed,
 };
 use crate::control::desired_decision;
 use crate::task::Task;
@@ -291,17 +292,6 @@ fn certify(
     })
 }
 
-/// Every slot configured before or after the update, `before`'s first.
-fn slots_union(task: &Task) -> Vec<Slot> {
-    let mut slots = task.before.slots();
-    for s in task.after.slots() {
-        if !slots.contains(&s) {
-            slots.push(s);
-        }
-    }
-    slots
-}
-
 /// The [`FixStrategy::IterativeCegis`] engine (see the module docs).
 fn fix_iterative(model: &ScopeModel<'_>, task: &Task, cfg: &FixConfig) -> Result<Repair, FixError> {
     let obs = &cfg.check.obs;
@@ -322,12 +312,13 @@ fn fix_iterative(model: &ScopeModel<'_>, task: &Task, cfg: &FixConfig) -> Result
     // violations to the differential cover, and fixing rules only ever
     // rewrite decisions inside already-repaired (blocked) neighborhoods, so
     // the cover never grows during the loop.
-    let (pairs, cover, _, _) = preprocess(
+    let Preprocessed { pairs, cover, .. } = preprocess(
         before,
         &task.after,
         controls,
         cfg.check.differential,
         &CoverMemo::default(),
+        &cfg.check.cache,
     );
 
     let skip_cover = |class: &PacketSet| cfg.check.differential && !class.intersects(&cover);
@@ -608,7 +599,7 @@ fn fix_batch(model: &ScopeModel<'_>, task: &Task, cfg: &FixConfig) -> Result<Rep
     let mut added_rules: Vec<(Slot, Rule)> = Vec::new();
 
     // Slot permit-set caches for cheap path-set evaluation.
-    let slots_union = slots_union(task);
+    let slots_union = slots_union(&task.before, &task.after);
     let mut before_sets: HashMap<Slot, PacketSet> = HashMap::new();
     let mut after_sets: HashMap<Slot, PacketSet> = HashMap::new();
     for &slot in &slots_union {

@@ -18,6 +18,15 @@
 //! ([`QueryCache::with_fingerprint`]) precisely so tests can force
 //! collisions-by-construction and pin that property.
 //!
+//! **Fingerprinting once.** A key's fingerprint mixes one word per slot —
+//! the slot's [`QueryCache::pair_fingerprint`] — and one for the region
+//! ([`region_fingerprint`]). A check computes each slot pair's word once,
+//! when it preprocesses the slot, and the cover's once per run; every key
+//! of the run is then built by [`QueryCache::key_fingerprinted`] from words
+//! it already has, instead of re-hashing the same ACLs and cover byte by
+//! byte per lookup. [`QueryCache::key`] computes the same words itself, so
+//! both constructions give equal keys with equal hashes.
+//!
 //! **Determinism.** A [`CachedSolve`] stores everything a query execution
 //! would have produced: the verdict, the decoded model packet (for `Sat`),
 //! the per-query [`SolverStats`] delta and the instance size. Replaying a
@@ -64,7 +73,11 @@ fn fnv_mix(h: &mut u64, v: u64) {
     }
 }
 
-fn region_fingerprint(set: &PacketSet) -> u64 {
+/// The fingerprint a key mixes for its confining region: FNV-1a over the
+/// set's cubes, field by field. Not injectable — regions are compared in
+/// full on lookup just like ACLs.
+#[must_use]
+pub fn region_fingerprint(set: &PacketSet) -> u64 {
     let mut h = FNV_OFFSET;
     fnv_mix(&mut h, set.cubes().len() as u64);
     for cube in set.cubes() {
@@ -209,6 +222,23 @@ impl QueryCache {
         evicted
     }
 
+    /// The fingerprint of one slot's `(before, after)` pair under this
+    /// cache's ACL fingerprint — the word a key mixes for that slot. A pair
+    /// whose two sides are one value is fingerprinted once.
+    #[must_use]
+    pub fn pair_fingerprint(&self, before: &Acl, after: &Acl) -> u64 {
+        let fb = (self.fingerprint)(before);
+        let fa = if std::ptr::eq(before, after) {
+            fb
+        } else {
+            (self.fingerprint)(after)
+        };
+        let mut h = FNV_OFFSET;
+        fnv_mix(&mut h, fb);
+        fnv_mix(&mut h, fa);
+        h
+    }
+
     /// Build a key for the comparison of the ordered slot `chain` under
     /// `verb`/`encoding`, confined to `region`.
     #[must_use]
@@ -219,11 +249,32 @@ impl QueryCache {
         encoding: Encoding,
         region: Option<&PacketSet>,
     ) -> QueryKey {
+        let pair_fingerprints: Vec<u64> = chain
+            .iter()
+            .map(|(b, a)| self.pair_fingerprint(b, a))
+            .collect();
+        let region = region.map(|set| (set, region_fingerprint(set)));
+        self.key_fingerprinted(chain, &pair_fingerprints, verb, encoding, region)
+    }
+
+    /// [`QueryCache::key`] from words computed earlier: `pair_fingerprints[i]`
+    /// must be this cache's [`QueryCache::pair_fingerprint`] of `chain[i]`,
+    /// and a region comes with its [`region_fingerprint`]. The key is equal,
+    /// hash included, to the one [`QueryCache::key`] builds.
+    #[must_use]
+    pub fn key_fingerprinted(
+        &self,
+        chain: &[(&Acl, &Acl)],
+        pair_fingerprints: &[u64],
+        verb: Option<ControlVerb>,
+        encoding: Encoding,
+        region: Option<(&PacketSet, u64)>,
+    ) -> QueryKey {
+        assert_eq!(chain.len(), pair_fingerprints.len(), "one word per slot");
         let mut h = FNV_OFFSET;
         fnv_mix(&mut h, chain.len() as u64);
-        for (b, a) in chain {
-            fnv_mix(&mut h, (self.fingerprint)(b));
-            fnv_mix(&mut h, (self.fingerprint)(a));
+        for &fp in pair_fingerprints {
+            fnv_mix(&mut h, fp);
         }
         fnv_mix(
             &mut h,
@@ -243,9 +294,9 @@ impl QueryCache {
         );
         match region {
             None => fnv_mix(&mut h, 0),
-            Some(set) => {
+            Some((_, fp)) => {
                 fnv_mix(&mut h, 1);
-                fnv_mix(&mut h, region_fingerprint(set));
+                fnv_mix(&mut h, fp);
             }
         }
         QueryKey {
@@ -256,7 +307,7 @@ impl QueryCache {
                 .collect(),
             verb,
             encoding,
-            region: region.cloned(),
+            region: region.map(|(set, _)| set.clone()),
         }
     }
 
@@ -418,6 +469,47 @@ mod tests {
         assert_eq!(cache.get(&k2).unwrap().result, SolveResult::Unsat);
         assert!(cache.get(&k3).is_none());
         assert_eq!(cache.len(), 2);
+    }
+
+    /// The two constructions agree: a key from precomputed pair and region
+    /// words equals the one [`QueryCache::key`] builds from the ACLs, hash
+    /// included, under the real and a degenerate fingerprint, and one is
+    /// found in the store under the other.
+    #[test]
+    fn precomputed_fingerprints_build_the_same_key() {
+        let (a, b) = (acl_a(), acl_b());
+        let twin = acl_a(); // equal to `a`, another allocation
+        let region = PacketSet::from_cube(
+            jinjing_acl::MatchSpec::dst(jinjing_acl::IpPrefix::new(0x0a00_0000, 8)).cube(),
+        );
+        let chains: [&[(&Acl, &Acl)]; 4] = [
+            &[],
+            &[(&a, &b)],
+            &[(&a, &a), (&b, &a)],
+            &[(&a, &twin), (&b, &b), (&a, &b)],
+        ];
+        for cache in [QueryCache::new(), QueryCache::with_fingerprint(|_| 0)] {
+            for chain in chains {
+                for (verb, reg) in [(None, None), (Some(ControlVerb::Open), Some(&region))] {
+                    let words: Vec<u64> = chain
+                        .iter()
+                        .map(|(x, y)| cache.pair_fingerprint(x, y))
+                        .collect();
+                    let keyed = reg.map(|r| (r, region_fingerprint(r)));
+                    let pre = cache.key_fingerprinted(chain, &words, verb, Encoding::Tree, keyed);
+                    let full = cache.key(chain, verb, Encoding::Tree, reg);
+                    assert_eq!(pre, full);
+                    assert_eq!(pre.fingerprint(), full.fingerprint());
+                    cache.insert(full, dummy(SolveResult::Sat));
+                    assert!(cache.get(&pre).is_some());
+                }
+            }
+            assert_eq!(
+                cache.pair_fingerprint(&a, &a),
+                cache.pair_fingerprint(&a, &twin),
+                "the one-value shortcut changes no word"
+            );
+        }
     }
 
     #[test]

@@ -5,16 +5,25 @@
 //! evaluates path decision models both concretely (`c_p(h)`, Eq. 1) and in
 //! exact set form (the set of packets a path permits), and produces the
 //! before/after pairs that check/fix/generate consume.
+//!
+//! **Sharing.** Every ACL sits behind an [`Arc`], so cloning a configuration
+//! copies one pointer per slot, and a configuration derived from another by
+//! a few `set`/`clear` calls (an update, a delta applied to a session base)
+//! still shares every ACL it did not touch. [`AclConfig::same_at`] is the
+//! test that lets the differential preprocessing skip such slots: a pointer
+//! compare when the ACL is shared, a structural compare otherwise.
 
 use crate::ids::Slot;
 use crate::network::Path;
 use jinjing_acl::{Acl, Packet, PacketSet};
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// Assignment of ACLs to slots.
+/// Assignment of ACLs to slots. Clones share their ACLs (see the module
+/// docs); equality is by content.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AclConfig {
-    acls: HashMap<Slot, Acl>,
+    acls: HashMap<Slot, Arc<Acl>>,
 }
 
 impl AclConfig {
@@ -25,17 +34,30 @@ impl AclConfig {
 
     /// Attach an ACL to a slot, replacing any previous one.
     pub fn set(&mut self, slot: Slot, acl: Acl) {
-        self.acls.insert(slot, acl);
+        self.acls.insert(slot, Arc::new(acl));
     }
 
     /// Remove the ACL from a slot (reverting it to `permit all`).
     pub fn clear(&mut self, slot: Slot) -> Option<Acl> {
-        self.acls.remove(&slot)
+        self.acls.remove(&slot).map(Arc::unwrap_or_clone)
     }
 
     /// The ACL at a slot, if one is configured.
     pub fn get(&self, slot: Slot) -> Option<&Acl> {
-        self.acls.get(&slot)
+        self.acls.get(&slot).map(Arc::as_ref)
+    }
+
+    /// `true` when `self` and `other` hold structurally the same ACL at
+    /// `slot`, reading an unconfigured slot as [`Acl::permit_all`]. A shared
+    /// ACL answers with one pointer compare. The test is structural, not
+    /// semantic: an ACL that permits everything through explicit rules is
+    /// not the same as an unconfigured slot.
+    pub fn same_at(&self, other: &AclConfig, slot: Slot) -> bool {
+        match (self.acls.get(&slot), other.acls.get(&slot)) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a == b,
+            (Some(a), None) | (None, Some(a)) => **a == Acl::permit_all(),
+            (None, None) => true,
+        }
     }
 
     /// All configured slots (sorted, for determinism).
@@ -65,7 +87,7 @@ impl AclConfig {
     pub fn slot_permit_set(&self, slot: Slot) -> PacketSet {
         self.acls
             .get(&slot)
-            .map_or_else(PacketSet::full, Acl::permit_set)
+            .map_or_else(PacketSet::full, |a| a.permit_set())
     }
 
     /// Concrete path decision model `c_p(h)` (Eq. 1): conjunction of every
@@ -99,7 +121,7 @@ impl AclConfig {
 
     /// Total rule count across all slots (a size metric for reports).
     pub fn total_rules(&self) -> usize {
-        self.acls.values().map(Acl::len).sum()
+        self.acls.values().map(|a| a.len()).sum()
     }
 }
 
@@ -163,6 +185,93 @@ mod tests {
         let removed = cfg.clear(slot(3));
         assert_eq!(removed, Some(acl));
         assert!(cfg.is_empty());
+    }
+
+    fn deny(prefix: &str) -> Acl {
+        AclBuilder::default_permit().deny_dst(prefix).build()
+    }
+
+    #[test]
+    fn clones_share_their_acls() {
+        let mut cfg = AclConfig::new();
+        cfg.set(slot(0), deny("1.0.0.0/8"));
+        cfg.set(slot(1), deny("2.0.0.0/8"));
+        let copy = cfg.clone();
+        for s in [slot(0), slot(1)] {
+            assert!(std::ptr::eq(cfg.get(s).unwrap(), copy.get(s).unwrap()));
+        }
+    }
+
+    #[test]
+    fn set_replaces_one_slot_only() {
+        let mut cfg = AclConfig::new();
+        cfg.set(slot(0), deny("1.0.0.0/8"));
+        cfg.set(slot(1), deny("2.0.0.0/8"));
+        let mut edited = cfg.clone();
+        edited.set(slot(1), deny("3.0.0.0/8"));
+        assert!(std::ptr::eq(
+            cfg.get(slot(0)).unwrap(),
+            edited.get(slot(0)).unwrap()
+        ));
+        assert_eq!(edited.get(slot(1)), Some(&deny("3.0.0.0/8")));
+        assert_eq!(cfg.get(slot(1)), Some(&deny("2.0.0.0/8")), "original kept");
+    }
+
+    #[test]
+    fn same_at_truth_table() {
+        let (s, a) = (slot(0), deny("1.0.0.0/8"));
+        let with = |acl: Acl| {
+            let mut cfg = AclConfig::new();
+            cfg.set(s, acl);
+            cfg
+        };
+        let empty = AclConfig::new();
+        let shared = with(a.clone());
+        // Semantically permit-all, structurally not `Acl::permit_all()`.
+        let wide_open = AclBuilder::default_permit().permit_dst("1.0.0.0/8").build();
+        let cases = [
+            (&empty, &empty, true),
+            (&empty, &with(Acl::permit_all()), true),
+            (&with(Acl::permit_all()), &empty, true),
+            (&empty, &with(wide_open.clone()), false),
+            (&with(wide_open), &empty, false),
+            (&empty, &with(Acl::deny_all()), false),
+            (&shared, &shared.clone(), true),
+            (&shared, &with(a.clone()), true),
+            (&shared, &with(deny("2.0.0.0/8")), false),
+            (&shared, &empty, false),
+        ];
+        for (i, (x, y, want)) in cases.into_iter().enumerate() {
+            assert_eq!(x.same_at(y, s), want, "case {i}");
+            assert_eq!(y.same_at(x, s), want, "case {i} (swapped)");
+        }
+        assert!(shared.same_at(&empty, slot(7)), "both unconfigured");
+    }
+
+    #[test]
+    fn clear_returns_the_acl_shared_or_not() {
+        let mut cfg = AclConfig::new();
+        cfg.set(slot(0), deny("1.0.0.0/8"));
+        let keep = cfg.clone();
+        assert_eq!(cfg.clear(slot(0)), Some(deny("1.0.0.0/8")), "shared");
+        assert_eq!(cfg.clear(slot(0)), None);
+        let mut alone = keep.clone();
+        drop(keep);
+        assert_eq!(alone.clear(slot(0)), Some(deny("1.0.0.0/8")), "unshared");
+    }
+
+    #[test]
+    fn equality_is_by_content() {
+        let mut a = AclConfig::new();
+        a.set(slot(0), deny("1.0.0.0/8"));
+        let mut b = AclConfig::new();
+        b.set(slot(0), deny("1.0.0.0/8"));
+        assert_eq!(a, b, "fresh but equal ACLs");
+        b.set(slot(0), deny("2.0.0.0/8"));
+        assert_ne!(a, b);
+        let mut explicit = a.clone();
+        explicit.set(slot(1), Acl::permit_all());
+        assert_ne!(a, explicit, "a configured permit-all is a configured slot");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Alternating parent/change pairs through the ruler (ROADMAP ground rule (i)).
 #
-#   scripts/pairs.sh PARENT_TREE CHANGE_TREE WORKLOAD [PAIRS] [SECONDS] [SEED]
+#   scripts/pairs.sh PARENT_TREE CHANGE_TREE WORKLOAD[,WORKLOAD...] [PAIRS] [SECONDS] [SEED]
 #
 # Each tree is a checkout; each is measured by its *own*
 # `benchmark/run.sh --workload W --seed S --seconds T --trace 0` (which
@@ -17,6 +17,10 @@
 # ms-unit per-layer metric side by side with change/parent, where the time
 # a per-layer claim names is read (one run each: timings, not evidence).
 #
+# A comma-separated list runs all of the above for each workload in turn,
+# and the output ends with one summary row per workload and end-to-end
+# metric, so a witness and its bypass workloads come from one command.
+#
 # Defaults: 10 pairs, BENCHMARK.json's run_seconds, the ruler's default seed.
 set -euo pipefail
 
@@ -26,7 +30,7 @@ if [ $# -lt 3 ]; then
 fi
 parent="$(cd "$1" && pwd)"
 change="$(cd "$2" && pwd)"
-workload="$3"
+IFS=',' read -r -a workloads <<<"$3"
 pairs="${4:-10}"
 manifest="$change/BENCHMARK.json"
 seconds="${5:-$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' "$manifest")}"
@@ -35,12 +39,12 @@ seed="${6:-0xBE7C0000}"
 runs="$(mktemp)"
 trap 'rm -f "$runs"' EXIT
 
-one_run() { # one_run <pair> <side> <tree>
+one_run() { # one_run <workload> <pair> <side> <tree>
     local line
-    line="$(bash "$3/benchmark/run.sh" --workload "$workload" --seed "$seed" \
+    line="$(bash "$4/benchmark/run.sh" --workload "$1" --seed "$seed" \
         --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1)"
-    printf '%s\t%s\t%s\n' "$1" "$2" "$line" >>"$runs"
-    printf 'pair %2d %-6s %s\n' "$1" "$2" "$(summary "$line")"
+    printf '%s\t%s\t%s\t%s\n' "$1" "$2" "$3" "$line" >>"$runs"
+    printf 'pair %2d %-6s %s\n' "$2" "$3" "$(summary "$line")"
 }
 
 summary() { # the end-to-end metrics and the op counts of one result line
@@ -53,20 +57,8 @@ print("  ".join(cells + [f"ops {r['attempted']} failed {r['failed']}"]))
 EOF
 }
 
-echo "pairs.sh: $workload, $pairs pairs, $seconds s, seed $seed"
-echo "pairs.sh: parent $parent"
-echo "pairs.sh: change $change"
-for ((i = 1; i <= pairs; i++)); do
-    if ((i % 2)); then
-        one_run "$i" parent "$parent"
-        one_run "$i" change "$change"
-    else
-        one_run "$i" change "$change"
-        one_run "$i" parent "$parent"
-    fi
-done
-
-python3 - "$manifest" "$runs" <<'EOF'
+stats() { # stats <workload|--summary>: pair statistics of the recorded runs
+    python3 - "$manifest" "$runs" "$1" <<'EOF'
 import json, sys
 
 def quantile(sorted_values, q):
@@ -77,41 +69,65 @@ def quantile(sorted_values, q):
     return sorted_values[lo] + (sorted_values[hi] - sorted_values[lo]) * (at - lo)
 
 metrics = json.load(open(sys.argv[1]))["end_to_end"]
-by_pair = {}
+by_workload = {}
 for line in open(sys.argv[2]):
-    pair, side, result = line.rstrip("\n").split("\t", 2)
-    by_pair.setdefault(int(pair), {})[side] = json.loads(result)
+    workload, pair, side, result = line.rstrip("\n").split("\t", 3)
+    by_workload.setdefault(workload, {}).setdefault(int(pair), {})[side] = json.loads(result)
+
+def compare(pairs, name, lower):
+    side = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in ("parent", "change")}
+    wins = {"parent": 0, "change": 0}
+    for a, b in zip(side["parent"], side["change"]):
+        if a != b:
+            wins["change" if (b < a) == lower else "parent"] += 1
+    return {s: sorted(v) for s, v in side.items()}, wins
+
+def ratio(p, c):
+    return f"{c / p:.3f}" if p else "n/a"
+
+if sys.argv[3] == "--summary":
+    print(f"\nsummary: medians over the pairs, per workload and end-to-end metric")
+    print(f"  {'workload':<24} {'metric':<16} {'parent':>10} {'change':>10} "
+          f"{'chg/par':>8} {'won':>7} {'failed':>9}")
+    for workload, by_pair in by_workload.items():
+        pairs = [by_pair[k] for k in sorted(by_pair)]
+        failed = "/".join(str(sum(p[s]["failed"] for p in pairs)) for s in ("parent", "change"))
+        for m in metrics:
+            side, wins = compare(pairs, m["name"], m["better"] == "lower")
+            p, c = (quantile(side[s], 0.5) for s in ("parent", "change"))
+            print(f"  {workload:<24} {m['name']:<16} {p:>10.4g} {c:>10.4g} {ratio(p, c):>8} "
+                  f"{wins['change']:>3}/{len(pairs):<3} {failed:>9}")
+    sys.exit(0)
+
+by_pair = by_workload[sys.argv[3]]
 pairs = [by_pair[k] for k in sorted(by_pair)]
 failed = {s: sum(p[s]["failed"] for p in pairs) for s in ("parent", "change")}
 attempted = {s: sum(p[s]["attempted"] for p in pairs) for s in ("parent", "change")}
 print(f"\nfailed ops: parent {failed['parent']}/{attempted['parent']}, "
       f"change {failed['change']}/{attempted['change']}")
 for m in metrics:
-    name, lower = m["name"], m["better"] == "lower"
-    side = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in ("parent", "change")}
-    wins = {"parent": 0, "change": 0}
-    for a, b in zip(side["parent"], side["change"]):
-        if a != b:
-            wins["change" if (b < a) == lower else "parent"] += 1
+    name = m["name"]
+    side, wins = compare(pairs, name, m["better"] == "lower")
     print(f"{name} ({m['unit']}, {m['better']} is better, bound {m['bound']:.0%})")
     for s in ("parent", "change"):
-        v = sorted(side[s])
+        v = side[s]
         print(f"  {s}: median {quantile(v, 0.5):.4g}  quartiles {quantile(v, 0.25):.4g} .. "
               f"{quantile(v, 0.75):.4g}  range {v[0]:.4g} .. {v[-1]:.4g}")
-    p, c = quantile(sorted(side["parent"]), 0.5), quantile(sorted(side["change"]), 0.5)
-    ratio = f"{c / p:.3f}" if p else "n/a"
-    print(f"  change/parent {ratio}; pairs won: change {wins['change']}, "
+    p, c = quantile(side["parent"], 0.5), quantile(side["change"], 0.5)
+    print(f"  change/parent {ratio(p, c)}; pairs won: change {wins['change']}, "
           f"parent {wins['parent']}, of {len(pairs)}")
 EOF
+}
 
-traced() { # traced <tree>: the result line of one traced run
-    bash "$1/benchmark/run.sh" --workload "$workload" --seed "$seed" \
+traced() { # traced <workload> <tree>: the result line of one traced run
+    bash "$2/benchmark/run.sh" --workload "$1" --seed "$seed" \
         --seconds "$seconds" --trace 1 2>/dev/null | tail -n 1
 }
 
-echo
-echo "counters: count-unit per-layer metrics, one --trace 1 run per tree (* = differs)"
-python3 - "$manifest" "$(traced "$parent")" "$(traced "$change")" <<'EOF'
+counters() { # counters <workload>: one traced run per tree, side by side
+    echo
+    echo "counters: count-unit per-layer metrics, one --trace 1 run per tree (* = differs)"
+    python3 - "$manifest" "$(traced "$1" "$parent")" "$(traced "$1" "$change")" <<'EOF'
 import json, sys
 
 per_layer = json.load(open(sys.argv[1]))["per_layer"]
@@ -136,3 +152,24 @@ for name, a, b in rows("ms"):
     ratio = f"{b / a:.3f}" if a and b is not None else "-"
     print(f"    {name:<28} {cell(a and round(a, 3)):>14} {cell(b and round(b, 3)):>14} {ratio:>14}")
 EOF
+}
+
+echo "pairs.sh: ${workloads[*]}, $pairs pairs, $seconds s, seed $seed"
+echo "pairs.sh: parent $parent"
+echo "pairs.sh: change $change"
+for workload in "${workloads[@]}"; do
+    echo
+    echo "== $workload"
+    for ((i = 1; i <= pairs; i++)); do
+        if ((i % 2)); then
+            one_run "$workload" "$i" parent "$parent"
+            one_run "$workload" "$i" change "$change"
+        else
+            one_run "$workload" "$i" change "$change"
+            one_run "$workload" "$i" parent "$parent"
+        fi
+    done
+    stats "$workload"
+    counters "$workload"
+done
+stats --summary
