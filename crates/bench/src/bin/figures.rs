@@ -105,15 +105,19 @@ fn fig4b(include_large: bool) {
                 strategy: FixStrategy::ExactBatch,
                 ..FixConfig::default()
             };
-            let (tb, plan) = timed(|| fix(&net.net, &sc.task, &batch_cfg).expect("fix"));
+            let batch_check = CheckConfig::default();
+            let (tb, plan) =
+                timed(|| fix(&net.net, &sc.task, &batch_check, &batch_cfg).expect("fix"));
             // The paper-faithful CEGIS loop runs minutes at large scale
             // (exactly the paper's ~10-minute ceiling); only time it on the
             // small/medium networks.
             let iterative = if size == NetSize::Large {
                 "minutes".to_string()
             } else {
-                let (ti, _) =
-                    timed(|| fix(&net.net, &sc.task, &FixConfig::default()).expect("fix"));
+                let (ti, _) = timed(|| {
+                    let check = CheckConfig::default();
+                    fix(&net.net, &sc.task, &check, &FixConfig::default()).expect("fix")
+                });
                 ms(ti)
             };
             println!(
@@ -140,11 +144,8 @@ fn fig4c() {
         let net = wan(size);
         let task = migration_task(&net);
         for (label, optimize) in [("optimized", true), ("basic", false)] {
-            let cfg = GenerateConfig {
-                optimize,
-                ..GenerateConfig::default()
-            };
-            let (t, r) = timed(|| generate(&net.net, &task, &cfg).expect("generate"));
+            let (check_cfg, cfg) = (CheckConfig::default(), GenerateConfig { optimize });
+            let (t, r) = timed(|| generate(&net.net, &task, &check_cfg, &cfg).expect("generate"));
             println!(
                 "| {} | {} | {:>8} | {:>10} | {:>5} | {:>10} | {:>4} ({}) | {:>4} | {:>5} |",
                 size.label(),
@@ -170,8 +171,8 @@ fn fig4d() {
         let net = wan(size);
         for k in [1usize, 2, 4] {
             let task = control_open_task(&net, k);
-            let cfg = GenerateConfig::default();
-            let (t, r) = timed(|| generate(&net.net, &task, &cfg).expect("generate"));
+            let (check_cfg, cfg) = (CheckConfig::default(), GenerateConfig::default());
+            let (t, r) = timed(|| generate(&net.net, &task, &check_cfg, &cfg).expect("generate"));
             println!(
                 "| {} | {} | {:>8} | {:>10} | {:>5} | {:>10} | {:>4} | {:>5} |",
                 size.label(),

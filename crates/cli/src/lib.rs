@@ -120,7 +120,7 @@ impl RunOptions {
             ..EngineConfig::default()
         };
         if self.trace {
-            cfg.obs = jinjing_obs::Collector::with_trace(true);
+            cfg.check.obs = jinjing_obs::Collector::with_trace(true);
         }
         cfg
     }
@@ -183,7 +183,7 @@ pub fn trace_command(
 ) -> Result<TraceOutput, CliError> {
     let cfg = opts.engine_config();
     let tctx = jinjing_obs::TraceCtx::new(&jinjing_obs::trace_id_of(intent_text));
-    cfg.obs.attach_trace_ctx(tctx.clone());
+    cfg.check.obs.attach_trace_ctx(tctx.clone());
     let root = tctx.span(0, "cli.trace");
     let run = jinjing_core::query::run_query(net, config, intent_text, &cfg).map_err(err)?;
     drop(root);
@@ -599,12 +599,8 @@ fn convert(args: &[String]) -> Result<i32, CliError> {
     Ok(0)
 }
 
-/// Parse the `jinjing serve` flags (listen address, admission-control
-/// knobs, drain hooks) into a [`jinjing_serve::ServeConfig`].
-pub fn serve_config_from_args(args: &[String]) -> Result<jinjing_serve::ServeConfig, CliError> {
-    serve_config(&Flags::parse(args, SERVE_FLAGS)?)
-}
-
+/// The `jinjing serve` flags (listen address, admission-control knobs,
+/// drain hooks) as a [`jinjing_serve::ServeConfig`].
 fn serve_config(flags: &Flags<'_>) -> Result<jinjing_serve::ServeConfig, CliError> {
     let defaults = jinjing_serve::ServeConfig::default();
     Ok(jinjing_serve::ServeConfig {
@@ -649,12 +645,7 @@ pub fn serve_command(
     Ok(())
 }
 
-/// Parse the `jinjing shard` flags into a
-/// [`jinjing_shard::ShardConfig`].
-pub fn shard_config_from_args(args: &[String]) -> Result<jinjing_shard::ShardConfig, CliError> {
-    shard_config(&Flags::parse(args, SHARD_FLAGS)?)
-}
-
+/// The `jinjing shard` flags as a [`jinjing_shard::ShardConfig`].
 fn shard_config(flags: &Flags<'_>) -> Result<jinjing_shard::ShardConfig, CliError> {
     let defaults = jinjing_shard::ShardConfig::default();
     Ok(jinjing_shard::ShardConfig {
@@ -1356,8 +1347,6 @@ check
         let e = call_command(&["call", "--path", "/x", "--header", "NoColon"].map(String::from))
             .unwrap_err();
         assert!(e.to_string().contains("bad --header \"NoColon\""), "{e}");
-        let e = serve_config_from_args(&["serve", "--worker", "4"].map(String::from)).unwrap_err();
-        assert!(e.to_string().contains("unknown flag"), "{e}");
     }
 
     #[test]
@@ -1474,7 +1463,7 @@ step noop
         .iter()
         .map(ToString::to_string)
         .collect();
-        let cfg = serve_config_from_args(&args).unwrap();
+        let cfg = serve_config(&Flags::parse(&args, SERVE_FLAGS).unwrap()).unwrap();
         assert_eq!(cfg.addr, "127.0.0.1:0");
         assert_eq!(cfg.workers, 3);
         assert_eq!(cfg.queue, 5);
@@ -1490,7 +1479,7 @@ step noop
             .iter()
             .map(ToString::to_string)
             .collect();
-        assert!(serve_config_from_args(&bad).is_err());
+        assert!(serve_config(&Flags::parse(&bad, SERVE_FLAGS).unwrap()).is_err());
     }
 
     #[test]
@@ -1499,14 +1488,14 @@ step noop
             .iter()
             .map(ToString::to_string)
             .collect();
-        let cfg = serve_config_from_args(&args).unwrap();
-        assert_eq!(cfg.max_body, 4 << 20);
+        let parse = |args: &[String]| serve_config(&Flags::parse(args, SERVE_FLAGS).unwrap());
+        assert_eq!(parse(&args).unwrap().max_body, 4 << 20);
         // The new spelling wins when both are given.
         let both: Vec<String> = ["serve", "--max-body", "1024", "--max-body-bytes", "2048"]
             .iter()
             .map(ToString::to_string)
             .collect();
-        assert_eq!(serve_config_from_args(&both).unwrap().max_body, 2048);
+        assert_eq!(parse(&both).unwrap().max_body, 2048);
     }
 
     #[test]
@@ -1525,7 +1514,8 @@ step noop
         .iter()
         .map(ToString::to_string)
         .collect();
-        let cfg = shard_config_from_args(&args).unwrap();
+        let parse = |args: &[String]| shard_config(&Flags::parse(args, SHARD_FLAGS).unwrap());
+        let cfg = parse(&args).unwrap();
         assert_eq!(cfg.addr, "127.0.0.1:0");
         assert_eq!(cfg.backends, vec!["127.0.0.1:9001", "127.0.0.1:9002"]);
         assert_eq!(cfg.threads, 2);
@@ -1533,12 +1523,12 @@ step noop
         assert!(!cfg.trace);
 
         let missing: Vec<String> = ["shard"].iter().map(ToString::to_string).collect();
-        assert!(shard_config_from_args(&missing).is_err());
+        assert!(parse(&missing).is_err());
         let empty: Vec<String> = ["shard", "--backends", " , "]
             .iter()
             .map(ToString::to_string)
             .collect();
-        assert!(shard_config_from_args(&empty).is_err());
+        assert!(parse(&empty).is_err());
     }
 
     #[test]

@@ -70,13 +70,18 @@ use std::time::{Duration, Instant};
 /// Tunables for check.
 #[derive(Debug, Clone)]
 pub struct CheckConfig {
-    /// Apply the differential-rule reduction (Theorem 4.1).
+    /// Apply the differential-rule reduction (Theorem 4.1). Decided in
+    /// [`preprocess`] alone: without it every slot is encoded whole and the
+    /// cover is the full space, which the rest of a check (and fix's
+    /// search) treats like any other cover.
     pub differential: bool,
     /// Decision-model encoding for the solver circuits.
     pub encoding: Encoding,
-    /// Equivalence-class caps.
+    /// Equivalence-class caps, for every refinement of a run: the FEC
+    /// partition, fix's batch neighbourhoods, generate's AECs and DECs.
     pub refine_limits: RefineLimits,
-    /// Worker threads for the per-`(class, path)` query fan-out. `0` means
+    /// Worker threads for the per-`(class, path)` query fan-out (and for
+    /// fix's batch placements and generate's per-AEC solves). `0` means
     /// "auto": consult `JINJING_THREADS`, defaulting to 1 (serial — the
     /// exact historical code path). Reports are byte-identical for every
     /// value (see `jinjing-par`'s determinism contract).
@@ -88,7 +93,8 @@ pub struct CheckConfig {
     /// store already holds.
     pub cache: Arc<QueryCache>,
     /// Observability sink: phase spans, solver histograms, events. A fresh
-    /// (private) collector by default; the engine shares one per run.
+    /// (private) collector by default. Under the engine it is the run's
+    /// collector: fix and generate record into it too.
     pub obs: jinjing_obs::Collector,
     /// Restrict this run to the equivalence classes owned by one shard of
     /// a consistent-hash partition (see [`jinjing_acl::shard`]). `None` —
@@ -564,9 +570,10 @@ pub(crate) fn check_inner(
         t_solve: Default::default(),
         violation_pair: None,
     };
-    // Fast path: nothing changed and nothing is controlled. Nothing is
+    // Fast path: nothing changed and nothing is controlled (without the
+    // reduction the cover is the full space, never empty). Nothing is
     // derived for it: every class the model already knows is clean.
-    if cfg.differential && cover.is_empty() {
+    if cover.is_empty() {
         cfg.obs.event(
             jinjing_obs::Level::Debug,
             "check.fastpath",
@@ -599,7 +606,7 @@ pub(crate) fn check_inner(
     let candidates: Vec<(usize, &AtomClass)> = classes
         .iter()
         .enumerate()
-        .filter(|(_, class)| !cfg.differential || class.set.intersects(&cover))
+        .filter(|(_, class)| class.set.intersects(&cover))
         .filter(|(_, class)| {
             cfg.shard
                 .as_ref()
@@ -651,10 +658,7 @@ pub(crate) fn check_inner(
         dirty_pairs: jobs.len(),
     };
     // The cover is fingerprinted once per run; every key mixes the word.
-    let region = cfg
-        .differential
-        .then(|| (&cover, region_fingerprint(&cover)));
-    let region_set = region.map(|(set, _)| set);
+    let region = (&cover, region_fingerprint(&cover));
     // Flight recorder: workers emit onto their own track (`1 + slot`; the
     // serial path uses track 1) so a trace shows per-worker solver
     // timelines. A disabled context makes every call below a no-op.
@@ -704,13 +708,7 @@ pub(crate) fn check_inner(
                     // Stage 2: re-ask with the witness pinned inside the
                     // class. Never cached (class sets rarely recur).
                     let s2_span = tr.span_with(tid, "solver.query", &[("stage", 2)]);
-                    let s2 = run_query(
-                        &chain,
-                        job.verb,
-                        cfg.encoding,
-                        region_set,
-                        Some(job.class_set),
-                    );
+                    let s2 = run_query(&chain, job.verb, cfg.encoding, &cover, Some(job.class_set));
                     s2.stats.trace_query(s2_span, s2.vars, s2.clauses);
                     let w = match s2.result {
                         SolveResult::Sat => Some(s2.model.expect("Sat query stores its model")),
@@ -882,15 +880,14 @@ fn keyed_query(
     chain: &[(&Acl, &Acl)],
     words: &[u64],
     verb: Option<ControlVerb>,
-    region: Option<(&PacketSet, u64)>,
+    region: (&PacketSet, u64),
 ) -> CachedSolve {
     let key = cfg
         .cache
         .key_fingerprinted(chain, words, verb, cfg.encoding, region);
-    let region = region.map(|(set, _)| set);
     let (v, hit) = cfg
         .cache
-        .get_or_solve(key, || run_query(chain, verb, cfg.encoding, region, None));
+        .get_or_solve(key, || run_query(chain, verb, cfg.encoding, region.0, None));
     cfg.obs.counter_add(
         if hit {
             "check.cache_hit"
@@ -904,7 +901,9 @@ fn keyed_query(
 
 /// Build and solve one Eq. 3 query: does the desired decision of the
 /// `chain` (rewritten by `verb`) disagree with the updated decision for
-/// some packet in `region ∩ class_set`?
+/// some packet in `region ∩ class_set`? A full `region` (the cover without
+/// the differential reduction) folds to the constant `true` and adds
+/// nothing to the circuit.
 ///
 /// Uses a fresh [`CircuitBuilder`] *without* an obs sink: the caller folds
 /// the returned stats in deterministic order and replays them into the
@@ -913,7 +912,7 @@ fn run_query(
     chain: &[(&Acl, &Acl)],
     verb: Option<ControlVerb>,
     encoding: Encoding,
-    region: Option<&PacketSet>,
+    region: &PacketSet,
     class_set: Option<&PacketSet>,
 ) -> CachedSolve {
     let mut builder = CircuitBuilder::new();
@@ -934,10 +933,8 @@ fn run_query(
     };
     let eq = builder.iff(desired, cp2);
     builder.assert(!eq);
-    if let Some(set) = region {
-        let in_region = h.in_set(&mut builder, set);
-        builder.assert(in_region);
-    }
+    let in_region = h.in_set(&mut builder, region);
+    builder.assert(in_region);
     if let Some(set) = class_set {
         let in_class = h.in_set(&mut builder, set);
         builder.assert(in_class);
@@ -1022,16 +1019,14 @@ pub fn check_per_acl(before: &AclConfig, after: &AclConfig, cfg: &CheckConfig) -
         t_solve: Default::default(),
         violation_pair: None,
     };
-    if cfg.differential && cover.is_empty() {
+    if cover.is_empty() {
         return report;
     }
     let mut slots: Vec<Slot> = pairs.keys().copied().collect();
     slots.sort();
     let pool = Pool::new(cfg.threads);
     let cancel = Cancel::new();
-    let region = cfg
-        .differential
-        .then(|| (&cover, region_fingerprint(&cover)));
+    let region = (&cover, region_fingerprint(&cover));
     // One per-slot equivalence query per work item; identical ACL
     // templates on different slots share a cache entry.
     let tr = cfg.obs.trace_ctx();
@@ -1429,13 +1424,13 @@ mod per_acl_tests {
         cfg: &CheckConfig,
         chain: &[(&Acl, &Acl)],
         verb: Option<ControlVerb>,
-        region: Option<&PacketSet>,
+        region: &PacketSet,
     ) -> CachedSolve {
         let words: Vec<u64> = chain
             .iter()
             .map(|(b, a)| cfg.cache.pair_fingerprint(b, a))
             .collect();
-        let region = region.map(|set| (set, region_fingerprint(set)));
+        let region = (region, region_fingerprint(region));
         keyed_query(cfg, chain, &words, verb, region)
     }
 
@@ -1478,7 +1473,8 @@ mod per_acl_tests {
                 ))
                 .cube(),
             );
-            let region = [None, Some(&cover)][rng.below(2) as usize];
+            let full = PacketSet::full();
+            let region = [&full, &cover][rng.below(2) as usize];
             let direct = fields(&run_query(&chain, verb, encoding, region, None));
             for store in &stores {
                 let cfg = CheckConfig {
@@ -1532,7 +1528,7 @@ mod per_acl_tests {
         let untouched = Acl::new(ladder(1), permit);
         let chain = [(&before, &after), (&untouched, &untouched)];
 
-        let solved = run_query(&chain, None, Encoding::Tree, Some(&cover), None);
+        let solved = run_query(&chain, None, Encoding::Tree, &cover, None);
         assert_eq!(solved.result, SolveResult::Unsat);
         assert_eq!(
             (solved.vars, solved.clauses, solved.stats.conflicts),

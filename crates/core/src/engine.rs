@@ -7,7 +7,7 @@
 use crate::check::{check, CheckConfig, CheckOutcome, CheckReport};
 use crate::fix::{fix, FixConfig, FixError, FixPlan};
 use crate::generate::{generate, GenerateConfig, GenerateError, GenerateReport};
-use crate::incr::{CheckSession, IncrConfig};
+use crate::incr::CheckSession;
 use crate::plan::{PlanConfig, PlanError, RolloutPlan};
 use crate::task::Task;
 use jinjing_acl::atoms::ClassExplosion;
@@ -15,31 +15,38 @@ use jinjing_lai::Command;
 use jinjing_net::{AclConfig, Network, Slot};
 use std::fmt;
 
-/// Engine-level configuration: per-primitive tunables.
+/// Engine-level configuration. Each setting is held once: `check` is the
+/// run's one check configuration, and every primitive runs under it — fix's
+/// search and its certification check, generate's refinements, a session's
+/// re-checks and every rollout-prefix probe. Its collector (`check.obs`)
+/// is the run's, so one span tree and one metric store describe the whole
+/// run, and its query store is shared by every phase of the run.
 #[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
-    /// Check tunables.
+    /// The run's check configuration.
     pub check: CheckConfig,
-    /// Fix tunables.
+    /// What only fix reads: the search strategy and its budget.
     pub fix: FixConfig,
-    /// Generate tunables.
+    /// What only generate reads: the §5.5 emission switch.
     pub generate: GenerateConfig,
-    /// Incremental-session tunables (cache-eviction window, base-advance
-    /// policy) for sessions opened through [`open_session`].
-    pub incr: IncrConfig,
-    /// Rollout-planner tunables (wave budget, step ceiling) for
-    /// [`plan`].
+    /// What only [`plan`] reads: the wave budget.
     pub plan: PlanConfig,
-    /// Run-level worker-thread override. When non-zero, [`run`] pushes it
-    /// into every primitive's `threads` knob (check's query fan-out, batch
-    /// fix's placement fan-out, generate's AEC sweep). `0` leaves the
-    /// per-primitive settings alone (their own `0` means "consult
-    /// `JINJING_THREADS`, default serial").
+    /// Run-level worker-thread override. When non-zero it replaces
+    /// `check.threads` (check's query fan-out, batch fix's placement
+    /// fan-out, generate's AEC sweep). `0` leaves `check.threads` alone
+    /// (whose own `0` means "consult `JINJING_THREADS`, default serial").
     pub threads: usize,
-    /// The run's observability collector. [`run`] shares it with every
-    /// primitive (overriding the per-primitive collectors), so one span
-    /// tree and one metric store describe the whole run.
-    pub obs: jinjing_obs::Collector,
+}
+
+impl EngineConfig {
+    /// The run's check configuration with the thread override applied.
+    fn run_check(&self) -> CheckConfig {
+        let mut check = self.check.clone();
+        if self.threads != 0 {
+            check.threads = self.threads;
+        }
+        check
+    }
 }
 
 /// What the engine produced: the primitive's report plus the run's
@@ -160,25 +167,14 @@ impl From<crate::check::CheckError> for EngineError {
 
 /// Execute a task.
 ///
-/// The engine's collector ([`EngineConfig::obs`]) is pushed down into every
-/// primitive configuration before dispatch, so the whole run — including the
-/// nested certification `check` inside `fix` — lands in one span tree. The
-/// frozen [`jinjing_obs::Snapshot`] rides back on the [`Report`].
+/// Every primitive runs under the run's one check configuration
+/// ([`EngineConfig::check`]), so the whole run — including the nested
+/// certification `check` inside `fix` — lands in one span tree and shares
+/// one query store. The frozen [`jinjing_obs::Snapshot`] rides back on the
+/// [`Report`].
 pub fn run(net: &Network, task: &Task, cfg: &EngineConfig) -> Result<Report, EngineError> {
-    let obs = cfg.obs.clone();
-    let mut cfg = cfg.clone();
-    cfg.check.obs = obs.clone();
-    cfg.fix.check.obs = obs.clone();
-    cfg.generate.obs = obs.clone();
-    if cfg.threads != 0 {
-        cfg.check.threads = cfg.threads;
-        cfg.fix.check.threads = cfg.threads;
-        cfg.generate.threads = cfg.threads;
-    }
-    // One query store per run: the counterexample search inside fix and
-    // its final certification check hit the same decision-model
-    // comparisons, so they share the engine-level store.
-    cfg.fix.check.cache = cfg.check.cache.clone();
+    let check_cfg = cfg.run_check();
+    let obs = &check_cfg.obs;
     obs.event(
         jinjing_obs::Level::Info,
         "engine.start",
@@ -186,13 +182,13 @@ pub fn run(net: &Network, task: &Task, cfg: &EngineConfig) -> Result<Report, Eng
     );
     let run_span = obs.span("engine.run");
     let kind = match task.command {
-        Command::Check => check(net, task, &cfg.check)
+        Command::Check => check(net, task, &check_cfg)
             .map(ReportKind::Check)
             .map_err(EngineError::from),
-        Command::Fix => fix(net, task, &cfg.fix)
+        Command::Fix => fix(net, task, &check_cfg, &cfg.fix)
             .map(ReportKind::Fix)
             .map_err(EngineError::Fix),
-        Command::Generate => generate(net, task, &cfg.generate)
+        Command::Generate => generate(net, task, &check_cfg, &cfg.generate)
             .map(ReportKind::Generate)
             .map_err(EngineError::Generate),
     };
@@ -209,10 +205,9 @@ pub fn run(net: &Network, task: &Task, cfg: &EngineConfig) -> Result<Report, Eng
     }
 }
 
-/// Open an incremental [`CheckSession`] for a resolved task, applying the
-/// same configuration pushdown as [`run`]: the engine's collector and
-/// run-level thread override land in the session's check configuration,
-/// and the engine-level query cache becomes the session's persistent
+/// Open an incremental [`CheckSession`] for a resolved task under the
+/// run's check configuration, as [`run`] does: its collector, thread
+/// override and query store — which becomes the session's persistent
 /// generation-tagged cache. The task's scope, controls and *current*
 /// configuration (`task.before`) seed the session; its update
 /// (`task.after`) is ignored — deltas arrive through
@@ -222,12 +217,7 @@ pub fn open_session<'n>(
     task: &Task,
     cfg: &EngineConfig,
 ) -> Result<CheckSession<'n>, EngineError> {
-    let mut check_cfg = cfg.check.clone();
-    check_cfg.obs = cfg.obs.clone();
-    if cfg.threads != 0 {
-        check_cfg.threads = cfg.threads;
-    }
-    CheckSession::for_task(net, task, check_cfg, cfg.incr.clone()).map_err(EngineError::Classes)
+    CheckSession::for_task(net, task, cfg.run_check()).map_err(EngineError::Classes)
 }
 
 /// Synthesize a certified rollout plan from the task's current
@@ -235,23 +225,18 @@ pub fn open_session<'n>(
 /// controls, packaged like every other primitive: a [`Report`] carrying a
 /// [`RolloutPlan`] plus the run's observability snapshot.
 ///
-/// The same configuration pushdown as [`run`] applies: the engine's
-/// collector and run-level thread override land in the planner's check
-/// configuration, and its query store backs every prefix-state probe.
-/// The target usually comes from the task's own update (`task.after`) or
-/// from a delta script applied on top of it.
+/// Every prefix-state probe runs under the run's check configuration, as
+/// [`run`] does: its collector, thread override and query store. The
+/// target usually comes from the task's own update (`task.after`) or from
+/// a delta script applied on top of it.
 pub fn plan(
     net: &Network,
     task: &Task,
     target: &AclConfig,
     cfg: &EngineConfig,
 ) -> Result<Report, EngineError> {
-    let obs = cfg.obs.clone();
-    let mut check_cfg = cfg.check.clone();
-    check_cfg.obs = obs.clone();
-    if cfg.threads != 0 {
-        check_cfg.threads = cfg.threads;
-    }
+    let check_cfg = cfg.run_check();
+    let obs = &check_cfg.obs;
     obs.event(jinjing_obs::Level::Info, "engine.start", "running plan");
     let rollout = crate::plan::synthesize(
         net,
@@ -651,22 +636,53 @@ mod error_path_tests {
         assert!(err.to_string().contains("no valid ACL placement"), "{err}");
     }
 
+    /// The run's refinement cap reaches every primitive: check's FEC
+    /// partition, fix's search and generate's AECs all explode under it.
     #[test]
     fn class_explosion_is_reported_not_panicked() {
         use jinjing_acl::atoms::RefineLimits;
         let f = Figure1::new();
         let mut cfg = EngineConfig::default();
         cfg.check.refine_limits = RefineLimits { max_classes: 1 };
-        let task = Task {
+        let task = |command, after, allow| Task {
             scope: f.scope(),
-            allow: Vec::new(),
+            allow,
             before: f.config.clone(),
-            after: f.bad_update(),
+            after,
             modified: Vec::new(),
             controls: Vec::new(),
-            command: Command::Check,
+            command,
         };
-        let err = run(&f.net, &task, &cfg).unwrap_err();
+        // The running example's update, fixed on A and B; the §5 migration
+        // off A1 and D2, generated at C1, C2 and D1.
+        let a_and_b = ["A1", "A2", "A3", "A4", "B1", "B2"]
+            .into_iter()
+            .flat_map(|n| [Slot::ingress(f.iface(n)), Slot::egress(f.iface(n))])
+            .collect();
+        let mut migrated = f.config.clone();
+        migrated.set(f.slot("A1"), jinjing_acl::Acl::permit_all());
+        migrated.set(f.slot("D2"), jinjing_acl::Acl::permit_all());
+        let targets = vec![f.slot("C1"), f.slot("C2"), f.slot("D1")];
+        let check = task(Command::Check, f.bad_update(), Vec::new());
+        let fix = task(Command::Fix, f.bad_update(), a_and_b);
+        let generate = task(Command::Generate, migrated, targets);
+
+        let err = run(&f.net, &check, &cfg).unwrap_err();
+        assert!(matches!(err, EngineError::Classes(_)), "{err}");
         assert!(err.to_string().contains("explosion"), "{err}");
+        let err = run(&f.net, &fix, &cfg).unwrap_err();
+        assert!(
+            matches!(err, EngineError::Fix(FixError::Classes(_))),
+            "{err}"
+        );
+        let err = run(&f.net, &generate, &cfg).unwrap_err();
+        assert!(
+            matches!(err, EngineError::Generate(GenerateError::Classes(_))),
+            "{err}"
+        );
+        // Under the default cap both succeed: the cap is what failed them.
+        for task in [&fix, &generate] {
+            run(&f.net, task, &EngineConfig::default()).unwrap();
+        }
     }
 }

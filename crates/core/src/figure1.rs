@@ -479,14 +479,15 @@ mod model_purity {
             let fresh = check(&f.net, task, &CheckConfig::default()).unwrap();
             let first = check_shared();
             assert_eq!(canon_check(&first), canon_check(&fresh), "{label}: check");
+            let (fix_cfg, generate_cfg) = (FixConfig::default(), GenerateConfig::default());
             assert_same_fix(
-                &fix_in(&model, task, &FixConfig::default()),
-                &fix(&f.net, task, &FixConfig::default()),
+                &fix_in(&model, task, &CheckConfig::default(), &fix_cfg),
+                &fix(&f.net, task, &CheckConfig::default(), &fix_cfg),
                 label,
             );
             assert_same_generate(
-                &generate_in(&model, task, &GenerateConfig::default()),
-                &generate(&f.net, task, &GenerateConfig::default()),
+                &generate_in(&model, task, &CheckConfig::default(), &generate_cfg),
+                &generate(&f.net, task, &CheckConfig::default(), &generate_cfg),
                 label,
             );
             assert_eq!(

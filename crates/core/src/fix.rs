@@ -39,7 +39,7 @@
 //!    bound on the change indicators.
 //! 3. Rules `(action = D(ξ), match = neighborhood)` are prepended where the
 //!    solved decision differs from the updated ACL's, and the touched ACLs
-//!    are optionally simplified (§4.2 extensions).
+//!    are simplified (§4.2 extensions).
 
 use crate::check::{
     check_inner, preprocess, scope_model, slots_union, CheckConfig, CheckOutcome, CheckReport,
@@ -83,20 +83,13 @@ pub enum FixStrategy {
     ExactBatch,
 }
 
-/// Tunables for fix.
+/// Tunables only fix reads (the check settings are the caller's
+/// [`CheckConfig`]). The placement always minimizes the slots changed and
+/// the touched ACLs are always simplified (§4.2 extensions).
 #[derive(Debug, Clone)]
 pub struct FixConfig {
     /// Violation-hunting strategy.
     pub strategy: FixStrategy,
-    /// Check configuration used for counterexample search. Its `threads`
-    /// setting also sizes the batch engine's placement fan-out, and its
-    /// `cache` is shared with the final certification check.
-    pub check: CheckConfig,
-    /// Minimize the number of slots changed per neighborhood (§4.2
-    /// "Optimization for minimal changes").
-    pub minimize_changes: bool,
-    /// Simplify the final ACLs (§4.2 "Simplifying the final ACL").
-    pub simplify: bool,
     /// Abort after this many neighborhoods (safety valve; the paper notes
     /// unexpanded enumeration could run 10^31 iterations).
     pub max_neighborhoods: usize,
@@ -106,9 +99,6 @@ impl Default for FixConfig {
     fn default() -> FixConfig {
         FixConfig {
             strategy: FixStrategy::default(),
-            check: CheckConfig::default(),
-            minimize_changes: true,
-            simplify: true,
             max_neighborhoods: 10_000,
         }
     }
@@ -192,7 +182,7 @@ pub struct FixPhases {
 pub struct FixPlan {
     /// Rules added, in application order, per slot.
     pub added_rules: Vec<(Slot, Rule)>,
-    /// The repaired configuration (update + fixes, simplified if enabled).
+    /// The repaired configuration (update + fixes, simplified).
     pub fixed: AclConfig,
     /// The neighborhoods that were repaired.
     pub neighborhoods: Vec<MatchSpec>,
@@ -203,15 +193,18 @@ pub struct FixPlan {
     pub phases: FixPhases,
 }
 
-/// Run fix on a resolved task.
-pub fn fix(net: &Network, task: &Task, cfg: &FixConfig) -> Result<FixPlan, FixError> {
-    let model = scope_model(
-        net,
-        task.scope.clone(),
-        &task.controls,
-        cfg.check.refine_limits,
-    );
-    fix_in(&model, task, cfg)
+/// Run fix on a resolved task. `check` is the run's check configuration:
+/// the counterexample search encodes, caches and records under it, and
+/// the repaired configuration must pass a check under it (its delegate
+/// included) before the plan is returned.
+pub fn fix(
+    net: &Network,
+    task: &Task,
+    check: &CheckConfig,
+    cfg: &FixConfig,
+) -> Result<FixPlan, FixError> {
+    let model = scope_model(net, task.scope.clone(), &task.controls, check.refine_limits);
+    fix_in(&model, task, check, cfg)
 }
 
 /// [`fix`] on the caller's model of `task.scope` under `task.controls`: the
@@ -220,14 +213,15 @@ pub fn fix(net: &Network, task: &Task, cfg: &FixConfig) -> Result<FixPlan, FixEr
 pub(crate) fn fix_in(
     model: &ScopeModel<'_>,
     task: &Task,
+    check: &CheckConfig,
     cfg: &FixConfig,
 ) -> Result<FixPlan, FixError> {
-    let _fix_span = cfg.check.obs.span("fix");
+    let _fix_span = check.obs.span("fix");
     let repair = match cfg.strategy {
-        FixStrategy::IterativeCegis => fix_iterative(model, task, cfg)?,
-        FixStrategy::ExactBatch => fix_batch(model, task, cfg)?,
+        FixStrategy::IterativeCegis => fix_iterative(model, task, check, cfg)?,
+        FixStrategy::ExactBatch => fix_batch(model, task, check, cfg)?,
     };
-    certify(model, task, cfg, repair)
+    certify(model, task, check, repair)
 }
 
 /// What either engine hands to [`certify`]: the update with every fixing
@@ -246,7 +240,7 @@ struct Repair {
 fn certify(
     model: &ScopeModel<'_>,
     task: &Task,
-    cfg: &FixConfig,
+    check: &CheckConfig,
     repair: Repair,
 ) -> Result<FixPlan, FixError> {
     let Repair {
@@ -255,13 +249,13 @@ fn certify(
         added_rules,
         mut phases,
     } = repair;
-    let obs = &cfg.check.obs;
+    let obs = &check.obs;
     let final_check = check_inner(
         model,
         &task.before,
         &current,
         &task.controls,
-        &cfg.check,
+        check,
         &CoverMemo::default(),
     )?
     .report;
@@ -269,18 +263,16 @@ fn certify(
         return Err(FixError::NotCertified { witness: v.packet });
     }
     let mut fixed = current;
-    if cfg.simplify {
-        let sp = obs.span("fix.simplify");
-        for slot in fixed.slots() {
-            if let Some(acl) = fixed.get(slot) {
-                if acl.len() <= 128 {
-                    let (s, _) = simplify(acl);
-                    fixed.set(slot, s);
-                }
+    let sp = obs.span("fix.simplify");
+    for slot in fixed.slots() {
+        if let Some(acl) = fixed.get(slot) {
+            if acl.len() <= 128 {
+                let (s, _) = simplify(acl);
+                fixed.set(slot, s);
             }
         }
-        phases.simplify = sp.finish();
     }
+    phases.simplify = sp.finish();
     obs.counter_add("fix.neighborhoods", neighborhoods.len() as u64);
     obs.counter_add("fix.added_rules", added_rules.len() as u64);
     Ok(FixPlan {
@@ -293,8 +285,13 @@ fn certify(
 }
 
 /// The [`FixStrategy::IterativeCegis`] engine (see the module docs).
-fn fix_iterative(model: &ScopeModel<'_>, task: &Task, cfg: &FixConfig) -> Result<Repair, FixError> {
-    let obs = &cfg.check.obs;
+fn fix_iterative(
+    model: &ScopeModel<'_>,
+    task: &Task,
+    check: &CheckConfig,
+    cfg: &FixConfig,
+) -> Result<Repair, FixError> {
+    let obs = &check.obs;
     let (before, controls) = (&task.before, &task.controls);
     let mut phases = FixPhases::default();
     let mut current = task.after.clone();
@@ -316,14 +313,13 @@ fn fix_iterative(model: &ScopeModel<'_>, task: &Task, cfg: &FixConfig) -> Result
         before,
         &task.after,
         controls,
-        cfg.check.differential,
+        check.differential,
         &CoverMemo::default(),
-        &cfg.check.cache,
+        &check.cache,
     );
 
-    let skip_cover = |class: &PacketSet| cfg.check.differential && !class.intersects(&cover);
     for (ci, class) in model.classes()?.iter().enumerate() {
-        if skip_cover(&class.set) {
+        if !class.set.intersects(&cover) {
             continue;
         }
         let paths = model.paths_for(ci);
@@ -350,7 +346,7 @@ fn fix_iterative(model: &ScopeModel<'_>, task: &Task, cfg: &FixConfig) -> Result
                             &mut builder,
                             &hvars,
                             &pair.before,
-                            cfg.check.encoding,
+                            check.encoding,
                         )
                     });
                     let la = *lits_after.entry(slot).or_insert_with(|| {
@@ -358,7 +354,7 @@ fn fix_iterative(model: &ScopeModel<'_>, task: &Task, cfg: &FixConfig) -> Result
                             &mut builder,
                             &hvars,
                             &pair.after,
-                            cfg.check.encoding,
+                            check.encoding,
                         )
                     });
                     c_before.push(lb);
@@ -379,10 +375,8 @@ fn fix_iterative(model: &ScopeModel<'_>, task: &Task, cfg: &FixConfig) -> Result
         let in_class = hvars.in_set(&mut builder, &class.set);
         builder.assert(any);
         builder.assert(in_class);
-        if cfg.check.differential {
-            let in_cover = hvars.in_set(&mut builder, &cover);
-            builder.assert(in_cover);
-        }
+        let in_cover = hvars.in_set(&mut builder, &cover);
+        builder.assert(in_cover);
 
         // --- Counterexample enumeration for this class. ---
         loop {
@@ -417,7 +411,7 @@ fn fix_iterative(model: &ScopeModel<'_>, task: &Task, cfg: &FixConfig) -> Result
             // Phase 2: placement solve for this neighborhood (§4.2 "Fixing
             // plan generation"), its rules prepended to `current`.
             let sp = obs.span("fix.place");
-            let adds = solve_placement(model, task, &current, cfg, &[m], &region, &h)?;
+            let adds = solve_placement(model, task, &current, obs, &[m], &region, &h)?;
             apply_placement(&mut current, &mut added_rules, &adds);
             phases.place += sp.finish();
             // What keeps `acl_sets` current: a placement rewrites decisions
@@ -453,7 +447,7 @@ fn solve_placement(
     model: &ScopeModel<'_>,
     task: &Task,
     base: &AclConfig,
-    cfg: &FixConfig,
+    obs: &jinjing_obs::Collector,
     specs: &[MatchSpec],
     region: &PacketSet,
     h: &Packet,
@@ -466,7 +460,7 @@ fn solve_placement(
     // worker: counters and histograms are commutative aggregates, so the
     // totals are schedule-independent (unlike spans, which workers never
     // open).
-    builder.set_obs(cfg.check.obs.clone());
+    builder.set_obs(obs.clone());
     // One decision variable per slot appearing on any carrying path.
     let mut vars: HashMap<Slot, Lit> = HashMap::new();
     for p in &paths {
@@ -514,28 +508,22 @@ fn solve_placement(
             builder.xor(v, now_lit)
         })
         .collect();
+    // Minimal changes: ascend k = 0, 1, 2, … over sequential-counter
+    // outputs, by assumption on the one solver instance (learned clauses
+    // survive each bound), until the first `Sat`: that k is minimal. The
+    // fix goldens pin the placement this search surfaces.
+    let outputs = counter_outputs(&mut builder, &indicators);
     let mut solves = 0u64;
-    let sat = if cfg.minimize_changes {
-        // Ascend k = 0, 1, 2, … over sequential-counter outputs, by
-        // assumption on the one solver instance (learned clauses survive
-        // each bound), until the first `Sat`: that k is minimal. The fix
-        // goldens pin the placement this search surfaces.
-        let outputs = counter_outputs(&mut builder, &indicators);
-        let mut found = false;
-        for k in 0..=indicators.len() {
-            let assumptions: Vec<Lit> = at_most_assumption(&outputs, k).into_iter().collect();
-            solves += 1;
-            if builder.solve_with(&assumptions) == SolveResult::Sat {
-                found = true;
-                break;
-            }
-        }
-        found
-    } else {
+    let mut sat = false;
+    for k in 0..=indicators.len() {
+        let assumptions: Vec<Lit> = at_most_assumption(&outputs, k).into_iter().collect();
         solves += 1;
-        builder.solve() == SolveResult::Sat
-    };
-    cfg.check.obs.counter_add("fix.place_solves", solves);
+        if builder.solve_with(&assumptions) == SolveResult::Sat {
+            sat = true;
+            break;
+        }
+    }
+    obs.counter_add("fix.place_solves", solves);
     if !sat {
         return Err(FixError::Unfixable {
             neighborhood: specs[0],
@@ -590,8 +578,13 @@ fn apply_placement(
 /// The [`FixStrategy::ExactBatch`] engine: one exact pass computes every
 /// violation, one refinement pass partitions them into maximal uniform
 /// neighborhoods, then placements are solved per neighborhood.
-fn fix_batch(model: &ScopeModel<'_>, task: &Task, cfg: &FixConfig) -> Result<Repair, FixError> {
-    let obs = &cfg.check.obs;
+fn fix_batch(
+    model: &ScopeModel<'_>,
+    task: &Task,
+    check: &CheckConfig,
+    cfg: &FixConfig,
+) -> Result<Repair, FixError> {
+    let obs = &check.obs;
     let controls = &task.controls;
     let mut phases = FixPhases::default();
     let mut current = task.after.clone();
@@ -646,7 +639,7 @@ fn fix_batch(model: &ScopeModel<'_>, task: &Task, cfg: &FixConfig) -> Result<Rep
         }
         preds.extend(crate::control::control_regions(controls));
         let preds = jinjing_acl::atoms::dedupe_predicates(preds);
-        let atoms = jinjing_acl::atoms::refine(&violations, &preds, cfg.check.refine_limits)
+        let atoms = jinjing_acl::atoms::refine(&violations, &preds, check.refine_limits)
             .map_err(FixError::Classes)?;
         phases.enlarge = sp.finish();
         if atoms.len() > cfg.max_neighborhoods {
@@ -674,11 +667,11 @@ fn fix_batch(model: &ScopeModel<'_>, task: &Task, cfg: &FixConfig) -> Result<Rep
                 AtomJob { region, h, specs }
             })
             .collect();
-        let pool = Pool::new(jinjing_par::resolve_threads(cfg.check.threads));
+        let pool = Pool::new(jinjing_par::resolve_threads(check.threads));
         let base = &current;
         let solved = pool.par_map(&jobs, |_, job| {
             let t0 = Instant::now();
-            let r = solve_placement(model, task, base, cfg, &job.specs, &job.region, &job.h);
+            let r = solve_placement(model, task, base, obs, &job.specs, &job.region, &job.h);
             (r, t0.elapsed())
         });
         let mut t_place = Duration::ZERO;
@@ -840,6 +833,11 @@ mod tests {
             command: Command::Fix,
         };
         (f, task)
+    }
+
+    /// [`fix`] under the default check and fix configurations.
+    fn fix_default(net: &Network, task: &Task) -> Result<FixPlan, FixError> {
+        fix(net, task, &CheckConfig::default(), &FixConfig::default())
     }
 
     /// Eq. 6 as the engine computed it before it stopped building sets,
@@ -1119,7 +1117,7 @@ mod tests {
             controls: Vec::new(),
             command: t.command,
         };
-        let plan = fix(&wan.net, &task, &FixConfig::default()).unwrap();
+        let plan = fix_default(&wan.net, &task).unwrap();
         assert!(plan.neighborhoods.len() > 10, "{:?}", plan.neighborhoods);
         for (i, a) in plan.neighborhoods.iter().enumerate() {
             for b in &plan.neighborhoods[i + 1..] {
@@ -1131,7 +1129,7 @@ mod tests {
     #[test]
     fn running_example_fix_restores_consistency() {
         let (f, task) = fig1_task();
-        let plan = fix(&f.net, &task, &FixConfig::default()).unwrap();
+        let plan = fix_default(&f.net, &task).unwrap();
         // The repaired config must pass the exact checker.
         let verdict = check_exact(&f.net, &task.scope, &task.before, &plan.fixed, &[]);
         assert!(verdict.is_consistent(), "{verdict:?}");
@@ -1155,7 +1153,7 @@ mod tests {
     #[test]
     fn fix_only_touches_allowed_slots() {
         let (f, task) = fig1_task();
-        let plan = fix(&f.net, &task, &FixConfig::default()).unwrap();
+        let plan = fix_default(&f.net, &task).unwrap();
         for (slot, _) in &plan.added_rules {
             assert!(task.allow.contains(slot), "rule outside allow: {slot:?}");
         }
@@ -1172,7 +1170,7 @@ mod tests {
     #[test]
     fn minimal_change_touches_at_most_two_slots_per_neighborhood() {
         let (f, task) = fig1_task();
-        let plan = fix(&f.net, &task, &FixConfig::default()).unwrap();
+        let plan = fix_default(&f.net, &task).unwrap();
         // Traffic 1 needs one change (permit at A1); traffic 2 needs two
         // (permit at A1, deny on the B-branch or A2): ≤ 3 rules total.
         assert!(
@@ -1185,23 +1183,19 @@ mod tests {
     #[test]
     fn simplify_shrinks_fixed_acls() {
         let (f, task) = fig1_task();
-        let unsimplified = fix(
-            &f.net,
-            &task,
-            &FixConfig {
-                simplify: false,
-                ..FixConfig::default()
-            },
-        )
-        .unwrap();
-        let simplified = fix(&f.net, &task, &FixConfig::default()).unwrap();
-        let total = |c: &AclConfig| c.total_rules();
-        assert!(total(&simplified.fixed) <= total(&unsimplified.fixed));
+        let plan = fix_default(&f.net, &task).unwrap();
+        // The unsimplified repair: the update with every fixing rule
+        // prepended at its slot.
+        let mut unsimplified = task.after.clone();
+        apply_placement(&mut unsimplified, &mut Vec::new(), &plan.added_rules);
+        assert!(plan.fixed.total_rules() <= unsimplified.total_rules());
+        for slot in plan.fixed.slots() {
+            let acl = plan.fixed.get(slot).unwrap();
+            assert_eq!(simplify(acl).0, *acl, "{slot:?} is left simplified");
+        }
         // Both are consistent.
-        for plan in [&unsimplified, &simplified] {
-            assert!(
-                check_exact(&f.net, &task.scope, &task.before, &plan.fixed, &[]).is_consistent()
-            );
+        for config in [&unsimplified, &plan.fixed] {
+            assert!(check_exact(&f.net, &task.scope, &task.before, config, &[]).is_consistent());
         }
     }
 
@@ -1217,7 +1211,7 @@ mod tests {
             controls: Vec::new(),
             command: Command::Fix,
         };
-        let plan = fix(&f.net, &task, &FixConfig::default()).unwrap();
+        let plan = fix_default(&f.net, &task).unwrap();
         assert!(plan.added_rules.is_empty());
         assert!(plan.neighborhoods.is_empty());
     }
@@ -1226,23 +1220,8 @@ mod tests {
     fn unfixable_when_allow_is_empty() {
         let (f, mut task) = fig1_task();
         task.allow.clear();
-        let err = fix(&f.net, &task, &FixConfig::default()).unwrap_err();
+        let err = fix_default(&f.net, &task).unwrap_err();
         assert!(matches!(err, FixError::Unfixable { .. }), "{err}");
-    }
-
-    #[test]
-    fn without_minimize_still_consistent() {
-        let (f, task) = fig1_task();
-        let plan = fix(
-            &f.net,
-            &task,
-            &FixConfig {
-                minimize_changes: false,
-                ..FixConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(check_exact(&f.net, &task.scope, &task.before, &plan.fixed, &[]).is_consistent());
     }
 
     /// The shared tail refuses an unrepaired configuration in every build:
@@ -1250,12 +1229,12 @@ mod tests {
     #[test]
     fn an_unrepaired_configuration_is_not_certified() {
         let (f, task) = fig1_task();
-        let cfg = FixConfig::default();
+        let check = CheckConfig::default();
         let model = scope_model(
             &f.net,
             task.scope.clone(),
             &task.controls,
-            cfg.check.refine_limits,
+            check.refine_limits,
         );
         let unrepaired = Repair {
             current: task.after.clone(),
@@ -1263,7 +1242,7 @@ mod tests {
             added_rules: Vec::new(),
             phases: FixPhases::default(),
         };
-        match certify(&model, &task, &cfg, unrepaired) {
+        match certify(&model, &task, &check, unrepaired) {
             Err(FixError::NotCertified { witness }) => {
                 let top = witness.dip >> 24;
                 assert!(top == 1 || top == 2, "witness {witness}");
@@ -1271,8 +1250,8 @@ mod tests {
             other => panic!("an unrepaired update must not certify: {other:?}"),
         }
         // What the engine produces does certify.
-        let repaired = fix_iterative(&model, &task, &cfg).unwrap();
-        assert!(certify(&model, &task, &cfg, repaired).is_ok());
+        let repaired = fix_iterative(&model, &task, &check, &FixConfig::default()).unwrap();
+        assert!(certify(&model, &task, &check, repaired).is_ok());
     }
 
     /// One fix request refines the scope once: search and certification
@@ -1291,19 +1270,17 @@ mod tests {
             RefineLimits::default(),
         );
         let classes = model.classes().unwrap();
-        let cfg = FixConfig {
-            check: CheckConfig {
-                refine_limits: RefineLimits { max_classes: 0 },
-                ..CheckConfig::default()
-            },
-            ..FixConfig::default()
+        let check = CheckConfig {
+            refine_limits: RefineLimits { max_classes: 0 },
+            ..CheckConfig::default()
         };
-        let plan = fix_in(&model, &task, &cfg).unwrap();
+        let cfg = FixConfig::default();
+        let plan = fix_in(&model, &task, &check, &cfg).unwrap();
         assert_eq!(plan.neighborhoods.len(), 2);
         assert_eq!(plan.final_check.fec_count, classes.len());
         assert!(std::ptr::eq(classes, model.classes().unwrap()));
         assert!(matches!(
-            fix(&f.net, &task, &cfg),
+            fix(&f.net, &task, &check, &cfg),
             Err(FixError::Classes(_))
         ));
     }
@@ -1311,7 +1288,7 @@ mod tests {
     #[test]
     fn neighborhoods_are_pairwise_disjoint() {
         let (f, task) = fig1_task();
-        let plan = fix(&f.net, &task, &FixConfig::default()).unwrap();
+        let plan = fix_default(&f.net, &task).unwrap();
         for (i, a) in plan.neighborhoods.iter().enumerate() {
             for b in &plan.neighborhoods[i + 1..] {
                 assert!(!a.overlaps(b), "{a} overlaps {b}");
@@ -1353,7 +1330,7 @@ mod batch_tests {
             strategy: FixStrategy::ExactBatch,
             ..FixConfig::default()
         };
-        let plan = fix(&f.net, &task, &cfg).unwrap();
+        let plan = fix(&f.net, &task, &CheckConfig::default(), &cfg).unwrap();
         let verdict = check_exact(&f.net, &task.scope, &task.before, &plan.fixed, &[]);
         assert!(verdict.is_consistent(), "{verdict:?}");
         // Same two traffic classes identified (possibly as tuple lists).
@@ -1375,7 +1352,7 @@ mod batch_tests {
                 strategy,
                 ..FixConfig::default()
             };
-            let plan = fix(&f.net, &task, &cfg).unwrap();
+            let plan = fix(&f.net, &task, &CheckConfig::default(), &cfg).unwrap();
             assert!(plan.final_check.outcome.is_consistent(), "{strategy:?}");
             for (slot, _) in &plan.added_rules {
                 assert!(task.allow.contains(slot), "{strategy:?} broke allow");
@@ -1391,7 +1368,7 @@ mod batch_tests {
             strategy: FixStrategy::ExactBatch,
             ..FixConfig::default()
         };
-        let err = fix(&f.net, &task, &cfg).unwrap_err();
+        let err = fix(&f.net, &task, &CheckConfig::default(), &cfg).unwrap_err();
         assert!(matches!(err, FixError::Unfixable { .. }), "{err}");
     }
 
@@ -1403,7 +1380,7 @@ mod batch_tests {
             strategy: FixStrategy::ExactBatch,
             ..FixConfig::default()
         };
-        let plan = fix(&f.net, &task, &cfg).unwrap();
+        let plan = fix(&f.net, &task, &CheckConfig::default(), &cfg).unwrap();
         assert!(plan.added_rules.is_empty());
         assert!(plan.neighborhoods.is_empty());
     }

@@ -20,10 +20,10 @@
 //!    the row count and the final ACLs are simplified
 //!    (decision-preserving), reproducing the §5.5 run-time/length savings.
 
-use crate::check::scope_model;
+use crate::check::{scope_model, CheckConfig};
 use crate::control::control_regions;
 use crate::task::Task;
-use jinjing_acl::atoms::{refine, ClassExplosion, RefineLimits};
+use jinjing_acl::atoms::{refine, ClassExplosion};
 use jinjing_acl::decompose::set_to_matchspecs;
 use jinjing_acl::simplify::simplify;
 use jinjing_acl::{Acl, Action, PacketSet, Rule};
@@ -34,32 +34,19 @@ use jinjing_solver::CircuitBuilder;
 use std::collections::HashMap;
 use std::time::Duration;
 
-/// Tunables for generate.
+/// Tunables for generate. Refinement caps, worker threads (the per-AEC
+/// solve fan-out of Eq. 10) and the collector come from the caller's
+/// [`CheckConfig`], the run's one check.
 #[derive(Debug, Clone)]
 pub struct GenerateConfig {
     /// Apply the §5.5 optimizations (rule grouping before sequence
     /// encoding; decision-preserving simplification of the output).
     pub optimize: bool,
-    /// Equivalence-class caps.
-    pub refine_limits: RefineLimits,
-    /// Worker threads for the per-AEC solve fan-out (Eq. 10). `0` means
-    /// "auto": consult `JINJING_THREADS`, defaulting to 1 (serial — the
-    /// exact historical code path). Reports are byte-identical for every
-    /// value (see `jinjing-par`'s determinism contract).
-    pub threads: usize,
-    /// Observability sink: phase spans, solver histograms, events. A fresh
-    /// (private) collector by default; the engine shares one per run.
-    pub obs: jinjing_obs::Collector,
 }
 
 impl Default for GenerateConfig {
     fn default() -> GenerateConfig {
-        GenerateConfig {
-            optimize: true,
-            refine_limits: RefineLimits::default(),
-            threads: 0,
-            obs: jinjing_obs::Collector::new(),
-        }
+        GenerateConfig { optimize: true }
     }
 }
 
@@ -138,10 +125,11 @@ struct Unit {
 pub fn generate(
     net: &Network,
     task: &Task,
+    check: &CheckConfig,
     cfg: &GenerateConfig,
 ) -> Result<GenerateReport, GenerateError> {
-    let model = scope_model(net, task.scope.clone(), &task.controls, cfg.refine_limits);
-    generate_in(&model, task, cfg)
+    let model = scope_model(net, task.scope.clone(), &task.controls, check.refine_limits);
+    generate_in(&model, task, check, cfg)
 }
 
 /// [`generate`] on the caller's model of `task.scope`: the universe, the
@@ -150,6 +138,7 @@ pub fn generate(
 pub(crate) fn generate_in(
     model: &ScopeModel<'_>,
     task: &Task,
+    check: &CheckConfig,
     cfg: &GenerateConfig,
 ) -> Result<GenerateReport, GenerateError> {
     let targets: Vec<Slot> = {
@@ -158,11 +147,12 @@ pub(crate) fn generate_in(
         t.dedup();
         t
     };
+    let obs = &check.obs;
 
-    let _gen_span = cfg.obs.span("generate");
+    let _gen_span = obs.span("generate");
 
     // ---- Phase 1: derive AECs. ----
-    let sp = cfg.obs.span("generate.aec");
+    let sp = obs.span("generate.aec");
     let mut predicates: Vec<PacketSet> = task
         .before
         .slots()
@@ -171,13 +161,12 @@ pub(crate) fn generate_in(
         .collect();
     predicates.extend(control_regions(&task.controls));
     let predicates = jinjing_acl::atoms::dedupe_predicates(predicates);
-    let aecs = refine(model.universe(), &predicates, cfg.refine_limits)?;
+    let aecs = refine(model.universe(), &predicates, check.refine_limits)?;
     let derive_aec = sp.finish();
-    cfg.obs
-        .histogram_record("generate.aec_count", aecs.len() as u64);
+    obs.histogram_record("generate.aec_count", aecs.len() as u64);
 
     // ---- Phase 2: solve AECs (DEC-split on unsat). ----
-    let sp = cfg.obs.span("generate.solve");
+    let sp = obs.span("generate.solve");
     // Topological paths: every path some entering packet can take.
     let all_paths = model.topological_paths();
     // AEC-level solves are independent of one another (Eq. 10 constrains
@@ -187,9 +176,9 @@ pub(crate) fn generate_in(
     // commutative aggregates, so the totals are schedule-independent. DEC
     // refinement of the unsat residue (§5.3) stays serial: splits are rare
     // and each is cheap relative to the AEC sweep.
-    let pool = jinjing_par::Pool::new(jinjing_par::resolve_threads(cfg.threads));
+    let pool = jinjing_par::Pool::new(jinjing_par::resolve_threads(check.threads));
     let aec_solutions: Vec<Option<HashMap<Slot, bool>>> = pool.par_map(&aecs, |_, aec| {
-        solve_class(task, cfg, &targets, all_paths, &aec.set, false)
+        solve_class(task, obs, &targets, all_paths, &aec.set, false)
     });
     let mut units: Vec<(usize, Vec<Unit>)> = Vec::new(); // (aec index, units)
     let mut aecs_split = 0usize;
@@ -206,11 +195,11 @@ pub(crate) fn generate_in(
             None => {
                 // DEC refinement (§5.3).
                 aecs_split += 1;
-                let decs = refine(&aec.set, model.forwarding(), cfg.refine_limits)?;
+                let decs = refine(&aec.set, model.forwarding(), check.refine_limits)?;
                 let mut dec_units = Vec::with_capacity(decs.len());
                 for dec in decs {
                     dec_count += 1;
-                    match solve_class(task, cfg, &targets, all_paths, &dec.set, true) {
+                    match solve_class(task, obs, &targets, all_paths, &dec.set, true) {
                         Some(decisions) => dec_units.push(Unit {
                             region: dec.set,
                             decisions,
@@ -229,7 +218,7 @@ pub(crate) fn generate_in(
     let solve = sp.finish();
 
     // ---- Phase 3+4: sequence encoding and rule emission. ----
-    let sp = cfg.obs.span("generate.synthesize");
+    let sp = obs.span("generate.synthesize");
     // Encoding slots: every slot holding an ACL before the update (the
     // "source interfaces" of Table 4's sequence encoding).
     let encoding_slots: Vec<Slot> = task.before.slots();
@@ -357,7 +346,7 @@ pub(crate) fn generate_in(
         generated.set(target, acl);
     }
     let synthesize = sp.finish();
-    cfg.obs.event(
+    obs.event(
         jinjing_obs::Level::Info,
         "generate.done",
         &format!(
@@ -392,7 +381,7 @@ pub(crate) fn generate_in(
 /// target slot, or `None` when unsatisfiable.
 fn solve_class(
     task: &Task,
-    cfg: &GenerateConfig,
+    obs: &jinjing_obs::Collector,
     targets: &[Slot],
     all_paths: &[Path],
     class: &PacketSet,
@@ -400,7 +389,7 @@ fn solve_class(
 ) -> Option<HashMap<Slot, bool>> {
     let h = class.sample().expect("non-empty class");
     let mut builder = CircuitBuilder::new();
-    builder.set_obs(cfg.obs.clone());
+    builder.set_obs(obs.clone());
     let vars: HashMap<Slot, Lit> = targets.iter().map(|&s| (s, builder.input())).collect();
     let class_controls = crate::control::ClassControls::new(&task.controls, class);
     for p in all_paths {
@@ -497,7 +486,7 @@ mod tests {
 
     /// The §5 migration task: remove ACLs from S = {A1, D2}, generate at
     /// T = {C1, C2, D1}.
-    fn migration_task(f: &Figure1) -> Task {
+    pub(super) fn migration_task(f: &Figure1) -> Task {
         let mut after = f.config.clone();
         after.set(f.slot("A1"), Acl::permit_all());
         after.set(f.slot("D2"), Acl::permit_all());
@@ -512,12 +501,26 @@ mod tests {
         }
     }
 
+    /// [`generate`] under the default check configuration.
+    pub(super) fn generate_with(
+        net: &Network,
+        task: &Task,
+        optimize: bool,
+    ) -> Result<GenerateReport, GenerateError> {
+        generate(
+            net,
+            task,
+            &CheckConfig::default(),
+            &GenerateConfig { optimize },
+        )
+    }
+
     #[test]
     fn table3_aec_structure() {
         // Four AECs: {1,2}, {3,4,5}, {6}, {7}.
         let f = Figure1::new();
         let task = migration_task(&f);
-        let report = generate(&f.net, &task, &GenerateConfig::default()).unwrap();
+        let report = generate_with(&f.net, &task, true).unwrap();
         assert_eq!(report.aec_count, 4, "Table 3 has four classes");
     }
 
@@ -526,11 +529,7 @@ mod tests {
         let f = Figure1::new();
         let task = migration_task(&f);
         for optimize in [false, true] {
-            let cfg = GenerateConfig {
-                optimize,
-                ..GenerateConfig::default()
-            };
-            let report = generate(&f.net, &task, &cfg).unwrap();
+            let report = generate_with(&f.net, &task, optimize).unwrap();
             let verdict = check_exact(&f.net, &task.scope, &task.before, &report.generated, &[]);
             assert!(verdict.is_consistent(), "optimize={optimize}: {verdict:?}");
         }
@@ -542,7 +541,7 @@ mod tests {
         // the ⟨A1,A3,C1,C3⟩ vs ⟨A1,A3,C1,C4,D2,D3⟩ conflict at C1.
         let f = Figure1::new();
         let task = migration_task(&f);
-        let report = generate(&f.net, &task, &GenerateConfig::default()).unwrap();
+        let report = generate_with(&f.net, &task, true).unwrap();
         assert!(report.aecs_split >= 1, "at least [1]AEC splits");
         assert!(
             report.dec_count >= 2,
@@ -555,7 +554,7 @@ mod tests {
         use jinjing_acl::Packet;
         let f = Figure1::new();
         let task = migration_task(&f);
-        let report = generate(&f.net, &task, &GenerateConfig::default()).unwrap();
+        let report = generate_with(&f.net, &task, true).unwrap();
         let g = &report.generated;
         let pkt = |n: u32| Packet::to_dst(n << 24 | 1);
         // C1: deny 6, deny 7, permit 1, permit 2, permit rest.
@@ -582,16 +581,8 @@ mod tests {
     fn optimization_reduces_rule_count() {
         let f = Figure1::new();
         let task = migration_task(&f);
-        let base = generate(
-            &f.net,
-            &task,
-            &GenerateConfig {
-                optimize: false,
-                ..GenerateConfig::default()
-            },
-        )
-        .unwrap();
-        let opt = generate(&f.net, &task, &GenerateConfig::default()).unwrap();
+        let base = generate_with(&f.net, &task, false).unwrap();
+        let opt = generate_with(&f.net, &task, true).unwrap();
         assert!(
             opt.rules_final <= base.rules_final,
             "optimized {} vs base {}",
@@ -624,7 +615,7 @@ mod tests {
             controls: controls.clone(),
             command: Command::Generate,
         };
-        let report = generate(&f.net, &task, &GenerateConfig::default()).unwrap();
+        let report = generate_with(&f.net, &task, true).unwrap();
         let verdict = check_exact(
             &f.net,
             &task.scope,
@@ -661,7 +652,7 @@ mod tests {
             controls,
             command: Command::Generate,
         };
-        let err = generate(&f.net, &task, &GenerateConfig::default()).unwrap_err();
+        let err = generate_with(&f.net, &task, true).unwrap_err();
         match err {
             GenerateError::NoSolution { witness } => {
                 assert_eq!(witness.dip >> 24, 3);
@@ -690,9 +681,8 @@ mod tests {
 
 #[cfg(test)]
 mod table4_rows {
-    use super::*;
+    use super::tests::{generate_with, migration_task};
     use crate::figure1::Figure1;
-    use jinjing_lai::Command;
 
     /// §5.4 Table 4a/4b: without grouping, the sequence encoding of the
     /// Figure 1 migration produces exactly the paper's five rows —
@@ -701,26 +691,11 @@ mod table4_rows {
     #[test]
     fn figure1_migration_has_five_ungrouped_rows() {
         let f = Figure1::new();
-        let mut after = f.config.clone();
-        after.set(f.slot("A1"), Acl::permit_all());
-        after.set(f.slot("D2"), Acl::permit_all());
-        let task = Task {
-            scope: f.scope(),
-            allow: vec![f.slot("C1"), f.slot("C2"), f.slot("D1")],
-            before: f.config.clone(),
-            after,
-            modified: vec![f.slot("A1"), f.slot("D2")],
-            controls: Vec::new(),
-            command: Command::Generate,
-        };
-        let cfg = GenerateConfig {
-            optimize: false,
-            ..GenerateConfig::default()
-        };
-        let report = generate(&f.net, &task, &cfg).unwrap();
+        let task = migration_task(&f);
+        let report = generate_with(&f.net, &task, false).unwrap();
         assert_eq!(report.rows, 5, "Table 4 lists five sequence-encoding rows");
         // Grouping (the §5.5 optimization) merges D2's two denies: 4 rows.
-        let opt = generate(&f.net, &task, &GenerateConfig::default()).unwrap();
+        let opt = generate_with(&f.net, &task, true).unwrap();
         assert_eq!(opt.rows, 4);
     }
 }

@@ -17,7 +17,7 @@
 //! 2. **Persistent query reuse.** Stage-1 queries land in a
 //!    generation-tagged [`QueryCache`] that survives across re-checks;
 //!    each `recheck` advances the generation and evicts entries unused for
-//!    [`IncrConfig::keep_generations`] steps, so the cache tracks the
+//!    [`KEEP_GENERATIONS`] steps, so the cache tracks the
 //!    *live* decision models of the evolving configuration instead of
 //!    growing without bound.
 //! 3. **Structural memoization.** The FEC partition and per-class path
@@ -55,28 +55,9 @@ use jinjing_acl::Acl;
 use jinjing_net::{AclConfig, Dir, Network, Scope, ScopeModel, Slot};
 use std::fmt;
 
-/// Session tunables (the check itself is tuned by [`CheckConfig`]).
-#[derive(Debug, Clone)]
-pub struct IncrConfig {
-    /// Cache-eviction window: after each re-check, entries whose last use
-    /// is more than this many generations old are dropped. `u64::MAX`
-    /// keeps everything forever.
-    pub keep_generations: u64,
-    /// Advance the session base past an *inconsistent* delta anyway.
-    /// The default (`false`) models the paper's workflow: a violating
-    /// update is rejected, the deployed configuration stays put, and the
-    /// next delta is checked against the same base.
-    pub apply_inconsistent: bool,
-}
-
-impl Default for IncrConfig {
-    fn default() -> IncrConfig {
-        IncrConfig {
-            keep_generations: 8,
-            apply_inconsistent: false,
-        }
-    }
-}
+/// Cache-eviction window: after each re-check, query-store entries whose
+/// last use is more than this many generations old are dropped.
+pub const KEEP_GENERATIONS: u64 = 8;
 
 /// One edit inside a [`Delta`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -165,9 +146,9 @@ pub struct RecheckReport {
     pub generation: u64,
     /// Stale cache entries evicted after this step.
     pub evicted: usize,
-    /// Whether the delta was folded into the session base (consistent
-    /// deltas always; inconsistent ones only under
-    /// [`IncrConfig::apply_inconsistent`]).
+    /// Whether the delta was folded into the session base: the paper's
+    /// workflow applies a consistent delta and rejects a violating one,
+    /// so the next delta is checked against the same deployed base.
     pub applied: bool,
 }
 
@@ -180,25 +161,17 @@ pub struct CheckSession<'n> {
     controls: Vec<ResolvedControl>,
     base: AclConfig,
     cfg: CheckConfig,
-    incr: IncrConfig,
     steps: u64,
 }
 
 impl<'n> CheckSession<'n> {
-    /// Open a session with default configurations (no controls).
+    /// Open a session with the default check configuration (no controls).
     pub fn new(
         net: &'n Network,
         scope: Scope,
         base: AclConfig,
     ) -> Result<CheckSession<'n>, ClassExplosion> {
-        CheckSession::with_configs(
-            net,
-            scope,
-            Vec::new(),
-            base,
-            CheckConfig::default(),
-            IncrConfig::default(),
-        )
+        CheckSession::with_configs(net, scope, Vec::new(), base, CheckConfig::default())
     }
 
     /// Open a session for a resolved check task: scope, controls and the
@@ -207,7 +180,6 @@ impl<'n> CheckSession<'n> {
         net: &'n Network,
         task: &Task,
         cfg: CheckConfig,
-        incr: IncrConfig,
     ) -> Result<CheckSession<'n>, ClassExplosion> {
         CheckSession::with_configs(
             net,
@@ -215,7 +187,6 @@ impl<'n> CheckSession<'n> {
             task.controls.clone(),
             task.before.clone(),
             cfg,
-            incr,
         )
     }
 
@@ -228,7 +199,6 @@ impl<'n> CheckSession<'n> {
         controls: Vec<ResolvedControl>,
         base: AclConfig,
         cfg: CheckConfig,
-        incr: IncrConfig,
     ) -> Result<CheckSession<'n>, ClassExplosion> {
         let sp = cfg.obs.span("incr.init");
         let model = scope_model(net, scope, &controls, cfg.refine_limits);
@@ -245,7 +215,6 @@ impl<'n> CheckSession<'n> {
             controls,
             base,
             cfg,
-            incr,
             steps: 0,
         })
     }
@@ -286,14 +255,14 @@ impl<'n> CheckSession<'n> {
     /// Advances the cache generation, runs the shared check body on the
     /// session's model (clean classes replayed, dirty stage-1 queries served
     /// from the persistent cache where possible), evicts stale cache
-    /// entries, and — when the delta is accepted — folds it into the base
-    /// so the next `recheck` is measured against it.
+    /// entries, and — when the delta is consistent — folds it into the
+    /// base so the next `recheck` is measured against it.
     pub fn recheck(&mut self, delta: &Delta) -> Result<RecheckReport, CheckError> {
         let after = delta.applied_to(&self.base);
         let generation = self.cfg.cache.advance_generation();
         let (report, incr) = self.probe(&after)?;
-        let evicted = self.cfg.cache.evict_stale(self.incr.keep_generations);
-        let applied = report.outcome.is_consistent() || self.incr.apply_inconsistent;
+        let evicted = self.cfg.cache.evict_stale(KEEP_GENERATIONS);
+        let applied = report.outcome.is_consistent();
         if applied {
             self.base = after;
         }
@@ -304,13 +273,7 @@ impl<'n> CheckSession<'n> {
             &format!(
                 "step {}: {} ({} dirty / {} clean classes, {} pairs, {} evicted)",
                 self.steps,
-                if report.outcome.is_consistent() {
-                    "accepted"
-                } else if applied {
-                    "inconsistent (applied)"
-                } else {
-                    "rejected"
-                },
+                if applied { "accepted" } else { "rejected" },
                 incr.dirty_classes,
                 incr.clean_classes,
                 incr.dirty_pairs,
@@ -583,31 +546,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_inconsistent_advances_anyway() {
-        let f = Figure1::new();
-        let mut session = CheckSession::with_configs(
-            &f.net,
-            f.scope(),
-            Vec::new(),
-            f.config.clone(),
-            CheckConfig::default(),
-            IncrConfig {
-                apply_inconsistent: true,
-                ..IncrConfig::default()
-            },
-        )
-        .unwrap();
-        let bad = Delta::new().set(f.slot("D2"), Acl::permit_all());
-        let r = session.recheck(&bad).unwrap();
-        assert!(r.applied && !r.report.outcome.is_consistent());
-        assert!(session.base().get(f.slot("D2")).unwrap().is_permit_all());
-        // Re-checking the now-applied state against an empty delta is clean.
-        let r2 = session.recheck(&Delta::new()).unwrap();
-        assert!(r2.report.outcome.is_consistent());
-        assert_eq!(r2.incr.dirty_classes, 0);
-    }
-
-    #[test]
     fn empty_delta_takes_the_fast_path_with_zero_dirty() {
         let f = Figure1::new();
         let mut session = CheckSession::new(&f.net, f.scope(), f.config.clone()).unwrap();
@@ -624,18 +562,9 @@ mod tests {
         let f = Figure1::new();
         let cfg = CheckConfig::default();
         let cache = Arc::clone(&cfg.cache);
-        let mut session = CheckSession::with_configs(
-            &f.net,
-            f.scope(),
-            Vec::new(),
-            f.config.clone(),
-            cfg,
-            IncrConfig {
-                keep_generations: 2,
-                ..IncrConfig::default()
-            },
-        )
-        .unwrap();
+        let mut session =
+            CheckSession::with_configs(&f.net, f.scope(), Vec::new(), f.config.clone(), cfg)
+                .unwrap();
         // Step 1 populates the cache for D2's rewrite.
         let rewrite = Delta::new().set(
             f.slot("D2"),
@@ -647,24 +576,23 @@ mod tests {
         let r1 = session.recheck(&rewrite).unwrap();
         assert_eq!(r1.generation, 1);
         assert!(!cache.is_empty());
-        // Steps touching a *different* region leave D2's entries unused;
-        // after `keep_generations` more steps they are evicted.
+        // Steps touching a *different* region leave D2's entries unused:
+        // they survive `KEEP_GENERATIONS` more steps and the next one
+        // evicts them.
         let elsewhere = Delta::new().set(
             f.slot("A1"),
             AclBuilder::default_permit().deny_dst("6.0.0.0/8").build(),
         );
-        let mut evicted_total = 0;
-        for _ in 0..4 {
+        let restore = Delta::new().set(f.slot("A1"), f.config.get(f.slot("A1")).unwrap().clone());
+        let mut evicted = Vec::new();
+        for step in 0..=KEEP_GENERATIONS {
             // Alternate so each step has a non-empty cover.
-            evicted_total += session.recheck(&elsewhere).unwrap().evicted;
-            evicted_total += session
-                .recheck(
-                    &Delta::new().set(f.slot("A1"), f.config.get(f.slot("A1")).unwrap().clone()),
-                )
-                .unwrap()
-                .evicted;
+            let delta = if step % 2 == 0 { &elsewhere } else { &restore };
+            evicted.push(session.recheck(delta).unwrap().evicted);
         }
-        assert!(evicted_total > 0, "stale entries must eventually evict");
+        let (last, kept) = evicted.split_last().unwrap();
+        assert!(kept.iter().all(|&n| n == 0), "{evicted:?}");
+        assert!(*last > 0, "stale entries must evict: {evicted:?}");
         assert_eq!(cache.generation(), session.steps());
     }
 

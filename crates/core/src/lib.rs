@@ -48,6 +48,13 @@
 //!   [`engine::Report`] (the "update plan" handed back to the operator).
 //! - [`figure1`] — the paper's running-example network (Figure 1), used by
 //!   the quickstart example and many tests.
+//!
+//! **One settings tree.** An [`EngineConfig`] holds each setting once. Its
+//! [`CheckConfig`] is the run's one check: `fix` searches and certifies
+//! under it, `generate` reads its refinement caps, threads and collector
+//! from it, and every session re-check and rollout-prefix probe runs under
+//! it. [`FixConfig`], [`GenerateConfig`] and [`PlanConfig`] hold only what
+//! their primitive alone reads.
 
 pub mod check;
 pub mod control;
@@ -69,7 +76,7 @@ pub use crate::control::ResolvedControl;
 pub use crate::engine::{open_session, run, EngineConfig, Report, ReportKind};
 pub use crate::fix::{fix, FixConfig, FixError, FixPhases, FixPlan, FixStrategy};
 pub use crate::generate::{generate, GenerateConfig, GenerateError, GenerateReport};
-pub use crate::incr::{CheckSession, Delta, DeltaEdit, IncrConfig, RecheckReport};
+pub use crate::incr::{CheckSession, Delta, DeltaEdit, RecheckReport};
 pub use crate::plan::{
     synthesize, PlanConfig, PlanError, PlanOutcome, PlanStats, PlanStep, RolloutPlan,
     WaveCertificate,

@@ -51,7 +51,7 @@
 
 use crate::check::{CheckConfig, CheckOutcome};
 use crate::control::ResolvedControl;
-use crate::incr::{CheckSession, IncrConfig};
+use crate::incr::CheckSession;
 use jinjing_acl::atoms::ClassExplosion;
 use jinjing_acl::diff::AclDiff;
 use jinjing_acl::{Acl, PacketSet};
@@ -64,24 +64,12 @@ use std::fmt;
 pub const MAX_PLAN_STEPS: usize = 16;
 
 /// Planner tunables.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PlanConfig {
     /// Maximum number of waves in a feasible plan (`0` = unlimited). A
     /// tighter budget can render an otherwise-orderable update infeasible;
     /// the infeasibility core is then computed under the same budget.
     pub max_waves: usize,
-    /// Maximum number of per-device steps the planner accepts (capped at
-    /// [`MAX_PLAN_STEPS`]).
-    pub max_steps: usize,
-}
-
-impl Default for PlanConfig {
-    fn default() -> PlanConfig {
-        PlanConfig {
-            max_waves: 0,
-            max_steps: MAX_PLAN_STEPS,
-        }
-    }
 }
 
 /// One per-device rollout step: every changed slot on the device, applied
@@ -197,7 +185,7 @@ pub enum PlanError {
     TooManySteps {
         /// Steps in the decomposition.
         count: usize,
-        /// Configured ceiling.
+        /// The ceiling, [`MAX_PLAN_STEPS`].
         max: usize,
     },
     /// A prefix-state probe's shard fan-out failed (delegated solving).
@@ -473,12 +461,11 @@ pub fn synthesize(
 ) -> Result<RolloutPlan, PlanError> {
     let sp = cfg.obs.span("plan.run");
     let steps = decompose(net, base, target);
-    let max = pcfg.max_steps.min(MAX_PLAN_STEPS);
-    if steps.len() > max {
+    if steps.len() > MAX_PLAN_STEPS {
         sp.finish();
         return Err(PlanError::TooManySteps {
             count: steps.len(),
-            max,
+            max: MAX_PLAN_STEPS,
         });
     }
     cfg.obs.counter_add("plan.steps", steps.len() as u64);
@@ -504,7 +491,6 @@ pub fn synthesize(
         controls.to_vec(),
         base.clone(),
         cfg.clone(),
-        IncrConfig::default(),
     )?;
     let mut search = Search {
         session: &session,
@@ -746,32 +732,44 @@ mod tests {
             &f.config,
             &target,
             &check_cfg(),
-            &PlanConfig {
-                max_waves: 1,
-                max_steps: MAX_PLAN_STEPS,
-            },
+            &PlanConfig { max_waves: 1 },
         )
         .unwrap();
         assert!(!plan.is_feasible());
     }
 
+    /// One step per device: a target editing one ACL on each of 17 devices
+    /// is refused before any probe, one step over the cap.
     #[test]
     fn too_many_steps_is_an_error() {
-        let f = Figure1::new();
-        let target = acl_move_c1_to_a3out(&f);
+        let mut tb = jinjing_net::TopologyBuilder::new();
+        let ifaces: Vec<_> = (0..=MAX_PLAN_STEPS)
+            .map(|i| {
+                let device = tb.device(&format!("R{i:02}"));
+                tb.iface(device, "e0")
+            })
+            .collect();
+        let net = Network::new(tb.build());
+        let base = AclConfig::new();
+        let mut target = AclConfig::new();
+        for &iface in &ifaces {
+            let deny = jinjing_acl::AclBuilder::default_permit().deny_dst("9.0.0.0/8");
+            target.set(Slot::ingress(iface), deny.build());
+        }
         let err = synthesize(
-            &f.net,
-            &f.scope(),
+            &net,
+            &Scope::whole(net.topology()),
             &[],
-            &f.config,
+            &base,
             &target,
             &check_cfg(),
-            &PlanConfig {
-                max_waves: 0,
-                max_steps: 1,
-            },
+            &PlanConfig::default(),
         )
         .unwrap_err();
-        assert!(matches!(err, PlanError::TooManySteps { .. }));
+        assert!(
+            matches!(err, PlanError::TooManySteps { count: 17, max: 16 }),
+            "{err}"
+        );
+        assert_eq!(err.to_string(), "plan has 17 per-device steps, max is 16");
     }
 }

@@ -106,9 +106,9 @@ pub struct QueryKey {
     verb: Option<ControlVerb>,
     /// Decision-model encoding the circuit was built with.
     encoding: Encoding,
-    /// Packet region the query is confined to (`None` = full space, i.e.
-    /// the differential optimization is off).
-    region: Option<PacketSet>,
+    /// Packet region the query is confined to (the full space when the
+    /// differential reduction is off).
+    region: PacketSet,
 }
 
 impl QueryKey {
@@ -247,13 +247,13 @@ impl QueryCache {
         chain: &[(&Acl, &Acl)],
         verb: Option<ControlVerb>,
         encoding: Encoding,
-        region: Option<&PacketSet>,
+        region: &PacketSet,
     ) -> QueryKey {
         let pair_fingerprints: Vec<u64> = chain
             .iter()
             .map(|(b, a)| self.pair_fingerprint(b, a))
             .collect();
-        let region = region.map(|set| (set, region_fingerprint(set)));
+        let region = (region, region_fingerprint(region));
         self.key_fingerprinted(chain, &pair_fingerprints, verb, encoding, region)
     }
 
@@ -268,7 +268,7 @@ impl QueryCache {
         pair_fingerprints: &[u64],
         verb: Option<ControlVerb>,
         encoding: Encoding,
-        region: Option<(&PacketSet, u64)>,
+        region: (&PacketSet, u64),
     ) -> QueryKey {
         assert_eq!(chain.len(), pair_fingerprints.len(), "one word per slot");
         let mut h = FNV_OFFSET;
@@ -292,13 +292,7 @@ impl QueryCache {
                 Encoding::Tree => 1,
             },
         );
-        match region {
-            None => fnv_mix(&mut h, 0),
-            Some((_, fp)) => {
-                fnv_mix(&mut h, 1);
-                fnv_mix(&mut h, fp);
-            }
-        }
+        fnv_mix(&mut h, region.1);
         QueryKey {
             hash: h,
             chain: chain
@@ -307,7 +301,7 @@ impl QueryCache {
                 .collect(),
             verb,
             encoding,
-            region: region.map(|(set, _)| set.clone()),
+            region: region.0.clone(),
         }
     }
 
@@ -411,7 +405,7 @@ mod tests {
         let cache = QueryCache::new();
         let a = acl_a();
         let b = acl_b();
-        let key = cache.key(&[(&a, &b)], None, Encoding::Tree, None);
+        let key = cache.key(&[(&a, &b)], None, Encoding::Tree, &PacketSet::full());
         assert!(cache.get(&key).is_none());
         let (v, hit) = cache.get_or_solve(key.clone(), || dummy(SolveResult::Unsat));
         assert!(!hit);
@@ -427,17 +421,19 @@ mod tests {
         let cache = QueryCache::new();
         let a = acl_a();
         let b = acl_b();
-        let base = cache.key(&[(&a, &b)], None, Encoding::Tree, None);
-        let swapped = cache.key(&[(&b, &a)], None, Encoding::Tree, None);
+        let base = cache.key(&[(&a, &b)], None, Encoding::Tree, &PacketSet::full());
+        let swapped = cache.key(&[(&b, &a)], None, Encoding::Tree, &PacketSet::full());
         let verbed = cache.key(
             &[(&a, &b)],
             Some(ControlVerb::Isolate),
             Encoding::Tree,
-            None,
+            &PacketSet::full(),
         );
-        let seq = cache.key(&[(&a, &b)], None, Encoding::Sequential, None);
-        let full = PacketSet::full();
-        let regioned = cache.key(&[(&a, &b)], None, Encoding::Tree, Some(&full));
+        let seq = cache.key(&[(&a, &b)], None, Encoding::Sequential, &PacketSet::full());
+        let region = PacketSet::from_cube(
+            jinjing_acl::MatchSpec::dst(jinjing_acl::IpPrefix::new(0x0a00_0000, 8)).cube(),
+        );
+        let regioned = cache.key(&[(&a, &b)], None, Encoding::Tree, &region);
         for other in [&swapped, &verbed, &seq, &regioned] {
             assert_ne!(&base, other);
         }
@@ -456,9 +452,9 @@ mod tests {
         let cache = QueryCache::with_fingerprint(|_| 0);
         let a = acl_a();
         let b = acl_b();
-        let k1 = cache.key(&[(&a, &b)], None, Encoding::Tree, None);
-        let k2 = cache.key(&[(&b, &a)], None, Encoding::Tree, None);
-        let k3 = cache.key(&[(&a, &a)], None, Encoding::Tree, None);
+        let k1 = cache.key(&[(&a, &b)], None, Encoding::Tree, &PacketSet::full());
+        let k2 = cache.key(&[(&b, &a)], None, Encoding::Tree, &PacketSet::full());
+        let k3 = cache.key(&[(&a, &a)], None, Encoding::Tree, &PacketSet::full());
         assert_eq!(k1.fingerprint(), k2.fingerprint());
         assert_eq!(k1.fingerprint(), k3.fingerprint());
         assert_ne!(k1, k2);
@@ -479,6 +475,7 @@ mod tests {
     fn precomputed_fingerprints_build_the_same_key() {
         let (a, b) = (acl_a(), acl_b());
         let twin = acl_a(); // equal to `a`, another allocation
+        let full = PacketSet::full();
         let region = PacketSet::from_cube(
             jinjing_acl::MatchSpec::dst(jinjing_acl::IpPrefix::new(0x0a00_0000, 8)).cube(),
         );
@@ -490,17 +487,17 @@ mod tests {
         ];
         for cache in [QueryCache::new(), QueryCache::with_fingerprint(|_| 0)] {
             for chain in chains {
-                for (verb, reg) in [(None, None), (Some(ControlVerb::Open), Some(&region))] {
+                for (verb, reg) in [(None, &full), (Some(ControlVerb::Open), &region)] {
                     let words: Vec<u64> = chain
                         .iter()
                         .map(|(x, y)| cache.pair_fingerprint(x, y))
                         .collect();
-                    let keyed = reg.map(|r| (r, region_fingerprint(r)));
+                    let keyed = (reg, region_fingerprint(reg));
                     let pre = cache.key_fingerprinted(chain, &words, verb, Encoding::Tree, keyed);
-                    let full = cache.key(chain, verb, Encoding::Tree, reg);
-                    assert_eq!(pre, full);
-                    assert_eq!(pre.fingerprint(), full.fingerprint());
-                    cache.insert(full, dummy(SolveResult::Sat));
+                    let built = cache.key(chain, verb, Encoding::Tree, reg);
+                    assert_eq!(pre, built);
+                    assert_eq!(pre.fingerprint(), built.fingerprint());
+                    cache.insert(built, dummy(SolveResult::Sat));
                     assert!(cache.get(&pre).is_some());
                 }
             }
@@ -516,7 +513,7 @@ mod tests {
     fn first_writer_wins() {
         let cache = QueryCache::new();
         let a = acl_a();
-        let key = cache.key(&[(&a, &a)], None, Encoding::Tree, None);
+        let key = cache.key(&[(&a, &a)], None, Encoding::Tree, &PacketSet::full());
         cache.insert(key.clone(), dummy(SolveResult::Sat));
         cache.insert(key.clone(), dummy(SolveResult::Unsat));
         assert_eq!(cache.get(&key).unwrap().result, SolveResult::Sat);
@@ -527,11 +524,11 @@ mod tests {
         let cache = QueryCache::new();
         let a = acl_a();
         let b = acl_b();
-        let old_key = cache.key(&[(&a, &b)], None, Encoding::Tree, None);
+        let old_key = cache.key(&[(&a, &b)], None, Encoding::Tree, &PacketSet::full());
         cache.insert(old_key.clone(), dummy(SolveResult::Unsat)); // gen 0
         assert_eq!(cache.generation(), 0);
         assert_eq!(cache.advance_generation(), 1);
-        let new_key = cache.key(&[(&b, &a)], None, Encoding::Tree, None);
+        let new_key = cache.key(&[(&b, &a)], None, Encoding::Tree, &PacketSet::full());
         cache.insert(new_key.clone(), dummy(SolveResult::Sat)); // gen 1
         assert_eq!(cache.advance_generation(), 2);
         // keep=2: gen-0 entry still within the window.
@@ -548,8 +545,8 @@ mod tests {
         let cache = QueryCache::new();
         let a = acl_a();
         let b = acl_b();
-        let hot = cache.key(&[(&a, &b)], None, Encoding::Tree, None);
-        let cold = cache.key(&[(&b, &a)], None, Encoding::Tree, None);
+        let hot = cache.key(&[(&a, &b)], None, Encoding::Tree, &PacketSet::full());
+        let cold = cache.key(&[(&b, &a)], None, Encoding::Tree, &PacketSet::full());
         cache.insert(hot.clone(), dummy(SolveResult::Unsat)); // gen 0
         cache.insert(cold.clone(), dummy(SolveResult::Unsat)); // gen 0
         for _ in 0..3 {
@@ -566,7 +563,7 @@ mod tests {
     fn keep_max_never_evicts() {
         let cache = QueryCache::new();
         let a = acl_a();
-        let key = cache.key(&[(&a, &a)], None, Encoding::Tree, None);
+        let key = cache.key(&[(&a, &a)], None, Encoding::Tree, &PacketSet::full());
         cache.insert(key, dummy(SolveResult::Unsat));
         for _ in 0..10 {
             cache.advance_generation();

@@ -231,10 +231,48 @@ pub fn run_query(
     intent_text: &str,
     cfg: &EngineConfig,
 ) -> Result<RunOutput, QueryError> {
-    let program = validate(parse_program(intent_text).map_err(err)?).map_err(err)?;
-    let command = program.command.expect("validated programs have a command");
-    let task = crate::resolve::resolve(net, &program, config).map_err(err)?;
-    let report = run(net, &task, cfg)?;
+    let intent = ResolvedIntent::new(net, config, intent_text)?;
+    run_resolved(net, config, &intent, cfg)
+}
+
+/// A parsed, validated and resolved intent program: everything
+/// [`run_query`] does before it needs an [`EngineConfig`]. A front door
+/// can refuse the intent here (say, one whose command its endpoint does
+/// not serve) without building a configuration or running the engine.
+pub struct ResolvedIntent {
+    command: jinjing_lai::Command,
+    task: crate::task::Task,
+}
+
+impl ResolvedIntent {
+    /// Parse, validate and resolve `intent_text` against `net` / `config`.
+    pub fn new(
+        net: &Network,
+        config: &AclConfig,
+        intent_text: &str,
+    ) -> Result<ResolvedIntent, QueryError> {
+        let program = validate(parse_program(intent_text).map_err(err)?).map_err(err)?;
+        let command = program.command.expect("validated programs have a command");
+        let task = crate::resolve::resolve(net, &program, config).map_err(err)?;
+        Ok(ResolvedIntent { command, task })
+    }
+
+    /// The command the program names.
+    pub fn command(&self) -> jinjing_lai::Command {
+        self.command
+    }
+}
+
+/// The engine half of [`run_query`], on an intent resolved against the
+/// same `net` and `config`.
+pub fn run_resolved(
+    net: &Network,
+    config: &AclConfig,
+    intent: &ResolvedIntent,
+    cfg: &EngineConfig,
+) -> Result<RunOutput, QueryError> {
+    let command = intent.command;
+    let report = run(net, &intent.task, cfg)?;
 
     let mut text = String::new();
     use std::fmt::Write;
@@ -678,8 +716,7 @@ pub fn open_intent_session<'n>(
 /// Run a batch of labeled deltas through a session, one
 /// [`CheckSession::recheck`] per delta, returning the per-step summaries
 /// in script order. Consistent deltas advance the session base;
-/// inconsistent ones are rejected and leave it untouched (the session's
-/// [`crate::incr::IncrConfig`] policy). The daemon's
+/// inconsistent ones are rejected and leave it untouched. The daemon's
 /// `POST /v1/sessions/{id}/delta` hook, and the loop inside
 /// [`watch_query`].
 pub fn recheck_steps(
@@ -728,7 +765,7 @@ pub fn watch_query(
         class_count,
         deltas.len(),
         steps,
-        cfg.obs.snapshot(),
+        cfg.check.obs.snapshot(),
     ))
 }
 
@@ -845,11 +882,11 @@ check
         let deltas = crate::incr::parse_delta_script(&f.net, script).unwrap();
         let first = recheck_steps(&mut session, &deltas[..1]).unwrap();
         let second = recheck_steps(&mut session, &deltas[1..]).unwrap();
-        let batch1 = WatchOutput::from_steps(class_count, 1, first, cfg.obs.snapshot());
-        let batch2 = WatchOutput::from_steps(class_count, 1, second, cfg.obs.snapshot());
+        let batch1 = WatchOutput::from_steps(class_count, 1, first, cfg.check.obs.snapshot());
+        let batch2 = WatchOutput::from_steps(class_count, 1, second, cfg.check.obs.snapshot());
         let mut merged: Vec<WatchStep> = batch1.steps;
         merged.extend(batch2.steps);
-        let merged = WatchOutput::from_steps(class_count, 2, merged, cfg.obs.snapshot());
+        let merged = WatchOutput::from_steps(class_count, 2, merged, cfg.check.obs.snapshot());
         assert_eq!(merged.to_canonical_json(), whole.to_canonical_json());
     }
 
@@ -922,8 +959,12 @@ check
         let mut cfg = EngineConfig::default();
         cfg.check.delegate = Some(std::sync::Arc::new(DeadBackend));
         let script = "step a\nset D:2 deny dst 2.0.0.0/8; deny dst 1.0.0.0/8\n";
+        // Fix's search is local, but its certification check is the run's
+        // check, delegate included: it fails through `FixError::Shard`.
+        let fix_intent = CHECK_INTENT.replace("\ncheck\n", "\nfix\n");
         let failures = [
             run_query(&f.net, &f.config, CHECK_INTENT, &cfg).map(|_| ()),
+            run_query(&f.net, &f.config, &fix_intent, &cfg).map(|_| ()),
             plan_query(&f.net, &f.config, CHECK_INTENT, None, &cfg).map(|_| ()),
             watch_query(&f.net, &f.config, CHECK_INTENT, script, &cfg).map(|_| ()),
         ];

@@ -117,8 +117,8 @@ use jinjing_acl::shard::ShardSpec;
 use jinjing_core::engine::EngineConfig;
 use jinjing_core::incr::CheckSession;
 use jinjing_core::query::{
-    lint_multi_query, lint_query, open_intent_session, plan_query, recheck_steps, run_query,
-    Answer, Reject, WatchOutput,
+    lint_multi_query, lint_query, open_intent_session, plan_query, recheck_steps, run_resolved,
+    Answer, Reject, ResolvedIntent, WatchOutput,
 };
 use jinjing_net::{AclConfig, Network};
 use jinjing_obs::json::JsonWriter;
@@ -866,7 +866,7 @@ fn dispatch(ctx: Ctx<'_, '_>, req: &Request, endpoint: &Endpoint, admitted: Inst
         .filter(|v| endpoint.traced && !v.is_empty() && *v != "0")
         .map(|_| {
             let t = jinjing_obs::TraceCtx::new(&jinjing_obs::trace_id_of(body));
-            ecfg.obs.attach_trace_ctx(t.clone());
+            ecfg.check.obs.attach_trace_ctx(t.clone());
             t
         });
     let req_span = tctx.as_ref().map(|t| t.span(0, "serve.request"));
@@ -900,8 +900,8 @@ fn dispatch(ctx: Ctx<'_, '_>, req: &Request, endpoint: &Endpoint, admitted: Inst
 }
 
 /// The stateless engine endpoints as a function of the resident network
-/// and the wire body: `/v1/check|fix|generate` run the intent and demand
-/// its command matches the endpoint; `/v1/plan` splits the body with
+/// and the wire body: `/v1/check|fix|generate` refuse an intent whose
+/// command does not match the endpoint, then run it; `/v1/plan` splits the body with
 /// `parse_plan_body` and synthesizes the rollout. `engine_config`
 /// receives the intent text and returns the configuration to run it
 /// under — the daemon hands over the request's private one, the
@@ -921,15 +921,17 @@ pub fn answer_query(
         ecfg.plan.max_waves = max_waves;
         return Ok(plan_query(net, config, &intent, target.as_deref(), &ecfg)?.answer());
     }
-    let out = run_query(net, config, body, &engine_config(body))?;
+    // A command the endpoint does not serve is refused before the engine
+    // configuration is built, so it never runs (or fans out) at all.
+    let intent = ResolvedIntent::new(net, config, body)?;
+    let command = intent.command().to_string();
     let endpoint = path.strip_prefix("/v1/").unwrap_or(path);
-    if out.plan.command != endpoint {
+    if command != endpoint {
         return Err(Reject::bad_request(format!(
-            "intent command {:?} does not match endpoint /v1/{endpoint}",
-            out.plan.command
+            "intent command {command:?} does not match endpoint /v1/{endpoint}"
         )));
     }
-    Ok(out.answer())
+    Ok(run_resolved(net, config, &intent, &engine_config(body))?.answer())
 }
 
 /// `POST /v1/check|fix|generate|plan`: [`answer_query`] under the
@@ -1318,6 +1320,7 @@ fn session_delete(ctx: Ctx<'_, '_>, call: Call<'_>) -> Result<Answer, Reject> {
 mod tests {
     use super::*;
     use jinjing_core::figure1::Figure1;
+    use jinjing_core::query::run_query;
 
     const CHECK_INTENT: &str = "\
 acl PermitAll { permit all }

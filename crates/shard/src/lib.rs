@@ -938,6 +938,17 @@ check
         let r = call(&coord_addr, "POST", "/v1/lint", "");
         assert_eq!(r.status, 502, "lint fan-out must fail too");
 
+        // An intent the endpoint does not serve is refused before its
+        // check (here fix's certification) could fan out.
+        let fix_intent = CHECK_INTENT.replace("\ncheck\n", "\nfix\n");
+        let r = call(&coord_addr, "POST", "/v1/check", &fix_intent);
+        assert_eq!(r.status, 400, "{}", r.body_text());
+        assert!(
+            r.body_text().contains("does not match endpoint /v1/check"),
+            "{}",
+            r.body_text()
+        );
+
         shutdown(&coord_addr);
         coord_handle.join().unwrap();
         shutdown(&live);

@@ -136,7 +136,7 @@ fn main() {
         controls: Vec::new(),
         command: Command::Fix,
     };
-    let plan = fix(&net, &task, &FixConfig::default()).expect("fix");
+    let plan = fix(&net, &task, &CheckConfig::default(), &FixConfig::default()).expect("fix");
     println!(
         "\nfix: {} rules across {} neighborhoods",
         plan.added_rules.len(),

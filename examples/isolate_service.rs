@@ -12,7 +12,7 @@
 //! ```
 
 use jinjing_acl::Packet;
-use jinjing_core::check::check_exact;
+use jinjing_core::check::{check_exact, CheckConfig};
 use jinjing_core::generate::{generate, GenerateConfig};
 use jinjing_core::resolve::resolve;
 use jinjing_lai::{parse_program, validate};
@@ -80,7 +80,13 @@ fn main() {
     let program = validate(parse_program(INTENT).expect("parse")).expect("validate");
     let task = resolve(&net, &program, &config).expect("resolve");
     let t = std::time::Instant::now();
-    let report = generate(&net, &task, &GenerateConfig::default()).expect("generate");
+    let report = generate(
+        &net,
+        &task,
+        &CheckConfig::default(),
+        &GenerateConfig::default(),
+    )
+    .expect("generate");
     println!("plan generated in {:?}\n", t.elapsed());
     for slot in report.generated.slots() {
         let acl = report.generated.get(slot).expect("slot");

@@ -15,7 +15,7 @@
 //! cargo run --release -p jinjing-examples --example migration -- medium
 //! ```
 
-use jinjing_core::check::check_exact;
+use jinjing_core::check::{check_exact, CheckConfig};
 use jinjing_core::figure1::Figure1;
 use jinjing_core::generate::{generate, GenerateConfig};
 use jinjing_core::resolve::resolve;
@@ -37,7 +37,13 @@ generate
     println!("LAI program:{src}");
     let program = validate(parse_program(src).expect("parse")).expect("validate");
     let task: Task = resolve(&fig.net, &program, &fig.config).expect("resolve");
-    let report = generate(&fig.net, &task, &GenerateConfig::default()).expect("generate");
+    let report = generate(
+        &fig.net,
+        &task,
+        &CheckConfig::default(),
+        &GenerateConfig::default(),
+    )
+    .expect("generate");
     println!(
         "ACL equivalence classes: {} (Table 3 has 4)\nAECs needing a DEC split: {} (§5.3 splits [1]AEC)\nDECs created: {}",
         report.aec_count, report.aecs_split, report.dec_count
@@ -80,7 +86,13 @@ fn wan_migration(size: NetSize) {
     );
     assert_eq!(sc.task.command, Command::Generate);
     let t = std::time::Instant::now();
-    let report = generate(&wan.net, &sc.task, &GenerateConfig::default()).expect("generate");
+    let report = generate(
+        &wan.net,
+        &sc.task,
+        &CheckConfig::default(),
+        &GenerateConfig::default(),
+    )
+    .expect("generate");
     let elapsed = t.elapsed();
     println!(
         "generated {} rules across {} edge slots in {:?}",

@@ -25,7 +25,7 @@
 
 use jinjing_acl::{Acl, Action, IpPrefix, Packet, PacketSet, Rule};
 use jinjing_core::check::{check_configs, CheckConfig, CheckOutcome, CheckReport};
-use jinjing_core::{CheckSession, Delta, IncrConfig, QueryCache};
+use jinjing_core::{CheckSession, Delta, QueryCache};
 use jinjing_net::fib::{pfx, prefix_set};
 use jinjing_net::{AclConfig, Network, Scope, Slot, TopologyBuilder};
 use jinjing_obs::SpanSnapshot;
@@ -256,7 +256,6 @@ fn random_edit_sequences_match_cold_checks() {
                         Vec::new(),
                         base0.clone(),
                         cfg,
-                        IncrConfig::default(),
                     )
                     .expect("session opens"),
                 );
@@ -304,7 +303,7 @@ fn random_edit_sequences_match_cold_checks() {
                 );
             }
             // The cold oracle's base advances exactly when the sessions'
-            // bases do (the default `IncrConfig` policy).
+            // bases do (consistent deltas only).
             if consistent {
                 base = after;
             }
@@ -369,7 +368,6 @@ fn packet_sampling_oracle_agrees_on_tiny_configs() {
             Vec::new(),
             random_config(&mut rng, &sc),
             CheckConfig::default(),
-            IncrConfig::default(),
         )
         .expect("session opens");
 
@@ -421,15 +419,9 @@ fn session_span_tree_matches_cold_check_modulo_incr() {
     let cold_snap = cold_cfg.obs.snapshot();
 
     let warm_cfg = CheckConfig::default();
-    let mut session = CheckSession::with_configs(
-        &sc.net,
-        scope,
-        Vec::new(),
-        base,
-        warm_cfg.clone(),
-        IncrConfig::default(),
-    )
-    .expect("session opens");
+    let mut session =
+        CheckSession::with_configs(&sc.net, scope, Vec::new(), base, warm_cfg.clone())
+            .expect("session opens");
     let _ = session.recheck(&delta).expect("recheck");
     let warm_snap = warm_cfg.obs.snapshot();
 
@@ -486,7 +478,6 @@ fn probe_covers_are_hoisted_into_the_session() {
         Vec::new(),
         base.clone(),
         cfg.clone(),
-        IncrConfig::default(),
     )
     .expect("session opens");
 

@@ -173,10 +173,10 @@ fn fix_plans_are_identical_across_threads_stores_and_both_strategies() {
             for threads in THREADS {
                 let cfg = FixConfig {
                     strategy,
-                    check: check_cfg(threads, shared),
                     ..FixConfig::default()
                 };
-                let plan = fix(&f.net, &task, &cfg).expect("figure 1 is fixable");
+                let plan = fix(&f.net, &task, &check_cfg(threads, shared), &cfg)
+                    .expect("figure 1 is fixable");
                 let rendering = canon_fix(&plan);
                 match &baseline {
                     None => baseline = Some(rendering),
@@ -199,12 +199,13 @@ fn generate_reports_are_identical_across_threads() {
     for optimize in [true, false] {
         let mut baseline: Option<String> = None;
         for threads in THREADS {
-            let cfg = GenerateConfig {
-                optimize,
-                threads,
-                ..GenerateConfig::default()
-            };
-            let g = generate(&f.net, &task, &cfg).expect("migration generates");
+            let g = generate(
+                &f.net,
+                &task,
+                &check_cfg(threads, None),
+                &GenerateConfig { optimize },
+            )
+            .expect("migration generates");
             let rendering = canon_generate(&g);
             match &baseline {
                 None => baseline = Some(rendering),

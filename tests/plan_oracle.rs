@@ -30,7 +30,7 @@ use jinjing_core::check::{check_configs, CheckConfig, CheckReport};
 use jinjing_core::plan::{
     apply_steps, decompose, synthesize, PlanConfig, PlanOutcome, PlanStep, RolloutPlan,
 };
-use jinjing_core::{CheckSession, IncrConfig, QueryCache};
+use jinjing_core::{CheckSession, QueryCache};
 use jinjing_net::fib::{pfx, prefix_set};
 use jinjing_net::{AclConfig, Network, Scope, Slot, TopologyBuilder};
 use std::collections::{HashMap, HashSet};
@@ -445,7 +445,6 @@ fn replay_feasible_plan(
         Vec::new(),
         base.clone(),
         CheckConfig::default(),
-        IncrConfig::default(),
     )
     .expect("probe session opens");
 

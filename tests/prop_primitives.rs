@@ -131,7 +131,12 @@ fn fix_repairs_or_reports() {
             controls: Vec::new(),
             command: Command::Fix,
         };
-        match fix(&fig.net, &task, &FixConfig::default()) {
+        match fix(
+            &fig.net,
+            &task,
+            &CheckConfig::default(),
+            &FixConfig::default(),
+        ) {
             Ok(plan) => {
                 let verdict = check_exact(&fig.net, &fig.scope(), &before, &plan.fixed, &[]);
                 assert!(verdict.is_consistent(), "plan not consistent");
@@ -181,11 +186,8 @@ fn generate_preserves_reachability() {
         };
         let mut results = Vec::new();
         for optimize in [true, false] {
-            let cfg = GenerateConfig {
-                optimize,
-                ..GenerateConfig::default()
-            };
-            match generate(&fig.net, &task, &cfg) {
+            let cfg = GenerateConfig { optimize };
+            match generate(&fig.net, &task, &CheckConfig::default(), &cfg) {
                 Ok(report) => {
                     let verdict =
                         check_exact(&fig.net, &fig.scope(), &before, &report.generated, &[]);
@@ -247,7 +249,12 @@ fn generate_achieves_controls() {
                 controls: controls.clone(),
                 command: Command::Generate,
             };
-            if let Ok(report) = generate(&fig.net, &task, &GenerateConfig::default()) {
+            if let Ok(report) = generate(
+                &fig.net,
+                &task,
+                &CheckConfig::default(),
+                &GenerateConfig::default(),
+            ) {
                 let verdict = check_exact(
                     &fig.net,
                     &fig.scope(),

@@ -215,7 +215,7 @@ fn fix_strategies_agree() {
                 strategy,
                 ..FixConfig::default()
             };
-            match fix(&net, &task, &cfg) {
+            match fix(&net, &task, &CheckConfig::default(), &cfg) {
                 Ok(plan) => {
                     let verdict = check_exact(&net, &scope, &before, &plan.fixed, &[]);
                     assert!(verdict.is_consistent(), "{strategy:?}");

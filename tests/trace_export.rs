@@ -27,7 +27,7 @@ fn capture(threads: usize) -> (String, String) {
         ..EngineConfig::default()
     };
     let t = TraceCtx::new(&trace_id_of(INTENT));
-    cfg.obs.attach_trace_ctx(t.clone());
+    cfg.check.obs.attach_trace_ctx(t.clone());
     let out = run_query(&f.net, &f.config, INTENT, &cfg).expect("traced query");
     (out.plan.to_canonical_json(), t.to_chrome_json())
 }

@@ -10,7 +10,7 @@ use jinjing_core::check::{
 };
 use jinjing_core::fix::{fix, FixConfig};
 use jinjing_core::generate::{generate, GenerateConfig};
-use jinjing_core::{CheckSession, Delta, Encoding, IncrConfig};
+use jinjing_core::{CheckSession, Delta, Encoding};
 use jinjing_lai::printer::statement_count;
 use jinjing_lai::Command;
 use jinjing_net::ScopeModel;
@@ -66,7 +66,13 @@ fn perturbation_is_usually_inconsistent_and_fix_repairs_it() {
             matches!(report.outcome, CheckOutcome::Inconsistent(_))
         })
         .expect("some 5% perturbation breaks reachability");
-    let plan = fix(&wan.net, &sc.task, &FixConfig::default()).expect("fix");
+    let plan = fix(
+        &wan.net,
+        &sc.task,
+        &CheckConfig::default(),
+        &FixConfig::default(),
+    )
+    .expect("fix");
     assert!(!plan.added_rules.is_empty());
     let verdict = check_exact(&wan.net, &sc.task.scope, &sc.task.before, &plan.fixed, &[]);
     assert!(verdict.is_consistent(), "{verdict:?}");
@@ -76,7 +82,13 @@ fn perturbation_is_usually_inconsistent_and_fix_repairs_it() {
 fn migration_scenario_preserves_reachability() {
     let wan = small();
     let sc = scenarios::migration(&wan);
-    let report = generate(&wan.net, &sc.task, &GenerateConfig::default()).expect("generate");
+    let report = generate(
+        &wan.net,
+        &sc.task,
+        &CheckConfig::default(),
+        &GenerateConfig::default(),
+    )
+    .expect("generate");
     // Sources drained, targets populated.
     for group in &wan.acl_slots {
         for &s in group {
@@ -101,14 +113,18 @@ fn migration_scenario_preserves_reachability() {
 fn migration_optimization_reduces_rules_dramatically() {
     let wan = small();
     let sc = scenarios::migration(&wan);
-    let opt = generate(&wan.net, &sc.task, &GenerateConfig::default()).expect("generate");
+    let opt = generate(
+        &wan.net,
+        &sc.task,
+        &CheckConfig::default(),
+        &GenerateConfig::default(),
+    )
+    .expect("generate");
     let base = generate(
         &wan.net,
         &sc.task,
-        &GenerateConfig {
-            optimize: false,
-            ..GenerateConfig::default()
-        },
+        &CheckConfig::default(),
+        &GenerateConfig { optimize: false },
     )
     .expect("generate");
     // §5.5: the optimizations shrink the generated ACLs by orders of
@@ -131,7 +147,13 @@ fn control_open_achieves_desired_reachability() {
     let wan = small();
     for k in [1usize, 2] {
         let sc = scenarios::control_open(&wan, k, 11);
-        let report = generate(&wan.net, &sc.task, &GenerateConfig::default()).expect("generate");
+        let report = generate(
+            &wan.net,
+            &sc.task,
+            &CheckConfig::default(),
+            &GenerateConfig::default(),
+        )
+        .expect("generate");
         let verdict = check_exact(
             &wan.net,
             &sc.task.scope,
@@ -239,7 +261,6 @@ fn session_replay_matches_cold_checks_and_prunes_most_pairs() {
         task.controls.clone(),
         task.before.clone(),
         CheckConfig::default(),
-        IncrConfig::default(),
     )
     .expect("session opens");
     let pairs_ceiling = deltas.len() * session.total_pairs();
