@@ -7,8 +7,11 @@
 //!
 //! [`Acl::permit_set`] compiles the whole list into the exact set of
 //! permitted packets, which *is* the decision model `f_ξ` in set form:
-//! `f_ξ(h) ⇔ h ∈ permit_set(L_ξ)`.
+//! `f_ξ(h) ⇔ h ∈ permit_set(L_ξ)`. It is a fold over [`Acl::walk`], the one
+//! first-match walk that hands out each rule's effective region, which is
+//! also what synthesis groups into sequence-encoding rows (§5.4/§5.5).
 
+use crate::cube::Cube;
 use crate::packet::Packet;
 use crate::rule::{Action, MatchSpec, Rule};
 use crate::set::PacketSet;
@@ -102,20 +105,63 @@ impl Acl {
         out
     }
 
-    /// The exact set of packets this ACL permits.
-    pub fn permit_set(&self) -> PacketSet {
-        let mut permitted = PacketSet::empty();
-        let mut remaining = PacketSet::full();
-        for r in &self.rules {
+    /// The first-match walk: `visit(index, action, region)` for every rule
+    /// whose *effective region* — the packets it matches that no earlier
+    /// rule matched — is non-empty, in priority order. Returns the packets
+    /// that fall through to the default action. The regions and the
+    /// remainder are pairwise disjoint and together make up the header
+    /// space.
+    ///
+    /// What is left to walk is always a pairwise-disjoint cube list (the
+    /// full space, then carve results), so each rule splits it cube by cube
+    /// in one pass: the pieces are exactly, cube for cube,
+    /// `remaining.intersect(m)` and `remaining.subtract(m)`, without the
+    /// subsumption prune and the disjoining pass those two spend on a
+    /// general representation.
+    pub fn walk(&self, mut visit: impl FnMut(usize, Action, PacketSet)) -> PacketSet {
+        let mut remaining = vec![Cube::full()];
+        let mut rest = Vec::new();
+        for (i, r) in self.rules.iter().enumerate() {
             if remaining.is_empty() {
                 break;
             }
-            let m = PacketSet::from_cube(r.matches.cube());
-            if r.action.permits() {
-                permitted = permitted.union(&remaining.intersect(&m));
+            let m = r.matches.cube();
+            let mut region = Vec::new();
+            for c in &remaining {
+                if let Some(inside) = c.intersect(&m) {
+                    region.push(inside);
+                }
+                c.subtract_into(&m, &mut rest);
             }
-            remaining = remaining.subtract(&m);
+            std::mem::swap(&mut remaining, &mut rest);
+            rest.clear();
+            if !region.is_empty() {
+                visit(i, r.action, PacketSet::from_cubes_raw(region));
+            }
         }
+        PacketSet::from_cubes_raw(remaining)
+    }
+
+    /// The exact set of packets this ACL permits.
+    pub fn permit_set(&self) -> PacketSet {
+        self.permit_set_visiting(|_, _, _| {})
+    }
+
+    /// [`Acl::permit_set`] from one [`Acl::walk`] whose regions are also
+    /// handed on to `visit`, for a caller that needs both from one pass
+    /// over the rules. The permitted regions and then the remainder (under
+    /// a permitting default) are folded by `union` in priority order.
+    pub fn permit_set_visiting(
+        &self,
+        mut visit: impl FnMut(usize, Action, PacketSet),
+    ) -> PacketSet {
+        let mut permitted = PacketSet::empty();
+        let remaining = self.walk(|i, action, region| {
+            if action.permits() {
+                permitted = permitted.union(&region);
+            }
+            visit(i, action, region);
+        });
         if self.default_action.permits() {
             permitted = permitted.union(&remaining);
         }

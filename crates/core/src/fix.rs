@@ -53,7 +53,7 @@ use jinjing_acl::interval::Interval;
 use jinjing_acl::packet::Field;
 use jinjing_acl::simplify::simplify;
 use jinjing_acl::{Acl, Action, IpPrefix, MatchSpec, Packet, PacketSet, PortRange, Rule};
-use jinjing_net::{AclConfig, Network, Path, ScopeModel, Slot};
+use jinjing_net::{AclConfig, DistinctAcls, Network, Path, ScopeModel, Slot};
 use jinjing_par::Pool;
 use jinjing_solver::card::{at_most_assumption, counter_outputs};
 use jinjing_solver::cdcl::SolveResult;
@@ -591,19 +591,25 @@ fn fix_batch(
     let mut neighborhoods: Vec<MatchSpec> = Vec::new();
     let mut added_rules: Vec<(Slot, Rule)> = Vec::new();
 
-    // Slot permit-set caches for cheap path-set evaluation.
+    // One permit set per distinct ACL of either side, and a full set last
+    // for a slot one side leaves unconfigured; each slot either side fills
+    // maps to its set on both sides.
     let slots_union = slots_union(&task.before, &task.after);
-    let mut before_sets: HashMap<Slot, PacketSet> = HashMap::new();
-    let mut after_sets: HashMap<Slot, PacketSet> = HashMap::new();
-    for &slot in &slots_union {
-        before_sets.insert(slot, task.before.slot_permit_set(slot));
-        after_sets.insert(slot, task.after.slot_permit_set(slot));
-    }
-    let path_set = |sets: &HashMap<Slot, PacketSet>, path: &Path| -> PacketSet {
+    let distinct = DistinctAcls::of(&[&task.before, &task.after]);
+    let mut sets: Vec<PacketSet> = distinct.acls().iter().map(|a| a.permit_set()).collect();
+    let unconfigured = sets.len();
+    sets.push(PacketSet::full());
+    let set_of = |side: usize| -> HashMap<Slot, usize> {
+        (slots_union.iter())
+            .map(|&s| (s, distinct.index_at(side, s).unwrap_or(unconfigured)))
+            .collect()
+    };
+    let (before_of, after_of) = (set_of(0), set_of(1));
+    let path_set = |set_of: &HashMap<Slot, usize>, path: &Path| -> PacketSet {
         let mut out = PacketSet::full();
         for slot in &path.slots {
-            if let Some(s) = sets.get(slot) {
-                out = out.intersect(s);
+            if let Some(&i) = set_of.get(slot) {
+                out = out.intersect(&sets[i]);
                 if out.is_empty() {
                     break;
                 }
@@ -616,9 +622,9 @@ fn fix_batch(
     let sp = obs.span("fix.enumerate");
     let mut violation_cubes = Vec::new();
     for path in model.topological_paths() {
-        let original = path_set(&before_sets, path);
+        let original = path_set(&before_of, path);
         let desired = crate::control::desired_permit_set(controls, path, &original);
-        let actual = path_set(&after_sets, path);
+        let actual = path_set(&after_of, path);
         let wrong = desired
             .subtract(&actual)
             .union(&actual.subtract(&desired))
@@ -633,9 +639,9 @@ fn fix_batch(
         // of Eq. 6: every predicate of Eq. 6's conjunction refines).
         let sp = obs.span("fix.enlarge");
         let mut preds: Vec<PacketSet> = model.forwarding().to_vec();
-        for &slot in &slots_union {
-            preds.push(before_sets[&slot].clone());
-            preds.push(after_sets[&slot].clone());
+        for slot in &slots_union {
+            preds.push(sets[before_of[slot]].clone());
+            preds.push(sets[after_of[slot]].clone());
         }
         preds.extend(crate::control::control_regions(controls));
         let preds = jinjing_acl::atoms::dedupe_predicates(preds);
@@ -711,16 +717,8 @@ fn fix_batch(
 /// compiled once: slots that share an ACL (one policy on many interfaces,
 /// or a slot the update left alone) ask Eq. 6 the same question.
 fn distinct_permit_sets(before: &AclConfig, after: &AclConfig) -> Vec<PacketSet> {
-    let mut acls: Vec<&Acl> = Vec::new();
-    for config in [before, after] {
-        for slot in config.slots() {
-            let acl = config.get(slot).expect("listed by slots()");
-            if !acls.contains(&acl) {
-                acls.push(acl);
-            }
-        }
-    }
-    acls.into_iter().map(Acl::permit_set).collect()
+    let distinct = DistinctAcls::of(&[before, after]);
+    distinct.acls().iter().map(|acl| acl.permit_set()).collect()
 }
 
 /// Enlarge a counterexample into its neighborhood (Eq. 6): the largest

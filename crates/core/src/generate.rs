@@ -19,6 +19,21 @@
 //!    was split). With [`GenerateConfig::optimize`], rule grouping shrinks
 //!    the row count and the final ACLs are simplified
 //!    (decision-preserving), reproducing the §5.5 run-time/length savings.
+//!
+//! **Per distinct ACL.** One policy usually sits on many interfaces, so
+//! steps 1 and 4 run over the distinct ACLs of the `before` configuration
+//! ([`DistinctAcls`]), not over its slots. Each is compiled by one
+//! first-match walk ([`Acl::permit_set_visiting`]) that yields both its
+//! permit set (step 1) and its encoding groups (step 4). The AEC predicates
+//! are unchanged: equal ACLs have equal permit sets, which the predicate
+//! de-duplication dropped anyway. So are the rows and their order. A slot
+//! repeating an earlier slot's ACL never splits a row: each partial region
+//! already lies inside one of that ACL's groups or inside its remainder, so
+//! it would only copy the earlier slot's digit. And two per-slot encodings
+//! first differ at a slot whose ACL occurs there for the first time, which
+//! is where the per-ACL encodings first differ too, so sorting rows
+//! lexicographically orders them the same way. `tests/generate_reference.rs`
+//! keeps the per-slot synthesis and pins both emissions to it line for line.
 
 use crate::check::{scope_model, CheckConfig};
 use crate::control::control_regions;
@@ -27,7 +42,7 @@ use jinjing_acl::atoms::{refine, ClassExplosion};
 use jinjing_acl::decompose::set_to_matchspecs;
 use jinjing_acl::simplify::simplify;
 use jinjing_acl::{Acl, Action, PacketSet, Rule};
-use jinjing_net::{AclConfig, Network, Path, ScopeModel, Slot};
+use jinjing_net::{AclConfig, DistinctAcls, Network, Path, ScopeModel, Slot};
 use jinjing_solver::cdcl::SolveResult;
 use jinjing_solver::lit::Lit;
 use jinjing_solver::CircuitBuilder;
@@ -103,7 +118,8 @@ pub struct GenerateReport {
     pub aecs_split: usize,
     /// Total dataplane equivalence classes created.
     pub dec_count: usize,
-    /// Sequence-encoding rows produced (the §5.5 grouping metric).
+    /// Sequence-encoding rows produced (the §5.5 grouping metric): one
+    /// encoding digit per distinct ACL of the `before` configuration.
     pub rows: usize,
     /// Rules emitted before simplification.
     pub rules_emitted: usize,
@@ -153,11 +169,20 @@ pub(crate) fn generate_in(
 
     // ---- Phase 1: derive AECs. ----
     let sp = obs.span("generate.aec");
-    let mut predicates: Vec<PacketSet> = task
-        .before
-        .slots()
-        .into_iter()
-        .map(|s| task.before.slot_permit_set(s))
+    // Encoding slots: every slot holding an ACL before the update (the
+    // "source interfaces" of Table 4's sequence encoding). Each distinct ACL
+    // among them is walked once, for its permit set (an AEC predicate) and
+    // its encoding groups (phase 3).
+    let distinct = DistinctAcls::of(&[&task.before]);
+    let mut acl_groups: Vec<Vec<PacketSet>> = Vec::with_capacity(distinct.acls().len());
+    let mut predicates: Vec<PacketSet> = distinct
+        .acls()
+        .iter()
+        .map(|acl| {
+            let (permit, groups) = walk_acl(acl, cfg.optimize);
+            acl_groups.push(groups);
+            permit
+        })
         .collect();
     predicates.extend(control_regions(&task.controls));
     let predicates = jinjing_acl::atoms::dedupe_predicates(predicates);
@@ -219,20 +244,10 @@ pub(crate) fn generate_in(
 
     // ---- Phase 3+4: sequence encoding and rule emission. ----
     let sp = obs.span("generate.synthesize");
-    // Encoding slots: every slot holding an ACL before the update (the
-    // "source interfaces" of Table 4's sequence encoding).
-    let encoding_slots: Vec<Slot> = task.before.slots();
-    // Grouped (or singleton) effective rule regions per encoding slot.
-    let slot_groups: Vec<Vec<PacketSet>> = encoding_slots
-        .iter()
-        .map(|&s| {
-            let acl = task.before.get(s).expect("configured slot");
-            group_effective_regions(acl, cfg.optimize)
-        })
-        .collect();
-
     // Rows (§5.4 Step 1): per AEC, the cartesian combinations of hit
-    // groups per slot; row regions partition each AEC.
+    // groups per distinct encoding ACL (see the module docs for why a slot
+    // repeating an earlier slot's ACL adds nothing); row regions partition
+    // each AEC.
     struct Row {
         encoding: Vec<usize>,
         region: PacketSet,
@@ -241,7 +256,7 @@ pub(crate) fn generate_in(
     let mut rows: Vec<Row> = Vec::new();
     for (ai, aec) in aecs.iter().enumerate() {
         let mut partial: Vec<(Vec<usize>, PacketSet)> = vec![(Vec::new(), aec.set.clone())];
-        for groups in &slot_groups {
+        for groups in &acl_groups {
             let mut next = Vec::new();
             for (enc, region) in partial {
                 for (gi, g) in groups.iter().enumerate() {
@@ -350,10 +365,13 @@ pub(crate) fn generate_in(
         jinjing_obs::Level::Info,
         "generate.done",
         &format!(
-            "{} AECs ({} split, {} DECs), {} rules emitted, {} final",
+            "{} AECs ({} split, {} DECs), {} rows over {} distinct ACLs of {} encoding slots, {} rules emitted, {} final",
             aecs.len(),
             aecs_split,
             dec_count,
+            row_count,
+            acl_groups.len(),
+            task.before.len(),
             rules_emitted,
             rules_final
         ),
@@ -447,34 +465,25 @@ fn solve_class(
     )
 }
 
-/// The effective (first-match) regions of an ACL's rules, optionally
-/// grouping consecutive same-action rules (§5.5 "Grouping ACL rules before
-/// sequence encoding"). Regions are disjoint and ordered by priority; the
-/// default action's region is *not* included (it is the virtual last
-/// group).
-fn group_effective_regions(acl: &Acl, group: bool) -> Vec<PacketSet> {
-    let mut regions: Vec<PacketSet> = Vec::new();
-    let mut remaining = PacketSet::full();
+/// One encoding ACL through one first-match walk ([`Acl::permit_set_visiting`]):
+/// its permit set (an AEC predicate, §5.1) and the effective regions of its
+/// rules in priority order, consecutive same-action rules grouped when
+/// `group` (§5.5 "Grouping ACL rules before sequence encoding"). The groups
+/// are disjoint; the default action's region is *not* among them (it is the
+/// virtual last group).
+fn walk_acl(acl: &Acl, group: bool) -> (PacketSet, Vec<PacketSet>) {
+    let mut groups: Vec<PacketSet> = Vec::new();
     let mut last_action: Option<Action> = None;
-    for r in acl.rules() {
-        if remaining.is_empty() {
-            break;
-        }
-        let m = PacketSet::from_cube(r.matches.cube());
-        let eff = remaining.intersect(&m);
-        remaining = remaining.subtract(&m);
-        if eff.is_empty() {
-            continue;
-        }
-        if group && last_action == Some(r.action) {
-            let last = regions.last_mut().expect("grouping onto existing region");
-            *last = last.union(&eff);
+    let permit = acl.permit_set_visiting(|_, action, region| {
+        if group && last_action == Some(action) {
+            let last = groups.last_mut().expect("grouping onto existing region");
+            *last = last.union(&region);
         } else {
-            regions.push(eff);
-            last_action = Some(r.action);
+            groups.push(region);
+            last_action = Some(action);
         }
-    }
-    regions
+    });
+    (permit, groups)
 }
 
 #[cfg(test)]
@@ -669,8 +678,9 @@ mod tests {
             .permit_dst("3.0.0.0/8")
             .deny_dst("4.0.0.0/8")
             .build();
-        let grouped = group_effective_regions(&acl, true);
-        let plain = group_effective_regions(&acl, false);
+        let (permit, grouped) = walk_acl(&acl, true);
+        let (_, plain) = walk_acl(&acl, false);
+        assert_eq!(permit, acl.permit_set());
         assert_eq!(grouped.len(), 3); // {1,2} | {3} | {4}
         assert_eq!(plain.len(), 4);
         // Same coverage either way.

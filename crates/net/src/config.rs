@@ -37,6 +37,12 @@ impl AclConfig {
         self.acls.insert(slot, Arc::new(acl));
     }
 
+    /// Attach an ACL that other slots (of this or another configuration)
+    /// may hold too, without copying it.
+    pub fn set_shared(&mut self, slot: Slot, acl: Arc<Acl>) {
+        self.acls.insert(slot, acl);
+    }
+
     /// Remove the ACL from a slot (reverting it to `permit all`).
     pub fn clear(&mut self, slot: Slot) -> Option<Acl> {
         self.acls.remove(&slot).map(Arc::unwrap_or_clone)
@@ -122,6 +128,72 @@ impl AclConfig {
     /// Total rule count across all slots (a size metric for reports).
     pub fn total_rules(&self) -> usize {
         self.acls.values().map(|a| a.len()).sum()
+    }
+}
+
+/// The distinct ACLs of one or more configurations, each listed once, and
+/// which of them every configured slot holds. One policy usually sits on
+/// many interfaces, so a primitive that compiles an ACL (a permit set, the
+/// effective regions of its rules) does it once per entry here instead of
+/// once per slot.
+///
+/// This is where "distinct" is decided: a slot holds an ACL already listed
+/// when it shares it (`Arc` pointer compare) or, failing that, holds one
+/// structurally equal to it (`==`). ACLs are listed in first-occurrence
+/// order: configurations in the order given, each in sorted slot order.
+#[derive(Debug, Clone)]
+pub struct DistinctAcls<'a> {
+    acls: Vec<&'a Acl>,
+    /// Per configuration, its configured slots (sorted) with the index of
+    /// their ACL in `acls`.
+    slots: Vec<Vec<(Slot, usize)>>,
+}
+
+impl<'a> DistinctAcls<'a> {
+    /// List the distinct ACLs of `configs`.
+    pub fn of(configs: &[&'a AclConfig]) -> DistinctAcls<'a> {
+        let mut held: Vec<&'a Arc<Acl>> = Vec::new();
+        let slots = configs
+            .iter()
+            .map(|config| {
+                config
+                    .slots()
+                    .into_iter()
+                    .map(|slot| {
+                        let acl = &config.acls[&slot];
+                        let i = held
+                            .iter()
+                            .position(|h| Arc::ptr_eq(h, acl))
+                            .or_else(|| held.iter().position(|h| ***h == **acl))
+                            .unwrap_or_else(|| {
+                                held.push(acl);
+                                held.len() - 1
+                            });
+                        (slot, i)
+                    })
+                    .collect()
+            })
+            .collect();
+        DistinctAcls {
+            acls: held.into_iter().map(Arc::as_ref).collect(),
+            slots,
+        }
+    }
+
+    /// Each distinct ACL once, in first-occurrence order.
+    pub fn acls(&self) -> &[&'a Acl] {
+        &self.acls
+    }
+
+    /// The index in [`DistinctAcls::acls`] of the ACL that configuration
+    /// `config` (its position in the list given to [`DistinctAcls::of`])
+    /// holds at `slot`; `None` when it leaves the slot unconfigured.
+    pub fn index_at(&self, config: usize, slot: Slot) -> Option<usize> {
+        let slots = &self.slots[config];
+        slots
+            .binary_search_by_key(&slot, |&(s, _)| s)
+            .ok()
+            .map(|at| slots[at].1)
     }
 }
 
@@ -272,6 +344,37 @@ mod tests {
         let mut explicit = a.clone();
         explicit.set(slot(1), Acl::permit_all());
         assert_ne!(a, explicit, "a configured permit-all is a configured slot");
+    }
+
+    #[test]
+    fn distinct_acls_are_listed_once_in_first_occurrence_order() {
+        let shared = Arc::new(deny("1.0.0.0/8"));
+        let mut before = AclConfig::new();
+        before.set(slot(4), deny("2.0.0.0/8"));
+        before.set_shared(slot(1), shared.clone());
+        before.set_shared(slot(3), shared.clone());
+        before.set(slot(2), deny("1.0.0.0/8")); // equal content, own allocation
+        let mut after = before.clone();
+        after.set(slot(0), deny("3.0.0.0/8"));
+        after.set(slot(4), deny("1.0.0.0/8"));
+        after.clear(slot(2));
+
+        let d = DistinctAcls::of(&[&before, &after]);
+        let want = [deny("1.0.0.0/8"), deny("2.0.0.0/8"), deny("3.0.0.0/8")];
+        assert_eq!(d.acls().len(), want.len());
+        for (got, want) in d.acls().iter().zip(&want) {
+            assert_eq!(*got, want);
+        }
+        assert!(
+            std::ptr::eq(d.acls()[0], shared.as_ref()),
+            "the first holder"
+        );
+        let indices = |config: usize| -> Vec<Option<usize>> {
+            (0..6).map(|i| d.index_at(config, slot(i))).collect()
+        };
+        assert_eq!(indices(0), [None, Some(0), Some(0), Some(0), Some(1), None]);
+        assert_eq!(indices(1), [Some(2), Some(0), None, Some(0), Some(0), None]);
+        assert!(DistinctAcls::of(&[&AclConfig::new()]).acls().is_empty());
     }
 
     #[test]

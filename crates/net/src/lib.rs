@@ -33,7 +33,7 @@ pub mod network;
 pub mod spec;
 pub mod topology;
 
-pub use crate::config::AclConfig;
+pub use crate::config::{AclConfig, DistinctAcls};
 pub use crate::fec::ScopeModel;
 pub use crate::fib::{Fib, FibEntry};
 pub use crate::ids::{DeviceId, Dir, IfaceId, Slot};

@@ -3,11 +3,13 @@
 //! 4.1), and both solver encodings against concrete evaluation.
 
 mod cases;
+mod first_match_reference;
 
 use jinjing_acl::diff::AclDiff;
+use jinjing_acl::packet::Field;
 use jinjing_acl::parse::{parse_acl, parse_rule};
 use jinjing_acl::simplify::simplify;
-use jinjing_acl::{Acl, Action, IpPrefix, MatchSpec, Packet, PortRange, Proto, Rule};
+use jinjing_acl::{Acl, Action, IpPrefix, MatchSpec, Packet, PacketSet, PortRange, Proto, Rule};
 use jinjing_solver::aclenc::{encode, Encoding};
 use jinjing_solver::cdcl::SolveResult;
 use jinjing_solver::{CircuitBuilder, HeaderVars};
@@ -128,6 +130,106 @@ fn permit_set_matches_eval() {
     let name = "permit_set_matches_eval";
     cases::run(SUITE, name, CASES, acl_and_packet, |(a, p)| {
         assert_eq!(a.permit_set().contains(p), a.permits(p));
+    });
+}
+
+/// An ACL with its first-match walk: each visited rule's index, action and
+/// effective region, then the remainder.
+type Walked = (Vec<(usize, Action, PacketSet)>, PacketSet);
+
+fn walked(a: &Acl) -> Walked {
+    let mut regions = Vec::new();
+    let rest = a.walk(|i, action, region| regions.push((i, action, region)));
+    (regions, rest)
+}
+
+/// An ACL and a handful of packets biased into its clustered space.
+fn acl_and_packets(rng: &mut StdRng) -> (Acl, Vec<Packet>) {
+    let a = acl(rng);
+    let packets = (0..8).map(|_| packet(rng)).collect();
+    (a, packets)
+}
+
+/// The lowest and the highest packet of every cube of `set`.
+fn corners(set: &PacketSet) -> Vec<Packet> {
+    let mut out = Vec::new();
+    for c in set.cubes() {
+        let mut hi = c.sample();
+        for f in Field::ALL {
+            hi.set_field(f, c.get(f).hi());
+        }
+        out.extend([c.sample(), hi]);
+    }
+    out
+}
+
+/// The walk's regions are non-empty, visited in rule order, pairwise
+/// disjoint, disjoint from the remainder, and together with it make up the
+/// whole header space.
+#[test]
+fn walk_partitions_the_space() {
+    cases::run(SUITE, "walk_partitions_the_space", CASES, acl, |a| {
+        let (regions, rest) = walked(a);
+        assert!(regions.windows(2).all(|w| w[0].0 < w[1].0), "rule order");
+        let mut parts: Vec<&PacketSet> = regions.iter().map(|(_, _, r)| r).collect();
+        assert!(parts.iter().all(|r| !r.is_empty()), "an empty region");
+        parts.push(&rest);
+        for (i, x) in parts.iter().enumerate() {
+            for y in &parts[i + 1..] {
+                assert!(!x.intersects(y), "overlapping parts");
+            }
+        }
+        let whole = parts.iter().fold(PacketSet::empty(), |u, r| u.union(r));
+        assert!(whole.same_set(&PacketSet::full()), "parts miss packets");
+        let total: u128 = parts.iter().map(|r| r.count()).sum();
+        assert_eq!(total, 1u128 << 104);
+    });
+}
+
+/// Every packet of a region — each cube's corners, and the random packets
+/// that land in it — gets that rule's action from `eval` and its index from
+/// `first_match`; a packet of the remainder gets the default and no rule.
+#[test]
+fn walk_regions_decide_like_eval() {
+    let name = "walk_regions_decide_like_eval";
+    cases::run(SUITE, name, CASES, acl_and_packets, |(a, packets)| {
+        let (regions, rest) = walked(a);
+        for (i, action, region) in &regions {
+            let landed = packets.iter().filter(|p| region.contains(p));
+            for p in corners(region).iter().chain(landed) {
+                assert_eq!(a.eval(p), *action, "{p} in rule {i}'s region");
+                assert_eq!(a.first_match(p), Some(*i), "{p} in rule {i}'s region");
+            }
+        }
+        let landed = packets.iter().filter(|p| rest.contains(p));
+        for p in corners(&rest).iter().chain(landed) {
+            assert_eq!(a.eval(p), a.default_action(), "{p} falls through");
+            assert_eq!(a.first_match(p), None, "{p} falls through");
+        }
+    });
+}
+
+/// `permit_set` — a fold over the walk — is the plain whole-set loop cube
+/// for cube, and so are the walk's regions, grouped or not.
+#[test]
+fn walk_is_the_plain_loop_cube_for_cube() {
+    let name = "walk_is_the_plain_loop_cube_for_cube";
+    cases::run(SUITE, name, CASES, acl, |a| {
+        assert_eq!(a.permit_set(), first_match_reference::permit_set(a));
+        let (regions, _) = walked(a);
+        let regions: Vec<PacketSet> = regions.into_iter().map(|(_, _, r)| r).collect();
+        assert_eq!(regions, first_match_reference::effective_regions(a, false));
+        let mut grouped: Vec<PacketSet> = Vec::new();
+        let mut last = None;
+        let permit = a.permit_set_visiting(|_, action, region| match grouped.last_mut() {
+            Some(g) if last == Some(action) => *g = g.union(&region),
+            _ => {
+                grouped.push(region);
+                last = Some(action);
+            }
+        });
+        assert_eq!(permit, a.permit_set());
+        assert_eq!(grouped, first_match_reference::effective_regions(a, true));
     });
 }
 
