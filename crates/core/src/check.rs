@@ -81,7 +81,7 @@ pub struct CheckConfig {
     /// partition, fix's batch neighbourhoods, generate's AECs and DECs.
     pub refine_limits: RefineLimits,
     /// Worker threads for the per-`(class, path)` query fan-out (and for
-    /// fix's batch placements and generate's per-AEC solves). `0` means
+    /// fix's batch placements). `0` means
     /// "auto": consult `JINJING_THREADS`, defaulting to 1 (serial — the
     /// exact historical code path). Reports are byte-identical for every
     /// value (see `jinjing-par`'s determinism contract).

@@ -33,7 +33,7 @@ pub struct EngineConfig {
     pub plan: PlanConfig,
     /// Run-level worker-thread override. When non-zero it replaces
     /// `check.threads` (check's query fan-out, batch fix's placement
-    /// fan-out, generate's AEC sweep). `0` leaves `check.threads` alone
+    /// fan-out). `0` leaves `check.threads` alone
     /// (whose own `0` means "consult `JINJING_THREADS`, default serial").
     pub threads: usize,
 }

@@ -4,13 +4,20 @@
 //!
 //! 1. **Derive ACL equivalence classes** (§5.1): refine the entering
 //!    traffic by the permit-set of every ACL in the scope (plus control
-//!    regions, §6). All packets of an AEC receive identical decisions from
-//!    every existing ACL.
-//! 2. **Solve AECs** (§5.2, Eq. 10): per AEC, one boolean decision variable
-//!    per target slot, one constraint per *topological* path in the scope
-//!    (`c'_p ⇔ desired c_p`), solved by the CDCL engine.
-//! 3. **Split unsolved AECs into DECs** (§5.3): refine the AEC by the
-//!    forwarding predicates and re-solve per DEC with the constraints
+//!    regions, §6, and the ACLs the update installs away from the
+//!    targets). All packets of an AEC receive identical decisions from
+//!    every ACL step 2 reads, before and after the update.
+//! 2. **Decide AECs** (§5.2, Eq. 10): per AEC, one decision per target
+//!    slot, one constraint per *topological* path in the scope
+//!    (`c'_p ⇔ desired c_p`). A path's decision is the AND of its slots',
+//!    so the instance is Horn: a path that must permit forces its targets
+//!    to permit, one that must deny needs one of its targets to deny.
+//!    `decide` answers it in closed form, with the model the paper's solver
+//!    route picks (each sorted target permits when some model allows it);
+//!    no solver runs and the AECs are decided one after another, on the
+//!    caller's thread.
+//! 3. **Split undecidable AECs into DECs** (§5.3): refine the AEC by the
+//!    forwarding predicates and decide each DEC with the constraints
 //!    restricted to the paths actually carrying that DEC.
 //! 4. **Synthesize ACLs** (§5.4): sequence-encode each AEC against the
 //!    existing ACLs' (optionally grouped, §5.5) rule lists, sort rows,
@@ -21,10 +28,13 @@
 //!    (decision-preserving), reproducing the §5.5 run-time/length savings.
 //!
 //! **Per distinct ACL.** One policy usually sits on many interfaces, so
-//! steps 1 and 4 run over the distinct ACLs of the `before` configuration
-//! ([`DistinctAcls`]), not over its slots. Each is compiled by one
-//! first-match walk ([`Acl::permit_set_visiting`]) that yields both its
-//! permit set (step 1) and its encoding groups (step 4). The AEC predicates
+//! steps 1, 2 and 4 run over the distinct ACLs of the `before` and `after`
+//! configurations ([`DistinctAcls`]), not over their slots. Step 2 asks each
+//! of them once per class, on a sampled packet, and reads a slot's decision
+//! through its index; `before`'s are the list's prefix and the only ones
+//! steps 1 and 4 encode. Each of those is compiled by one first-match walk
+//! ([`Acl::permit_set_visiting`]) that yields both its permit set (step 1)
+//! and its encoding groups (step 4). The AEC predicates
 //! are unchanged: equal ACLs have equal permit sets, which the predicate
 //! de-duplication dropped anyway. So are the rows and their order. A slot
 //! repeating an earlier slot's ACL never splits a row: each partial region
@@ -36,22 +46,18 @@
 //! keeps the per-slot synthesis and pins both emissions to it line for line.
 
 use crate::check::{scope_model, CheckConfig};
-use crate::control::control_regions;
+use crate::control::{control_regions, ClassControls, ResolvedControl};
 use crate::task::Task;
 use jinjing_acl::atoms::{refine, ClassExplosion};
 use jinjing_acl::decompose::set_to_matchspecs;
 use jinjing_acl::simplify::simplify;
 use jinjing_acl::{Acl, Action, PacketSet, Rule};
 use jinjing_net::{AclConfig, DistinctAcls, Network, Path, ScopeModel, Slot};
-use jinjing_solver::cdcl::SolveResult;
-use jinjing_solver::lit::Lit;
-use jinjing_solver::CircuitBuilder;
 use std::collections::HashMap;
 use std::time::Duration;
 
-/// Tunables for generate. Refinement caps, worker threads (the per-AEC
-/// solve fan-out of Eq. 10) and the collector come from the caller's
-/// [`CheckConfig`], the run's one check.
+/// Tunables for generate. Refinement caps and the collector come from the
+/// caller's [`CheckConfig`], the run's one check.
 #[derive(Debug, Clone)]
 pub struct GenerateConfig {
     /// Apply the §5.5 optimizations (rule grouping before sequence
@@ -129,10 +135,10 @@ pub struct GenerateReport {
     pub phases: PhaseTimes,
 }
 
-/// One solved decision unit: a class and its decision per target slot.
+/// One decided unit: a class and its decision per sorted target slot.
 struct Unit {
     region: PacketSet,
-    decisions: HashMap<Slot, bool>,
+    decisions: Vec<bool>,
 }
 
 /// Run generate on a resolved task. Targets are the task's `allow` slots;
@@ -169,14 +175,15 @@ pub(crate) fn generate_in(
 
     // ---- Phase 1: derive AECs. ----
     let sp = obs.span("generate.aec");
-    // Encoding slots: every slot holding an ACL before the update (the
-    // "source interfaces" of Table 4's sequence encoding). Each distinct ACL
-    // among them is walked once, for its permit set (an AEC predicate) and
-    // its encoding groups (phase 3).
-    let distinct = DistinctAcls::of(&[&task.before]);
-    let mut acl_groups: Vec<Vec<PacketSet>> = Vec::with_capacity(distinct.acls().len());
-    let mut predicates: Vec<PacketSet> = distinct
-        .acls()
+    // Every distinct ACL Eq. 10 reads: `before`'s first (the encoding ACLs
+    // of Table 4, "source interfaces"), then those `after` newly installs.
+    // Each encoding ACL is walked once, for its permit set (an AEC
+    // predicate) and its encoding groups (phase 3).
+    let distinct = DistinctAcls::of(&[&task.before, &task.after]);
+    // `before`'s distinct ACLs are the list's prefix, in the same order.
+    let encoding = DistinctAcls::of(&[&task.before]).acls().len();
+    let mut acl_groups: Vec<Vec<PacketSet>> = Vec::with_capacity(encoding);
+    let mut predicates: Vec<PacketSet> = distinct.acls()[..encoding]
         .iter()
         .map(|acl| {
             let (permit, groups) = walk_acl(acl, cfg.optimize);
@@ -185,60 +192,78 @@ pub(crate) fn generate_in(
         })
         .collect();
     predicates.extend(control_regions(&task.controls));
+    // Eq. 10 reads the after-configuration on every non-target slot, one
+    // sampled packet per class, so a class must be uniform under the ACLs
+    // an update installs there too. Appended last: one that cuts nothing
+    // (`permit all`, a migration's usual source) changes no class.
+    let mut installed: Vec<usize> = task
+        .after
+        .slots()
+        .into_iter()
+        .filter(|s| targets.binary_search(s).is_err())
+        .filter_map(|s| distinct.index_at(1, s))
+        .filter(|&i| i >= encoding)
+        .collect();
+    installed.sort_unstable();
+    installed.dedup();
+    predicates.extend(installed.iter().map(|&i| distinct.acls()[i].permit_set()));
     let predicates = jinjing_acl::atoms::dedupe_predicates(predicates);
     let aecs = refine(model.universe(), &predicates, check.refine_limits)?;
     let derive_aec = sp.finish();
     obs.histogram_record("generate.aec_count", aecs.len() as u64);
 
-    // ---- Phase 2: solve AECs (DEC-split on unsat). ----
+    // ---- Phase 2: decide AECs (DEC-split when undecidable). ----
     let sp = obs.span("generate.solve");
-    // Topological paths: every path some entering packet can take.
-    let all_paths = model.topological_paths();
-    // AEC-level solves are independent of one another (Eq. 10 constrains
-    // each class in isolation), so the sweep fans out across the worker
-    // pool; results fold back in AEC order. Each worker's solver telemetry
-    // lands in the shared collector directly — counters and histograms are
-    // commutative aggregates, so the totals are schedule-independent. DEC
-    // refinement of the unsat residue (§5.3) stays serial: splits are rare
-    // and each is cheap relative to the AEC sweep.
-    let pool = jinjing_par::Pool::new(jinjing_par::resolve_threads(check.threads));
-    let aec_solutions: Vec<Option<HashMap<Slot, bool>>> = pool.par_map(&aecs, |_, aec| {
-        solve_class(task, obs, &targets, all_paths, &aec.set, false)
-    });
+    // Topological paths (every path some entering packet can take), each
+    // read once as the distinct ACLs deciding it.
+    let paths: Vec<PathAcls<'_>> = model
+        .topological_paths()
+        .iter()
+        .map(|path| PathAcls::new(path, &distinct, &targets))
+        .collect();
+    let class = |set: &PacketSet, restrict_paths| {
+        solve_class(
+            &distinct,
+            &task.controls,
+            &paths,
+            targets.len(),
+            set,
+            restrict_paths,
+        )
+    };
     let mut units: Vec<(usize, Vec<Unit>)> = Vec::new(); // (aec index, units)
     let mut aecs_split = 0usize;
     let mut dec_count = 0usize;
-    for (ai, (aec, solution)) in aecs.iter().zip(aec_solutions).enumerate() {
-        match solution {
-            Some(decisions) => units.push((
+    for (ai, aec) in aecs.iter().enumerate() {
+        if let Some(decisions) = class(&aec.set, false) {
+            units.push((
                 ai,
                 vec![Unit {
                     region: aec.set.clone(),
                     decisions,
                 }],
-            )),
-            None => {
-                // DEC refinement (§5.3).
-                aecs_split += 1;
-                let decs = refine(&aec.set, model.forwarding(), check.refine_limits)?;
-                let mut dec_units = Vec::with_capacity(decs.len());
-                for dec in decs {
-                    dec_count += 1;
-                    match solve_class(task, obs, &targets, all_paths, &dec.set, true) {
-                        Some(decisions) => dec_units.push(Unit {
-                            region: dec.set,
-                            decisions,
-                        }),
-                        None => {
-                            return Err(GenerateError::NoSolution {
-                                witness: dec.set.sample().expect("classes are non-empty"),
-                            })
-                        }
-                    }
+            ));
+            continue;
+        }
+        // DEC refinement (§5.3).
+        aecs_split += 1;
+        let decs = refine(&aec.set, model.forwarding(), check.refine_limits)?;
+        let mut dec_units = Vec::with_capacity(decs.len());
+        for dec in decs {
+            dec_count += 1;
+            match class(&dec.set, true) {
+                Some(decisions) => dec_units.push(Unit {
+                    region: dec.set,
+                    decisions,
+                }),
+                None => {
+                    return Err(GenerateError::NoSolution {
+                        witness: dec.set.sample().expect("classes are non-empty"),
+                    })
                 }
-                units.push((ai, dec_units));
             }
         }
+        units.push((ai, dec_units));
     }
     let solve = sp.finish();
 
@@ -310,14 +335,14 @@ pub(crate) fn generate_in(
     let mut rules_emitted = 0usize;
     let mut rules_final = 0usize;
     let unit_map: HashMap<usize, &Vec<Unit>> = units.iter().map(|(ai, us)| (*ai, us)).collect();
-    for &target in &targets {
+    for (ti, &target) in targets.iter().enumerate() {
         let mut acl = if cfg.optimize {
             // Units are pairwise disjoint (they partition the universe), so
             // assemble the deny region without quadratic union pruning.
             let mut deny_cubes = Vec::new();
             for (_, us) in &units {
                 for unit in us {
-                    if !unit.decisions[&target] {
+                    if !unit.decisions[ti] {
                         deny_cubes.extend(unit.region.cubes().iter().copied());
                     }
                 }
@@ -341,7 +366,7 @@ pub(crate) fn generate_in(
                     if region.is_empty() {
                         continue;
                     }
-                    let action = Action::from_bool(unit.decisions[&target]);
+                    let action = Action::from_bool(unit.decisions[ti]);
                     for m in set_to_matchspecs(&region) {
                         rules.push(Rule::new(action, m));
                     }
@@ -393,76 +418,113 @@ pub(crate) fn generate_in(
     })
 }
 
-/// Solve the placement problem (Eq. 10) for one class. At AEC level
-/// (`restrict_paths == false`) every topological path constrains the class;
-/// at DEC level only the paths carrying it do. Returns the decision per
-/// target slot, or `None` when unsatisfiable.
-fn solve_class(
-    task: &Task,
-    obs: &jinjing_obs::Collector,
-    targets: &[Slot],
-    all_paths: &[Path],
-    class: &PacketSet,
-    restrict_paths: bool,
-) -> Option<HashMap<Slot, bool>> {
-    let h = class.sample().expect("non-empty class");
-    let mut builder = CircuitBuilder::new();
-    builder.set_obs(obs.clone());
-    let vars: HashMap<Slot, Lit> = targets.iter().map(|&s| (s, builder.input())).collect();
-    let class_controls = crate::control::ClassControls::new(&task.controls, class);
-    for p in all_paths {
-        if restrict_paths && !class.intersects(&p.carried) {
-            continue;
-        }
-        let original = task.before.path_permits(p, &h);
-        let desired = class_controls.desired(p, original);
-        // c'_p: constants for non-target slots, variables for targets.
-        let mut lits: Vec<Lit> = Vec::new();
-        let mut const_false = false;
-        for &slot in &p.slots {
-            if let Some(&v) = vars.get(&slot) {
-                lits.push(v);
-            } else if !task.after.slot_permits(slot, &h) {
-                const_false = true;
-                break;
+/// One topological path as Eq. 10 reads it: the distinct ACLs deciding it
+/// before the update, those deciding its non-target slots after it, and the
+/// positions of its target slots among the sorted targets.
+struct PathAcls<'p> {
+    path: &'p Path,
+    before: Vec<usize>,
+    after: Vec<usize>,
+    targets: Vec<usize>,
+}
+
+impl<'p> PathAcls<'p> {
+    fn new(path: &'p Path, distinct: &DistinctAcls<'_>, targets: &[Slot]) -> PathAcls<'p> {
+        let mut acls = PathAcls {
+            path,
+            before: Vec::new(),
+            after: Vec::new(),
+            targets: Vec::new(),
+        };
+        for &slot in &path.slots {
+            acls.before.extend(distinct.index_at(0, slot));
+            match targets.binary_search(&slot) {
+                Ok(t) => acls.targets.push(t),
+                Err(_) => acls.after.extend(distinct.index_at(1, slot)),
             }
         }
-        if const_false {
+        acls
+    }
+}
+
+/// The placement problem (Eq. 10) for one class, decided by [`decide`]. At
+/// AEC level (`restrict_paths == false`) every topological path constrains
+/// the class; at DEC level only the paths carrying it do. Each distinct ACL
+/// decides the class once, on a sampled packet (the class is uniform under
+/// every ACL the instance reads, phase 1). Returns the decision per sorted
+/// target, or `None` when unsatisfiable.
+fn solve_class(
+    distinct: &DistinctAcls<'_>,
+    controls: &[ResolvedControl],
+    paths: &[PathAcls<'_>],
+    targets: usize,
+    class: &PacketSet,
+    restrict_paths: bool,
+) -> Option<Vec<bool>> {
+    let h = class.sample().expect("non-empty class");
+    let permits: Vec<bool> = distinct.acls().iter().map(|acl| acl.permits(&h)).collect();
+    let all_permit = |acls: &[usize]| acls.iter().all(|&i| permits[i]);
+    let class_controls = ClassControls::new(controls, class);
+    let mut must_permit: Vec<&[usize]> = Vec::new();
+    let mut must_deny: Vec<&[usize]> = Vec::new();
+    for p in paths {
+        if restrict_paths && !class.intersects(&p.path.carried) {
+            continue;
+        }
+        let desired = class_controls.desired(p.path, all_permit(&p.before));
+        if !all_permit(&p.after) {
             if desired {
-                return None; // path is forced deny but must permit
+                return None; // a non-target slot denies a path that must permit
             }
             continue; // already denied as desired
         }
-        let conj = builder.and(&lits);
-        builder.assert(if desired { conj } else { !conj });
-    }
-    if builder.solve() != SolveResult::Sat {
-        return None;
-    }
-    // Bias unconstrained decisions toward permit (what operators — and
-    // Table 4b — prefer): greedily pin each target to permit when some
-    // model still allows it.
-    let mut pinned: Vec<Lit> = Vec::new();
-    let mut sorted_targets = targets.to_vec();
-    sorted_targets.sort();
-    for &s in &sorted_targets {
-        let v = vars[&s];
-        let mut attempt = pinned.clone();
-        attempt.push(v);
-        if builder.solve_with(&attempt) == SolveResult::Sat {
-            pinned.push(v);
+        if desired {
+            must_permit.push(&p.targets);
         } else {
-            pinned.push(!v);
+            must_deny.push(&p.targets);
         }
     }
-    let r = builder.solve_with(&pinned);
-    debug_assert_eq!(r, SolveResult::Sat);
-    Some(
-        sorted_targets
+    decide(targets, &must_permit, &must_deny)
+}
+
+/// Eq. 10 in closed form. A path's decision is the AND of its slots', so
+/// each path whose non-target slots all permit constrains only its targets
+/// (positions in `0..targets`): one that must permit forces every target on
+/// it to permit, one that must deny needs some target on it to deny. With
+/// `F` the forced targets, the instance is unsatisfiable iff some must-deny
+/// path has all its targets in `F` (an empty one included).
+///
+/// Otherwise the answer is the model the greedy "pin each sorted target to
+/// permit when some model still allows it" picks, so the unconstrained
+/// decisions lean to permit (what operators, and Table 4b, prefer). Walking
+/// the targets in order, a target outside `F` permits unless that leaves
+/// some must-deny path with every target permitting. This is exactly the
+/// greedy's test: a target not yet decided and outside `F` can always
+/// deny, and denying only helps a must-deny path, so some model extends
+/// the decisions so far iff denying every undecided target outside `F`
+/// satisfies every must-deny path.
+fn decide(targets: usize, must_permit: &[&[usize]], must_deny: &[&[usize]]) -> Option<Vec<bool>> {
+    let mut permits = vec![false; targets];
+    for path in must_permit {
+        for &t in *path {
+            permits[t] = true;
+        }
+    }
+    let a_deny_path_permits = |permits: &[bool]| {
+        must_deny
             .iter()
-            .map(|&s| (s, builder.model_value(vars[&s])))
-            .collect(),
-    )
+            .any(|path| path.iter().all(|&t| permits[t]))
+    };
+    if a_deny_path_permits(&permits) {
+        return None;
+    }
+    for t in 0..targets {
+        if !permits[t] {
+            permits[t] = true;
+            permits[t] = !a_deny_path_permits(&permits);
+        }
+    }
+    Some(permits)
 }
 
 /// One encoding ACL through one first-match walk ([`Acl::permit_set_visiting`]):
@@ -537,6 +599,29 @@ mod tests {
     fn migration_preserves_reachability() {
         let f = Figure1::new();
         let task = migration_task(&f);
+        for optimize in [false, true] {
+            let report = generate_with(&f.net, &task, optimize).unwrap();
+            let verdict = check_exact(&f.net, &task.scope, &task.before, &report.generated, &[]);
+            assert!(verdict.is_consistent(), "optimize={optimize}: {verdict:?}");
+        }
+    }
+
+    /// A `modify` away from the targets that installs a new ACL cuts the
+    /// before-configuration's classes: D2 keeps only `deny dst 1.0.0.0/8`,
+    /// so traffic 2 now reaches D2 and must be denied at a target, while
+    /// the rest of its AEC (3–5) must not be. Eq. 10 reads D2's new ACL on
+    /// one sampled packet per class, so the class has to be uniform under
+    /// it too.
+    #[test]
+    fn a_new_acl_away_from_the_targets_cuts_the_classes() {
+        let f = Figure1::new();
+        let mut task = migration_task(&f);
+        task.after.set(
+            f.slot("D2"),
+            jinjing_acl::AclBuilder::default_permit()
+                .deny_dst("1.0.0.0/8")
+                .build(),
+        );
         for optimize in [false, true] {
             let report = generate_with(&f.net, &task, optimize).unwrap();
             let verdict = check_exact(&f.net, &task.scope, &task.before, &report.generated, &[]);
@@ -668,6 +753,86 @@ mod tests {
             }
             other => panic!("unexpected error {other}"),
         }
+    }
+
+    /// The solver route Eq. 10 took before its closed form: one variable
+    /// per target, each path's AND asserted (must permit) or its NAND (must
+    /// deny), then each sorted target pinned to permit iff some model still
+    /// allows it.
+    fn solver_route(
+        targets: usize,
+        must_permit: &[&[usize]],
+        must_deny: &[&[usize]],
+    ) -> Option<Vec<bool>> {
+        use jinjing_solver::cdcl::SolveResult;
+        use jinjing_solver::lit::Lit;
+        let mut builder = jinjing_solver::CircuitBuilder::new();
+        let vars: Vec<Lit> = (0..targets).map(|_| builder.input()).collect();
+        for (paths, desired) in [(must_permit, true), (must_deny, false)] {
+            for path in paths {
+                let lits: Vec<Lit> = path.iter().map(|&t| vars[t]).collect();
+                let conj = builder.and(&lits);
+                builder.assert(if desired { conj } else { !conj });
+            }
+        }
+        if builder.solve() != SolveResult::Sat {
+            return None;
+        }
+        let mut pinned: Vec<Lit> = Vec::new();
+        for &v in &vars {
+            let mut attempt = pinned.clone();
+            attempt.push(v);
+            let allowed = builder.solve_with(&attempt) == SolveResult::Sat;
+            pinned.push(if allowed { v } else { !v });
+        }
+        assert_eq!(builder.solve_with(&pinned), SolveResult::Sat);
+        Some(vars.iter().map(|&v| builder.model_value(v)).collect())
+    }
+
+    /// [`decide`] answers what the solver route answers, model for model,
+    /// on random instances: satisfiable and not, with must-deny paths that
+    /// carry no target and targets that lie on no path.
+    #[test]
+    fn decide_is_the_solver_route() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let (mut sat, mut unsat, mut empty_deny, mut pathless) = (0, 0, 0, 0);
+        for case in 0..4_000u64 {
+            let rng = &mut StdRng::seed_from_u64(0xe910_0000 + case);
+            let targets = rng.random_range(0..=6usize);
+            let mut must_permit: Vec<Vec<usize>> = Vec::new();
+            let mut must_deny: Vec<Vec<usize>> = Vec::new();
+            for _ in 0..rng.random_range(0..=8usize) {
+                let path: Vec<usize> = (0..targets)
+                    .filter(|_| rng.random_range(0..3u32) == 0)
+                    .collect();
+                if rng.random_range(0..3u32) == 0 {
+                    must_permit.push(path);
+                } else {
+                    must_deny.push(path);
+                }
+            }
+            let must_permit: Vec<&[usize]> = must_permit.iter().map(Vec::as_slice).collect();
+            let must_deny: Vec<&[usize]> = must_deny.iter().map(Vec::as_slice).collect();
+            let got = decide(targets, &must_permit, &must_deny);
+            let want = solver_route(targets, &must_permit, &must_deny);
+            assert_eq!(
+                got, want,
+                "case {case}: {targets} targets, permit {must_permit:?}, deny {must_deny:?}"
+            );
+            match got {
+                Some(_) => sat += 1,
+                None => unsat += 1,
+            }
+            empty_deny += usize::from(must_deny.iter().any(|p| p.is_empty()));
+            let on_path = |t: &usize| must_permit.iter().chain(&must_deny).any(|p| p.contains(t));
+            pathless += usize::from((0..targets).any(|t| !on_path(&t)));
+        }
+        assert!(sat >= 100 && unsat >= 100, "{sat} satisfiable, {unsat} not");
+        assert!(
+            empty_deny >= 100 && pathless >= 100,
+            "{empty_deny} empty must-deny, {pathless} with a pathless target"
+        );
     }
 
     #[test]

@@ -51,7 +51,7 @@
 //!
 //! **One settings tree.** An [`EngineConfig`] holds each setting once. Its
 //! [`CheckConfig`] is the run's one check: `fix` searches and certifies
-//! under it, `generate` reads its refinement caps, threads and collector
+//! under it, `generate` reads its refinement caps and collector
 //! from it, and every session re-check and rollout-prefix probe runs under
 //! it. [`FixConfig`], [`GenerateConfig`] and [`PlanConfig`] hold only what
 //! their primitive alone reads.

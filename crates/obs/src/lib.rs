@@ -353,16 +353,21 @@ impl Collector {
     // ---- Snapshots. ----
 
     /// Point-in-time copy of everything recorded so far. Open spans
-    /// contribute their completed entries only.
+    /// contribute their completed entries only. Span children are listed by
+    /// name, the order [`Snapshot::merge`] keeps, so merging the empty
+    /// snapshot into a recording changes nothing.
     pub fn snapshot(&self) -> Snapshot {
         let g = self.lock();
         fn build(spans: &[SpanNode], idx: usize) -> SpanSnapshot {
             let n = &spans[idx];
+            let mut children: Vec<SpanSnapshot> =
+                n.children.iter().map(|&c| build(spans, c)).collect();
+            children.sort_by(|a, b| a.name.cmp(&b.name));
             SpanSnapshot {
                 name: n.name.clone(),
                 count: n.count,
                 total_ns: n.total.as_nanos() as u64,
-                children: n.children.iter().map(|&c| build(spans, c)).collect(),
+                children,
             }
         }
         let mut counters: Vec<(String, u64)> = g
@@ -409,7 +414,7 @@ pub struct SpanSnapshot {
     pub count: u64,
     /// Summed wall-clock of completed entries, in nanoseconds.
     pub total_ns: u64,
-    /// Child spans, in first-entry order.
+    /// Child spans, by name.
     pub children: Vec<SpanSnapshot>,
 }
 
@@ -717,8 +722,9 @@ impl Snapshot {
     ///   from the merged buckets;
     /// - **spans** take the disjoint-union of the trees: same-named
     ///   children under the same parent merge recursively (counts and
-    ///   totals add), and children are re-ordered by name so the result
-    ///   does not depend on merge order;
+    ///   totals add), and children stay in name order, as in every
+    ///   [`Collector::snapshot`], so the result does not depend on merge
+    ///   order and the empty snapshot is an identity;
     /// - **events** union as a multiset, ordered by `(t_ns, level, name,
     ///   message)`.
     ///
@@ -927,9 +933,9 @@ mod tests {
         let solve = check.child("check.solve").expect("solve under check");
         assert_eq!(solve.count, 3);
         assert!(solve.children.is_empty());
-        // Sibling order is first-entry order.
+        // Siblings are listed by name, whatever order they were entered in.
         let names: Vec<&str> = check.children.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, vec!["check.solve", "check.paths"]);
+        assert_eq!(names, vec!["check.paths", "check.solve"]);
     }
 
     #[test]
@@ -1316,12 +1322,14 @@ mod tests {
         let c = Collector::with_trace(false);
         {
             let _r = c.span("run");
-            // Enter children out of name order: merge must normalize.
+            // Enter children out of name order: the snapshot lists them by
+            // name, so the identity merge moves nothing.
             c.span("zeta").finish();
             c.span("alpha").finish();
         }
         let mut m = c.snapshot();
         m.merge(&Snapshot::empty());
+        assert_eq!(m.to_json(), c.snapshot().to_json());
         let run = m.spans.child("run").unwrap();
         let names: Vec<&str> = run.children.iter().map(|x| x.name.as_str()).collect();
         assert_eq!(names, vec!["alpha", "zeta"]);

@@ -1,8 +1,8 @@
 //! jinjing-par: a zero-dependency, work-stealing, scoped thread pool.
 //!
 //! The crate exists for one reason: the verifier's hot loops (per-`(class,
-//! path)` solver queries in `check`, per-neighborhood placement in `fix`,
-//! per-AEC synthesis in `generate`) are embarrassingly parallel — every
+//! path)` solver queries in `check`, per-neighborhood placement in `fix`)
+//! are embarrassingly parallel — every
 //! Eq. 3 query is an independent SAT instance. We want to fan those out
 //! without pulling `rayon` (the workspace is std-only by policy) and
 //! without giving up determinism: reports must be byte-identical no matter

@@ -57,8 +57,8 @@ pub struct SolverStats {
 impl SolverStats {
     /// Fold `other` into `self`: counters add (saturating), `max_depth`
     /// takes the high-water mark. This is the one sanctioned way to
-    /// aggregate stats across solver instances — the per-class check loop,
-    /// the fix loop, and generate all use it.
+    /// aggregate stats across solver instances — the per-class check loop
+    /// and the fix loop use it.
     pub fn merge(&mut self, other: &SolverStats) {
         self.decisions = self.decisions.saturating_add(other.decisions);
         self.propagations = self.propagations.saturating_add(other.propagations);

@@ -33,6 +33,12 @@ fi
 echo "==> cargo build --release --workspace"
 cargo build --locked --offline --release --workspace
 
+# Generate at every preset, both emissions: the only run of generate at the
+# large preset and of the basic emission beyond Figure 1. A correctness
+# smoke (each generate must succeed, so exit 0), not a timing gate.
+echo "==> figures fig4c fig4d"
+cargo run --locked --offline --release -q -p jinjing-bench --bin figures -- fig4c fig4d >/dev/null
+
 # Twice: the determinism contract says every report is byte-identical for
 # every thread count, so the same suites (oracles, goldens, daemon bytes)
 # run again with a 4-worker default.

@@ -57,17 +57,21 @@ fn two_configs(rng: &mut StdRng) -> (Vec<Option<Acl>>, Vec<Option<Acl>>) {
     (fig_config_raw(rng), fig_config_raw(rng))
 }
 
-/// Bind raw material to the example's slots.
-fn bind_config(fig: &Figure1, acls: &[Option<Acl>]) -> AclConfig {
-    let slots: Vec<Slot> = vec![
+/// The example's slots raw material binds to, in order.
+fn bind_slots(fig: &Figure1) -> Vec<Slot> {
+    vec![
         fig.slot("A1"),
         fig.slot("C1"),
         fig.slot("D2"),
         fig.slot("B1"),
         Slot::egress(fig.iface("A3")),
-    ];
+    ]
+}
+
+/// Bind raw material to the example's slots.
+fn bind_config(fig: &Figure1, acls: &[Option<Acl>]) -> AclConfig {
     let mut cfg = AclConfig::new();
-    for (slot, acl) in slots.iter().zip(acls) {
+    for (slot, acl) in bind_slots(fig).iter().zip(acls) {
         if let Some(a) = acl {
             cfg.set(*slot, a.clone());
         }
@@ -157,27 +161,60 @@ fn fix_repairs_or_reports() {
     });
 }
 
+/// A migration: raw before-configuration material and, for some cases, a
+/// mask per slot of the rules its migration keeps. A slot without a mask is
+/// migrated to `permit all`; one with a mask keeps those of its own rules,
+/// with the same default action, so the update installs a new ACL that can
+/// cut the before-configuration's classes.
+type Migration = (Vec<Option<Acl>>, Vec<Option<Vec<bool>>>);
+
+fn migration(rng: &mut StdRng) -> Migration {
+    let raw = fig_config_raw(rng);
+    let partial: bool = rng.random();
+    let keep = raw
+        .iter()
+        .map(|acl| match acl {
+            Some(acl) if partial && rng.random::<bool>() => {
+                Some(acl.rules().iter().map(|_| rng.random()).collect())
+            }
+            _ => None,
+        })
+        .collect();
+    (raw, keep)
+}
+
 /// Generate preserves reachability in both optimization modes, and the
-/// two modes produce semantically equivalent plans.
+/// two modes produce semantically equivalent plans. A kept subset cuts a
+/// class in few cases, so this property draws four times the suite's count.
 #[test]
 fn generate_preserves_reachability() {
     let name = "generate_preserves_reachability";
-    cases::run(SUITE, name, CASES, fig_config_raw, |b| {
+    cases::run(SUITE, name, 4 * CASES, migration, |(b, keep)| {
         let fig = Figure1::new();
         let before = bind_config(&fig, b);
-        // Migrate everything off the configured slots onto C/D ingress.
-        let mut after = before.clone();
-        for slot in before.slots() {
-            after.set(slot, Acl::permit_all());
+        let allow = vec![
+            fig.slot("C1"),
+            fig.slot("C2"),
+            fig.slot("C4"),
+            fig.slot("D1"),
+        ];
+        // Migrate everything off the configured slots onto C/D ingress,
+        // keeping some of a non-target slot's rules where the case says so.
+        let mut after = AclConfig::new();
+        for (slot, acl) in bind_slots(&fig).into_iter().zip(b.iter().zip(keep)) {
+            let migrated = match acl {
+                (Some(acl), Some(keep)) if !allow.contains(&slot) => {
+                    let kept = acl.rules().iter().zip(keep).filter(|(_, &k)| k);
+                    Acl::new(kept.map(|(r, _)| *r).collect(), acl.default_action())
+                }
+                (Some(_), _) => Acl::permit_all(),
+                (None, _) => continue,
+            };
+            after.set(slot, migrated);
         }
         let task = Task {
             scope: fig.scope(),
-            allow: vec![
-                fig.slot("C1"),
-                fig.slot("C2"),
-                fig.slot("C4"),
-                fig.slot("D1"),
-            ],
+            allow,
             before: before.clone(),
             after,
             modified: before.slots(),
