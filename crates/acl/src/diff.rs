@@ -104,11 +104,7 @@ pub fn related_rules(l: &Acl, s: &[Rule]) -> Acl {
 /// The packet cover `H` from the proof of Theorem 4.1: every packet matched
 /// by at least one differential rule. Inconsistencies can only live in `H`.
 pub fn differential_cover(diff: &[Rule]) -> PacketSet {
-    let mut h = PacketSet::empty();
-    for r in diff {
-        h = h.union(&PacketSet::from_cube(r.matches.cube()));
-    }
-    h
+    PacketSet::from_cubes(diff.iter().map(|r| r.matches.cube()).collect())
 }
 
 /// Convenience bundle: everything check's preprocessing needs for one
@@ -174,6 +170,22 @@ mod tests {
         let pairs = lcs_pairs(a.rules(), a.rules());
         assert_eq!(pairs, vec![(0, 0), (1, 1)]);
         assert!(differential_rules(&a, &a).is_empty());
+    }
+
+    #[test]
+    fn differential_cover_is_the_union_fold() {
+        let rules = AclBuilder::default_permit()
+            .deny_dst("1.2.0.0/16")
+            .deny_dst("1.0.0.0/8")
+            .permit_dst("2.0.0.0/8")
+            .deny_dst("1.0.0.0/8")
+            .build();
+        let fold = rules.rules().iter().fold(PacketSet::empty(), |h, r| {
+            h.union(&PacketSet::from_cube(r.matches.cube()))
+        });
+        let cover = differential_cover(rules.rules());
+        assert_eq!(cover, fold);
+        assert_eq!(cover.cube_count(), 2);
     }
 
     #[test]

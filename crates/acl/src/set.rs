@@ -59,6 +59,17 @@ impl PacketSet {
     }
 
     /// A set from a list of cubes (deduplicating subsumed duplicates lazily).
+    ///
+    /// One pass of the prune: a cube covered by a kept one is dropped, and
+    /// a cube that covers kept ones replaces them. So the fold
+    /// `sets.fold(empty, |a, s| a.union(s))` equals `from_cubes` of the
+    /// sets' concatenated cube lists, cube for cube: the pass leaves its kept
+    /// list pruned, a pruned list passes through the prune unchanged, and
+    /// each later cube then meets the same kept list in both. A set equal to
+    /// one already taken may be left out of the concatenation: each of its
+    /// cubes is covered by a kept cube and coverage only grows, and kept
+    /// cubes never cover one another, so the pass would drop all of them
+    /// without touching the kept list.
     pub fn from_cubes(cubes: Vec<Cube>) -> PacketSet {
         let mut s = PacketSet { cubes };
         s.prune();

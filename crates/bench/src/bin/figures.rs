@@ -9,22 +9,27 @@
 //! cargo run --release -p jinjing-bench --bin figures -- fig4b --large
 //! ```
 //!
-//! Subcommands: `fig4a` `fig4b` `fig4c` `fig4d` `table5` `depth` `all`.
+//! Subcommands: `fig4a` `fig4b` `fig4c` `fig4d` `table5` `depth` `scale`
+//! `all`.
 //! `--large` additionally runs the large-network fix (minutes, matching the
 //! paper's ~10-minute ceiling for check+fix). Anything else is a usage
 //! error (exit 2). Everything beyond the paper's evaluation — thread
 //! scaling, sessions, the daemon, shards, traces — is measured by the
 //! repository's ruler, `benchmark/run.sh`.
 
-use jinjing_bench::{checkfix_scenario, control_open_task, migration_task, wan, PERTURBATIONS};
+use jinjing_acl::atoms::RefineLimits;
+use jinjing_bench::{
+    checkfix_scenario, control_open_task, migration_task, wan, wan_of, PERTURBATIONS,
+};
 use jinjing_core::check::{check, CheckConfig};
 use jinjing_core::fix::{fix, FixConfig};
 use jinjing_core::generate::{generate, GenerateConfig};
 use jinjing_core::Encoding;
 use jinjing_lai::printer::statement_count;
 use jinjing_lai::Command;
+use jinjing_net::{Network, ScopeModel};
 use jinjing_wan::scenarios;
-use jinjing_wan::NetSize;
+use jinjing_wan::{NetSize, Wan, WanParams};
 use std::time::{Duration, Instant};
 
 fn ms(d: Duration) -> String {
@@ -246,22 +251,135 @@ fn depth() {
     }
 }
 
+/// The stages of [`scale`], in column order.
+const STAGES: [&str; 6] = [
+    "routes",
+    "predicates",
+    "universe",
+    "family",
+    "refine",
+    "paths",
+];
+
+/// One run of every stage of loading `wan` and deriving its whole-network
+/// scope model: `compute_routes` on a fresh copy of its topology and
+/// announcements, every device's FIB compiled, then the model's universe,
+/// predicate family, FEC refinement and the paths of every class, each on
+/// the one before it. Also the class count.
+fn load_stages(wan: &Wan) -> ([Duration; 6], usize) {
+    let time = |f: &mut dyn FnMut()| {
+        let t = Instant::now();
+        f();
+        t.elapsed()
+    };
+    let mut net = Network::new(wan.net.topology().clone());
+    for &(prefix, ext) in wan.net.announced() {
+        net.announce(prefix, ext);
+    }
+    let routes = time(&mut || net.compute_routes());
+    let devices: Vec<_> = wan.net.topology().devices().collect();
+    let predicates = time(&mut || {
+        for &d in &devices {
+            let _ = wan.net.fib(d).forwarding_predicates();
+        }
+    });
+    let model = ScopeModel::new(&wan.net, wan.scope(), Vec::new(), RefineLimits::default());
+    let universe = time(&mut || {
+        model.universe();
+    });
+    let family = time(&mut || {
+        model.family();
+    });
+    let refine = time(&mut || {
+        model
+            .classes()
+            .expect("the presets refine within the limits");
+    });
+    let classes = model.known_classes();
+    let paths = time(&mut || {
+        for i in 0..classes {
+            model.paths_for(i);
+        }
+    });
+    (
+        [routes, predicates, universe, family, refine, paths],
+        classes,
+    )
+}
+
+/// `large` grown by cells ×1, ×2, ×4: per stage the median of three runs,
+/// and each stage's ratio per doubling of the cells next to the ratio of
+/// the FIB entries the network holds.
+fn scale() {
+    println!("\n## Scale — loading `large` grown by cells (ms, median of 3)\n");
+    println!(
+        "| cells | devices | FIB entries | classes | {} |",
+        STAGES.join(" | ")
+    );
+    println!(
+        "|-------|---------|-------------|---------|{}",
+        "------|".repeat(STAGES.len())
+    );
+    let base = WanParams::preset(NetSize::Large);
+    let mut rows: Vec<(usize, [Duration; 6])> = Vec::new();
+    for factor in [1, 2, 4] {
+        let params = WanParams {
+            cells: base.cells * factor,
+            ..base
+        };
+        let wan = wan_of(&params);
+        let runs: Vec<([Duration; 6], usize)> = (0..3).map(|_| load_stages(&wan)).collect();
+        let classes = runs[0].1;
+        let median: [Duration; 6] = std::array::from_fn(|s| {
+            let mut times: Vec<Duration> = runs.iter().map(|(t, _)| t[s]).collect();
+            times.sort();
+            times[1]
+        });
+        let entries: usize = wan
+            .net
+            .topology()
+            .devices()
+            .map(|d| wan.net.fib(d).entries().len())
+            .sum();
+        let cells: Vec<String> = median.iter().map(|&d| ms(d)).collect();
+        println!(
+            "| {} | {} | {entries} | {classes} | {} |",
+            params.cells,
+            params.device_count(),
+            cells.join(" | ")
+        );
+        rows.push((entries, median));
+    }
+    println!("\nRatio per doubling of the cells:\n");
+    println!("| step | FIB entries | {} |", STAGES.join(" | "));
+    println!("|------|-------------|{}", "------|".repeat(STAGES.len()));
+    for (step, pair) in ["×1 → ×2", "×2 → ×4"].iter().zip(rows.windows(2)) {
+        let ((e0, t0), (e1, t1)) = (&pair[0], &pair[1]);
+        let ratios: Vec<String> = (0..STAGES.len())
+            .map(|s| format!("{:.1}", t1[s].as_secs_f64() / t0[s].as_secs_f64()))
+            .collect();
+        let entries = *e1 as f64 / *e0 as f64;
+        println!("| {step} | {entries:.1} | {} |", ratios.join(" | "));
+    }
+}
+
 /// A subcommand and what prints it; the flag is `--large` (only `fig4b`
 /// reads it).
 type Table = (&'static str, fn(bool));
 
 /// Every table, in print order.
-const TABLES: [Table; 6] = [
+const TABLES: [Table; 7] = [
     ("fig4a", |_| fig4a()),
     ("fig4b", fig4b),
     ("fig4c", |_| fig4c()),
     ("fig4d", |_| fig4d()),
     ("table5", |_| table5()),
     ("depth", |_| depth()),
+    ("scale", |_| scale()),
 ];
 
 const USAGE: &str =
-    "usage: figures [fig4a] [fig4b] [fig4c] [fig4d] [table5] [depth] [all] [--large]";
+    "usage: figures [fig4a] [fig4b] [fig4c] [fig4d] [table5] [depth] [scale] [all] [--large]";
 
 /// One flag per entry of [`TABLES`].
 type Selected = [bool; TABLES.len()];
@@ -316,7 +434,7 @@ mod tests {
         assert_eq!(parse(&["all"]), Ok(([true; TABLES.len()], false)));
         assert_eq!(
             parse(&["--large", "fig4b", "depth"]),
-            Ok(([false, true, false, false, false, true], true))
+            Ok(([false, true, false, false, false, true, false], true))
         );
         // A retired subcommand must not "succeed" by printing nothing.
         assert!(parse(&["par"]).unwrap_err().contains("`par`"));

@@ -19,6 +19,7 @@
 //! | `figures fig4d`      | Fig. 4d — control-open generate, k ∈ {1,2,4}   |
 //! | `figures table5`     | Table 5 — LAI program sizes                    |
 //! | `figures depth`      | §9 — solver effort per encoding                |
+//! | `figures scale`      | loading and the scope model past `large`       |
 //!
 //! This module hosts the workload constructors the subcommands share, so
 //! none pays WAN construction inside the measured closure.
@@ -36,7 +37,12 @@ pub const SEED: u64 = 0xBE7C_0000;
 
 /// Build (and route-warm) a preset WAN.
 pub fn wan(size: NetSize) -> Wan {
-    let wan = build_wan(&WanParams::preset(size));
+    wan_of(&WanParams::preset(size))
+}
+
+/// Build (and route-warm) a WAN from its parameters.
+pub fn wan_of(params: &WanParams) -> Wan {
+    let wan = build_wan(params);
     // Pre-warm the forwarding-predicate cache: routing state is static
     // input in the paper's setting, not part of the measured turnaround.
     for d in wan.net.topology().devices() {

@@ -75,14 +75,23 @@ impl<'n> ScopeModel<'n> {
     }
 
     /// All traffic entering the scope: the union of what the traffic matrix
-    /// admits at each border interface.
+    /// admits at each border interface, taken in one prune pass over the
+    /// distinct sets (see [`PacketSet::from_cubes`]).
     pub fn universe(&self) -> &PacketSet {
         self.universe.get_or_init(|| {
-            let mut universe = PacketSet::empty();
+            let mut distinct: Vec<PacketSet> = Vec::new();
             for (_, t) in self.net.entering_traffic(&self.scope) {
-                universe = universe.union(&t);
+                if !distinct.contains(&t) {
+                    distinct.push(t);
+                }
             }
-            universe
+            PacketSet::from_cubes(
+                distinct
+                    .iter()
+                    .flat_map(PacketSet::cubes)
+                    .copied()
+                    .collect(),
+            )
         })
     }
 

@@ -7,12 +7,21 @@
 //! `j`. Since our routing is destination-based, these predicates carve only
 //! the `dst` dimension of header space — which is exactly why FEC counts
 //! stay small in practice (§9).
+//!
+//! Compiling a FIB is one sweep over its prefixes, longest first: prefixes
+//! form a laminar family, so the region a prefix owns is the gaps between
+//! the longer prefixes already swept inside it, and those gaps are read off
+//! an ordered map of the maximal prefixes swept so far. The cost is
+//! O(E log E) for E entries; see [`Fib::forwarding_predicates`] for why
+//! the cube lists are the ones the plain subtract-and-union loop builds.
 
 use crate::ids::IfaceId;
 use jinjing_acl::cube::Cube;
+use jinjing_acl::interval::Interval;
 use jinjing_acl::packet::Field;
 use jinjing_acl::{IpPrefix, Packet, PacketSet};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
 /// One FIB entry: a destination prefix routed to one output interface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,6 +51,17 @@ impl Fib {
         if !self.entries.contains(&e) {
             self.entries.push(e);
         }
+    }
+
+    /// Append an entry its caller knows is new (see
+    /// [`Network::compute_routes`](crate::Network::compute_routes)).
+    pub(crate) fn push(&mut self, e: FibEntry) {
+        self.entries.push(e);
+    }
+
+    /// Make room for `additional` more entries, and no more.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.entries.reserve_exact(additional);
     }
 
     /// The raw entries.
@@ -78,10 +98,28 @@ impl Fib {
     /// Compile the forwarding predicates: for each output interface, the
     /// exact packet set the device sends there under LPM semantics.
     ///
-    /// Implementation: walk prefixes from most to least specific,
-    /// maintaining the set already claimed by longer prefixes; each prefix's
-    /// *effective* region is its own set minus that cover, and is credited
-    /// to every ECMP output of the prefix.
+    /// Prefixes are swept from most to least specific (ties by address).
+    /// Each prefix `P`'s *effective* region — `P` minus what longer
+    /// prefixes already claimed — is credited to every ECMP output of `P`,
+    /// and each output's cube list is the concatenation of its effective
+    /// regions in sweep order. The claimed space is kept as an ordered map
+    /// `lo → hi` of the maximal prefixes swept so far, which makes the
+    /// sweep O(E log E) and yields exactly the cube lists of the plain loop
+    /// `effective = P.subtract(claimed); claimed = claimed.union(P);
+    /// pred[out] = pred[out].union(effective)`:
+    ///
+    /// 1. Prefixes form a laminar family: two are nested or disjoint.
+    /// 2. Longest first, every claimed prefix that meets `P` lies inside
+    ///    `P`, so the map entries whose `lo` falls in `P` are exactly the
+    ///    claimed cubes that meet `P`. They are removed and `P` is inserted.
+    /// 3. [`Cube::subtract_into`] pushes a disjoint cube unchanged and
+    ///    emits the part below a cut before the part above it, so
+    ///    `P \ claimed` is `P`'s gaps between those entries in address
+    ///    order, whatever order `claimed` lists its cubes in.
+    /// 4. Effective regions are pairwise disjoint, so each `union` into a
+    ///    predicate prunes nothing and reorders nothing: it concatenates.
+    ///
+    /// Each predicate's cube list is allocated once, at its exact size.
     pub fn forwarding_predicates(&self) -> HashMap<IfaceId, PacketSet> {
         // Group outputs per prefix.
         let mut by_prefix: HashMap<IpPrefix, Vec<IfaceId>> = HashMap::new();
@@ -91,28 +129,62 @@ impl Fib {
         let mut prefixes: Vec<IpPrefix> = by_prefix.keys().copied().collect();
         // Longest first; ties ordered deterministically by address.
         prefixes.sort_by(|a, b| b.len().cmp(&a.len()).then(a.addr().cmp(&b.addr())));
-        let mut claimed = PacketSet::empty();
-        let mut preds: HashMap<IfaceId, PacketSet> = HashMap::new();
+        let mut claimed: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut inside: Vec<u64> = Vec::new();
+        // Every effective region in sweep order, and each prefix's part.
+        let mut effective: Vec<Cube> = Vec::new();
+        let mut parts: Vec<(IpPrefix, Range<usize>)> = Vec::new();
         for pfx in prefixes {
-            let full = prefix_set(&pfx);
-            let effective = full.subtract(&claimed);
-            claimed = claimed.union(&full);
-            if effective.is_empty() {
-                continue;
+            let start = effective.len();
+            let (lo, hi) = (pfx.interval().lo(), pfx.interval().hi());
+            let mut next = lo;
+            for (&child_lo, &child_hi) in claimed.range(lo..=hi) {
+                if child_lo > next {
+                    effective.push(dst_cube(Interval::new(next, child_lo - 1)));
+                }
+                next = child_hi + 1;
+                inside.push(child_lo);
             }
-            for out in &by_prefix[&pfx] {
-                let entry = preds.entry(*out).or_insert_with(PacketSet::empty);
-                *entry = entry.union(&effective);
+            if next <= hi {
+                effective.push(dst_cube(Interval::new(next, hi)));
+            }
+            for child_lo in inside.drain(..) {
+                claimed.remove(&child_lo);
+            }
+            claimed.insert(lo, hi);
+            if effective.len() > start {
+                parts.push((pfx, start..effective.len()));
             }
         }
-        preds
+        let mut sizes: HashMap<IfaceId, usize> = HashMap::new();
+        for (pfx, part) in &parts {
+            for out in &by_prefix[pfx] {
+                *sizes.entry(*out).or_default() += part.len();
+            }
+        }
+        let mut runs: HashMap<IfaceId, Vec<Cube>> = HashMap::new();
+        for (pfx, part) in parts {
+            for out in &by_prefix[&pfx] {
+                runs.entry(*out)
+                    .or_insert_with(|| Vec::with_capacity(sizes[out]))
+                    .extend_from_slice(&effective[part.clone()]);
+            }
+        }
+        runs.into_iter()
+            .map(|(out, cubes)| (out, PacketSet::from_cubes_raw(cubes)))
+            .collect()
     }
+}
+
+/// The cube of the destinations in `dst` (all other fields unconstrained).
+pub(crate) fn dst_cube(dst: Interval) -> Cube {
+    Cube::full().with(Field::DstIp, dst)
 }
 
 /// The packet set whose destination lies in `prefix` (all other fields
 /// unconstrained).
 pub fn prefix_set(prefix: &IpPrefix) -> PacketSet {
-    PacketSet::from_cube(Cube::full().with(Field::DstIp, prefix.interval()))
+    PacketSet::from_cube(dst_cube(prefix.interval()))
 }
 
 /// The packet set whose *source* lies in `prefix`.

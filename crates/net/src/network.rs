@@ -7,7 +7,7 @@
 //! which interfaces border a scope, what traffic enters it, and which paths
 //! a traffic class can take across it.
 
-use crate::fib::{prefix_set, Fib};
+use crate::fib::{dst_cube, Fib, FibEntry};
 use crate::ids::{DeviceId, Dir, IfaceId, Slot};
 use crate::topology::Topology;
 use jinjing_acl::{IpPrefix, PacketSet};
@@ -98,9 +98,9 @@ impl Path {
 pub struct Network {
     topo: Topology,
     fibs: Vec<Fib>,
-    /// Memoized forwarding predicates per device (compiling a FIB into
-    /// exact packet sets is the hottest substrate operation — path
-    /// enumeration hits it at every DFS step). Cleared on any FIB change.
+    /// Memoized forwarding predicates per device: path enumeration reads a
+    /// device's predicates at every DFS step, and each FIB is compiled
+    /// once. Cleared on any FIB change.
     predicate_cache: Mutex<HashMap<DeviceId, Arc<HashMap<IfaceId, PacketSet>>>>,
     /// Prefixes announced at external interfaces (where that traffic
     /// ultimately exits the modeled network).
@@ -172,41 +172,30 @@ impl Network {
     /// device routes the prefix toward the announcing device along all
     /// shortest paths; the announcing device routes it out of the external
     /// interface. Pre-existing FIB entries are preserved.
+    ///
+    /// One BFS per distinct announcing device serves all of its
+    /// announcements. Each FIB is then filled in one go, at exact
+    /// capacity, by replaying the announcements in order, so it lists its
+    /// entries as one BFS per announcement would; duplicates are dropped
+    /// through a set of the device's entries that lives only for this call.
     pub fn compute_routes(&mut self) {
         self.predicate_cache.lock().expect("cache lock").clear();
-        let announcements = self.announced.clone();
-        for (prefix, ext) in announcements {
+        let mut hops: HashMap<DeviceId, Vec<Option<Vec<IfaceId>>>> = HashMap::new();
+        for &(_, ext) in &self.announced {
             let target = self.topo.owner(ext);
-            // BFS distances to `target` over links.
-            let mut dist: HashMap<DeviceId, u32> = HashMap::new();
-            dist.insert(target, 0);
-            let mut q = VecDeque::from([target]);
-            while let Some(d) = q.pop_front() {
-                let dd = dist[&d];
-                for &i in self.topo.device_ifaces(d) {
-                    if let Some(peer) = self.topo.peer(i) {
-                        let nd = self.topo.owner(peer);
-                        if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(nd) {
-                            e.insert(dd + 1);
-                            q.push_back(nd);
-                        }
-                    }
-                }
-            }
-            // Next hops: every interface whose peer device is one step
-            // closer to the target.
-            for dev in self.topo.devices() {
-                let Some(&dd) = dist.get(&dev) else { continue };
-                if dev == target {
-                    self.fibs[dev.index()].add(prefix, ext);
-                    continue;
-                }
-                for &i in self.topo.device_ifaces(dev) {
-                    if let Some(peer) = self.topo.peer(i) {
-                        let nd = self.topo.owner(peer);
-                        if dist.get(&nd) == Some(&(dd - 1)) {
-                            self.fibs[dev.index()].add(prefix, i);
-                        }
+            hops.entry(target)
+                .or_insert_with(|| next_hops(&self.topo, target));
+        }
+        let mut seen: HashSet<(IpPrefix, IfaceId)> = HashSet::new();
+        for (d, fib) in self.fibs.iter_mut().enumerate() {
+            let outs = |a| route_outs(&self.topo, &hops, DeviceId(d as u32), a);
+            fib.reserve(self.announced.iter().map(|a| outs(a).len()).sum());
+            seen.clear();
+            seen.extend(fib.entries().iter().map(|e| (e.prefix, e.out)));
+            for a in &self.announced {
+                for &out in outs(a) {
+                    if seen.insert((a.0, out)) {
+                        fib.push(FibEntry { prefix: a.0, out });
                     }
                 }
             }
@@ -277,11 +266,12 @@ impl Network {
 
     /// The announced destination universe (all routable traffic).
     pub fn announced_universe(&self) -> PacketSet {
-        let mut universe = PacketSet::empty();
-        for (p, _) in &self.announced {
-            universe = universe.union(&prefix_set(p));
-        }
-        universe
+        PacketSet::from_cubes(
+            self.announced
+                .iter()
+                .map(|(p, _)| dst_cube(p.interval()))
+                .collect(),
+        )
     }
 
     /// The explicit traffic-matrix entries (empty when no matrix was
@@ -409,10 +399,66 @@ impl Network {
     }
 }
 
+/// Where `device` routes the announcement `(prefix, ext)`: out of `ext` on
+/// the announcing device, to its next hops toward it elsewhere (`hops` is
+/// [`next_hops`] per announcing device), nowhere when it is unreachable.
+fn route_outs<'a>(
+    topo: &Topology,
+    hops: &'a HashMap<DeviceId, Vec<Option<Vec<IfaceId>>>>,
+    device: DeviceId,
+    (_, ext): &'a (IpPrefix, IfaceId),
+) -> &'a [IfaceId] {
+    let target = topo.owner(*ext);
+    match &hops[&target][device.index()] {
+        None => &[],
+        Some(_) if device == target => std::slice::from_ref(ext),
+        Some(next) => next,
+    }
+}
+
+/// Per device (by index), its next hops toward `target` along every
+/// shortest path: the interfaces whose peer device is one step closer.
+/// `None` marks a device that cannot reach `target`; `target` itself has
+/// none.
+fn next_hops(topo: &Topology, target: DeviceId) -> Vec<Option<Vec<IfaceId>>> {
+    let peer_device = |i: IfaceId| topo.peer(i).map(|p| topo.owner(p));
+    let mut dist: Vec<Option<u32>> = vec![None; topo.device_count()];
+    dist[target.index()] = Some(0);
+    let mut q = VecDeque::from([target]);
+    while let Some(d) = q.pop_front() {
+        let dd = dist[d.index()].expect("queued devices have a distance");
+        for &i in topo.device_ifaces(d) {
+            if let Some(nd) = peer_device(i) {
+                if dist[nd.index()].is_none() {
+                    dist[nd.index()] = Some(dd + 1);
+                    q.push_back(nd);
+                }
+            }
+        }
+    }
+    topo.devices()
+        .map(|d| {
+            let dd = dist[d.index()]?;
+            if d == target {
+                return Some(Vec::new());
+            }
+            let closer =
+                |i: &&IfaceId| peer_device(**i).is_some_and(|nd| dist[nd.index()] == Some(dd - 1));
+            Some(
+                topo.device_ifaces(d)
+                    .iter()
+                    .filter(closer)
+                    .copied()
+                    .collect(),
+            )
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fib::pfx;
+    use crate::fib::{pfx, prefix_set};
     use crate::topology::TopologyBuilder;
     use jinjing_acl::Packet;
 

@@ -37,6 +37,7 @@ use jinjing_acl::parse::parse_acl;
 use jinjing_acl::parse::parse_prefix;
 use jinjing_acl::{Acl, IpPrefix, PacketSet};
 use jinjing_obs::json::{self, Json};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Error reading a spec document or binding it to concrete objects.
@@ -278,6 +279,12 @@ impl DeviceSpec {
 impl AnnouncementSpec {
     fn bind(&self, net: &Network) -> Result<(IpPrefix, IfaceId), SpecError> {
         let iface = parse_iface_ref(net, &self.interface)?;
+        if net.topology().peer(iface).is_some() {
+            return Err(SpecError::new(format!(
+                "interface {:?} is linked; announcements sit on external interfaces",
+                self.interface
+            )));
+        }
         let prefix = parse_prefix(&self.prefix)
             .map_err(|e| SpecError::new(format!("announcement {}: {e}", self.prefix)))?;
         Ok((prefix, iface))
@@ -323,13 +330,13 @@ impl RouteSpec {
 impl EnteringSpec {
     fn bind(&self, net: &Network) -> Result<(IfaceId, PacketSet), SpecError> {
         let iface = parse_iface_ref(net, &self.interface)?;
-        let mut set = PacketSet::empty();
+        let mut cubes = Vec::with_capacity(self.dst_prefixes.len());
         for p in &self.dst_prefixes {
             let prefix =
                 parse_prefix(p).map_err(|err| SpecError::new(format!("entering {p}: {err}")))?;
-            set = set.union(&crate::fib::prefix_set(&prefix));
+            cubes.push(crate::fib::dst_cube(prefix.interval()));
         }
-        Ok((iface, set))
+        Ok((iface, PacketSet::from_cubes(cubes)))
     }
 
     fn read(v: &Json, path: &str) -> Result<EnteringSpec, SpecError> {
@@ -439,28 +446,51 @@ impl NetworkSpec {
     }
 
     /// Build the concrete [`Network`]: topology, announcements, computed
-    /// routes (BFS/ECMP), static routes, traffic matrix.
+    /// routes (BFS/ECMP), static routes, traffic matrix. A document the
+    /// topology cannot hold — a repeated device or interface name, a link
+    /// within one device or onto a linked interface, an announcement on a
+    /// linked interface — is an error naming its entry.
     pub fn build(&self) -> Result<Network, SpecError> {
         let mut tb = TopologyBuilder::new();
-        let mut by_name: std::collections::HashMap<String, IfaceId> =
-            std::collections::HashMap::new();
-        for d in &self.devices {
+        let mut by_name: HashMap<String, (DeviceId, IfaceId)> = HashMap::new();
+        for (k, d) in self.devices.iter().enumerate() {
+            if self.devices[..k].iter().any(|e| e.name == d.name) {
+                let what = format!("duplicate device name {:?}", d.name);
+                return Err(fail(&format!("devices[{k}]"), &what));
+            }
             let dev = tb.device(&d.name);
-            for i in &d.interfaces {
+            for (j, i) in d.interfaces.iter().enumerate() {
+                if d.interfaces[..j].contains(i) {
+                    let what = format!("duplicate interface name {i:?}");
+                    return Err(fail(&format!("devices[{k}].interfaces[{j}]"), &what));
+                }
                 let id = tb.iface(dev, i);
-                by_name.insert(format!("{}:{}", d.name, i), id);
+                by_name.insert(format!("{}:{}", d.name, i), (dev, id));
             }
         }
+        let mut linked: HashSet<IfaceId> = HashSet::new();
         for (k, (a, b)) in self.links.iter().enumerate() {
             let end = |name: &String| {
                 let known = by_name.get(name).copied();
-                entry(
-                    "links",
-                    k,
-                    known.ok_or_else(|| SpecError::new(format!("unknown interface {name:?}"))),
-                )
+                known.ok_or_else(|| SpecError::new(format!("unknown interface {name:?}")))
             };
-            tb.link(end(a)?, end(b)?);
+            let ends = || {
+                let ((da, ia), (db, ib)) = (end(a)?, end(b)?);
+                if da == db {
+                    let what = format!("{a:?} and {b:?} are on one device");
+                    return Err(SpecError::new(what));
+                }
+                for (i, name) in [(ia, a), (ib, b)] {
+                    if linked.contains(&i) {
+                        let what = format!("interface {name:?} is already linked");
+                        return Err(SpecError::new(what));
+                    }
+                }
+                Ok((ia, ib))
+            };
+            let (ia, ib) = entry("links", k, ends())?;
+            linked.extend([ia, ib]);
+            tb.link(ia, ib);
         }
         let mut net = Network::new(tb.build());
         for (k, a) in self.announcements.iter().enumerate() {
@@ -921,6 +951,74 @@ mod tests {
             acls.build(&net).unwrap_err().message,
             "slots[1]: unknown interface \"Z:9\""
         );
+    }
+
+    /// The error `chain_spec` edited by `edit` fails to build with.
+    fn build_error(edit: impl FnOnce(&mut NetworkSpec)) -> String {
+        let mut spec = chain_spec();
+        edit(&mut spec);
+        spec.build().unwrap_err().message
+    }
+
+    #[test]
+    fn announcing_on_a_linked_interface_is_an_error() {
+        assert_eq!(
+            build_error(|s| s.announcements[0].interface = "A:1".into()),
+            "announcements[0]: interface \"A:1\" is linked; announcements sit on external interfaces"
+        );
+    }
+
+    #[test]
+    fn a_repeated_device_name_is_an_error() {
+        assert_eq!(
+            build_error(|s| s.devices[1].name = "A".into()),
+            "devices[1]: duplicate device name \"A\""
+        );
+    }
+
+    #[test]
+    fn a_repeated_interface_name_is_an_error() {
+        assert_eq!(
+            build_error(|s| s.devices[0].interfaces.push("0".into())),
+            "devices[0].interfaces[2]: duplicate interface name \"0\""
+        );
+    }
+
+    #[test]
+    fn linking_within_one_device_is_an_error() {
+        assert_eq!(
+            build_error(|s| s.links.push(("B:1".into(), "B:0".into()))),
+            "links[1]: \"B:1\" and \"B:0\" are on one device"
+        );
+        assert_eq!(
+            build_error(|s| s.links.push(("B:1".into(), "B:1".into()))),
+            "links[1]: \"B:1\" and \"B:1\" are on one device"
+        );
+    }
+
+    #[test]
+    fn linking_a_linked_interface_is_an_error() {
+        assert_eq!(
+            build_error(|s| s.links.push(("A:0".into(), "B:0".into()))),
+            "links[1]: interface \"B:0\" is already linked"
+        );
+    }
+
+    #[test]
+    fn entering_prefixes_union_as_the_fold() {
+        let mut spec = chain_spec();
+        spec.entering[0].dst_prefixes = ["1.2.0.0/16", "1.0.0.0/8", "2.0.0.0/8", "1.0.0.0/8"]
+            .map(String::from)
+            .to_vec();
+        let net = spec.build().unwrap();
+        let a0 = net.topology().iface_by_name("A", "0").unwrap();
+        let fold = spec.entering[0]
+            .dst_prefixes
+            .iter()
+            .fold(PacketSet::empty(), |a, p| {
+                a.union(&crate::fib::prefix_set(&parse_prefix(p).unwrap()))
+            });
+        assert_eq!(net.entering_at(a0), fold);
     }
 
     #[test]

@@ -2,9 +2,7 @@
 
 use crate::params::WanParams;
 use jinjing_acl::parse::parse_rule;
-use jinjing_acl::IpPrefix;
-use jinjing_acl::{Acl, Action, PacketSet, Rule};
-use jinjing_net::fib::prefix_set;
+use jinjing_acl::{Acl, Action, Cube, Field, IpPrefix, PacketSet, Rule};
 use jinjing_net::{AclConfig, DeviceId, IfaceId, Network, Scope, Slot, TopologyBuilder};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -196,13 +194,9 @@ pub fn build_wan(params: &WanParams) -> Wan {
     net.compute_routes();
 
     // Traffic matrix: southbound at uplinks, northbound at downlinks.
-    let south: PacketSet = edge_prefixes
-        .iter()
-        .flatten()
-        .fold(PacketSet::empty(), |a, p| a.union(&prefix_set(p)));
-    let north: PacketSet = external_prefixes
-        .iter()
-        .fold(PacketSet::empty(), |a, p| a.union(&prefix_set(p)));
+    let dst = |p: &IpPrefix| Cube::full().with(Field::DstIp, p.interval());
+    let south = PacketSet::from_cubes(edge_prefixes.iter().flatten().map(dst).collect());
+    let north = PacketSet::from_cubes(external_prefixes.iter().map(dst).collect());
     for &up in &uplinks {
         net.set_entering(up, south.clone());
     }
@@ -296,6 +290,7 @@ mod tests {
     use super::*;
     use crate::params::NetSize;
     use jinjing_acl::Packet;
+    use jinjing_net::fib::prefix_set;
 
     #[test]
     fn small_wan_builds_with_expected_shape() {

@@ -76,6 +76,25 @@ expect_exit 4 jinjing lint \
     --priority alpha,beta \
     --deny 'JL3*' --format sarif >/dev/null
 
+echo "==> jinjing show --network (a malformed spec is an error)"
+# A network the topology cannot hold — here an announcement on a linked
+# interface — must exit 1 with the canonical `<file>: <json path>: <what>`
+# error, not panic (exit 101).
+spec="$(mktemp)"
+cat >"$spec" <<'EOF'
+{
+  "devices": [
+    {"name": "A", "interfaces": ["0", "1"]},
+    {"name": "B", "interfaces": ["0", "1"]}
+  ],
+  "links": [["A:1", "B:0"]],
+  "announcements": [{"prefix": "1.0.0.0/8", "interface": "B:0"}]
+}
+EOF
+expect_exit 1 jinjing show --network "$spec" 2>"$spec.err"
+grep -qF "$spec: announcements[0]: interface \"B:0\" is linked" "$spec.err"
+rm -f "$spec" "$spec.err"
+
 echo "==> rollout-plan smoke (certified update sequencing)"
 # The committed relocation target is feasible but order-sensitive
 # (A:3-out must tighten before C:1 clears): `plan` must exit 0 and emit

@@ -304,3 +304,75 @@ fn subtract_into_is_subtract() {
         },
     );
 }
+
+/// A cube inside `c`: some fields narrowed to a random sub-interval.
+fn sub_cube(rng: &mut StdRng, c: &Cube) -> Cube {
+    Field::ALL.iter().fold(*c, |acc, &f| {
+        if rng.random_range(0..2u32) == 0 {
+            let iv = c.get(f);
+            let lo = rng.random_range(iv.lo()..=iv.hi());
+            acc.with(f, Interval::new(lo, rng.random_range(lo..=iv.hi())))
+        } else {
+            acc
+        }
+    })
+}
+
+/// Unpruned cube lists over several fields whose cubes often repeat, nest
+/// inside or swallow earlier ones, and which often repeat a whole earlier
+/// set.
+fn union_operands(rng: &mut StdRng) -> Vec<PacketSet> {
+    let mut sets: Vec<PacketSet> = Vec::new();
+    let mut drawn: Vec<Cube> = Vec::new();
+    for _ in 0..rng.random_range(0..8usize) {
+        if !sets.is_empty() && rng.random_range(0..4u32) == 0 {
+            let again = sets[rng.random_range(0..sets.len())].clone();
+            sets.push(again);
+            continue;
+        }
+        let mut cubes = Vec::new();
+        for _ in 0..rng.random_range(0..5usize) {
+            let earlier = (!drawn.is_empty()).then(|| drawn[rng.random_range(0..drawn.len())]);
+            let c = match (rng.random_range(0..4u32), earlier) {
+                (0, Some(e)) => e,
+                (1, Some(e)) => sub_cube(rng, &e),
+                (2, Some(e)) => {
+                    let f = Field::ALL[rng.random_range(0..Field::ALL.len())];
+                    e.with(f, Interval::full(f))
+                }
+                _ => landmark_cube(rng),
+            };
+            drawn.push(c);
+            cubes.push(c);
+        }
+        sets.push(PacketSet::from_cubes_raw(cubes));
+    }
+    sets
+}
+
+/// `from_cubes` of the concatenated cube lists is the `union` fold from
+/// empty, cube for cube, and stays so when every set equal to an earlier
+/// one is left out of the concatenation.
+#[test]
+fn from_cubes_is_the_union_fold() {
+    cases::run(
+        SUITE,
+        "from_cubes_is_the_union_fold",
+        CASES * 16,
+        union_operands,
+        |sets| {
+            let fold = sets.iter().fold(PacketSet::empty(), |acc, s| acc.union(s));
+            let concat = |sets: &[&PacketSet]| {
+                PacketSet::from_cubes(sets.iter().flat_map(|s| s.cubes()).copied().collect())
+            };
+            assert_eq!(concat(&sets.iter().collect::<Vec<_>>()), fold);
+            let mut distinct: Vec<&PacketSet> = Vec::new();
+            for s in sets {
+                if !distinct.contains(&s) {
+                    distinct.push(s);
+                }
+            }
+            assert_eq!(concat(&distinct), fold);
+        },
+    );
+}
